@@ -24,6 +24,7 @@ from .errors import (
     CorruptChainError,
     FeedSchemaError,
     InputError,
+    PolicyLedgerError,
     SchemaError,
 )
 from .ledger import import_chain, replay_state, verify_chain
@@ -114,6 +115,9 @@ def _cmd_run(args) -> int:
         return EXIT_CONFIG_ERROR
     except (AssertionError, ConsensusFailure, CorruptChainError) as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except PolicyLedgerError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
     if args.verbose:

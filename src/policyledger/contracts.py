@@ -378,7 +378,7 @@ class ContractEngine:
                     actions.append(PlannedAction(endpoint_id, rule.remediation, rule.rule_id))
             if decision.kind == DecisionKind.IMMEDIATE_ACTION_REQUIRED:
                 isolate = EnforcementActionSpec(kind="isolate_endpoint", params={"isolated": True})
-                for endpoint_id in sorted(fleet.ids()):
+                for endpoint_id in fleet.ids():
                     if fleet.get(endpoint_id).infected and not fleet.get(endpoint_id).isolated:
                         actions.append(PlannedAction(endpoint_id, isolate, None))
         # Parallel dispatch order: endpoint id, then remediations before

@@ -429,6 +429,9 @@ def validate_transaction(
     if tx.kind not in allowed:
         return TxVerdict(False, "authorization")
 
+    # Only these kinds are checked against active policy and pending writes.
+    if tx.kind not in (TxKind.POLICY_DEPLOY, TxKind.POLICY_UPDATE, TxKind.ENFORCEMENT_DECISION):
+        return ACCEPT
     body = tx.body()
     required = _active_required_values(state, skip_policy=body.get("policy_id"))
 
@@ -502,6 +505,7 @@ class Ledger:
         self._state = WorldState()
         self._seq = 0
         self._seen_tx_ids: set[str] = set()
+        self._pending_tx_ids: set[str] = set()
 
     # -- writing -----------------------------------------------------------
 
@@ -512,13 +516,12 @@ class Ledger:
     def submit_transaction(self, tx: TransactionRecord) -> TxVerdict:
         """Validate ``tx`` against committed state and the pending set;
         queue it for the next block when accepted."""
-        if tx.tx_id in self._seen_tx_ids or any(
-            p.tx_id == tx.tx_id for p in self.pending
-        ):
+        if tx.tx_id in self._seen_tx_ids or tx.tx_id in self._pending_tx_ids:
             raise InputError(f"duplicate tx_id {tx.tx_id}")
         verdict = validate_transaction(tx, self._state, self.pending, self.authorization)
         if verdict:
             self.pending.append(tx)
+            self._pending_tx_ids.add(tx.tx_id)
         return verdict
 
     def commit_block(self, timestamp: int) -> LedgerBlock:
@@ -553,6 +556,7 @@ class Ledger:
             self._seen_tx_ids.add(tx.tx_id)
             _apply_tx_to_state(self._state, tx)
         self.pending.clear()
+        self._pending_tx_ids.clear()
         return block
 
     def _validator_vote(self, pending: list[TransactionRecord]) -> str:
@@ -660,6 +664,8 @@ def _tx_matches(tx: TransactionRecord, f: HistoryFilter) -> bool:
         lo, hi = f.time_range
         if not lo <= tx.timestamp <= hi:
             return False
+    if f.policy_id is None and f.endpoint_id is None:
+        return True
     body = tx.body()
     if f.policy_id is not None:
         if body.get("policy_id") != f.policy_id and f.policy_id not in body.get(

@@ -356,16 +356,20 @@ def samples_from_chain(chain) -> tuple[list[MetricSample], list[MetricSample]]:
     """
     from .ledger import TxKind, query_history
 
+    txs = query_history(chain)  # the one verification of the chain
     rule_policy: dict[str, str] = {}
-    for tx in query_history(chain, kind=TxKind.POLICY_DEPLOY) + query_history(
-        chain, kind=TxKind.POLICY_UPDATE
-    ):
-        body = tx.body()
-        for rule in body.get("rules", []):
-            rule_policy[rule["rule_id"]] = body["policy_id"]
+    # Every deploy first, then every update, so an upgrade's mapping wins.
+    for kind in (TxKind.POLICY_DEPLOY, TxKind.POLICY_UPDATE):
+        for tx in txs:
+            if tx.kind == kind:
+                body = tx.body()
+                for rule in body.get("rules", []):
+                    rule_policy[rule["rule_id"]] = body["policy_id"]
 
     acc: dict[tuple[str, str], dict] = {}
-    for tx in query_history(chain, kind=TxKind.ENFORCEMENT_RESULT):
+    for tx in txs:
+        if tx.kind != TxKind.ENFORCEMENT_RESULT:
+            continue
         body = tx.body()
         rule_id = body.get("rule_id")
         policy_id = rule_policy.get(rule_id, "ad-hoc") if rule_id else "ad-hoc"

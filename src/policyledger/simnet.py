@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .canonical import substream
@@ -63,8 +63,9 @@ class Endpoint:
     infected: bool = False
 
     def attrs(self) -> dict:
-        out = asdict(self)
-        out.pop("endpoint_id")
+        """A fresh attribute dict in ENDPOINT_ATTRIBUTES order; mutating it,
+        or the rule lists inside it, leaves the endpoint unchanged."""
+        out = {name: getattr(self, name) for name in ENDPOINT_ATTRIBUTES}
         out["firewall_rules"] = [list(r) for r in self.firewall_rules]
         return out
 
@@ -79,6 +80,8 @@ class Fleet:
             if ep.endpoint_id in self._endpoints:
                 raise InputError(f"duplicate endpoint id {ep.endpoint_id}")
             self._endpoints[ep.endpoint_id] = ep
+        # Endpoints are never added or removed after construction.
+        self._ids = sorted(self._endpoints)
         self.mutation_log: list[dict] = []
 
     def __len__(self) -> int:
@@ -88,7 +91,7 @@ class Fleet:
         return endpoint_id in self._endpoints
 
     def ids(self) -> list[str]:
-        return sorted(self._endpoints)
+        return list(self._ids)
 
     def get(self, endpoint_id: str) -> Endpoint:
         try:
@@ -97,7 +100,7 @@ class Fleet:
             raise UnknownEndpoint(endpoint_id) from None
 
     def endpoints(self) -> list[Endpoint]:
-        return [self._endpoints[eid] for eid in self.ids()]
+        return [self._endpoints[eid] for eid in self._ids]
 
     def record_mutation(self, endpoint_id: str, attribute: str, value, tick: int, cause: str):
         self.mutation_log.append(
@@ -129,8 +132,8 @@ def provision_fleet(n: int = 60, profile: Optional[dict] = None) -> Fleet:
 
 
 def snapshot(fleet: Fleet) -> dict:
-    """Deep, immutable-by-copy view: endpoint id -> attribute dict."""
-    return {eid: copy.deepcopy(fleet.get(eid).attrs()) for eid in fleet.ids()}
+    """Copied view: endpoint id -> attribute dict (see Endpoint.attrs)."""
+    return {eid: fleet.get(eid).attrs() for eid in fleet.ids()}
 
 
 # --------------------------------------------------------------------------

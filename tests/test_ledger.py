@@ -232,6 +232,60 @@ def test_duplicate_tx_id_is_refused():
         ledger.submit_transaction(tx)
 
 
+def test_tx_id_is_refused_while_pending_and_after_commit():
+    ledger = fresh_ledger()
+    tx = make_tx(ledger)
+    assert ledger.submit_transaction(tx)
+    with pytest.raises(InputError):
+        ledger.submit_transaction(tx)
+    ledger.commit_block(1)
+    with pytest.raises(InputError):
+        ledger.submit_transaction(tx)
+    fresh = make_tx(ledger, timestamp=2)
+    assert ledger.submit_transaction(fresh)
+    assert ledger.pending == [fresh]
+
+
+def test_consensus_failure_leaves_pending_intact():
+    ledger = fresh_ledger()
+    clean = make_tx(ledger)
+    assert ledger.submit_transaction(clean)
+    rogue = make_tx(ledger, kind=TxKind.POLICY_UPDATE, actor="cti-engine",
+                    body={"policy_id": "p", "rules": []})
+    ledger.pending.append(rogue)
+    with pytest.raises(ConsensusFailure):
+        ledger.commit_block(1)
+    assert ledger.pending == [clean, rogue]
+    assert len(ledger.blocks) == 1
+    with pytest.raises(InputError):
+        ledger.submit_transaction(clean)
+
+
+class _UniterablePending(list):
+    def __iter__(self):
+        raise AssertionError("submit iterated the whole pending list")
+
+
+@pytest.mark.parametrize(
+    "kind, body",
+    [
+        (TxKind.COMPLIANCE_CHECK,
+         {"endpoint_id": "ep-000", "rule_id": "r", "verdict": "compliant", "checked_at": 1}),
+        (TxKind.ENFORCEMENT_RESULT,
+         {"endpoint_id": "ep-000", "outcome": "success", "duration_ms": 5, "applied": {}}),
+    ],
+)
+def test_submit_does_not_scan_pending(kind, body):
+    # An O(pending) scan per submit makes an N-endpoint audit O(N^2).
+    ledger = fresh_ledger()
+    for _ in range(3):
+        assert ledger.submit_transaction(make_tx(ledger, kind=kind, body=body))
+    ledger.pending = _UniterablePending(ledger.pending)
+    tx = make_tx(ledger, kind=kind, body=body)
+    assert ledger.submit_transaction(tx)
+    assert len(ledger.pending) == 4 and ledger.pending[-1] is tx
+
+
 # -- verify_chain ------------------------------------------------------------
 
 
@@ -404,6 +458,17 @@ def test_empty_filter_returns_every_transaction():
     assert len(records) == 6
     # commit order is preserved
     assert [r.tx_id for r in records] == sorted([r.tx_id for r in records])
+
+
+def test_empty_filter_returns_every_kind_of_transaction():
+    from policyledger.runner import RunConfig, run_scenario
+
+    chain = run_scenario(RunConfig(seed=7, scenario="ransomware", mode="both",
+                                   endpoints=12)).chain
+    every = [tx for block in chain for tx in block.transactions]
+    assert query_history(chain) == every
+    # A run never upgrades its contract, so it writes every other kind.
+    assert {tx.kind for tx in every} == set(TxKind) - {TxKind.POLICY_UPDATE}
 
 
 def test_filter_on_missing_policy_is_empty():

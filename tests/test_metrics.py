@@ -310,3 +310,62 @@ def test_act_can_include_failures_for_sensitivity():
     )
     assert s.act() == 150.0
     assert s.act(include_failures=True) == 300.0
+
+
+# -- samples_from_chain ----------------------------------------------------------
+
+
+def _policy_chain():
+    """Deploy p1 with rule r, upgrade p1 keeping r, then deploy p2 also
+    naming r; one automated and one human result each for r and r-new."""
+    from policyledger.ledger import Ledger, TransactionRecord, TxKind, TxMetadata
+
+    ledger = Ledger(validators=3, genesis_timestamp=0, config_digest="test")
+
+    def submit(kind, actor, body, arm="automated"):
+        tx = TransactionRecord.create(ledger.next_tx_id(), 1, kind, actor, body,
+                                      TxMetadata(arm=arm))
+        assert ledger.submit_transaction(tx)
+
+    submit(TxKind.POLICY_DEPLOY, "policy-admin",
+           {"policy_id": "p1", "version": 1, "rules": [{"rule_id": "r"}]})
+    ledger.commit_block(1)
+    submit(TxKind.POLICY_UPDATE, "policy-admin",
+           {"policy_id": "p1", "version": 2,
+            "rules": [{"rule_id": "r"}, {"rule_id": "r-new"}]})
+    ledger.commit_block(2)
+    submit(TxKind.POLICY_DEPLOY, "policy-admin",
+           {"policy_id": "p2", "version": 1, "rules": [{"rule_id": "r"}]})
+    ledger.commit_block(3)
+    for arm, actor in (("automated", "contract-engine"), ("human", "human-team")):
+        for i, rule_id in enumerate(("r", "r-new")):
+            submit(TxKind.ENFORCEMENT_RESULT, actor,
+                   {"endpoint_id": f"ep-{i:03d}", "rule_id": rule_id,
+                    "outcome": "success", "duration_ms": 10 + i, "applied": {}}, arm)
+    ledger.commit_block(4)
+    return ledger.chain()
+
+
+def test_samples_map_rules_through_updates_after_deploys():
+    from policyledger.metrics import samples_from_chain
+
+    automated, human = samples_from_chain(_policy_chain())
+    # Updates are folded after every deploy, so p1's upgrade keeps "r".
+    for samples in (automated, human):
+        assert [(s.policy_id, s.total) for s in samples] == [("p1", 2)]
+        assert samples[0].endpoint_durations == {"ep-000": 10.0, "ep-001": 11.0}
+
+
+def test_samples_refuse_a_tampered_chain():
+    from dataclasses import replace
+
+    from policyledger.errors import CorruptChainError
+    from policyledger.metrics import samples_from_chain
+
+    chain = _policy_chain()
+    block = chain[-1]
+    tx = block.transactions[0]
+    forged = replace(tx, payload=tx.payload.replace('"duration_ms":10', '"duration_ms":1'))
+    chain[-1] = replace(block, transactions=(forged,) + block.transactions[1:])
+    with pytest.raises(CorruptChainError):
+        samples_from_chain(chain)

@@ -55,6 +55,35 @@ def test_same_seed_produces_byte_identical_outputs(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+#: SHA-256 of each output at 60 endpoints in "both" mode. A change to any
+#: of them is a change of output bytes, which bumps a format string.
+PINNED_OUTPUT_DIGESTS = {
+    ("smbv1", 42): {
+        "chain.ndjson": "0c4874aee75ca965b15eb1091e5fd373e65e652071bb726f9b42a5f55102e8d7",
+        "report.json": "297ac0137b5f0a448da0f4d43e6b58cbc00a18a12e4ed287637f26eada5aae23",
+        "report.txt": "7e2e3671635e0f9109ef650cbf313a6c6498735124f004a688c976c43f75cabe",
+    },
+    ("ransomware", 7): {
+        "chain.ndjson": "af6cdfc19165f10f669b465a0ad53e7d7089897f8a23de79ea8a6835b66d94af",
+        "report.json": "809ec1c7bf24d04653efc10cb17b1dec3f6844ca07e3b3af2bd6c9565602bd65",
+        "report.txt": "9f70dcab968a2dc218c9e5d53efec7d195bb2f76a87433f30b0681c3020bed71",
+    },
+}
+
+
+@pytest.mark.parametrize("scenario, seed", sorted(PINNED_OUTPUT_DIGESTS))
+def test_outputs_match_pinned_digests(tmp_path, scenario, seed):
+    import hashlib
+
+    run_scenario(RunConfig(seed=seed, scenario=scenario, mode="both", endpoints=60),
+                 outdir=tmp_path)
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in PINNED_OUTPUT_DIGESTS[(scenario, seed)]
+    }
+    assert digests == PINNED_OUTPUT_DIGESTS[(scenario, seed)]
+
+
 def test_different_seeds_differ(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
@@ -270,3 +299,18 @@ def test_cli_report_format_selector(tmp_path):
     assert code == 0
     assert (out / "report.json").exists()
     assert not (out / "report.txt").exists()
+
+
+def test_cli_run_unknown_target_endpoint_is_exit_four(tmp_path, capsys):
+    doc = json.loads(fixture_path("policies", "smbv1.json").read_text())
+    doc["rules"][0]["remediation"]["target_selector"] = ["ep-999"]
+    policy = tmp_path / "policy.json"
+    policy.write_text(json.dumps(doc))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"scenario": "smbv1", "endpoints": 4,
+                                  "policies": [str(policy)]}))
+    code = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip() == "error: UnknownEndpoint: ep-999"

@@ -9,6 +9,8 @@ from policyledger.errors import InputError, UnknownEndpoint
 from policyledger.policy import EnforcementActionSpec
 from policyledger.simnet import (
     AnalystTeam,
+    Endpoint,
+    Fleet,
     NetworkModel,
     SimClock,
     ThreatScenario,
@@ -183,6 +185,34 @@ def test_snapshot_is_isolated_from_mutation():
     fleet.get("ep-000").firewall_rules.append(["inbound", "x", "deny"])
     assert snap["ep-000"]["rdp_port"] == 3389
     assert snap["ep-000"]["firewall_rules"] == []
+
+
+def test_attrs_is_the_vocabulary_in_order_and_a_copy():
+    from policyledger.policy import ENDPOINT_ATTRIBUTES
+
+    fleet = provision_fleet(1, profile={"firewall_rules": [["inbound", "445", "deny"]]})
+    ep = fleet.get("ep-000")
+    attrs = ep.attrs()
+    assert list(attrs) == list(ENDPOINT_ATTRIBUTES)
+    attrs["firewall_rules"][0][2] = "allow"
+    attrs["firewall_rules"].append(["outbound", "*", "deny"])
+    attrs["smbv1_enabled"] = False
+    snap = snapshot(fleet)
+    snap["ep-000"]["firewall_rules"][0][2] = "allow"
+    snap["ep-000"]["firewall_rules"].clear()
+    snap["ep-000"]["rdp_port"] = 1
+    assert ep.firewall_rules == [["inbound", "445", "deny"]]
+    assert ep.smbv1_enabled is True and ep.rdp_port == 3389
+    assert snapshot(fleet)["ep-000"] == ep.attrs()
+
+
+def test_fleet_ids_are_sorted_copies():
+    fleet = Fleet([Endpoint("ep-b"), Endpoint("ep-a"), Endpoint("ep-c")])
+    ids = fleet.ids()
+    assert ids == ["ep-a", "ep-b", "ep-c"]
+    ids.reverse()
+    assert fleet.ids() == ["ep-a", "ep-b", "ep-c"]
+    assert [ep.endpoint_id for ep in fleet.endpoints()] == ["ep-a", "ep-b", "ep-c"]
 
 
 def test_consecutive_snapshots_are_equal():
