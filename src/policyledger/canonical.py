@@ -17,10 +17,13 @@ from typing import Any
 HASH_FUNCTION_NAME = "sha-256"
 ZERO_DIGEST = "0" * 64
 
+# json.dumps with non-default arguments builds a new encoder on every call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
 
 def canonical_json(value: Any) -> str:
     """Serialize ``value`` to its canonical JSON form."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return _ENCODER.encode(value)
 
 
 def canonical_bytes(value: Any) -> bytes:

@@ -113,7 +113,7 @@ def _cmd_run(args) -> int:
     except (InputError, SchemaError, AmbiguityError, FeedSchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except (AssertionError, ConsensusFailure, CorruptChainError) as exc:
+    except (ConsensusFailure, CorruptChainError) as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except PolicyLedgerError as exc:

@@ -428,8 +428,9 @@ class ContractEngine:
             return fleet.ids()
         if isinstance(selector, (list, tuple)):
             return sorted(selector)
+        # Conditions only read vocabulary attributes: no attrs() copy needed.
         return [
-            eid for eid in fleet.ids() if not rule.is_compliant(fleet.get(eid).attrs())
+            ep.endpoint_id for ep in fleet.endpoints() if not rule.is_compliant(vars(ep))
         ]
 
     def _threat_metadata(self, threat_class, report, actions, arm) -> TxMetadata:

@@ -2,11 +2,12 @@
 
 A committed chain is a list of blocks. Each transaction carries a payload
 digest; each block hash covers the block header plus the digests of its
-whole transaction records, and links to the previous block hash. Three
-deterministic validator replicas re-run transaction validation before a
-block commits; unanimity is required. World state is never stored, only
-derived by replaying the chain, so two replays of the same chain are
-always identical.
+whole transaction records, and links to the previous block hash. Each
+transaction is validated once, at submission; the block vote re-checks
+only records that bypassed that, and its verdict is stamped for every
+validator id. Live state folds only the policy records validation
+reads; world state is derived by replaying the chain, so two replays of
+the same chain are always identical.
 
 Chain files are newline-delimited: one canonical-JSON block per line.
 The genesis block records the hash function name, the export format
@@ -16,7 +17,6 @@ covered by the genesis block hash.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -289,9 +289,6 @@ class WorldState:
     compliance: dict = field(default_factory=dict)  # endpoint -> rule_id -> verdict
     alerts: list = field(default_factory=list)
 
-    def copy(self) -> "WorldState":
-        return copy.deepcopy(self)
-
     def to_dict(self) -> dict:
         return {
             "policies": self.policies,
@@ -370,7 +367,7 @@ class ChainVerdict:
 
 
 # --------------------------------------------------------------------------
-# Validation (shared by the writer and every validator replica)
+# Validation (shared by submission and the block vote)
 
 
 def _planned_settings(body: dict) -> list[tuple[str, str, object]]:
@@ -445,12 +442,13 @@ def validate_transaction(
                 if prior is not None and prior[0] != cond["value"]:
                     return TxVerdict(False, "policy_conflict")
     elif tx.kind == TxKind.ENFORCEMENT_DECISION:
-        for endpoint, attr, value in _planned_settings(body):
+        planned = _planned_settings(body)
+        for endpoint, attr, value in planned:
             prior = required.get(attr)
             if prior is not None and prior[0] != value:
                 return TxVerdict(False, "policy_conflict")
         # Conflicting pending writes to the same endpoint attribute.
-        mine = {(ep, attr): val for ep, attr, val in _planned_settings(body)}
+        mine = {(ep, attr): val for ep, attr, val in planned}
         for other in pending:
             if other.kind != TxKind.ENFORCEMENT_DECISION:
                 continue
@@ -466,7 +464,7 @@ def validate_transaction(
 
 
 class Ledger:
-    """Single-writer, append-only chain with deterministic validators.
+    """Single-writer, append-only chain with a unanimous validator vote.
 
     The happy path is submit_transaction() per event then commit_block()
     per decision cycle. Committed blocks are immutable; reads (verify,
@@ -505,7 +503,8 @@ class Ledger:
         self._state = WorldState()
         self._seq = 0
         self._seen_tx_ids: set[str] = set()
-        self._pending_tx_ids: set[str] = set()
+        # tx_id -> the record submit_transaction admitted under that id.
+        self._admitted: dict[str, TransactionRecord] = {}
 
     # -- writing -----------------------------------------------------------
 
@@ -516,29 +515,27 @@ class Ledger:
     def submit_transaction(self, tx: TransactionRecord) -> TxVerdict:
         """Validate ``tx`` against committed state and the pending set;
         queue it for the next block when accepted."""
-        if tx.tx_id in self._seen_tx_ids or tx.tx_id in self._pending_tx_ids:
+        if tx.tx_id in self._seen_tx_ids or tx.tx_id in self._admitted:
             raise InputError(f"duplicate tx_id {tx.tx_id}")
         verdict = validate_transaction(tx, self._state, self.pending, self.authorization)
         if verdict:
             self.pending.append(tx)
-            self._pending_tx_ids.add(tx.tx_id)
+            self._admitted[tx.tx_id] = tx
         return verdict
 
     def commit_block(self, timestamp: int) -> LedgerBlock:
         """Commit all pending transactions as one block.
 
-        Every validator replica independently re-validates the pending
-        list against the committed state; one block per decision cycle.
+        The validators are identical deterministic checks, so the vote runs
+        once and is stamped for every validator id; one block per cycle.
         """
         if not self.pending:
             raise InputError("nothing to commit")
         pending = list(self.pending)
-        votes: dict[str, str] = {}
-        for vid in self.validator_ids:
-            votes[vid] = self._validator_vote(pending)
-        if any(v != VOTE_ACCEPT for v in votes.values()):
-            bad = sorted(v for v in votes.values() if v != VOTE_ACCEPT)
-            raise ConsensusFailure(f"validator rejected pending block: {bad[0]}")
+        vote = self._validator_vote(pending)
+        if vote != VOTE_ACCEPT:
+            raise ConsensusFailure(f"validator rejected pending block: {vote}")
+        votes = {vid: vote for vid in self.validator_ids}
 
         prev = self.blocks[-1]
         digests = [tx.record_digest() for tx in pending]
@@ -554,31 +551,32 @@ class Ledger:
         self.blocks.append(block)
         for tx in pending:
             self._seen_tx_ids.add(tx.tx_id)
-            _apply_tx_to_state(self._state, tx)
+            # Validation reads only the active policies from live state.
+            if tx.kind in (TxKind.POLICY_DEPLOY, TxKind.POLICY_UPDATE):
+                _apply_tx_to_state(self._state, tx)
         self.pending.clear()
-        self._pending_tx_ids.clear()
+        self._admitted.clear()
         return block
 
     def _validator_vote(self, pending: list[TransactionRecord]) -> str:
-        """One replica's verdict: re-run validation of the whole batch
-        against the committed state."""
+        """The validators' common verdict on the batch. An admitted record
+        is validated again only behind a record that bypassed submission,
+        which it was never checked against."""
         seen: list[TransactionRecord] = []
+        bypassed = False
         for tx in pending:
-            try:
-                verdict = validate_transaction(tx, self._state, seen, self.authorization)
-            except MalformedTransaction:
-                return "reject:malformed"
-            if not verdict:
-                return f"reject:{verdict.reason}"
+            bypassed = bypassed or self._admitted.get(tx.tx_id) is not tx
+            if bypassed:
+                try:
+                    verdict = validate_transaction(tx, self._state, seen, self.authorization)
+                except MalformedTransaction:
+                    return "reject:malformed"
+                if not verdict:
+                    return f"reject:{verdict.reason}"
             seen.append(tx)
         return VOTE_ACCEPT
 
     # -- reading -----------------------------------------------------------
-
-    @property
-    def state(self) -> WorldState:
-        """Live state snapshot (copy) of the committed prefix."""
-        return self._state.copy()
 
     def chain(self) -> list[LedgerBlock]:
         return list(self.blocks)

@@ -1,15 +1,19 @@
 """Contract engine: lifecycle, events, audits, decisions, enforcement."""
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_engine
 from policyledger.contracts import ContractEngine, ContractEvent
 from policyledger.cti import Decision, DecisionKind, ThreatClass, ThreatCategory
 from policyledger.errors import InputError, LedgerUnavailable, UnknownContract
 from policyledger.ledger import TxKind, query_history
-from policyledger.policy import load_policy_file
+from policyledger.policy import load_policy_document, load_policy_file
 from policyledger.runner import fixture_path
-from policyledger.simnet import NetworkModel, SimClock, provision_fleet
+from policyledger.simnet import Endpoint, Fleet, NetworkModel, SimClock, provision_fleet
 
 
 @pytest.fixture
@@ -238,6 +242,85 @@ def test_standard_mitigation_targets_only_non_compliant(engine, docs):
     targets = {pa.endpoint_id for pa in plan.actions}
     assert targets == set(engine.fleet.ids()) - {"ep-000", "ep-001"}
     assert all(pa.action.kind == "disable_smbv1" for pa in plan.actions)
+
+
+def test_targeting_does_not_copy_endpoint_attrs(monkeypatch, smbv1_doc, rdp_doc,
+                                                ransomware_doc):
+    # Copying every endpoint's attrs() per matched rule dominated targeting.
+    engine = make_engine(endpoints=6)
+    contract = deploy(engine, [smbv1_doc, rdp_doc, ransomware_doc])
+    engine.fleet.get("ep-001").smbv1_enabled = False
+    engine.fleet.get("ep-002").rdp_port = 33089
+
+    def no_copy(self):
+        raise AssertionError("targeting copied an endpoint's attrs()")
+
+    monkeypatch.setattr(Endpoint, "attrs", no_copy)
+    matched = list(contract.rule_set)
+    decision = Decision(
+        DecisionKind.STANDARD_MITIGATION_REQUIRED, tuple(r.rule_id for r in matched)
+    )
+    plan = engine.execute_decision(decision, matched)
+    targets = {}
+    for pa in plan.actions:
+        targets.setdefault(pa.rule_id, set()).add(pa.endpoint_id)
+    everyone = set(engine.fleet.ids())
+    assert targets == {
+        "smbv1-disable": everyone - {"ep-001"},
+        "rdp-port-33089": everyone - {"ep-002"},
+        "outbound-deny-all": everyone,
+    }
+
+
+def _property_rules():
+    """The fixture rules plus rules over the list-valued and integer
+    attributes, which the fixtures never condition on."""
+    docs = [load_policy_file(fixture_path("policies", name))
+            for name in ("smbv1.json", "rdp.json", "ransomware.json")]
+    extra = json.loads(fixture_path("policies", "ransomware.json").read_text())
+    extra["policy_id"] = "property-extra"
+    base = extra["rules"][0]
+    extra["rules"] = [
+        dict(base, rule_id="fw-empty", condition=[
+            {"attribute": "firewall_rules", "comparator": "equals", "value": []}]),
+        dict(base, rule_id="patched-clean", condition=[
+            {"attribute": "patch_level", "comparator": "gt", "value": 1},
+            {"attribute": "infected", "comparator": "not_equals", "value": True}]),
+        dict(base, rule_id="port-allowed", condition=[
+            {"attribute": "rdp_port", "comparator": "in", "value": [22, 33089]},
+            {"attribute": "isolated", "comparator": "equals", "value": False}]),
+    ]
+    docs.append(load_policy_document(json.dumps(extra)))
+    return [rule for doc in docs for rule in doc.rules]
+
+
+_PROPERTY_RULES = _property_rules()
+
+_endpoint_fields = st.fixed_dictionaries({
+    "smbv1_enabled": st.booleans(),
+    "rdp_port": st.sampled_from([22, 3389, 33089]),
+    "firewall_rules": st.lists(
+        st.lists(st.sampled_from(["outbound", "inbound", "*", "deny", "allow"]),
+                 min_size=3, max_size=3),
+        max_size=2,
+    ),
+    "proxy_outbound_blocked": st.booleans(),
+    "isolated": st.booleans(),
+    "patch_level": st.integers(0, 3),
+    "infected": st.booleans(),
+})
+
+
+@settings(max_examples=60, deadline=None)
+@given(fields=st.lists(_endpoint_fields, min_size=1, max_size=10))
+def test_targets_are_the_endpoints_whose_attrs_fail_the_rule(fields):
+    fleet = Fleet(Endpoint(f"ep-{i:03d}", **f) for i, f in enumerate(fields))
+    engine = make_engine(endpoints=1)
+    for rule in _PROPERTY_RULES:
+        expected = [
+            eid for eid in fleet.ids() if not rule.is_compliant(fleet.get(eid).attrs())
+        ]
+        assert engine._targets_for(rule, fleet) == expected
 
 
 def test_immediate_action_adds_isolation_for_infected(docs):

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from conftest import make_tx
+from policyledger import ledger as ledger_module
 from policyledger.canonical import canonical_json, digest_value, substream
 from policyledger.errors import (
     ConsensusFailure,
@@ -259,6 +260,60 @@ def test_consensus_failure_leaves_pending_intact():
     assert len(ledger.blocks) == 1
     with pytest.raises(InputError):
         ledger.submit_transaction(clean)
+
+
+def test_commit_does_not_revalidate_admitted_records(monkeypatch):
+    # submit_transaction already validated each record against the same
+    # committed state and pending prefix; the vote need not repeat it.
+    ledger = fresh_ledger()
+    bodies = [
+        (TxKind.ENFORCEMENT_DECISION, None),
+        (TxKind.COMPLIANCE_CHECK,
+         {"endpoint_id": "ep-000", "rule_id": "r", "verdict": "compliant", "checked_at": 1}),
+        (TxKind.ENFORCEMENT_RESULT,
+         {"endpoint_id": "ep-000", "outcome": "success", "duration_ms": 5, "applied": {}}),
+    ]
+    for kind, body in bodies:
+        assert ledger.submit_transaction(make_tx(ledger, kind=kind, body=body))
+    calls = []
+    real = ledger_module.validate_transaction
+
+    def counting(*args):
+        calls.append(args[0].tx_id)
+        return real(*args)
+
+    monkeypatch.setattr(ledger_module, "validate_transaction", counting)
+    block = ledger.commit_block(1)
+    assert calls == []
+    assert block.validator_votes == {vid: "accept" for vid in ledger.validator_ids}
+
+
+def _port_plan(port):
+    return {"planned": [
+        {"endpoint_id": "ep-000", "kind": "set_rdp_port", "params": {"port": port}}
+    ]}
+
+
+def test_records_behind_a_bypassing_record_are_revalidated():
+    # The admitted record never saw the rogue one ahead of it at submit.
+    ledger = fresh_ledger()
+    assert ledger.submit_transaction(make_tx(ledger, body=_port_plan(4000)))
+    ledger.pending.insert(0, make_tx(ledger, body=_port_plan(33089)))
+    with pytest.raises(ConsensusFailure, match="pending_conflict"):
+        ledger.commit_block(1)
+
+
+def test_record_swapped_in_under_an_admitted_tx_id_is_revalidated():
+    ledger = fresh_ledger()
+    clean = make_tx(ledger)
+    assert ledger.submit_transaction(clean)
+    forged = TransactionRecord.create(
+        tx_id=clean.tx_id, timestamp=1, kind=TxKind.POLICY_UPDATE, actor="cti-engine",
+        body={"policy_id": "p", "rules": []},
+    )
+    ledger.pending[0] = forged
+    with pytest.raises(ConsensusFailure, match="authorization"):
+        ledger.commit_block(1)
 
 
 class _UniterablePending(list):

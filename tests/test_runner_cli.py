@@ -1,11 +1,13 @@
 """Run configuration, CLI commands, exit codes, and output determinism."""
 
 import json
+import sys
 
 import pytest
 
 from policyledger.cli import main
 from policyledger.errors import InputError
+from policyledger.ledger import ChainVerdict
 from policyledger.runner import RunConfig, fixture_path, run_scenario
 
 
@@ -314,3 +316,36 @@ def test_cli_run_unknown_target_endpoint_is_exit_four(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.strip() == "error: UnknownEndpoint: ep-999"
+
+
+def _patch_verify_chain(monkeypatch, replacement):
+    """Replace verify_chain in every package module that holds a reference."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("policyledger") and hasattr(module, "verify_chain"):
+            monkeypatch.setattr(module, "verify_chain", replacement)
+
+
+def test_run_verifies_its_chain_once(monkeypatch):
+    from policyledger import ledger
+
+    real = ledger.verify_chain
+    calls = []
+
+    def counting(chain):
+        calls.append(len(chain))
+        return real(chain)
+
+    _patch_verify_chain(monkeypatch, counting)
+    result = run_scenario(RunConfig(scenario="smbv1", mode="both", endpoints=4, seed=3))
+    assert calls == [len(result.chain)]
+
+
+def test_cli_run_failed_fresh_chain_verification_is_exit_four(tmp_path, monkeypatch, capsys):
+    _patch_verify_chain(monkeypatch, lambda chain: ChainVerdict(False, 2, "hash"))
+    code = main(["run", "--scenario", "smbv1", "--endpoints", "4",
+                 "--out", str(tmp_path / "out")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("internal invariant violation:")
