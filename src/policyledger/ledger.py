@@ -9,6 +9,11 @@ validator id. Live state folds only the policy records validation
 reads; world state is derived by replaying the chain, so two replays of
 the same chain are always identical.
 
+A record is frozen and every digest input is immutable, so each record
+object computes its payload check and its record digest once, on first
+use, and keeps them. Verification checks every block hash, link and vote
+set on every call; only the per-record encoding and hashing happen once.
+
 Chain files are newline-delimited: one canonical-JSON block per line.
 The genesis block records the hash function name, the export format
 version, the validator set, and the run's config digest; all of it is
@@ -83,6 +88,8 @@ class TxMetadata:
     def __post_init__(self):
         if not 0 <= self.priority <= 4:
             raise InputError(f"metadata priority {self.priority} outside 0..4")
+        # A caller's list stays mutable; record digests must not follow it.
+        object.__setattr__(self, "technique_ids", tuple(self.technique_ids))
 
     def to_dict(self) -> dict:
         return {
@@ -114,10 +121,15 @@ class TxMetadata:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransactionRecord:
     """One audited event: a policy deploy/update, a compliance check, an
-    enforcement decision or per-endpoint result, or a threat alert."""
+    enforcement decision or per-endpoint result, or a threat alert.
+
+    The two digest results are derived from the frozen fields on first use
+    and kept on the object; they take no part in equality, repr or the
+    wire format, and ``dataclasses.replace`` starts a copy without them.
+    """
 
     tx_id: str
     timestamp: int
@@ -126,6 +138,8 @@ class TransactionRecord:
     payload: str  # canonical-JSON body
     payload_digest: str
     metadata: TxMetadata = field(default_factory=TxMetadata)
+    _payload_ok: Optional[bool] = field(default=None, init=False, repr=False, compare=False)
+    _digest: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def create(
@@ -153,22 +167,34 @@ class TransactionRecord:
 
         return json.loads(self.payload)
 
+    def payload_intact(self) -> bool:
+        """Whether ``payload`` still hashes to ``payload_digest``."""
+        ok = self._payload_ok
+        if ok is None:
+            ok = digest_bytes(self.payload.encode("utf-8")) == self.payload_digest
+            object.__setattr__(self, "_payload_ok", ok)
+        return ok
+
     def record_digest(self) -> str:
         """Digest of the whole record (envelope + payload digest).
 
         Block hashes concatenate these, so every transaction field is
         covered by the chain, not just the payload.
         """
-        return digest_value(
-            {
-                "tx_id": self.tx_id,
-                "timestamp": self.timestamp,
-                "kind": self.kind.value,
-                "actor": self.actor,
-                "payload_digest": self.payload_digest,
-                "metadata": self.metadata.to_dict(),
-            }
-        )
+        digest = self._digest
+        if digest is None:
+            digest = digest_value(
+                {
+                    "tx_id": self.tx_id,
+                    "timestamp": self.timestamp,
+                    "kind": self.kind.value,
+                    "actor": self.actor,
+                    "payload_digest": self.payload_digest,
+                    "metadata": self.metadata.to_dict(),
+                }
+            )
+            object.__setattr__(self, "_digest", digest)
+        return digest
 
     def to_dict(self) -> dict:
         return {
@@ -419,7 +445,7 @@ def validate_transaction(
     Raises MalformedTransaction when the payload digest does not
     recompute; that is corruption, not a validation outcome.
     """
-    if digest_bytes(tx.payload.encode("utf-8")) != tx.payload_digest:
+    if not tx.payload_intact():
         raise MalformedTransaction(f"tx {tx.tx_id}: payload digest mismatch")
 
     allowed = authorization.get(tx.actor, frozenset())
@@ -590,7 +616,11 @@ class Ledger:
 
 
 def verify_chain(chain: list[LedgerBlock]) -> ChainVerdict:
-    """Recompute every digest, hash, link and vote set.
+    """Check every payload digest, block hash, link and vote set.
+
+    Each record's payload check and record digest are computed once per
+    record object, from its frozen fields, and reused by later calls;
+    every block hash, link and vote set is checked again on every call.
 
     Returns Ok, or the earliest violated block and the failed check:
     digest (payload), hash (block hash), link (prev_hash), votes, index,
@@ -609,7 +639,7 @@ def verify_chain(chain: list[LedgerBlock]) -> ChainVerdict:
         if block.index != pos:
             return ChainVerdict(False, pos, "index")
         for tx in block.transactions:
-            if digest_bytes(tx.payload.encode("utf-8")) != tx.payload_digest:
+            if not tx.payload_intact():
                 return ChainVerdict(False, pos, "digest")
         digests = [tx.record_digest() for tx in block.transactions]
         recomputed = compute_block_hash(

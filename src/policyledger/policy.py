@@ -3,7 +3,9 @@
 Documents are structured JSON (one per file) and compile into predicate
 rules over the closed endpoint attribute vocabulary. Rules that reference
 an unknown attribute raise AmbiguityError at load time: an ambiguous
-policy is a surfaced failure, never a silent skip.
+policy is a surfaced failure, never a silent skip. A condition whose
+value the comparator cannot take, or an unknown target selector, raises
+SchemaError at load time rather than failing mid-run.
 
 Conflicts between rules that pin the same attribute to different values
 are resolved by a weighted matrix: score = 2 * regulatory_importance +
@@ -33,6 +35,9 @@ ENDPOINT_ATTRIBUTES = (
 )
 
 COMPARATORS = ("equals", "not_equals", "lt", "gt", "in")
+
+#: Attributes that ``lt``/``gt`` may order: the integer-valued ones.
+ORDERED_ATTRIBUTES = ("rdp_port", "patch_level")
 
 ACTION_KINDS = (
     "disable_smbv1",
@@ -69,6 +74,14 @@ class EnforcementActionSpec:
             for key in ("direction", "target", "verdict"):
                 if key not in self.params:
                     raise InputError(f"update_firewall_rule missing param {key!r}")
+        selector = self.target_selector
+        if selector not in ("all", "non_compliant") and not (
+            isinstance(selector, list) and all(isinstance(ep, str) for ep in selector)
+        ):
+            raise InputError(
+                f"target_selector must be 'all', 'non_compliant' or a list of "
+                f"endpoint ids, got {selector!r}"
+            )
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "params": self.params, "target_selector": self.target_selector}
@@ -198,7 +211,20 @@ def _load_rule(data: dict, path: str, policy_id: str) -> PolicyRule:
             )
         if comparator not in COMPARATORS:
             raise SchemaError(f"{cpath}.comparator", f"unknown comparator {comparator!r}")
-        conditions.append(Condition(attribute, comparator, raw["value"]))
+        value = raw["value"]
+        if comparator in ("lt", "gt"):
+            if attribute not in ORDERED_ATTRIBUTES:
+                raise SchemaError(
+                    f"{cpath}.comparator",
+                    f"{comparator!r} needs an integer attribute, not {attribute!r}",
+                )
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise SchemaError(
+                    f"{cpath}.value", f"{comparator!r} needs an integer, got {value!r}"
+                )
+        if comparator == "in" and not isinstance(value, list):
+            raise SchemaError(f"{cpath}.value", f"'in' needs a list, got {value!r}")
+        conditions.append(Condition(attribute, comparator, value))
 
     severity = _require(data, "severity_weight", int, path)
     importance = _require(data, "regulatory_importance", int, path)

@@ -1,9 +1,11 @@
 """Ledger unit tests: validation, consensus, tamper evidence, replay."""
 
+import dataclasses
 import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_tx
 from policyledger import ledger as ledger_module
@@ -16,6 +18,7 @@ from policyledger.errors import (
 )
 from policyledger.ledger import (
     CHAIN_FORMAT,
+    ChainVerdict,
     DEFAULT_AUTHORIZATION,
     Ledger,
     LedgerBlock,
@@ -575,3 +578,101 @@ def test_chain_length_is_monotone_over_a_run():
         lengths.append(len(ledger.blocks))
     assert lengths == sorted(lengths)
     assert lengths[-1] == 6
+
+
+def test_metadata_technique_ids_do_not_follow_the_callers_list():
+    ids = ["T1210"]
+    meta = TxMetadata(technique_ids=ids)
+    tx = TransactionRecord.create("tx-1", 1, TxKind.THREAT_ALERT, "cti-engine", {}, meta)
+    ids.append("T1486")
+    assert meta.technique_ids == ("T1210",)
+    pristine = TransactionRecord.create(
+        "tx-1", 1, TxKind.THREAT_ALERT, "cti-engine", {}, TxMetadata(technique_ids=("T1210",))
+    )
+    assert tx.record_digest() == pristine.record_digest()
+
+
+# -- per-record digest memo --------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def run_chain():
+    from policyledger.runner import RunConfig, run_scenario
+
+    chain = run_scenario(RunConfig(seed=7, scenario="ransomware", mode="both",
+                                   endpoints=6)).chain
+    assert verify_chain(chain).ok  # fills every record's memo
+    return chain
+
+
+def _tampered(tx, name):
+    """A copy of ``tx`` with field ``name`` changed, built the way any
+    caller can: through ``dataclasses.replace``."""
+    kinds = list(TxKind)
+    value = {
+        "tx_id": tx.tx_id + "x",
+        "timestamp": tx.timestamp + 1,
+        "kind": kinds[(kinds.index(tx.kind) + 1) % len(kinds)],
+        "actor": tx.actor + "x",
+        "payload": tx.payload + " ",
+        "payload_digest": digest_value("tampered"),
+        "metadata": dataclasses.replace(tx.metadata, arm=tx.metadata.arm + "x"),
+    }[name]
+    return dataclasses.replace(tx, **{name: value})
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), name=st.sampled_from(
+    ["tx_id", "timestamp", "kind", "actor", "payload", "payload_digest", "metadata"]))
+def test_tampering_any_field_of_a_verified_record_is_detected(run_chain, data, name):
+    pos = data.draw(st.sampled_from([b.index for b in run_chain if b.transactions]))
+    block = run_chain[pos]
+    i = data.draw(st.integers(0, len(block.transactions) - 1))
+    tx = block.transactions[i]
+    txs = list(block.transactions)
+    txs[i] = _tampered(tx, name)
+    chain = list(run_chain)
+    chain[pos] = dataclasses.replace(block, transactions=tuple(txs))
+
+    reason = "digest" if name in ("payload", "payload_digest") else "hash"
+    assert verify_chain(chain) == ChainVerdict(False, pos, reason)
+    with pytest.raises(CorruptChainError):
+        replay_state(chain)
+    with pytest.raises(CorruptChainError):
+        query_history(chain)
+    # The memo takes no part in equality, hashing or repr.
+    copy = TransactionRecord.from_dict(tx.to_dict())
+    assert tx == copy and hash(tx) == hash(copy) and repr(tx) == repr(copy)
+
+
+def _count_record_encodings(monkeypatch):
+    """tx_id of every record envelope ``ledger`` encodes from now on."""
+    real = ledger_module.digest_value
+    encoded = []
+
+    def counting(value):
+        encoded.append(value["tx_id"])
+        return real(value)
+
+    monkeypatch.setattr(ledger_module, "digest_value", counting)
+    return encoded
+
+
+def test_audit_path_encodes_each_imported_record_once(run_chain, tmp_path, monkeypatch):
+    path = tmp_path / "chain.ndjson"
+    export_chain(run_chain, path)
+    chain = import_chain(path)
+    encoded = _count_record_encodings(monkeypatch)
+    assert verify_chain(chain).ok
+    replay_state(chain)
+    query_history(chain)
+    assert encoded == [tx.tx_id for block in chain for tx in block.transactions]
+
+
+def test_run_encodes_each_committed_record_once(monkeypatch):
+    from policyledger.runner import RunConfig, run_scenario
+
+    encoded = _count_record_encodings(monkeypatch)
+    chain = run_scenario(RunConfig(seed=7, scenario="ransomware", mode="both",
+                                   endpoints=6)).chain
+    assert encoded == [tx.tx_id for block in chain for tx in block.transactions]

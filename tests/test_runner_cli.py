@@ -303,19 +303,52 @@ def test_cli_report_format_selector(tmp_path):
     assert not (out / "report.txt").exists()
 
 
-def test_cli_run_unknown_target_endpoint_is_exit_four(tmp_path, capsys):
+def _run_with_smbv1_rule(tmp_path, edit):
+    """``policyledger run`` on 4 endpoints with the smbv1 fixture policy,
+    its first rule changed by ``edit``; returns the exit code."""
     doc = json.loads(fixture_path("policies", "smbv1.json").read_text())
-    doc["rules"][0]["remediation"]["target_selector"] = ["ep-999"]
+    edit(doc["rules"][0])
     policy = tmp_path / "policy.json"
     policy.write_text(json.dumps(doc))
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"scenario": "smbv1", "endpoints": 4,
                                   "policies": [str(policy)]}))
-    code = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
-    assert code == 4
+    return main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+
+
+def test_cli_run_unknown_target_endpoint_is_exit_four(tmp_path, capsys):
+    def edit(rule):
+        rule["remediation"]["target_selector"] = ["ep-999"]
+
+    assert _run_with_smbv1_rule(tmp_path, edit) == 4
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.strip() == "error: UnknownEndpoint: ep-999"
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("target_selector", "everyone"),
+        ("target_selector", ["ep-0000", 3]),
+        ("condition", {"attribute": "firewall_rules", "comparator": "lt", "value": 1}),
+        ("condition", {"attribute": "rdp_port", "comparator": "gt", "value": "3389"}),
+        ("condition", {"attribute": "patch_level", "comparator": "lt", "value": True}),
+        ("condition", {"attribute": "rdp_port", "comparator": "in", "value": 3389}),
+    ],
+)
+def test_cli_run_invalid_rule_is_exit_two_at_load(tmp_path, capsys, field, value):
+    def edit(rule):
+        if field == "condition":
+            rule["condition"].append(value)
+        else:
+            rule["remediation"][field] = value
+
+    assert _run_with_smbv1_rule(tmp_path, edit) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: $.rules[0]")
+    assert not (tmp_path / "out").exists()
 
 
 def _patch_verify_chain(monkeypatch, replacement):
