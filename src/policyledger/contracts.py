@@ -13,6 +13,7 @@ contract layer coexists with a sub-100% endpoint application rate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import filterfalse
 from typing import Optional
 
 from .canonical import substream
@@ -378,9 +379,9 @@ class ContractEngine:
                     actions.append(PlannedAction(endpoint_id, rule.remediation, rule.rule_id))
             if decision.kind == DecisionKind.IMMEDIATE_ACTION_REQUIRED:
                 isolate = EnforcementActionSpec(kind="isolate_endpoint", params={"isolated": True})
-                for endpoint_id in fleet.ids():
-                    if fleet.get(endpoint_id).infected and not fleet.get(endpoint_id).isolated:
-                        actions.append(PlannedAction(endpoint_id, isolate, None))
+                for ep in fleet.endpoints():
+                    if ep.infected and not ep.isolated:
+                        actions.append(PlannedAction(ep.endpoint_id, isolate, None))
         # Parallel dispatch order: endpoint id, then remediations before
         # isolation within an endpoint (plan position is the tiebreak).
         indexed = list(enumerate(actions))
@@ -428,10 +429,10 @@ class ContractEngine:
             return fleet.ids()
         if isinstance(selector, (list, tuple)):
             return sorted(selector)
-        # Conditions only read vocabulary attributes: no attrs() copy needed.
-        return [
-            ep.endpoint_id for ep in fleet.endpoints() if not rule.is_compliant(vars(ep))
-        ]
+        # The rule's compiled check reads each endpoint's own field dict: no
+        # attrs() copy, and no cache that a direct field write would stale.
+        failing = filterfalse(rule.is_compliant, map(vars, fleet.endpoints()))
+        return [fields["endpoint_id"] for fields in failing]
 
     def _threat_metadata(self, threat_class, report, actions, arm) -> TxMetadata:
         kinds = sorted({pa.action.kind for pa in actions})

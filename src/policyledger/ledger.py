@@ -152,7 +152,7 @@ class TransactionRecord:
         metadata: Optional[TxMetadata] = None,
     ) -> "TransactionRecord":
         payload = canonical_json(body)
-        return cls(
+        tx = cls(
             tx_id=tx_id,
             timestamp=timestamp,
             kind=kind,
@@ -161,6 +161,9 @@ class TransactionRecord:
             payload_digest=digest_bytes(payload.encode("utf-8")),
             metadata=metadata or TxMetadata(),
         )
+        # The digest was just computed from this payload: it is intact.
+        object.__setattr__(tx, "_payload_ok", True)
+        return tx
 
     def body(self) -> dict:
         import json

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .canonical import canonical_json, digest_value
+from .canonical import canonical_json, digest_bytes
 from .errors import DegenerateInput, InputError
 
 REPORT_FORMAT = "policyledger-report/1"
@@ -246,7 +246,9 @@ class ComparisonReport:
         )
 
     def digest(self) -> str:
-        return digest_value(self.to_json())
+        """SHA-256 of the canonical report JSON, the bytes of ``report.json``
+        without its trailing newline."""
+        return digest_bytes(self.to_json().encode("utf-8"))
 
 
 def _fmt_ms(ms: Optional[float]) -> str:

@@ -7,6 +7,11 @@ policy is a surfaced failure, never a silent skip. A condition whose
 value the comparator cannot take, or an unknown target selector, raises
 SchemaError at load time rather than failing mid-run.
 
+Each rule compiles its condition once, when the rule is built, into one
+check over an attribute mapping. One comparator table serves that check,
+``Condition.holds`` and the ``COMPARATORS`` vocabulary, so the three
+cannot disagree.
+
 Conflicts between rules that pin the same attribute to different values
 are resolved by a weighted matrix: score = 2 * regulatory_importance +
 severity_weight, ties to the lexicographically smaller rule id.
@@ -15,10 +20,11 @@ severity_weight, ties to the lexicographically smaller rule id.
 from __future__ import annotations
 
 import json
+import operator
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Callable, Iterable
 
 from .canonical import canonical_json
 from .errors import AmbiguityError, InputError, SchemaError
@@ -34,7 +40,16 @@ ENDPOINT_ATTRIBUTES = (
     "infected",
 )
 
-COMPARATORS = ("equals", "not_equals", "lt", "gt", "in")
+#: Comparator name -> test(observed, value).
+_COMPARE: dict[str, Callable[[object, object], bool]] = {
+    "equals": operator.eq,
+    "not_equals": operator.ne,
+    "lt": operator.lt,
+    "gt": operator.gt,
+    "in": lambda observed, value: observed in value,
+}
+
+COMPARATORS = tuple(_COMPARE)
 
 #: Attributes that ``lt``/``gt`` may order: the integer-valued ones.
 ORDERED_ATTRIBUTES = ("rdp_port", "patch_level")
@@ -87,6 +102,32 @@ class EnforcementActionSpec:
         return {"kind": self.kind, "params": self.params, "target_selector": self.target_selector}
 
 
+def _comparator(name: str) -> Callable[[object, object], bool]:
+    """The test for comparator ``name``; an unknown name gives a test that
+    raises InputError when evaluated, not when the condition is built."""
+    if name in _COMPARE:
+        return _COMPARE[name]
+
+    def unknown(observed, value):
+        raise InputError(f"unknown comparator {name!r}")
+
+    return unknown
+
+
+def _compile(conditions: Iterable["Condition"]) -> Callable[[dict], bool]:
+    """One check for a conjunction: true when every comparison holds, in
+    order, a missing attribute reading as None."""
+    tests = tuple((c.attribute, _comparator(c.comparator), c.value) for c in conditions)
+
+    def check(attrs: dict) -> bool:
+        for attribute, compare, value in tests:
+            if not compare(attrs.get(attribute), value):
+                return False
+        return True
+
+    return check
+
+
 @dataclass(frozen=True)
 class Condition:
     attribute: str
@@ -94,18 +135,7 @@ class Condition:
     value: object
 
     def holds(self, attrs: dict) -> bool:
-        observed = attrs.get(self.attribute)
-        if self.comparator == "equals":
-            return observed == self.value
-        if self.comparator == "not_equals":
-            return observed != self.value
-        if self.comparator == "lt":
-            return observed < self.value
-        if self.comparator == "gt":
-            return observed > self.value
-        if self.comparator == "in":
-            return observed in self.value
-        raise InputError(f"unknown comparator {self.comparator!r}")
+        return _comparator(self.comparator)(attrs.get(self.attribute), self.value)
 
     def to_dict(self) -> dict:
         return {"attribute": self.attribute, "comparator": self.comparator, "value": self.value}
@@ -116,7 +146,10 @@ class PolicyRule:
     """Executable encoding of one policy condition.
 
     The condition is a conjunction of attribute comparisons; an endpoint
-    is compliant with the rule when every comparison holds.
+    is compliant with the rule when every comparison holds. The condition
+    compiles once, at construction, into ``_check``: one call per
+    endpoint over the shared comparator table, with no per-condition
+    method dispatch. ``dataclasses.replace`` compiles the copy afresh.
     """
 
     rule_id: str
@@ -126,9 +159,13 @@ class PolicyRule:
     remediation: EnforcementActionSpec
     technique_tags: tuple[str, ...] = ()
     policy_id: str = ""
+    _check: Callable[[dict], bool] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_check", _compile(self.condition))
 
     def is_compliant(self, attrs: dict) -> bool:
-        return all(cond.holds(attrs) for cond in self.condition)
+        return self._check(attrs)
 
     def observed(self, attrs: dict) -> dict:
         """The endpoint's actual values for this rule's attributes."""

@@ -82,6 +82,7 @@ class Fleet:
             self._endpoints[ep.endpoint_id] = ep
         # Endpoints are never added or removed after construction.
         self._ids = sorted(self._endpoints)
+        self._ordered = tuple(self._endpoints[eid] for eid in self._ids)
         self.mutation_log: list[dict] = []
 
     def __len__(self) -> int:
@@ -99,8 +100,9 @@ class Fleet:
         except KeyError:
             raise UnknownEndpoint(endpoint_id) from None
 
-    def endpoints(self) -> list[Endpoint]:
-        return [self._endpoints[eid] for eid in self._ids]
+    def endpoints(self) -> tuple[Endpoint, ...]:
+        """Every endpoint in id order; the same tuple on every call."""
+        return self._ordered
 
     def record_mutation(self, endpoint_id: str, attribute: str, value, tick: int, cause: str):
         self.mutation_log.append(
@@ -133,7 +135,7 @@ def provision_fleet(n: int = 60, profile: Optional[dict] = None) -> Fleet:
 
 def snapshot(fleet: Fleet) -> dict:
     """Copied view: endpoint id -> attribute dict (see Endpoint.attrs)."""
-    return {eid: fleet.get(eid).attrs() for eid in fleet.ids()}
+    return {ep.endpoint_id: ep.attrs() for ep in fleet.endpoints()}
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Contract engine: lifecycle, events, audits, decisions, enforcement."""
 
+import dataclasses
 import json
 
 import pytest
@@ -11,7 +12,14 @@ from policyledger.contracts import ContractEngine, ContractEvent
 from policyledger.cti import Decision, DecisionKind, ThreatClass, ThreatCategory
 from policyledger.errors import InputError, LedgerUnavailable, UnknownContract
 from policyledger.ledger import TxKind, query_history
-from policyledger.policy import load_policy_document, load_policy_file
+from policyledger.policy import (
+    COMPARATORS,
+    ENDPOINT_ATTRIBUTES,
+    ORDERED_ATTRIBUTES,
+    Condition,
+    load_policy_document,
+    load_policy_file,
+)
 from policyledger.runner import fixture_path
 from policyledger.simnet import Endpoint, Fleet, NetworkModel, SimClock, provision_fleet
 
@@ -296,7 +304,7 @@ def _property_rules():
 
 _PROPERTY_RULES = _property_rules()
 
-_endpoint_fields = st.fixed_dictionaries({
+_FIELD_VALUES = {
     "smbv1_enabled": st.booleans(),
     "rdp_port": st.sampled_from([22, 3389, 33089]),
     "firewall_rules": st.lists(
@@ -308,7 +316,8 @@ _endpoint_fields = st.fixed_dictionaries({
     "isolated": st.booleans(),
     "patch_level": st.integers(0, 3),
     "infected": st.booleans(),
-})
+}
+_endpoint_fields = st.fixed_dictionaries(_FIELD_VALUES)
 
 
 @settings(max_examples=60, deadline=None)
@@ -321,6 +330,82 @@ def test_targets_are_the_endpoints_whose_attrs_fail_the_rule(fields):
             eid for eid in fleet.ids() if not rule.is_compliant(fleet.get(eid).attrs())
         ]
         assert engine._targets_for(rule, fleet) == expected
+
+
+@st.composite
+def _conditions(draw):
+    """A condition with any comparator, on an attribute and value it takes:
+    ``lt``/``gt`` on an integer attribute, ``in`` with a list of values."""
+    comparator = draw(st.sampled_from(COMPARATORS))
+    if comparator in ("lt", "gt"):
+        attribute = draw(st.sampled_from(ORDERED_ATTRIBUTES))
+        return Condition(attribute, comparator, draw(st.integers(-1, 40_000)))
+    attribute = draw(st.sampled_from(ENDPOINT_ATTRIBUTES))
+    values = _FIELD_VALUES[attribute]
+    if comparator == "in":
+        return Condition(attribute, comparator, draw(st.lists(values, max_size=3)))
+    return Condition(attribute, comparator, draw(values))
+
+
+# The comparator semantics, written out independently of policy.py's table.
+_ORACLE = {
+    "equals": lambda observed, value: observed == value,
+    "not_equals": lambda observed, value: observed != value,
+    "lt": lambda observed, value: observed < value,
+    "gt": lambda observed, value: observed > value,
+    "in": lambda observed, value: observed in value,
+}
+
+
+def _oracle_compliant(rule, attrs):
+    return all(
+        _ORACLE[c.comparator](attrs.get(c.attribute), c.value) for c in rule.condition
+    )
+
+
+def test_oracle_covers_every_comparator():
+    assert set(COMPARATORS) == set(_ORACLE)
+
+
+@settings(max_examples=150, deadline=None)
+@given(conditions=st.lists(_conditions(), min_size=1, max_size=3),
+       fields=st.lists(_endpoint_fields, min_size=1, max_size=8))
+def test_compiled_check_equals_the_conditions_on_random_rules(conditions, fields):
+    rule = dataclasses.replace(_PROPERTY_RULES[0], condition=tuple(conditions))
+    fleet = Fleet(Endpoint(f"ep-{i:03d}", **f) for i, f in enumerate(fields))
+    brute = [
+        ep.endpoint_id for ep in fleet.endpoints()
+        if not _oracle_compliant(rule, ep.attrs())
+    ]
+    for ep in fleet.endpoints():
+        expected = _oracle_compliant(rule, ep.attrs())
+        assert rule.is_compliant(vars(ep)) == expected
+        assert rule.is_compliant(ep.attrs()) == expected
+        assert all(c.holds(ep.attrs()) for c in rule.condition) == expected
+    assert make_engine(endpoints=1)._targets_for(rule, fleet) == brute
+
+
+def test_targeting_makes_no_per_condition_call(monkeypatch, smbv1_doc, rdp_doc,
+                                               ransomware_doc):
+    engine = make_engine(endpoints=6)
+    contract = deploy(engine, [smbv1_doc, rdp_doc, ransomware_doc])
+    engine.fleet.get("ep-001").smbv1_enabled = False
+    engine.fleet.get("ep-002").rdp_port = 33089
+
+    def no_holds(self, attrs):
+        raise AssertionError("targeting evaluated a Condition per endpoint")
+
+    monkeypatch.setattr(Condition, "holds", no_holds)
+    matched = list(contract.rule_set)
+    decision = Decision(
+        DecisionKind.STANDARD_MITIGATION_REQUIRED, tuple(r.rule_id for r in matched)
+    )
+    plan = engine.execute_decision(decision, matched)
+    assert sorted({(pa.rule_id, pa.endpoint_id) for pa in plan.actions}) == sorted(
+        [("smbv1-disable", eid) for eid in engine.fleet.ids() if eid != "ep-001"]
+        + [("rdp-port-33089", eid) for eid in engine.fleet.ids() if eid != "ep-002"]
+        + [("outbound-deny-all", eid) for eid in engine.fleet.ids()]
+    )
 
 
 def test_immediate_action_adds_isolation_for_infected(docs):

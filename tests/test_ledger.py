@@ -158,6 +158,48 @@ def test_decision_conflicting_with_active_policy_is_rejected():
     assert not verdict and verdict.reason == "policy_conflict"
 
 
+def _policy_tx(ledger, kind, port):
+    return make_tx(
+        ledger,
+        kind=kind,
+        actor="policy-admin",
+        body={
+            "policy_id": "rdp-port",
+            "rules": [
+                {
+                    "rule_id": "r1",
+                    "condition": [
+                        {"attribute": "rdp_port", "comparator": "equals", "value": port}
+                    ],
+                }
+            ],
+        },
+    )
+
+
+def _port_decision(ledger, port):
+    return make_tx(
+        ledger,
+        body={
+            "planned": [
+                {"endpoint_id": "ep-000", "kind": "set_rdp_port", "params": {"port": port}}
+            ],
+            "target_endpoints": ["ep-000"],
+        },
+    )
+
+
+def test_decision_is_checked_against_the_updated_policy():
+    ledger = fresh_ledger()
+    assert ledger.submit_transaction(_policy_tx(ledger, TxKind.POLICY_DEPLOY, 33089))
+    ledger.commit_block(1)
+    assert ledger.submit_transaction(_policy_tx(ledger, TxKind.POLICY_UPDATE, 40000))
+    ledger.commit_block(2)
+    stale = ledger.submit_transaction(_port_decision(ledger, 33089))
+    assert not stale and stale.reason == "policy_conflict"
+    assert ledger.submit_transaction(_port_decision(ledger, 40000))
+
+
 def test_conflicting_pending_transactions_are_rejected():
     ledger = fresh_ledger()
     first = make_tx(
@@ -263,6 +305,27 @@ def test_consensus_failure_leaves_pending_intact():
     assert len(ledger.blocks) == 1
     with pytest.raises(InputError):
         ledger.submit_transaction(clean)
+
+
+def test_a_created_record_is_hashed_once_per_digest(monkeypatch):
+    from policyledger import canonical
+
+    ledger = fresh_ledger()
+    digests = []
+    real = canonical.digest_bytes
+
+    def counting(data):
+        digests.append(real(data))
+        return digests[-1]
+
+    monkeypatch.setattr(canonical, "digest_bytes", counting)
+    monkeypatch.setattr(ledger_module, "digest_bytes", counting)
+    tx = make_tx(ledger)
+    assert ledger.submit_transaction(tx)
+    block = ledger.commit_block(1)
+    # Payload at create, envelope at commit, then the block hash: the
+    # submit check reuses the payload digest create just computed.
+    assert digests == [tx.payload_digest, tx.record_digest(), block.block_hash]
 
 
 def test_commit_does_not_revalidate_admitted_records(monkeypatch):

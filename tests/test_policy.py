@@ -1,5 +1,6 @@
 """Policy loading, rule encoding, conflict resolution, ATT&CK mapping."""
 
+import dataclasses
 import json
 import random
 
@@ -266,6 +267,51 @@ def test_comparator_semantics():
     assert Condition("patch_level", "gt", 2).holds({"patch_level": 3})
     assert not Condition("patch_level", "gt", 2).holds({"patch_level": 2})
     assert Condition("patch_level", "lt", 2).holds({"patch_level": 1})
+    assert not Condition("patch_level", "lt", 2).holds({"patch_level": 2})
+    assert not Condition("patch_level", "lt", 2).holds({"patch_level": 3})
+    assert not Condition("patch_level", "gt", 2).holds({"patch_level": 1})
+    assert Condition("rdp_port", "equals", 3389).holds({"rdp_port": 3389})
+    assert not Condition("rdp_port", "equals", 3389).holds({"rdp_port": 33089})
+    assert not Condition("rdp_port", "not_equals", 3389).holds({"rdp_port": 3389})
     assert Condition("rdp_port", "not_equals", 3389).holds({"rdp_port": 33089})
     assert Condition("rdp_port", "in", [33089, 40000]).holds({"rdp_port": 33089})
     assert not Condition("rdp_port", "in", [33089, 40000]).holds({"rdp_port": 3389})
+
+
+def test_compiled_rule_reads_a_missing_attribute_as_none():
+    assert not make_rule("r", value=33089).is_compliant({})
+    rule = make_rule("r")
+    absent = dataclasses.replace(rule, condition=(Condition("rdp_port", "equals", None),))
+    assert absent.is_compliant({})
+    two = dataclasses.replace(
+        rule,
+        condition=(Condition("rdp_port", "not_equals", 3389),
+                   Condition("patch_level", "equals", None)),
+    )
+    assert two.is_compliant({"rdp_port": 33089})
+    assert not two.is_compliant({"rdp_port": 33089, "patch_level": 0})
+
+
+def test_unknown_comparator_raises_when_evaluated_not_when_built():
+    rule = dataclasses.replace(
+        make_rule("r"), condition=(Condition("rdp_port", "approximately", 3389),)
+    )
+    with pytest.raises(InputError, match="approximately"):
+        rule.is_compliant({"rdp_port": 3389})
+    with pytest.raises(InputError, match="approximately"):
+        rule.condition[0].holds({"rdp_port": 3389})
+
+
+def test_replace_compiles_the_new_condition():
+    rule = make_rule("r", value=33089)
+    moved = dataclasses.replace(rule, condition=(Condition("rdp_port", "equals", 22),))
+    assert rule.is_compliant({"rdp_port": 33089})
+    assert moved.is_compliant({"rdp_port": 22})
+    assert not moved.is_compliant({"rdp_port": 33089})
+
+
+def test_compiled_check_takes_no_part_in_equality_or_repr():
+    a, b = make_rule("r"), make_rule("r")
+    assert a._check is not b._check
+    assert a == b and repr(a) == repr(b)
+    assert "_check" not in repr(a)

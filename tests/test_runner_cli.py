@@ -86,6 +86,16 @@ def test_outputs_match_pinned_digests(tmp_path, scenario, seed):
     assert digests == PINNED_OUTPUT_DIGESTS[(scenario, seed)]
 
 
+def test_report_digest_is_the_sha256_of_report_json(tmp_path):
+    import hashlib
+
+    report = run_scenario(RunConfig(seed=3, scenario="smbv1", mode="both", endpoints=10),
+                          outdir=tmp_path).report
+    data = (tmp_path / "report.json").read_bytes()
+    assert data.endswith(b"\n")
+    assert report.digest() == hashlib.sha256(data[:-1]).hexdigest()
+
+
 def test_different_seeds_differ(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"

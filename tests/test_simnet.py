@@ -215,6 +215,15 @@ def test_fleet_ids_are_sorted_copies():
     assert [ep.endpoint_id for ep in fleet.endpoints()] == ["ep-a", "ep-b", "ep-c"]
 
 
+def test_fleet_endpoints_is_one_ordered_tuple():
+    fleet = Fleet([Endpoint("ep-b"), Endpoint("ep-a"), Endpoint("ep-c")])
+    first = fleet.endpoints()
+    assert isinstance(first, tuple)
+    assert [ep.endpoint_id for ep in first] == fleet.ids()
+    assert fleet.endpoints() is first
+    assert all(ep is fleet.get(ep.endpoint_id) for ep in first)
+
+
 def test_consecutive_snapshots_are_equal():
     fleet = provision_fleet(2)
     assert snapshot(fleet) == snapshot(fleet)
