@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import filterfalse
-from typing import Optional
+from typing import Iterable, Optional
 
 from .canonical import substream
 from .cti import Decision, DecisionKind, ThreatClass, ThreatReport
@@ -25,6 +25,7 @@ from .policy import (
     PolicyDocument,
     PolicyRule,
     RuleSet,
+    combine_rule_sets,
     encode_rules,
     resolve_conflicts,
 )
@@ -183,15 +184,21 @@ class ContractEngine:
             payload["contract_version"] = version
             rule_sets.append(rs)
             payloads.append(payload)
-        merged: list[PolicyRule] = []
-        for rs in rule_sets:
-            merged.extend(rs.rules)
-        merged.sort(key=lambda r: (-r.severity_weight, r.rule_id))
-        kept = {r.rule_id for r in resolve_conflicts(merged)}
+        merged = combine_rule_sets(rule_sets)
+        kept = {r.rule_id for r in resolve_conflicts(merged.rules)}
         if kept != {r.rule_id for r in merged}:
             dropped = sorted({r.rule_id for r in merged} - kept)
             raise InputError(f"combined rule set has unresolved conflicts: {dropped}")
-        return RuleSet(tuple(merged)), payloads
+        # An explicit target list must name endpoints of this fleet.
+        for rule in merged:
+            selector = rule.remediation.target_selector
+            if isinstance(selector, list):
+                missing = [eid for eid in selector if eid not in self.fleet]
+                if missing:
+                    raise InputError(
+                        f"rule {rule.rule_id} targets endpoints not in the fleet: {missing}"
+                    )
+        return merged, payloads
 
     def deploy_contract(self, contract_id: str, documents: list[PolicyDocument]) -> SmartContract:
         """Deploy version 1; the PolicyDeploy transactions commit before
@@ -244,37 +251,32 @@ class ContractEngine:
 
     # -- compliance checking ---------------------------------------------------
 
-    def _check_endpoint(self, contract: SmartContract, fleet: Fleet,
-                        endpoint_id: str, tick: int) -> list[ComplianceCheckResult]:
-        attrs = fleet.get(endpoint_id).attrs()
-        out = []
-        for rule in contract.rule_set:
-            verdict = "compliant" if rule.is_compliant(attrs) else "non_compliant"
-            out.append(
-                ComplianceCheckResult(
+    def _check(self, contract: SmartContract, subjects: Iterable[tuple[str, dict]],
+               tick: int) -> list[ComplianceCheckResult]:
+        """Check every rule of ``contract`` against each (endpoint id,
+        attribute dict) subject, logging each result as a compliance-check
+        transaction in the current cycle; results in subject, rule order."""
+        results = []
+        for endpoint_id, attrs in subjects:
+            for rule in contract.rule_set:
+                result = ComplianceCheckResult(
                     endpoint_id=endpoint_id,
                     rule_id=rule.rule_id,
-                    verdict=verdict,
+                    verdict="compliant" if rule.is_compliant(attrs) else "non_compliant",
                     observed=rule.observed(attrs),
                     checked_at=tick,
                 )
-            )
-        return out
-
-    def _log_check(self, result: ComplianceCheckResult, policy_id: str) -> None:
-        self._submit(
-            TxKind.COMPLIANCE_CHECK,
-            "contract-engine",
-            {
-                "endpoint_id": result.endpoint_id,
-                "rule_id": result.rule_id,
-                "policy_id": policy_id,
-                "verdict": result.verdict,
-                "observed": result.observed,
-                "checked_at": result.checked_at,
-            },
-            result.checked_at,
-        )
+                body = {
+                    "endpoint_id": endpoint_id,
+                    "rule_id": rule.rule_id,
+                    "policy_id": rule.policy_id,
+                    "verdict": result.verdict,
+                    "observed": result.observed,
+                    "checked_at": tick,
+                }
+                self._submit(TxKind.COMPLIANCE_CHECK, "contract-engine", body, tick)
+                results.append(result)
+        return results
 
     def handle_event(self, event: ContractEvent, contract: Optional[SmartContract] = None,
                      contract_id: str = "compliancecontract") -> list[ComplianceCheckResult]:
@@ -300,44 +302,29 @@ class ContractEngine:
                 event.occurred_at,
             )
             return []
-        subjects = self.fleet.ids() if event.subject == "fleet" else [event.subject]
-        results = []
-        rules_by_id = {r.rule_id: r for r in contract.rule_set}
-        for endpoint_id in subjects:
-            for result in self._check_endpoint(contract, self.fleet, endpoint_id, event.occurred_at):
-                self._log_check(result, rules_by_id[result.rule_id].policy_id)
-                results.append(result)
-        return results
+        if event.subject == "fleet":
+            endpoints = self.fleet.endpoints()
+        else:
+            endpoints = (self.fleet.get(event.subject),)
+        subjects = ((ep.endpoint_id, ep.attrs()) for ep in endpoints)
+        return self._check(contract, subjects, event.occurred_at)
 
-    def run_full_audit(self, contract_id: str = "compliancecontract",
-                       fleet_snapshot: Optional[dict] = None) -> AuditReport:
+    def run_full_audit(self, contract_id: str = "compliancecontract") -> AuditReport:
         """Evaluate every (endpoint, rule) pair and commit the whole audit
         as one block."""
         contract = self.active_contract(contract_id)
-        snap = fleet_snapshot if fleet_snapshot is not None else snapshot(self.fleet)
         tick = self.clock.now
-        results: list[ComplianceCheckResult] = []
-        per_policy_counts: dict[str, list[int]] = {}
-        for endpoint_id in sorted(snap):
-            attrs = snap[endpoint_id]
-            for rule in contract.rule_set:
-                verdict = "compliant" if rule.is_compliant(attrs) else "non_compliant"
-                result = ComplianceCheckResult(
-                    endpoint_id=endpoint_id,
-                    rule_id=rule.rule_id,
-                    verdict=verdict,
-                    observed=rule.observed(attrs),
-                    checked_at=tick,
-                )
-                results.append(result)
-                self._log_check(result, rule.policy_id)
-                bucket = per_policy_counts.setdefault(rule.policy_id, [0, 0])
-                bucket[1] += 1
-                if result.compliant:
-                    bucket[0] += 1
+        # The snapshot is in endpoint id order.
+        results = self._check(contract, snapshot(self.fleet).items(), tick)
         ledger = self._require_ledger()
         if ledger.pending:
             ledger.commit_block(tick)
+        policy_of = {rule.rule_id: rule.policy_id for rule in contract.rule_set}
+        per_policy_counts: dict[str, list[int]] = {}
+        for result in results:
+            bucket = per_policy_counts.setdefault(policy_of[result.rule_id], [0, 0])
+            bucket[0] += result.compliant
+            bucket[1] += 1
         compliant = sum(1 for r in results if r.compliant)
         return AuditReport(
             contract_id=contract.contract_id,
@@ -494,18 +481,8 @@ class ContractEngine:
 
     def _log_result(self, plan: EnforcementPlan, pa: PlannedAction, result: ApplyResult) -> None:
         actor = "contract-engine" if plan.arm == "automated" else "human-team"
-        body = {
-            "plan_id": plan.plan_id,
-            "endpoint_id": result.endpoint_id,
-            "action_kind": result.action_kind,
-            "params": pa.action.params,
-            "rule_id": pa.rule_id,
-            "outcome": result.outcome,
-            "failure_reason": result.failure_reason,
-            "duration_ms": result.duration_ms,
-            "finished_at": result.finished_at,
-            "applied": result.applied,
-        }
+        body = {**result.to_dict(), "plan_id": plan.plan_id,
+                "params": pa.action.params, "rule_id": pa.rule_id}
         self._submit(
             TxKind.ENFORCEMENT_RESULT,
             actor,

@@ -12,12 +12,11 @@ enforcement outcomes and never touches the stump structure.
 from __future__ import annotations
 
 import json
-import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Optional, Protocol
+from typing import Optional
 
 from .canonical import canonical_json, stable_index
 from .errors import FeedSchemaError, InputError, WidthMismatch
@@ -152,20 +151,6 @@ def ingest_feed(raw: str) -> tuple[list[ThreatReport], list[str]]:
         except ValueError as exc:
             diagnostics.append(f"item[{i}]: {exc}")
     return reports, diagnostics
-
-
-class FeedClient(Protocol):
-    """Pluggable feed source; only a file-backed implementation ships."""
-
-    def fetch(self, url: str) -> str: ...
-
-
-class FileFeedClient:
-    """Resolves feed "URLs" as local paths (fixtures)."""
-
-    def fetch(self, url: str) -> str:
-        path = url.removeprefix("file://")
-        return Path(path).read_text(encoding="utf-8")
 
 
 # --------------------------------------------------------------------------

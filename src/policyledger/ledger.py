@@ -9,6 +9,12 @@ validator id. Live state folds only the policy records validation
 reads; world state is derived by replaying the chain, so two replays of
 the same chain are always identical.
 
+A decision is checked for the writes of its planned actions, as
+``policy.action_writes`` defines them from the params alone: a firewall
+rule's append is unknown before the endpoint is touched, but an outbound
+deny-all still sets ``proxy_outbound_blocked``, and a patch with an
+explicit ``level`` sets ``patch_level``.
+
 A record is frozen and every digest input is immutable, so each record
 object computes its payload check and its record digest once, on first
 use, and keeps them. Verification checks every block hash, link and vote
@@ -41,6 +47,7 @@ from .errors import (
     InputError,
     MalformedTransaction,
 )
+from .policy import action_writes
 
 CHAIN_FORMAT = "policyledger-chain/1"
 VOTE_ACCEPT = "accept"
@@ -400,26 +407,13 @@ class ChainVerdict:
 
 
 def _planned_settings(body: dict) -> list[tuple[str, str, object]]:
-    """(endpoint, attribute, value) writes implied by a decision payload."""
-    out = []
-    for item in body.get("planned", []):
-        attr_val = _action_write(item.get("kind"), item.get("params", {}))
-        if attr_val is not None:
-            out.append((item["endpoint_id"], attr_val[0], attr_val[1]))
-    return out
-
-
-def _action_write(kind: Optional[str], params: dict):
-    """Attribute write performed by an action kind, if it is modeled."""
-    if kind == "disable_smbv1":
-        return ("smbv1_enabled", False)
-    if kind == "set_rdp_port":
-        return ("rdp_port", params.get("port"))
-    if kind == "update_proxy_rule":
-        return ("proxy_outbound_blocked", bool(params.get("blocked", True)))
-    if kind == "isolate_endpoint":
-        return ("isolated", bool(params.get("isolated", True)))
-    return None
+    """(endpoint, attribute, value) writes implied by a decision payload:
+    those its params alone fix, as no endpoint has been touched yet."""
+    return [
+        (item["endpoint_id"], attr, value)
+        for item in body.get("planned", [])
+        for attr, value in action_writes(item.get("kind"), item.get("params", {})).items()
+    ]
 
 
 def _active_required_values(state: WorldState, skip_policy: Optional[str] = None):

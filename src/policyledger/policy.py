@@ -12,6 +12,10 @@ check over an attribute mapping. One comparator table serves that check,
 ``Condition.holds`` and the ``COMPARATORS`` vocabulary, so the three
 cannot disagree.
 
+``action_writes`` is the one definition of what each action kind writes
+to an endpoint: the simulator applies it, and the ledger checks a planned
+action's writes against active policy and pending decisions.
+
 Conflicts between rules that pin the same attribute to different values
 are resolved by a weighted matrix: score = 2 * regulatory_importance +
 severity_weight, ties to the lexicographically smaller rule id.
@@ -24,7 +28,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Optional
 
 from .canonical import canonical_json
 from .errors import AmbiguityError, InputError, SchemaError
@@ -65,6 +69,40 @@ ACTION_KINDS = (
     "apply_patch",
     "update_ids_params",
 )
+
+
+def action_writes(kind: str, params: dict, fields: Optional[dict] = None) -> dict:
+    """{attribute: value} that an action of ``kind`` writes, in write order.
+
+    ``fields`` is the endpoint's current field mapping; only the
+    firewall-rule append and ``apply_patch`` without a ``level`` (one above
+    the current patch level) read it. Without it, the result holds every
+    write the params alone fix. Kinds with no modeled attribute
+    (revoke_access, update_permissions, update_ids_params) write nothing.
+    """
+    if kind == "disable_smbv1":
+        return {"smbv1_enabled": False}
+    if kind == "set_rdp_port":
+        return {"rdp_port": int(params["port"])}
+    if kind == "update_proxy_rule":
+        return {"proxy_outbound_blocked": bool(params.get("blocked", True))}
+    if kind == "isolate_endpoint":
+        return {"isolated": bool(params.get("isolated", True))}
+    writes: dict = {}
+    if kind == "update_firewall_rule":
+        rule = [str(params[key]) for key in ("direction", "target", "verdict")]
+        if fields is not None:
+            writes["firewall_rules"] = [list(r) for r in fields["firewall_rules"]] + [rule]
+        # An outbound deny-all is what "outbound blocked" means here.
+        if rule == ["outbound", "*", "deny"]:
+            writes["proxy_outbound_blocked"] = True
+    elif kind == "apply_patch":
+        if "level" in params:
+            writes["patch_level"] = int(params["level"])
+        elif fields is not None:
+            writes["patch_level"] = fields["patch_level"] + 1
+    return writes
+
 
 TECHNIQUE_ID_RE = re.compile(r"^T\d{4}(\.\d{3})?$")
 
@@ -415,53 +453,3 @@ def resolve_conflicts(candidates: list[PolicyRule]) -> list[PolicyRule]:
         pinned.update(mine)
         kept.append(rule)
     return kept
-
-
-# --------------------------------------------------------------------------
-# ATT&CK technique -> mitigation mapping
-
-
-@dataclass(frozen=True)
-class MitigationMapping:
-    technique_id: str
-    mitigation_id: str
-    action: EnforcementActionSpec
-
-
-class MitigationCatalog:
-    """Curated technique -> mitigation fixture (desk-scale, not a full
-    ATT&CK ingest)."""
-
-    def __init__(self, mappings: Iterable[MitigationMapping]):
-        self.mappings = list(mappings)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MitigationCatalog":
-        data = json.loads(text)
-        if not isinstance(data, list):
-            raise SchemaError("$", "mapping fixture must be an array")
-        out = []
-        for i, raw in enumerate(data):
-            path = f"$[{i}]"
-            tid = _require(raw, "technique_id", str, path)
-            if not TECHNIQUE_ID_RE.match(tid):
-                raise SchemaError(f"{path}.technique_id", f"bad technique id {tid!r}")
-            mid = _require(raw, "mitigation_id", str, path)
-            action_raw = _require(raw, "action", dict, path)
-            action = EnforcementActionSpec(
-                kind=_require(action_raw, "kind", str, f"{path}.action"),
-                params=action_raw.get("params", {}),
-                target_selector=action_raw.get("target_selector", "non_compliant"),
-            )
-            out.append(MitigationMapping(tid, mid, action))
-        return cls(out)
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "MitigationCatalog":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
-
-    def map_technique_to_mitigations(self, technique_id: str) -> list[EnforcementActionSpec]:
-        """All mapped actions for a technique; empty when unknown."""
-        if not isinstance(technique_id, str) or not TECHNIQUE_ID_RE.match(technique_id):
-            raise InputError(f"technique id {technique_id!r} does not match T####(.###)?")
-        return [m.action for m in self.mappings if m.technique_id == technique_id]

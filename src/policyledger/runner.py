@@ -27,7 +27,6 @@ from .cti import (
     encode_features,
     ingest_feed,
     process_threat_intelligence,
-    update_model,
 )
 from .errors import InputError
 # Unused here, kept because perfbench's binding test reads runner.verify_chain.
@@ -240,8 +239,7 @@ def run_scenario(
     clock = SimClock(0)
     fleet = provision_fleet(config.endpoints)
     human_fleet = provision_fleet(config.endpoints) if config.mode in ("human", "both") else None
-    net_kwargs = dict(config.network)
-    net = NetworkModel(seed=config.seed, **net_kwargs)
+    net = NetworkModel(**config.network)
     team = AnalystTeam.default(
         role_speed=config.team.get("role_speed"),
         role_error=config.team.get("role_error"),

@@ -13,6 +13,11 @@ human baseline is a five-analyst team working per-endpoint tasks from
 individual queues; task durations are lognormal scaled by role speed,
 errors are Bernoulli scaled by role error propensity, and completion
 ticks accumulate along each analyst's queue.
+
+Both arms settle an attempt the same way: an isolated endpoint refuses
+everything but un-isolation, and a successful action applies the writes
+``policy.action_writes`` defines for it, reading the endpoint's current
+fields where a write depends on them.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from typing import Iterable, Optional
 
 from .canonical import substream
 from .errors import InputError, UnknownEndpoint
-from .policy import ENDPOINT_ATTRIBUTES, EnforcementActionSpec
+from .policy import ENDPOINT_ATTRIBUTES, EnforcementActionSpec, action_writes
 
 
 class SimClock:
@@ -175,7 +180,6 @@ class NetworkModel:
     human_error_prob_by_kind: dict = field(
         default_factory=lambda: {"set_rdp_port": 0.20}
     )
-    seed: int = 42
 
     def __post_init__(self):
         _check_prob("auto_failure_prob", self.auto_failure_prob)
@@ -231,41 +235,22 @@ class ApplyResult:
 # Applying actions
 
 
-def _mutate(fleet: Fleet, ep: Endpoint, action: EnforcementActionSpec, tick: int, cause: str) -> dict:
-    """Apply the action's attribute write; returns {attribute: new value}
-    for the ledger. Unmodeled kinds succeed without touching state."""
-    kind = action.kind
-    applied: dict = {}
-
-    def write(attr: str, value):
+def _settle(fleet: Fleet, ep: Endpoint, action: EnforcementActionSpec, error: Optional[str],
+            duration: int, finished: int, cause: str) -> ApplyResult:
+    """The outcome of one attempt whose draws are made. An isolated endpoint
+    refuses everything but un-isolation; a drawn ``error`` leaves the
+    endpoint unchanged; otherwise the action's writes (``action_writes``)
+    are applied, logged, and returned in ``applied`` for the ledger."""
+    unisolating = action.kind == "isolate_endpoint" and action.params.get("isolated") is False
+    if ep.isolated and not unisolating:
+        error = "isolated"
+    if error is not None:
+        return ApplyResult(ep.endpoint_id, action.kind, "failure", error, duration, finished)
+    applied = action_writes(action.kind, action.params, vars(ep))
+    for attr, value in applied.items():
         setattr(ep, attr, value)
-        applied[attr] = value
-        fleet.record_mutation(ep.endpoint_id, attr, value, tick, cause)
-
-    if kind == "disable_smbv1":
-        write("smbv1_enabled", False)
-    elif kind == "set_rdp_port":
-        write("rdp_port", int(action.params["port"]))
-    elif kind == "update_firewall_rule":
-        rule = [
-            str(action.params["direction"]),
-            str(action.params["target"]),
-            str(action.params["verdict"]),
-        ]
-        new_rules = [list(r) for r in ep.firewall_rules] + [rule]
-        write("firewall_rules", new_rules)
-        # An outbound deny-all is what "outbound blocked" means here.
-        if rule[0] == "outbound" and rule[1] == "*" and rule[2] == "deny":
-            write("proxy_outbound_blocked", True)
-    elif kind == "update_proxy_rule":
-        write("proxy_outbound_blocked", bool(action.params.get("blocked", True)))
-    elif kind == "isolate_endpoint":
-        write("isolated", bool(action.params.get("isolated", True)))
-    elif kind == "apply_patch":
-        write("patch_level", int(action.params.get("level", ep.patch_level + 1)))
-    # revoke_access / update_permissions / update_ids_params have no
-    # modeled endpoint attribute; the result record is still audited.
-    return applied
+        fleet.record_mutation(ep.endpoint_id, attr, value, finished, cause)
+    return ApplyResult(ep.endpoint_id, action.kind, "success", None, duration, finished, applied)
 
 
 def apply_action(
@@ -287,15 +272,8 @@ def apply_action(
     base = net.auto_base_for(action.kind)
     jitter = stream.randint(-net.auto_jitter_ms, net.auto_jitter_ms) if net.auto_jitter_ms else 0
     duration = max(1, base + jitter)
-    failed = stream.random() < net.auto_failure_prob
-
-    unisolating = action.kind == "isolate_endpoint" and action.params.get("isolated") is False
-    if ep.isolated and not unisolating:
-        return ApplyResult(endpoint_id, action.kind, "failure", "isolated", duration, issued_at + duration)
-    if failed:
-        return ApplyResult(endpoint_id, action.kind, "failure", "apply-error", duration, issued_at + duration)
-    applied = _mutate(fleet, ep, action, issued_at + duration, cause)
-    return ApplyResult(endpoint_id, action.kind, "success", None, duration, issued_at + duration, applied)
+    error = "apply-error" if stream.random() < net.auto_failure_prob else None
+    return _settle(fleet, ep, action, error, duration, issued_at + duration, cause)
 
 
 # --------------------------------------------------------------------------
@@ -445,25 +423,10 @@ def run_human_process(
         draw = stream.lognormvariate(math.log(median), net.human_sigma_log)
         duration = max(1, int(round(draw * member.speed_multiplier)))
         err_p = min(1.0, net.human_error_for(action.kind) * member.error_multiplier)
-        errored = stream.random() < err_p
+        error = "misconfiguration" if stream.random() < err_p else None
 
         member_idx = assignment[task_idx]
         finished = busy_until[member_idx] + duration
         busy_until[member_idx] = finished
-
-        ep = fleet.get(endpoint_id)
-        unisolating = action.kind == "isolate_endpoint" and action.params.get("isolated") is False
-        if ep.isolated and not unisolating:
-            results.append(
-                ApplyResult(endpoint_id, action.kind, "failure", "isolated", duration, finished)
-            )
-        elif errored:
-            results.append(
-                ApplyResult(endpoint_id, action.kind, "failure", "misconfiguration", duration, finished)
-            )
-        else:
-            applied = _mutate(fleet, ep, action, finished, "human")
-            results.append(
-                ApplyResult(endpoint_id, action.kind, "success", None, duration, finished, applied)
-            )
+        results.append(_settle(fleet, fleet.get(endpoint_id), action, error, duration, finished, "human"))
     return results

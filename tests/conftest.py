@@ -33,7 +33,7 @@ def make_engine(seed=42, endpoints=8, validators=3, human=False, net=None):
         ledger=ledger,
         fleet=fleet,
         clock=clock,
-        net=net or NetworkModel(seed=seed),
+        net=net or NetworkModel(),
         master_seed=seed,
         human_fleet=human_fleet,
     )

@@ -107,7 +107,7 @@ DISABLE = EnforcementActionSpec(kind="disable_smbv1")
 
 def _one_seed_comparison(seed: int):
     """Default-config SMBv1 enforcement, automated vs human, one seed."""
-    net = NetworkModel(seed=seed)
+    net = NetworkModel()
     team = AnalystTeam.default()
 
     auto_fleet = provision_fleet(60)

@@ -58,6 +58,16 @@ def test_deploy_empty_rule_set_is_input_error(engine):
         engine.deploy_contract("c", [])
 
 
+def test_deploy_rejects_an_unknown_explicit_target_before_any_transaction(engine, docs):
+    raw = docs[0].to_dict()
+    raw["rules"][0]["remediation"]["target_selector"] = ["ep-000", "ep-999"]
+    doc = load_policy_document(json.dumps(raw))
+    with pytest.raises(InputError, match="ep-999"):
+        engine.deploy_contract("c", [doc])
+    assert engine.ledger.pending == [] and len(engine.ledger.chain()) == 1
+    assert "c" not in engine.contracts
+
+
 def test_two_contracts_coexist(engine, docs):
     c1 = deploy(engine, docs[:1], "contract-a")
     c2 = deploy(engine, docs[1:], "contract-b")
@@ -69,7 +79,7 @@ def test_deploy_without_ledger_is_refused(docs):
     clock = SimClock(0)
     fleet = provision_fleet(2)
     engine = ContractEngine(
-        ledger=None, fleet=fleet, clock=clock, net=NetworkModel(seed=1), master_seed=1
+        ledger=None, fleet=fleet, clock=clock, net=NetworkModel(), master_seed=1
     )
     with pytest.raises(LedgerUnavailable):
         engine.deploy_contract("c", docs[:1])
@@ -468,7 +478,7 @@ def test_decision_metadata_carries_threat_context(engine, docs):
 
 
 def test_enforce_zero_failure_applies_everywhere(docs):
-    engine = make_engine(endpoints=60, net=NetworkModel(auto_failure_prob=0.0, seed=4))
+    engine = make_engine(endpoints=60, net=NetworkModel(auto_failure_prob=0.0))
     contract = deploy(engine, docs[:1])
     decision, matched = standard_decision(contract)
     plan = engine.execute_decision(decision, matched)
@@ -480,7 +490,7 @@ def test_enforce_zero_failure_applies_everywhere(docs):
 
 
 def test_enforce_seeded_success_count_is_pinned(docs):
-    engine = make_engine(endpoints=60, seed=42, net=NetworkModel(seed=42))
+    engine = make_engine(endpoints=60, seed=42, net=NetworkModel())
     contract = deploy(engine, docs[:1])
     decision, matched = standard_decision(contract)
     plan = engine.execute_decision(decision, matched)
@@ -516,7 +526,7 @@ def test_ledger_first_ordering_by_timestamps(engine, docs):
 
 
 def test_failures_never_roll_back_successes(docs):
-    engine = make_engine(endpoints=40, seed=11, net=NetworkModel(auto_failure_prob=0.3, seed=11))
+    engine = make_engine(endpoints=40, seed=11, net=NetworkModel(auto_failure_prob=0.3))
     contract = deploy(engine, docs[:1])
     decision, matched = standard_decision(contract)
     plan = engine.execute_decision(decision, matched)
@@ -547,7 +557,7 @@ def test_execute_decision_without_ledger_is_refused(docs):
         ledger=None,
         fleet=provision_fleet(2),
         clock=SimClock(0),
-        net=NetworkModel(seed=1),
+        net=NetworkModel(),
         master_seed=1,
     )
     with pytest.raises(LedgerUnavailable):

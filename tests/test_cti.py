@@ -324,14 +324,3 @@ def test_model_has_a_hundred_stumps(model):
 def test_unsupported_model_format_rejected():
     with pytest.raises(InputError):
         ForestModel.from_json(json.dumps({"format": "other/9", "stumps": []}))
-
-
-def test_file_feed_client_reads_fixture_paths():
-    from policyledger.cti import FileFeedClient
-
-    path = fixture_path("feeds", "benign.json")
-    client = FileFeedClient()
-    assert client.fetch(str(path)) == path.read_text(encoding="utf-8")
-    assert client.fetch(f"file://{path}") == path.read_text(encoding="utf-8")
-    reports, diags = ingest_feed(client.fetch(str(path)))
-    assert len(reports) == 1 and diags == []

@@ -200,6 +200,39 @@ def test_decision_is_checked_against_the_updated_policy():
     assert ledger.submit_transaction(_port_decision(ledger, 40000))
 
 
+def _require(ledger, attribute, value):
+    """Commit a policy whose one rule requires ``attribute`` equals ``value``."""
+    condition = {"attribute": attribute, "comparator": "equals", "value": value}
+    body = {"policy_id": "p", "rules": [{"rule_id": "r1", "condition": [condition]}]}
+    assert ledger.submit_transaction(
+        make_tx(ledger, kind=TxKind.POLICY_DEPLOY, actor="policy-admin", body=body)
+    )
+    ledger.commit_block(1)
+
+
+def _plan(ledger, kind, params):
+    planned = [{"endpoint_id": "ep-000", "kind": kind, "params": params}]
+    return make_tx(ledger, body={"planned": planned, "target_endpoints": ["ep-000"]})
+
+
+def test_outbound_deny_all_firewall_plan_conflicts_with_an_open_proxy_policy():
+    ledger = fresh_ledger()
+    _require(ledger, "proxy_outbound_blocked", False)
+    deny_all = {"direction": "outbound", "target": "*", "verdict": "deny"}
+    verdict = ledger.submit_transaction(_plan(ledger, "update_firewall_rule", deny_all))
+    assert not verdict and verdict.reason == "policy_conflict"
+    allow = {"direction": "outbound", "target": "*", "verdict": "allow"}
+    assert ledger.submit_transaction(_plan(ledger, "update_firewall_rule", allow))
+
+
+def test_patch_plan_to_another_level_conflicts_with_the_required_level():
+    ledger = fresh_ledger()
+    _require(ledger, "patch_level", 2)
+    verdict = ledger.submit_transaction(_plan(ledger, "apply_patch", {"level": 1}))
+    assert not verdict and verdict.reason == "policy_conflict"
+    assert ledger.submit_transaction(_plan(ledger, "apply_patch", {"level": 2}))
+
+
 def test_conflicting_pending_transactions_are_rejected():
     ledger = fresh_ledger()
     first = make_tx(

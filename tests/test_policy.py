@@ -1,4 +1,4 @@
-"""Policy loading, rule encoding, conflict resolution, ATT&CK mapping."""
+"""Policy loading, rule encoding, conflict resolution."""
 
 import dataclasses
 import json
@@ -10,7 +10,6 @@ from policyledger.errors import AmbiguityError, InputError, SchemaError
 from policyledger.policy import (
     Condition,
     EnforcementActionSpec,
-    MitigationCatalog,
     PolicyRule,
     combine_rule_sets,
     encode_rules,
@@ -20,7 +19,6 @@ from policyledger.policy import (
     resolve_conflicts,
     serialize_document,
 )
-from policyledger.runner import fixture_path
 
 
 def make_rule(rule_id, attr="rdp_port", value=33089, severity=2, importance=3,
@@ -223,37 +221,6 @@ def test_resolve_is_idempotent_and_contradiction_free():
                 assert pinned.setdefault(attr, value) == value
         scores = [r.conflict_score() for r in once]
         assert scores == sorted(scores, reverse=True)
-
-
-# -- mitigation mapping ------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def catalog():
-    return MitigationCatalog.from_file(fixture_path("attack_mappings.json"))
-
-
-def test_rdp_technique_maps_to_port_move_and_firewall(catalog):
-    actions = catalog.map_technique_to_mitigations("T1021.001")
-    assert [a.kind for a in actions] == ["set_rdp_port", "update_firewall_rule"]
-    assert actions[0].params["port"] == 33089
-
-
-def test_unknown_technique_maps_to_nothing(catalog):
-    assert catalog.map_technique_to_mitigations("T9999") == []
-
-
-def test_malformed_technique_id_is_rejected(catalog):
-    with pytest.raises(InputError):
-        catalog.map_technique_to_mitigations("1021")
-
-
-def test_every_mapping_resolves_to_a_defined_action_kind(catalog):
-    from policyledger.policy import ACTION_KINDS
-
-    assert len(catalog.mappings) >= 15
-    for mapping in catalog.mappings:
-        assert mapping.action.kind in ACTION_KINDS
 
 
 def test_fixture_policies_are_mutually_conflict_free(smbv1_doc, rdp_doc, ransomware_doc):

@@ -3,10 +3,12 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from policyledger.canonical import substream
 from policyledger.errors import InputError, UnknownEndpoint
-from policyledger.policy import EnforcementActionSpec
+from policyledger.ledger import _planned_settings
+from policyledger.policy import ACTION_KINDS, ENDPOINT_ATTRIBUTES, EnforcementActionSpec, action_writes
 from policyledger.simnet import (
     AnalystTeam,
     Endpoint,
@@ -58,7 +60,7 @@ def test_profile_overrides_and_unknown_attrs():
 
 
 def no_failure_net():
-    return NetworkModel(auto_failure_prob=0.0, seed=1)
+    return NetworkModel(auto_failure_prob=0.0)
 
 
 def test_disable_smbv1_succeeds_and_mutates():
@@ -95,7 +97,7 @@ def test_unisolation_is_accepted_on_isolated_endpoint():
 
 def test_failure_leaves_state_bit_identical():
     fleet = provision_fleet(4)
-    net = NetworkModel(auto_failure_prob=1.0, seed=1)
+    net = NetworkModel(auto_failure_prob=1.0)
     before = snapshot(fleet)
     result = apply_action(fleet, "ep-002", DISABLE_SMB, net, substream(1, "x"), 0)
     assert not result.success and result.failure_reason == "apply-error"
@@ -106,7 +108,7 @@ def test_failure_leaves_state_bit_identical():
 def test_seeded_success_count_is_pinned():
     # Regression constant: run once at seed 42, failure prob 0.02.
     fleet = provision_fleet(60)
-    net = NetworkModel(seed=42)
+    net = NetworkModel()
     successes = sum(
         apply_action(fleet, eid, DISABLE_SMB, net, substream(42, "auto", 1, eid), 0).success
         for eid in fleet.ids()
@@ -148,6 +150,63 @@ def test_firewall_outbound_deny_all_marks_proxy_blocked():
     ep = fleet.get("ep-000")
     assert ep.proxy_outbound_blocked is True
     assert ["outbound", "*", "deny"] in ep.firewall_rules
+
+
+_FIREWALL_RULE = st.tuples(
+    st.sampled_from(["inbound", "outbound"]),
+    st.sampled_from(["*", "10.0.0.0/8", "445"]),
+    st.sampled_from(["allow", "deny"]),
+)
+#: Valid random params for every action kind; a kind missing here fails the
+#: property below with a KeyError.
+_ACTION_PARAMS = {
+    "disable_smbv1": st.just({}),
+    "set_rdp_port": st.builds(lambda port: {"port": port}, st.integers(1, 65535)),
+    "update_firewall_rule": st.builds(
+        lambda rule: dict(zip(("direction", "target", "verdict"), rule)), _FIREWALL_RULE
+    ),
+    "update_proxy_rule": st.one_of(st.just({}), st.builds(lambda b: {"blocked": b}, st.booleans())),
+    "isolate_endpoint": st.one_of(st.just({}), st.builds(lambda b: {"isolated": b}, st.booleans())),
+    "revoke_access": st.one_of(st.just({}), st.builds(lambda u: {"user": u}, st.text(max_size=5))),
+    "update_permissions": st.one_of(st.just({}), st.just({"role": "read-only"})),
+    "apply_patch": st.one_of(st.just({}), st.builds(lambda n: {"level": n}, st.integers(0, 50))),
+    "update_ids_params": st.one_of(
+        st.just({}), st.builds(lambda n: {"sensitivity": n}, st.integers(0, 9))
+    ),
+}
+_ENDPOINT_FIELDS = st.fixed_dictionaries({
+    "smbv1_enabled": st.booleans(),
+    "rdp_port": st.integers(1, 65535),
+    "firewall_rules": st.lists(_FIREWALL_RULE.map(list), max_size=3),
+    "proxy_outbound_blocked": st.booleans(),
+    "isolated": st.booleans(),
+    "patch_level": st.integers(0, 20),
+    "infected": st.booleans(),
+})
+_UNMODELED_KINDS = ("revoke_access", "update_permissions", "update_ids_params")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(ACTION_KINDS), fields=_ENDPOINT_FIELDS)
+def test_applied_writes_are_the_field_diff_and_cover_the_ledger_view(data, kind, fields):
+    params = data.draw(_ACTION_PARAMS[kind])
+    fleet = Fleet([Endpoint("ep-000", **fields)])
+    before = fleet.get("ep-000").attrs()
+    action = EnforcementActionSpec(kind=kind, params=params)
+    result = apply_action(fleet, "ep-000", action, no_failure_net(), substream(1, kind), 0)
+    after = fleet.get("ep-000").attrs()
+
+    assert after == {**before, **result.applied}
+    assert set(result.applied) <= set(ENDPOINT_ATTRIBUTES)
+    if result.success:
+        # The ledger's view, from the params alone, is part of what ran.
+        planned = [{"endpoint_id": "ep-000", "kind": kind, "params": params}]
+        ledger_view = _planned_settings({"planned": planned})
+        assert {attr: value for _, attr, value in ledger_view}.items() <= result.applied.items()
+    else:
+        assert result.failure_reason == "isolated" and result.applied == {}
+    if kind in _UNMODELED_KINDS:
+        assert result.applied == {} and action_writes(kind, params) == {}
 
 
 # -- inject_threat ----------------------------------------------------------------
@@ -236,7 +295,6 @@ def human_net(error=0.0):
     return NetworkModel(
         human_error_prob=error,
         human_error_prob_by_kind={} if error == 0.0 else {"set_rdp_port": error},
-        seed=5,
     )
 
 
@@ -278,7 +336,7 @@ def test_junior_only_team_is_slower_than_senior_only_on_same_seed():
 def test_misconfiguration_errors_leave_endpoint_unchanged():
     fleet = provision_fleet(10)
     team = AnalystTeam.default()
-    net = NetworkModel(human_error_prob=1.0, human_error_prob_by_kind={}, seed=5)
+    net = NetworkModel(human_error_prob=1.0, human_error_prob_by_kind={})
     plan = [(eid, DISABLE_SMB) for eid in fleet.ids()]
     before = snapshot(fleet)
     results = run_human_process(plan, team, net, 13, fleet, issued_at=0)
@@ -307,7 +365,7 @@ def test_human_results_are_seed_deterministic():
         fleet = provision_fleet(12)
         plan = [(eid, SET_PORT) for eid in fleet.ids()]
         return run_human_process(plan, AnalystTeam.default(),
-                                 NetworkModel(seed=seed), seed, fleet, 0)
+                                 NetworkModel(), seed, fleet, 0)
 
     assert run(21) == run(21)
     assert run(21) != run(22)

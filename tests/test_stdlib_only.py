@@ -1,0 +1,32 @@
+"""The package imports only the standard library and itself."""
+
+import ast
+import sys
+from pathlib import Path
+
+import policyledger
+
+PACKAGE_DIR = Path(policyledger.__file__).resolve().parent
+
+
+def _absolute_imports(path: Path) -> list[str]:
+    names = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            names.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return names
+
+
+def test_every_module_imports_only_stdlib_or_policyledger():
+    modules = sorted(PACKAGE_DIR.glob("*.py"))
+    assert len(modules) >= 10
+    outside = {
+        f"{path.name}: {name}"
+        for path in modules
+        for name in _absolute_imports(path)
+        if name.split(".")[0] != "policyledger"
+        and name.split(".")[0] not in sys.stdlib_module_names
+    }
+    assert not outside, sorted(outside)
