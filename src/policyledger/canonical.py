@@ -26,6 +26,31 @@ def canonical_json(value: Any) -> str:
     return _ENCODER.encode(value)
 
 
+# What _ENCODER writes for a str, without the calls canonical_json makes
+# to get there.
+encode_str = (
+    json.encoder.encode_basestring_ascii if _ENCODER.ensure_ascii else json.encoder.encode_basestring
+)
+
+
+def object_template(*keys: str) -> str:
+    """A ``str.format`` template for the canonical JSON object with ``keys``.
+
+    ``template.format(*members)`` takes each member's value as canonical
+    JSON, in the order of ``keys``, and places it at its key's sorted
+    position, so a caller can splice in fragments it encoded once.
+    """
+
+    def escape(text: str) -> str:
+        return text.replace("{", "{{").replace("}", "}}")
+
+    members = (
+        escape(encode_str(key) + _ENCODER.key_separator) + "{%d}" % i
+        for key, i in sorted((key, i) for i, key in enumerate(keys))
+    )
+    return "{{" + escape(_ENCODER.item_separator).join(members) + "}}"
+
+
 def canonical_bytes(value: Any) -> bytes:
     return canonical_json(value).encode("utf-8")
 

@@ -119,6 +119,9 @@ class ContractEngine:
         self.contracts: dict[str, list[SmartContract]] = {}
         self._cycle = 0
         self._plan_seq = 0
+        # One metadata object per arm for checks and results, so each
+        # encodes its digest fragment once per engine, not once per record.
+        self._arm_metadata = {arm: TxMetadata(arm=arm) for arm in ("automated", "human")}
 
     # -- plumbing ------------------------------------------------------------
 
@@ -136,7 +139,7 @@ class ContractEngine:
             kind=kind,
             actor=actor,
             body=body,
-            metadata=metadata,
+            metadata=metadata or self._arm_metadata["automated"],
         )
         verdict = ledger.submit_transaction(tx)
         if not verdict:
@@ -488,7 +491,7 @@ class ContractEngine:
             actor,
             body,
             result.finished_at,
-            TxMetadata(arm=plan.arm),
+            self._arm_metadata[plan.arm],
         )
 
     # -- threat alerts -----------------------------------------------------------

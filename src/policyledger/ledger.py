@@ -19,6 +19,10 @@ A record is frozen and every digest input is immutable, so each record
 object computes its payload check and its record digest once, on first
 use, and keeps them. Verification checks every block hash, link and vote
 set on every call; only the per-record encoding and hashing happen once.
+A record digest's preimage is built around its metadata's canonical JSON
+fragment, which each ``TxMetadata`` object encodes once; an import interns
+metadata, one object per distinct value, so a chain with a handful of
+distinct metadata values encodes only that many fragments.
 
 Chain files are newline-delimited: one canonical-JSON block per line.
 The genesis block records the hash function name, the export format
@@ -28,6 +32,7 @@ covered by the genesis block hash.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -39,7 +44,8 @@ from .canonical import (
     canonical_bytes,
     canonical_json,
     digest_bytes,
-    digest_value,
+    encode_str,
+    object_template,
 )
 from .errors import (
     ConsensusFailure,
@@ -51,6 +57,14 @@ from .policy import action_writes
 
 CHAIN_FORMAT = "policyledger-chain/1"
 VOTE_ACCEPT = "accept"
+
+# A record digest's preimage: canonical JSON of every field but the payload.
+_ENVELOPE = object_template("tx_id", "timestamp", "kind", "actor", "payload_digest", "metadata")
+
+
+def _json_str(value) -> str:
+    """Canonical JSON of a field that should be a str, whatever it holds."""
+    return encode_str(value) if type(value) is str else canonical_json(value)
 
 
 class TxKind(str, Enum):
@@ -83,7 +97,13 @@ DEFAULT_AUTHORIZATION: dict[str, frozenset[TxKind]] = {
 @dataclass(frozen=True)
 class TxMetadata:
     """Threat context attached to a transaction (type of threat, actor,
-    technique ids, recommended change, priority 0-4)."""
+    technique ids, recommended change, priority 0-4).
+
+    Its canonical JSON fragment, which every record digest embeds, is
+    encoded once per object and kept; it takes no part in equality or
+    repr, and ``dataclasses.replace`` starts a copy without it. Records
+    that share one object share the fragment.
+    """
 
     threat_type: Optional[str] = None
     threat_actor: Optional[str] = None
@@ -91,6 +111,7 @@ class TxMetadata:
     recommended_change: Optional[str] = None
     priority: int = 0
     arm: str = "automated"
+    _fragment: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 <= self.priority <= 4:
@@ -108,17 +129,33 @@ class TxMetadata:
             "arm": self.arm,
         }
 
+    def fragment(self) -> str:
+        """Canonical JSON of ``to_dict()``, encoded on first use."""
+        fragment = self._fragment
+        if fragment is None:
+            fragment = canonical_json(self.to_dict())
+            object.__setattr__(self, "_fragment", fragment)
+        return fragment
+
     _WIRE_KEYS = frozenset(
         {"threat_type", "threat_actor", "technique_ids", "recommended_change", "priority", "arm"}
     )
 
     @classmethod
-    def from_dict(cls, data: dict) -> "TxMetadata":
+    def from_dict(cls, data: dict, interned: dict) -> "TxMetadata":
+        """Build from the wire form. ``interned`` is a dict the caller keeps
+        for one import: equal wire values get one shared object."""
+        # repr, unlike == and hash, tells 1, true and 1.0 apart, which
+        # encode differently.
+        key = repr(data)
+        hit = interned.get(key)
+        if hit is not None:
+            return hit
         # Strict keys: a lenient default here would let a flipped key name
         # round-trip to the same semantics and dodge tamper detection.
         if set(data) != cls._WIRE_KEYS:
             raise ValueError(f"unexpected metadata keys {sorted(set(data) ^ cls._WIRE_KEYS)}")
-        return cls(
+        metadata = cls(
             threat_type=data["threat_type"],
             threat_actor=data["threat_actor"],
             technique_ids=tuple(data["technique_ids"]),
@@ -126,6 +163,8 @@ class TxMetadata:
             priority=int(data["priority"]),
             arm=data["arm"],
         )
+        interned[key] = metadata
+        return metadata
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,6 +175,8 @@ class TransactionRecord:
     The two digest results are derived from the frozen fields on first use
     and kept on the object; they take no part in equality, repr or the
     wire format, and ``dataclasses.replace`` starts a copy without them.
+    The record digest's preimage embeds the metadata's kept fragment, so
+    records sharing a ``TxMetadata`` object encode it once between them.
     """
 
     tx_id: str
@@ -173,8 +214,6 @@ class TransactionRecord:
         return tx
 
     def body(self) -> dict:
-        import json
-
         return json.loads(self.payload)
 
     def payload_intact(self) -> bool:
@@ -193,18 +232,22 @@ class TransactionRecord:
         """
         digest = self._digest
         if digest is None:
-            digest = digest_value(
-                {
-                    "tx_id": self.tx_id,
-                    "timestamp": self.timestamp,
-                    "kind": self.kind.value,
-                    "actor": self.actor,
-                    "payload_digest": self.payload_digest,
-                    "metadata": self.metadata.to_dict(),
-                }
-            )
+            digest = digest_bytes(self._envelope().encode("utf-8"))
             object.__setattr__(self, "_digest", digest)
         return digest
+
+    def _envelope(self) -> str:
+        """Canonical JSON of the envelope (every field but the payload,
+        metadata as a dict), spliced around the metadata's kept fragment."""
+        ts = self.timestamp
+        return _ENVELOPE.format(
+            _json_str(self.tx_id),
+            ts if type(ts) is int else canonical_json(ts),
+            _json_str(self.kind.value),
+            _json_str(self.actor),
+            _json_str(self.payload_digest),
+            self.metadata.fragment(),
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -222,7 +265,7 @@ class TransactionRecord:
     )
 
     @classmethod
-    def from_dict(cls, data: dict) -> "TransactionRecord":
+    def from_dict(cls, data: dict, interned: dict) -> "TransactionRecord":
         if set(data) != cls._WIRE_KEYS:
             raise ValueError(f"unexpected tx keys {sorted(set(data) ^ cls._WIRE_KEYS)}")
         return cls(
@@ -232,7 +275,7 @@ class TransactionRecord:
             actor=data["actor"],
             payload=data["payload"],
             payload_digest=data["payload_digest"],
-            metadata=TxMetadata.from_dict(data["metadata"]),
+            metadata=TxMetadata.from_dict(data["metadata"], interned),
         )
 
 
@@ -264,7 +307,7 @@ class LedgerBlock:
     )
 
     @classmethod
-    def from_dict(cls, data: dict) -> "LedgerBlock":
+    def from_dict(cls, data: dict, interned: dict) -> "LedgerBlock":
         extra = set(data) - cls._WIRE_KEYS - {"meta"}
         missing = cls._WIRE_KEYS - set(data)
         if extra or missing:
@@ -275,7 +318,7 @@ class LedgerBlock:
             block_hash=data["block_hash"],
             timestamp=int(data["timestamp"]),
             transactions=tuple(
-                TransactionRecord.from_dict(t) for t in data["transactions"]
+                TransactionRecord.from_dict(t, interned) for t in data["transactions"]
             ),
             validator_votes=dict(data["validator_votes"]),
             meta=data.get("meta"),
@@ -400,6 +443,13 @@ class ChainVerdict:
 
     def __bool__(self) -> bool:
         return self.ok
+
+    def require(self) -> None:
+        """Raise CorruptChainError unless the chain verified."""
+        if not self.ok:
+            raise CorruptChainError(
+                f"chain corrupt at block {self.first_bad_index} ({self.reason})"
+            )
 
 
 # --------------------------------------------------------------------------
@@ -659,11 +709,7 @@ def replay_state(chain: list[LedgerBlock]) -> WorldState:
     Pure: the same chain always replays to the same state. Refuses
     chains that do not verify.
     """
-    verdict = verify_chain(chain)
-    if not verdict:
-        raise CorruptChainError(
-            f"chain corrupt at block {verdict.first_bad_index} ({verdict.reason})"
-        )
+    verify_chain(chain).require()
     state = WorldState()
     for block in chain:
         for tx in block.transactions:
@@ -714,11 +760,7 @@ def query_history(
     verifying chain, like every other read of an imported chain.
     """
     f = filter if filter is not None else HistoryFilter(**kwargs)
-    verdict = verify_chain(chain)
-    if not verdict:
-        raise CorruptChainError(
-            f"chain corrupt at block {verdict.first_bad_index} ({verdict.reason})"
-        )
+    verify_chain(chain).require()
     out: list[TransactionRecord] = []
     for block in chain:
         for tx in block.transactions:
@@ -756,16 +798,19 @@ def export_chain(chain: list[LedgerBlock], path: str | Path) -> None:
 
 def import_chain(path: str | Path) -> list[LedgerBlock]:
     """Read a chain file leniently: unparseable lines become CorruptBlock
-    entries so verification can still report the earliest bad position."""
-    import json
+    entries so verification can still report the earliest bad position.
 
+    Metadata is interned for this call only: records whose metadata reads
+    the same share one ``TxMetadata`` object, and with it one fragment.
+    """
     raw = Path(path).read_bytes()
     chain: list[LedgerBlock] = []
+    interned: dict[str, TxMetadata] = {}
     for pos, line in enumerate(raw.split(b"\n")):
         if not line.strip():
             continue
         try:
-            chain.append(LedgerBlock.from_dict(json.loads(line.decode("utf-8"))))
+            chain.append(LedgerBlock.from_dict(json.loads(line.decode("utf-8")), interned))
         except Exception:
             chain.append(CorruptBlock.at(pos))
     return chain

@@ -4,8 +4,9 @@ Documents are structured JSON (one per file) and compile into predicate
 rules over the closed endpoint attribute vocabulary. Rules that reference
 an unknown attribute raise AmbiguityError at load time: an ambiguous
 policy is a surfaced failure, never a silent skip. A condition whose
-value the comparator cannot take, or an unknown target selector, raises
-SchemaError at load time rather than failing mid-run.
+value the comparator cannot take, an unknown target selector, or an
+``apply_patch`` level that is not an integer raises SchemaError at load
+time rather than failing mid-run.
 
 Each rule compiles its condition once, when the rule is built, into one
 check over an attribute mapping. One comparator table serves that check,
@@ -123,6 +124,10 @@ class EnforcementActionSpec:
             port = self.params.get("port")
             if not isinstance(port, int) or not 1 <= port <= 65535:
                 raise InputError(f"set_rdp_port requires port in 1..65535, got {port!r}")
+        if self.kind == "apply_patch" and "level" in self.params:
+            level = self.params["level"]
+            if not isinstance(level, int) or isinstance(level, bool):
+                raise InputError(f"apply_patch level must be an integer, got {level!r}")
         if self.kind == "update_firewall_rule":
             for key in ("direction", "target", "verdict"):
                 if key not in self.params:

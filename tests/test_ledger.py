@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import make_tx
 from policyledger import ledger as ledger_module
-from policyledger.canonical import canonical_json, digest_value, substream
+from policyledger.canonical import canonical_json, digest_value, object_template, substream
 from policyledger.errors import (
     ConsensusFailure,
     CorruptChainError,
@@ -64,6 +64,13 @@ def committed_chain(n_blocks=5, txs_per_block=2):
 
 def test_canonical_json_sorts_keys_and_is_compact():
     assert canonical_json({"b": 1, "a": [1, 2]}) == '{"a":[1,2],"b":1}'
+
+
+def test_object_template_places_members_at_their_sorted_keys():
+    keys = ("b", "a", "{0}", "é", "")
+    values = (1, [2, "x"], "}{", None, {"z": 0.5})
+    members = [canonical_json(v) for v in values]
+    assert object_template(*keys).format(*members) == canonical_json(dict(zip(keys, values)))
 
 
 def test_digest_is_sha256_hex():
@@ -737,20 +744,20 @@ def test_tampering_any_field_of_a_verified_record_is_detected(run_chain, data, n
     with pytest.raises(CorruptChainError):
         query_history(chain)
     # The memo takes no part in equality, hashing or repr.
-    copy = TransactionRecord.from_dict(tx.to_dict())
+    copy = TransactionRecord.from_dict(tx.to_dict(), {})
     assert tx == copy and hash(tx) == hash(copy) and repr(tx) == repr(copy)
 
 
 def _count_record_encodings(monkeypatch):
     """tx_id of every record envelope ``ledger`` encodes from now on."""
-    real = ledger_module.digest_value
+    real = TransactionRecord._envelope
     encoded = []
 
-    def counting(value):
-        encoded.append(value["tx_id"])
-        return real(value)
+    def counting(tx):
+        encoded.append(tx.tx_id)
+        return real(tx)
 
-    monkeypatch.setattr(ledger_module, "digest_value", counting)
+    monkeypatch.setattr(TransactionRecord, "_envelope", counting)
     return encoded
 
 
@@ -772,3 +779,120 @@ def test_run_encodes_each_committed_record_once(monkeypatch):
     chain = run_scenario(RunConfig(seed=7, scenario="ransomware", mode="both",
                                    endpoints=6)).chain
     assert encoded == [tx.tx_id for block in chain for tx in block.transactions]
+
+
+def test_import_interns_metadata_once_per_distinct_value(run_chain, tmp_path):
+    path = tmp_path / "chain.ndjson"
+    export_chain(run_chain, path)
+    first, second = import_chain(path), import_chain(path)
+    records = [tx for block in first for tx in block.transactions]
+    distinct = {canonical_json(tx.metadata.to_dict()) for tx in records}
+    assert len({id(tx.metadata) for tx in records}) == len(distinct) < len(records)
+    assert verify_chain(first).ok
+    # Each import interns on its own: the second shares no object, so no
+    # fragment, with the first.
+    later = [tx.metadata for block in second for tx in block.transactions]
+    assert not {id(m) for m in later} & {id(tx.metadata) for tx in records}
+    assert all(m._fragment is None for m in later)
+
+
+_ANY_TEXT = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(["", "é ✓ 漢字 🔒", 'say "hi" \\ back/slash', "\x00\x08\x1f\x7f", "  "]),
+)
+_SCALAR = st.one_of(
+    st.none(),
+    _ANY_TEXT,
+    st.booleans(),
+    st.integers(-(10**30), 10**30),
+    st.floats(),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    tx_id=_ANY_TEXT,
+    timestamp=st.one_of(st.integers(-(10**30), 10**30), st.booleans(), st.floats(allow_nan=False)),
+    kind=st.sampled_from(list(TxKind)),
+    actor=st.one_of(_ANY_TEXT, st.integers(), st.none()),
+    payload_digest=_ANY_TEXT,
+    threat_type=_SCALAR,
+    threat_actor=_SCALAR,
+    technique_ids=st.one_of(st.just([]), st.lists(_ANY_TEXT, max_size=60)),
+    recommended_change=_SCALAR,
+    priority=st.one_of(st.booleans(), st.integers(0, 4), st.floats(0, 4)),
+    arm=_ANY_TEXT,
+)
+def test_record_digest_is_the_digest_of_the_envelope_dict(
+    tx_id, timestamp, kind, actor, payload_digest, threat_type, threat_actor,
+    technique_ids, recommended_change, priority, arm,
+):
+    metadata = TxMetadata(threat_type, threat_actor, technique_ids, recommended_change,
+                          priority, arm)
+    tx = TransactionRecord(tx_id, timestamp, kind, actor, "{}", payload_digest, metadata)
+    envelope = {
+        "tx_id": tx_id,
+        "timestamp": timestamp,
+        "kind": kind.value,
+        "actor": actor,
+        "payload_digest": payload_digest,
+        "metadata": metadata.to_dict(),
+    }
+    assert tx._envelope() == canonical_json(envelope)
+    assert tx.record_digest() == digest_value(envelope)
+
+
+def _twins(path):
+    """(block, position) of the first record whose metadata has priority 0
+    and of a later record whose metadata reads the same."""
+    blocks = [json.loads(line) for line in path.read_text().splitlines()]
+    seen = {}
+    for b, block in enumerate(blocks):
+        for t, rec in enumerate(block["transactions"]):
+            if rec["metadata"]["priority"] != 0:
+                continue
+            key = canonical_json(rec["metadata"])
+            if key in seen:
+                return seen[key], (b, t)
+            seen[key] = (b, t)
+    raise AssertionError("no two records share their metadata")
+
+
+@pytest.mark.parametrize(
+    "field, value, expected",
+    [
+        # The priority is read through int(), so false and 0.0 read as the
+        # committed 0 and the record still hashes as committed.
+        ("priority", False, ChainVerdict(True)),
+        ("priority", 0.0, ChainVerdict(True)),
+        ("actor", 5, "hash"),
+    ],
+)
+def test_type_tampered_chain_file(run_chain, tmp_path, capsys, field, value, expected):
+    from policyledger.cli import main
+
+    path = tmp_path / "chain.ndjson"
+    export_chain(run_chain, path)
+    (b, t), (twin_b, twin_t) = _twins(path)
+    lines = path.read_text().splitlines()
+    block = json.loads(lines[b])
+    record = block["transactions"][t]
+    (record["metadata"] if field == "priority" else record)[field] = value
+    lines[b] = canonical_json(block)
+    path.write_text("\n".join(lines) + "\n")
+
+    chain = import_chain(path)
+    if expected == "hash":
+        expected = ChainVerdict(False, b, "hash")
+    assert verify_chain(chain) == expected
+    assert main(["verify-chain", str(path)]) == (0 if expected else 1)
+    assert "Traceback" not in capsys.readouterr().err
+
+    tampered = chain[b].transactions[t].metadata
+    twin = chain[twin_b].transactions[twin_t].metadata
+    if field == "priority":
+        # Equal once read, but the wire values differ in type: two objects.
+        assert tampered == twin and tampered is not twin
+    else:
+        assert tampered is twin
+

@@ -345,12 +345,16 @@ def test_cli_run_unknown_target_endpoint_is_exit_two_at_load(tmp_path, capsys):
         ("condition", {"attribute": "rdp_port", "comparator": "gt", "value": "3389"}),
         ("condition", {"attribute": "patch_level", "comparator": "lt", "value": True}),
         ("condition", {"attribute": "rdp_port", "comparator": "in", "value": 3389}),
+        ("remediation", {"kind": "apply_patch", "params": {"level": "abc"}}),
+        ("remediation", {"kind": "apply_patch", "params": {"level": True}}),
     ],
 )
 def test_cli_run_invalid_rule_is_exit_two_at_load(tmp_path, capsys, field, value):
     def edit(rule):
         if field == "condition":
             rule["condition"].append(value)
+        elif field == "remediation":
+            rule["remediation"] = value
         else:
             rule["remediation"][field] = value
 
