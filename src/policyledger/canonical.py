@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from typing import Any
+from typing import Any, Iterable
 
 HASH_FUNCTION_NAME = "sha-256"
 ZERO_DIGEST = "0" * 64
@@ -49,6 +49,11 @@ def object_template(*keys: str) -> str:
         for key, i in sorted((key, i) for i, key in enumerate(keys))
     )
     return "{{" + escape(_ENCODER.item_separator).join(members) + "}}"
+
+
+def encode_array(items: Iterable[str]) -> str:
+    """Canonical JSON of a list whose items are each given as canonical JSON."""
+    return "[" + _ENCODER.item_separator.join(items) + "]"
 
 
 def canonical_bytes(value: Any) -> bytes:

@@ -17,12 +17,13 @@ explicit ``level`` sets ``patch_level``.
 
 A record is frozen and every digest input is immutable, so each record
 object computes its payload check and its record digest once, on first
-use, and keeps them. Verification checks every block hash, link and vote
-set on every call; only the per-record encoding and hashing happen once.
-A record digest's preimage is built around its metadata's canonical JSON
-fragment, which each ``TxMetadata`` object encodes once; an import interns
-metadata, one object per distinct value, so a chain with a handful of
-distinct metadata values encodes only that many fragments.
+use, and keeps them. Likewise, block hashes are recomputed once per block
+object; links, votes and indices are checked on every call. Genesis is
+the exception: its ``meta`` is a mutable dict, so its hash is recomputed
+on every call. A record digest's preimage is built around its metadata's
+canonical JSON fragment, which each ``TxMetadata`` object encodes once; an
+import interns metadata, one object per distinct value, so a chain with a
+handful of distinct metadata values encodes only that many fragments.
 
 Chain files are newline-delimited: one canonical-JSON block per line.
 The genesis block records the hash function name, the export format
@@ -44,6 +45,7 @@ from .canonical import (
     canonical_bytes,
     canonical_json,
     digest_bytes,
+    encode_array,
     encode_str,
     object_template,
 )
@@ -60,11 +62,21 @@ VOTE_ACCEPT = "accept"
 
 # A record digest's preimage: canonical JSON of every field but the payload.
 _ENVELOPE = object_template("tx_id", "timestamp", "kind", "actor", "payload_digest", "metadata")
+# A non-genesis block hash's preimage.
+_BLOCK = object_template("index", "prev_hash", "timestamp", "tx_digests")
 
 
 def _json_str(value) -> str:
     """Canonical JSON of a field that should be a str, whatever it holds."""
     return encode_str(value) if type(value) is str else canonical_json(value)
+
+
+def _wire_int(value) -> int:
+    """An integer field of a chain file. Digests cover the value as read, so
+    reading ``false`` or ``0.0`` as ``0`` would let a changed file verify."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
 
 
 class TxKind(str, Enum):
@@ -160,7 +172,7 @@ class TxMetadata:
             threat_actor=data["threat_actor"],
             technique_ids=tuple(data["technique_ids"]),
             recommended_change=data["recommended_change"],
-            priority=int(data["priority"]),
+            priority=_wire_int(data["priority"]),
             arm=data["arm"],
         )
         interned[key] = metadata
@@ -270,7 +282,7 @@ class TransactionRecord:
             raise ValueError(f"unexpected tx keys {sorted(set(data) ^ cls._WIRE_KEYS)}")
         return cls(
             tx_id=data["tx_id"],
-            timestamp=int(data["timestamp"]),
+            timestamp=_wire_int(data["timestamp"]),
             kind=TxKind(data["kind"]),
             actor=data["actor"],
             payload=data["payload"],
@@ -281,6 +293,14 @@ class TransactionRecord:
 
 @dataclass(frozen=True)
 class LedgerBlock:
+    """One committed block: header, records, and the validators' votes.
+
+    The hash recomputed from the header and the records' digests is kept
+    on the object after first use, like a record's digests; it takes no
+    part in equality or repr, and ``dataclasses.replace`` starts a copy
+    without it. Genesis keeps none, since its ``meta`` is a mutable dict.
+    """
+
     index: int
     prev_hash: str
     block_hash: str
@@ -288,6 +308,27 @@ class LedgerBlock:
     transactions: tuple[TransactionRecord, ...]
     validator_votes: dict[str, str]
     meta: Optional[dict] = None  # genesis only
+    _recomputed: Optional[str] = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # A caller's list stays mutable; the kept hash must not follow it.
+        object.__setattr__(self, "transactions", tuple(self.transactions))
+
+    def recomputed_hash(self) -> str:
+        """``compute_block_hash`` of this block's fields, kept after first
+        use unless the block has ``meta``."""
+        recomputed = self._recomputed
+        if recomputed is None:
+            recomputed = compute_block_hash(
+                self.index,
+                self.prev_hash,
+                self.timestamp,
+                [tx.record_digest() for tx in self.transactions],
+                self.meta,
+            )
+            if self.meta is None:
+                object.__setattr__(self, "_recomputed", recomputed)
+        return recomputed
 
     def to_dict(self) -> dict:
         out = {
@@ -313,10 +354,10 @@ class LedgerBlock:
         if extra or missing:
             raise ValueError(f"unexpected block keys {sorted(extra | missing)}")
         return cls(
-            index=int(data["index"]),
+            index=_wire_int(data["index"]),
             prev_hash=data["prev_hash"],
             block_hash=data["block_hash"],
-            timestamp=int(data["timestamp"]),
+            timestamp=_wire_int(data["timestamp"]),
             transactions=tuple(
                 TransactionRecord.from_dict(t, interned) for t in data["transactions"]
             ),
@@ -337,7 +378,16 @@ def compute_block_hash(
     Genesis additionally folds its metadata into the preimage so that the
     hash-function name, format version and validator set are themselves
     tamper-evident.
+
+    The preimage is the canonical JSON of a dict of these fields. Without
+    ``meta``, and with an exactly-``int`` index and timestamp, it is
+    spliced into a template rather than encoded as a dict.
     """
+    if meta is None and type(index) is int and type(timestamp) is int:
+        preimage = _BLOCK.format(
+            index, _json_str(prev_hash), timestamp, encode_array(map(_json_str, tx_digests))
+        )
+        return digest_bytes(preimage.encode("utf-8"))
     preimage: dict = {
         "index": index,
         "prev_hash": prev_hash,
@@ -380,6 +430,8 @@ class WorldState:
 
 
 def _apply_tx_to_state(state: WorldState, tx: TransactionRecord) -> None:
+    if tx.kind == TxKind.ENFORCEMENT_DECISION:
+        return  # intent only; it does not mutate state, so it is not parsed
     body = tx.body()
     if tx.kind in (TxKind.POLICY_DEPLOY, TxKind.POLICY_UPDATE):
         pid = body["policy_id"]
@@ -416,7 +468,6 @@ def _apply_tx_to_state(state: WorldState, tx: TransactionRecord) -> None:
             state.endpoint_attrs.setdefault("automated", {}).setdefault(ep, {})[
                 "infected"
             ] = True
-    # ENFORCEMENT_DECISION carries intent only; it does not mutate state.
 
 
 # --------------------------------------------------------------------------
@@ -621,6 +672,8 @@ class Ledger:
             transactions=tuple(pending),
             validator_votes=votes,
         )
+        # The hash was just computed from these fields: keep it.
+        object.__setattr__(block, "_recomputed", block_hash)
         self.blocks.append(block)
         for tx in pending:
             self._seen_tx_ids.add(tx.tx_id)
@@ -665,9 +718,11 @@ class Ledger:
 def verify_chain(chain: list[LedgerBlock]) -> ChainVerdict:
     """Check every payload digest, block hash, link and vote set.
 
-    Each record's payload check and record digest are computed once per
-    record object, from its frozen fields, and reused by later calls;
-    every block hash, link and vote set is checked again on every call.
+    Block hashes are recomputed once per block object, and each record's
+    payload check and record digest once per record object, all from
+    frozen fields; links, votes and indices, and each comparison with a
+    stored hash, are checked on every call. Genesis, whose ``meta`` is
+    mutable, has its hash recomputed on every call.
 
     Returns Ok, or the earliest violated block and the failed check:
     digest (payload), hash (block hash), link (prev_hash), votes, index,
@@ -688,11 +743,7 @@ def verify_chain(chain: list[LedgerBlock]) -> ChainVerdict:
         for tx in block.transactions:
             if not tx.payload_intact():
                 return ChainVerdict(False, pos, "digest")
-        digests = [tx.record_digest() for tx in block.transactions]
-        recomputed = compute_block_hash(
-            block.index, block.prev_hash, block.timestamp, digests, block.meta
-        )
-        if recomputed != block.block_hash:
+        if block.recomputed_hash() != block.block_hash:
             return ChainVerdict(False, pos, "hash")
         if set(block.validator_votes) != expected_votes or any(
             v != VOTE_ACCEPT for v in block.validator_votes.values()

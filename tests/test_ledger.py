@@ -610,6 +610,14 @@ def test_replay_refuses_corrupt_chain():
         replay_state(mutated)
 
 
+def test_replay_does_not_parse_decisions(run_chain, monkeypatch):
+    real = TransactionRecord.body
+    parsed = []
+    monkeypatch.setattr(TransactionRecord, "body", lambda tx: parsed.append(tx.kind) or real(tx))
+    replay_state(run_chain)
+    assert parsed and TxKind.ENFORCEMENT_DECISION not in parsed
+
+
 # -- query_history -----------------------------------------------------------
 
 
@@ -861,10 +869,14 @@ def _twins(path):
 @pytest.mark.parametrize(
     "field, value, expected",
     [
-        # The priority is read through int(), so false and 0.0 read as the
-        # committed 0 and the record still hashes as committed.
-        ("priority", False, ChainVerdict(True)),
-        ("priority", 0.0, ChainVerdict(True)),
+        # Each non-integer would read through int() as the committed value,
+        # or as another integer, so only its JSON type shows the edit.
+        ("priority", False, "format"),
+        ("priority", 0.0, "format"),
+        ("timestamp", True, "format"),
+        ("timestamp", float, "format"),
+        ("timestamp", str, "format"),
+        ("index", float, "format"),
         ("actor", 5, "hash"),
     ],
 )
@@ -877,22 +889,139 @@ def test_type_tampered_chain_file(run_chain, tmp_path, capsys, field, value, exp
     lines = path.read_text().splitlines()
     block = json.loads(lines[b])
     record = block["transactions"][t]
-    (record["metadata"] if field == "priority" else record)[field] = value
+    target = {"priority": record["metadata"], "index": block}.get(field, record)
+    # A type stands for the committed value converted to it.
+    target[field] = value(target[field]) if isinstance(value, type) else value
     lines[b] = canonical_json(block)
     path.write_text("\n".join(lines) + "\n")
 
     chain = import_chain(path)
-    if expected == "hash":
-        expected = ChainVerdict(False, b, "hash")
-    assert verify_chain(chain) == expected
-    assert main(["verify-chain", str(path)]) == (0 if expected else 1)
+    assert verify_chain(chain) == ChainVerdict(False, b, expected)
+    assert main(["verify-chain", str(path)]) == 1
     assert "Traceback" not in capsys.readouterr().err
+    if expected == "hash":
+        # The record still shares its metadata with its twin.
+        assert chain[b].transactions[t].metadata is chain[twin_b].transactions[twin_t].metadata
 
-    tampered = chain[b].transactions[t].metadata
-    twin = chain[twin_b].transactions[twin_t].metadata
-    if field == "priority":
-        # Equal once read, but the wire values differ in type: two objects.
-        assert tampered == twin and tampered is not twin
-    else:
-        assert tampered is twin
 
+def test_import_interns_metadata_by_wire_type():
+    wire = TxMetadata().to_dict()
+    interned = {}
+    one = TxMetadata.from_dict({**wire, "threat_type": 1}, interned)
+    true = TxMetadata.from_dict({**wire, "threat_type": True}, interned)
+    # Equal once read, but they encode differently: two objects.
+    assert one == true and one is not true
+    assert one.fragment() != true.fragment()
+    assert TxMetadata.from_dict({**wire, "threat_type": 1}, interned) is one
+
+
+# -- per-block hash memo -----------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["index", "prev_hash", "timestamp", "transactions"])
+def test_replacing_a_field_of_a_verified_block_is_detected(run_chain, name):
+    pos = len(run_chain) // 2
+    block = run_chain[pos]
+    assert pos > 0 and block.transactions
+    assert block._recomputed == block.block_hash  # filled
+    value = {
+        "index": block.index + 1,
+        "prev_hash": digest_value("forged"),
+        "timestamp": block.timestamp + 1,
+        "transactions": list(block.transactions[:-1]),
+    }[name]
+    copy = dataclasses.replace(block, **{name: value})
+    assert copy._recomputed is None
+    assert copy.recomputed_hash() != block.block_hash
+    chain = list(run_chain)
+    chain[pos] = copy
+    reason = "index" if name == "index" else "hash"
+    assert verify_chain(chain) == ChainVerdict(False, pos, reason)
+    # The memo takes no part in equality or repr.
+    fresh = LedgerBlock.from_dict(block.to_dict(), {})
+    assert fresh._recomputed is None
+    assert block == fresh and repr(block) == repr(fresh)
+
+
+def test_a_caller_list_of_transactions_is_not_followed():
+    block = committed_chain(2).chain()[1]
+    txs = list(block.transactions)
+    copy = dataclasses.replace(block, transactions=txs)
+    assert copy.recomputed_hash() == block.block_hash
+    txs.pop()
+    assert copy.transactions == block.transactions
+
+
+def test_editing_genesis_meta_in_place_after_a_verify_is_detected():
+    chain = committed_chain(2).chain()
+    assert verify_chain(chain).ok
+    chain[0].meta["config_digest"] = "edited"
+    assert verify_chain(chain) == ChainVerdict(False, 0, "hash")
+
+
+def test_a_committed_block_keeps_the_hash_it_was_committed_with():
+    chain = committed_chain(3).chain()
+    assert chain[0]._recomputed is None
+    for block in chain[1:]:
+        assert block._recomputed == block.block_hash == ledger_module.compute_block_hash(
+            block.index, block.prev_hash, block.timestamp,
+            [tx.record_digest() for tx in block.transactions],
+        )
+
+
+def _count_block_hashes(monkeypatch):
+    """Index of every block ``ledger`` hashes from now on."""
+    real = ledger_module.compute_block_hash
+    hashed = []
+
+    def counting(index, *args):
+        hashed.append(index)
+        return real(index, *args)
+
+    monkeypatch.setattr(ledger_module, "compute_block_hash", counting)
+    return hashed
+
+
+def test_audit_path_hashes_each_imported_block_once(run_chain, tmp_path, monkeypatch):
+    from policyledger.metrics import samples_from_chain
+
+    path = tmp_path / "chain.ndjson"
+    export_chain(run_chain, path)
+    chain = import_chain(path)
+    hashed = _count_block_hashes(monkeypatch)
+    assert verify_chain(chain).ok
+    replay_state(chain)
+    samples_from_chain(chain)
+    # Genesis again on each later verification: replay's and the samples'.
+    assert hashed == [*range(len(chain)), 0, 0]
+
+
+def test_run_hashes_each_committed_block_once(monkeypatch):
+    from policyledger.runner import RunConfig, run_scenario
+
+    hashed = _count_block_hashes(monkeypatch)
+    chain = run_scenario(RunConfig(seed=7, scenario="ransomware", mode="both",
+                                   endpoints=6)).chain
+    assert sorted(i for i in hashed if i) == list(range(1, len(chain)))
+
+
+_WIRE_NUMBER = st.one_of(st.integers(-(10**30), 10**30), st.booleans(), st.floats())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    index=_WIRE_NUMBER,
+    prev_hash=_ANY_TEXT,
+    timestamp=_WIRE_NUMBER,
+    tx_digests=st.lists(_ANY_TEXT, max_size=5),
+)
+def test_block_hash_is_the_digest_of_the_preimage_dict(index, prev_hash, timestamp, tx_digests):
+    preimage = {
+        "index": index,
+        "prev_hash": prev_hash,
+        "timestamp": timestamp,
+        "tx_digests": tx_digests,
+    }
+    assert ledger_module.compute_block_hash(
+        index, prev_hash, timestamp, iter(tx_digests)
+    ) == digest_value(preimage)
