@@ -11,13 +11,12 @@ Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
 
 from .canonical import canonical_json
-from .cti import ForestModel, classify, decide, encode_features, ingest_feed
+from .cti import ForestModel, assess, ingest_feed, read_feed
 from .errors import (
     AmbiguityError,
     ConsensusFailure,
@@ -28,8 +27,8 @@ from .errors import (
     SchemaError,
 )
 from .ledger import import_chain, replay_state, verify_chain
-from .policy import combine_rule_sets, encode_rules, load_policy_file, query_policies
-from .runner import RunConfig, run_scenario
+from .policy import combine_rule_sets, encode_rules, load_policy_file
+from .runner import RunConfig, fixture_path, run_scenario
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -83,6 +82,11 @@ def _resolve_seed(args, config: RunConfig) -> int:
     return config.seed
 
 
+def _warn_skipped(diagnostics: list[str]) -> None:
+    for diag in diagnostics:
+        print(f"warning: skipped malformed {diag}", file=sys.stderr)
+
+
 def _cmd_run(args) -> int:
     try:
         config = RunConfig.from_file(args.config) if args.config else RunConfig()
@@ -108,7 +112,7 @@ def _cmd_run(args) -> int:
     try:
         result = run_scenario(config, outdir=args.out, report_format=args.report_format)
     except FileNotFoundError as exc:
-        print(f"error: missing input file: {exc}", file=sys.stderr)
+        print(f"error: missing input file: {exc.filename or exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
     except (InputError, SchemaError, AmbiguityError, FeedSchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -120,6 +124,7 @@ def _cmd_run(args) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
+    _warn_skipped(result.diagnostics)
     if args.verbose:
         print(f"config digest: {result.config_digest}")
         print(f"chain blocks:  {len(result.chain)}")
@@ -164,48 +169,23 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    feed_path = Path(args.feed_file)
-    if not feed_path.exists():
-        print(f"error: feed file not found: {feed_path}", file=sys.stderr)
-        return EXIT_MISSING_INPUT
-    if args.model:
-        model_path = Path(args.model)
-    else:
-        from .runner import fixture_path
-
-        model_path = fixture_path("model.json")
-    if not model_path.exists():
-        print(f"error: model file not found: {model_path}", file=sys.stderr)
-        return EXIT_MISSING_INPUT
-
     try:
-        model = ForestModel.from_file(model_path)
-        reports, diagnostics = ingest_feed(feed_path.read_text(encoding="utf-8"))
-        rule_set = None
-        if args.policies:
-            sets = []
-            for p in args.policies:
-                if not Path(p).exists():
-                    print(f"error: policy file not found: {p}", file=sys.stderr)
-                    return EXIT_MISSING_INPUT
-                rs, _ = encode_rules(load_policy_file(p))
-                sets.append(rs)
-            rule_set = combine_rule_sets(sets)
+        items = read_feed(args.feed_file)
+        model = ForestModel.from_file(args.model or fixture_path("model.json"))
+        rule_set = combine_rule_sets(encode_rules(load_policy_file(p))[0] for p in args.policies)
+    except FileNotFoundError as exc:
+        print(f"error: missing input file: {exc.filename or exc}", file=sys.stderr)
+        return EXIT_MISSING_INPUT
     except (FeedSchemaError, SchemaError, AmbiguityError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except json.JSONDecodeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
 
-    for diag in diagnostics:
-        print(f"warning: skipped malformed {diag}", file=sys.stderr)
+    reports, diagnostics = ingest_feed(items)
+    _warn_skipped(diagnostics)
     for report in reports:
-        threat_class = classify(model, encode_features(report))
+        threat_class, matched, decision = assess(model, rule_set, report)
         line = f"{report.report_id} {threat_class.severity_name} {threat_class.category.value}"
-        if rule_set is not None:
-            matched = query_policies(rule_set, threat_class.severity, report.technique_ids)
-            decision = decide(matched, model.threshold)
+        if args.policies:
             line += f" {decision.kind.value}"
             if matched:
                 line += f" [{','.join(r.rule_id for r in matched)}]"

@@ -8,6 +8,12 @@ in one block. A decision is always recorded - and validated by the
 simulated consensus - before any endpoint is touched; per-endpoint
 outcomes are then recorded individually, which is how a 100%-reliable
 contract layer coexists with a sub-100% endpoint application rate.
+
+``ContractEngine.run_cycle`` is the one decision cycle, for both arms:
+``execute_decision`` commits the plan's intent, ``enforce`` applies it
+(in parallel for the automated arm, through the analyst team for the
+human arm, chosen by the plan's arm), and ``commit_cycle`` closes the
+block.
 """
 
 from __future__ import annotations
@@ -437,8 +443,24 @@ class ContractEngine:
 
     # -- enforcement -----------------------------------------------------------
 
+    def run_cycle(
+        self,
+        decision: Decision,
+        matched: list[PolicyRule],
+        threat_class: Optional[ThreatClass] = None,
+        report: Optional[ThreatReport] = None,
+        arm: str = "automated",
+    ) -> list[ApplyResult]:
+        """One decision cycle on ``arm``'s fleet: plan, enforce, and commit
+        the cycle's transactions as one block; returns the results."""
+        plan = self.execute_decision(decision, matched, threat_class, report, arm)
+        results = self.enforce(plan)
+        self.commit_cycle()
+        return results
+
     def enforce(self, plan: EnforcementPlan) -> list[ApplyResult]:
-        """Apply a committed plan across the fleet.
+        """Apply a committed plan across its arm's fleet; a human-arm plan
+        goes to ``enforce_with_team``.
 
         Endpoints execute in parallel (per-endpoint substreams make the
         merge order-independent); actions for one endpoint run in plan

@@ -1,6 +1,12 @@
 """CTI ingestion, feature hashing, stump-forest classification, and the
 three-way response decision.
 
+``read_feed`` is the one check of a feed file's envelope (a JSON array),
+and ``ingest_feed`` turns its items into reports, skipping each malformed
+item with a diagnostic. ``assess`` is the one path from a report to a
+decision (encode, classify, query the policies, decide); both arms of a
+run and the ``classify`` command go through it.
+
 The classifier is a fixed forest of 100 one-feature decision stumps over
 a 256-wide hashed feature space: tokens, technique ids and CVE ids hash
 into reserved sub-ranges and the CVSS score is binned. Every stump that
@@ -131,21 +137,30 @@ def _parse_item(raw: dict) -> ThreatReport:
     )
 
 
-def ingest_feed(raw: str) -> tuple[list[ThreatReport], list[str]]:
-    """Parse a feed into normalized reports.
+def read_feed(path: str | Path) -> list:
+    """The items of one feed file.
 
-    Malformed items are skipped with one diagnostic each (never a silent
-    drop); an unreadable envelope raises FeedSchemaError.
+    An envelope that is not a JSON array raises FeedSchemaError naming the
+    file; a missing file raises FileNotFoundError.
     """
     try:
-        data = json.loads(raw)
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise FeedSchemaError(f"feed envelope is not valid JSON: {exc}") from exc
+        raise FeedSchemaError(f"{path}: feed envelope is not valid JSON: {exc}") from exc
     if not isinstance(data, list):
-        raise FeedSchemaError("feed envelope must be an array of items")
+        raise FeedSchemaError(f"{path}: feed envelope must be an array of items")
+    return data
+
+
+def ingest_feed(items: list) -> tuple[list[ThreatReport], list[str]]:
+    """Parse feed items into normalized reports.
+
+    Malformed items are skipped with one diagnostic each (never a silent
+    drop).
+    """
     reports: list[ThreatReport] = []
     diagnostics: list[str] = []
-    for i, raw_item in enumerate(data):
+    for i, raw_item in enumerate(items):
         try:
             reports.append(_parse_item(raw_item))
         except ValueError as exc:
@@ -248,27 +263,45 @@ class ForestModel:
 
     @classmethod
     def from_json(cls, text: str) -> "ForestModel":
-        data = json.loads(text)
+        """Parse a model file. Text that is not a JSON object, that has a
+        missing or mistyped key, or whose stumps could not classify an
+        encoded report raises InputError."""
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"model is not valid JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise InputError("model must be a JSON object")
         if data.get("format") != MODEL_FORMAT:
             raise InputError(f"unsupported model format {data.get('format')!r}")
-        stumps = tuple(
-            Stump(
-                feature_index=int(s["feature_index"]),
-                threshold=int(s["threshold"]),
-                vote_severity=int(s["vote_severity"]),
-                vote_category=ThreatCategory(s["vote_category"]),
+        try:
+            stumps = tuple(
+                Stump(
+                    feature_index=int(s["feature_index"]),
+                    threshold=int(s["threshold"]),
+                    vote_severity=int(s["vote_severity"]),
+                    vote_category=ThreatCategory(s["vote_category"]),
+                )
+                for s in data["stumps"]
             )
-            for s in data["stumps"]
-        )
-        return cls(
-            width=int(data["width"]),
-            stumps=stumps,
-            weights=tuple(float(w) for w in data["weights"]),
-            threshold=int(data["threshold"]),
-            learning_rate=float(data.get("learning_rate", 0.05)),
-            weight_floor=float(data.get("weight_floor", 0.01)),
-            weight_cap=float(data.get("weight_cap", 100.0)),
-        )
+            model = cls(
+                width=int(data["width"]),
+                stumps=stumps,
+                weights=tuple(float(w) for w in data["weights"]),
+                threshold=int(data["threshold"]),
+                learning_rate=float(data.get("learning_rate", 0.05)),
+                weight_floor=float(data.get("weight_floor", 0.01)),
+                weight_cap=float(data.get("weight_cap", 100.0)),
+            )
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"malformed model: {type(exc).__name__}: {exc}") from exc
+        if model.width != FEATURE_WIDTH:
+            raise InputError(f"model width {model.width} != feature width {FEATURE_WIDTH}")
+        for i, s in enumerate(model.stumps):
+            if not (0 <= s.feature_index < FEATURE_WIDTH and s.vote_severity in SEVERITY_NAMES):
+                raise InputError(f"stumps[{i}]: feature_index {s.feature_index} or "
+                                 f"vote_severity {s.vote_severity} out of range")
+        return model
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ForestModel":
@@ -309,6 +342,14 @@ def decide(matched_policies: list[PolicyRule], threshold: int = 3) -> Decision:
     return Decision(DecisionKind.STANDARD_MITIGATION_REQUIRED, rule_ids)
 
 
+def assess(model: ForestModel, rules: RuleSet,
+           report: ThreatReport) -> tuple[ThreatClass, list[PolicyRule], Decision]:
+    """Classify one report, match it against ``rules`` and decide."""
+    threat_class = classify(model, encode_features(report))
+    matched = query_policies(rules, threat_class.severity, report.technique_ids)
+    return threat_class, matched, decide(matched, model.threshold)
+
+
 def update_model(model: ForestModel, predicted: ThreatClass, success: bool) -> ForestModel:
     """Multiplicative feedback on the stumps voting the predicted class.
 
@@ -341,31 +382,25 @@ class CycleOutcome:
 
 
 def process_threat_intelligence(
-    feed_text: str,
+    reports: list[ThreatReport],
     model: ForestModel,
     rules: RuleSet,
     engine,
-) -> tuple[list[CycleOutcome], ForestModel, list[str]]:
-    """Run one ingest->classify->decide->enforce->learn pass per report.
+) -> tuple[list[CycleOutcome], ForestModel]:
+    """Run one assess->enforce->learn decision cycle per report.
 
-    Each report is one decision cycle and commits one block through the
-    engine. A failed stage aborts that report's cycle only. Returns the
-    outcomes, the updated model, and ingest diagnostics.
+    Each report commits one block through ``engine.run_cycle``. Nothing
+    here catches an error, so a failed stage aborts the whole pass; the
+    cycles committed before it stay on the chain. Returns the outcomes and
+    the updated model.
     """
-    reports, diagnostics = ingest_feed(feed_text)
     outcomes: list[CycleOutcome] = []
     for report in reports:
-        fv = encode_features(report)
-        threat_class = classify(model, fv)
-        matched = query_policies(rules, threat_class.severity, report.technique_ids)
-        decision = decide(matched, model.threshold)
-        plan = engine.execute_decision(decision, matched, threat_class, report)
-        results = engine.enforce(plan)
-        engine.commit_cycle()
-        success = all(r.success for r in results) if results else True
-        model = update_model(model, threat_class, success)
+        threat_class, matched, decision = assess(model, rules, report)
+        results = engine.run_cycle(decision, matched, threat_class, report)
+        model = update_model(model, threat_class, all(r.success for r in results))
         outcomes.append(CycleOutcome(report, threat_class, matched, decision, results))
-    return outcomes, model, diagnostics
+    return outcomes, model
 
 
 # --------------------------------------------------------------------------

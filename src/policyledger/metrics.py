@@ -175,10 +175,9 @@ def paired_t_test(a: Sequence[float], b: Sequence[float]) -> TTestResult:
 class MetricSample:
     """Per-policy enforcement outcomes for one arm.
 
-    ``durations`` holds successful updates only (the default denominator
-    decision); ``all_durations`` adds failures for sensitivity analysis.
-    ``endpoint_durations`` keys successful durations by endpoint so the
-    two arms can be paired per endpoint.
+    ``durations`` holds successful updates only, so ACT averages over
+    successes; ``endpoint_durations`` keys them by endpoint so the two
+    arms can be paired per endpoint.
     """
 
     label: str  # automated | human
@@ -187,16 +186,12 @@ class MetricSample:
     total: int
     durations: list[float] = field(default_factory=list)
     endpoint_durations: dict = field(default_factory=dict)
-    all_durations: list[float] = field(default_factory=list)
 
     def __post_init__(self):
         if self.successes > self.total:
             raise InputError("successes cannot exceed total")
         if len(self.durations) != self.successes:
             raise InputError("one duration per successful update expected")
-
-    def act(self, include_failures: bool = False) -> float:
-        return act(self.all_durations if include_failures else self.durations)
 
 
 def _metric_block(sample: MetricSample, z: float) -> dict:
@@ -378,10 +373,9 @@ def samples_from_chain(chain) -> tuple[list[MetricSample], list[MetricSample]]:
         key = (tx.metadata.arm, policy_id)
         bucket = acc.setdefault(
             key,
-            {"successes": 0, "total": 0, "durations": [], "by_endpoint": {}, "all": []},
+            {"successes": 0, "total": 0, "durations": [], "by_endpoint": {}},
         )
         bucket["total"] += 1
-        bucket["all"].append(float(body["duration_ms"]))
         if body["outcome"] == "success":
             bucket["successes"] += 1
             bucket["durations"].append(float(body["duration_ms"]))
@@ -397,7 +391,6 @@ def samples_from_chain(chain) -> tuple[list[MetricSample], list[MetricSample]]:
             total=bucket["total"],
             durations=bucket["durations"],
             endpoint_durations=bucket["by_endpoint"],
-            all_durations=bucket["all"],
         )
         (automated if arm == "automated" else human).append(sample)
     return automated, human

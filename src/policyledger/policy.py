@@ -9,9 +9,9 @@ value the comparator cannot take, an unknown target selector, or an
 time rather than failing mid-run.
 
 Each rule compiles its condition once, when the rule is built, into one
-check over an attribute mapping. One comparator table serves that check,
-``Condition.holds`` and the ``COMPARATORS`` vocabulary, so the three
-cannot disagree.
+check over an attribute mapping, ``PolicyRule.is_compliant``: the only
+evaluator of a condition. One comparator table serves that check and the
+``COMPARATORS`` vocabulary, so the two cannot disagree.
 
 ``action_writes`` is the one definition of what each action kind writes
 to an endpoint: the simulator applies it, and the ledger checks a planned
@@ -176,9 +176,6 @@ class Condition:
     attribute: str
     comparator: str
     value: object
-
-    def holds(self, attrs: dict) -> bool:
-        return _comparator(self.comparator)(attrs.get(self.attribute), self.value)
 
     def to_dict(self) -> dict:
         return {"attribute": self.attribute, "comparator": self.comparator, "value": self.value}

@@ -11,60 +11,23 @@ and chain export. Identical configs produce byte-identical outputs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 from typing import Optional
 
 from .canonical import digest_value, substream
 from .contracts import ContractEngine
-from .cti import (
-    CycleOutcome,
-    Decision,
-    ForestModel,
-    classify,
-    decide,
-    encode_features,
-    ingest_feed,
-    process_threat_intelligence,
-)
+from .cti import CycleOutcome, ForestModel, assess, ingest_feed, process_threat_intelligence, read_feed
 from .errors import InputError
 # Unused here, kept because perfbench's binding test reads runner.verify_chain.
 from .ledger import Ledger, export_chain, verify_chain  # noqa: F401
 from .metrics import ComparisonReport, build_comparison_report, render_report_text, samples_from_chain
-from .policy import PolicyDocument, load_policy_file, query_policies
+from .policy import load_policy_file
 from .simnet import AnalystTeam, Fleet, NetworkModel, SimClock, ThreatScenario, inject_threat, provision_fleet, snapshot
 
 SCENARIOS = ("smbv1", "rdp", "ransomware", "custom")
 MODES = ("automated", "human", "both")
-
-_CONFIG_KEYS = {
-    "seed",
-    "endpoints",
-    "scenario",
-    "mode",
-    "network",
-    "team",
-    "policies",
-    "feeds",
-    "model",
-    "infected_count",
-    "validators",
-}
-
-_NETWORK_KEYS = {
-    "auto_base_ms",
-    "auto_base_by_kind",
-    "auto_jitter_ms",
-    "auto_failure_prob",
-    "human_median_ms",
-    "human_median_ms_by_kind",
-    "human_sigma_log",
-    "human_error_prob",
-    "human_error_prob_by_kind",
-}
-
-_TEAM_KEYS = {"role_speed", "role_error"}
 
 
 def fixture_path(*parts: str) -> Path:
@@ -103,20 +66,27 @@ class RunConfig:
             raise InputError(f"unknown scenario {self.scenario!r}")
         if self.mode not in MODES:
             raise InputError(f"unknown mode {self.mode!r}")
+        for name in ("seed", "endpoints", "infected_count", "validators"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise InputError(f"{name} must be an integer, got {value!r}")
         if self.endpoints < 1:
             raise InputError("endpoints must be >= 1")
         if self.validators < 1:
             raise InputError("validators must be >= 1")
-        unknown = set(self.network) - _NETWORK_KEYS
-        if unknown:
-            raise InputError(f"unknown network keys: {sorted(unknown)}")
-        unknown = set(self.team) - _TEAM_KEYS
-        if unknown:
-            raise InputError(f"unknown team keys: {sorted(unknown)}")
+        # Building the run's network model and team is their one check.
+        try:
+            NetworkModel(**self.network)
+        except TypeError as exc:
+            raise InputError(f"invalid network config: {exc}") from exc
+        try:
+            AnalystTeam.default(**self.team)
+        except TypeError as exc:
+            raise InputError(f"invalid team config: {exc}") from exc
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        unknown = set(data) - _CONFIG_KEYS
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise InputError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
@@ -180,48 +150,7 @@ class RunResult:
     outcomes: list[CycleOutcome]
     audit_aggregate: float
     files: dict
-
-
-def _load_documents(paths: list[Path]) -> list[PolicyDocument]:
-    docs = []
-    for path in paths:
-        if not path.exists():
-            raise FileNotFoundError(str(path))
-        docs.append(load_policy_file(path))
-    return docs
-
-
-def _merge_feed_items(paths: list[Path]) -> list[dict]:
-    """Concatenate feed envelopes; per-item validation stays in the
-    pipeline so malformed items are diagnosed, not dropped here."""
-    from .errors import FeedSchemaError
-
-    items: list[dict] = []
-    for path in paths:
-        if not path.exists():
-            raise FileNotFoundError(str(path))
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise FeedSchemaError(f"{path}: feed envelope is not valid JSON: {exc}") from exc
-        if not isinstance(data, list):
-            raise FeedSchemaError(f"{path}: feed envelope must be an array")
-        items.extend(data)
-    return items
-
-
-def _human_pipeline(
-    engine: ContractEngine,
-    decisions: list[tuple[Decision, list, object, object]],
-) -> None:
-    """Replays the decision sequence against the human fleet; one cycle
-    (block) per decision, enforcement by the analyst team."""
-    for decision, matched, threat_class, report in decisions:
-        plan = engine.execute_decision(
-            decision, matched, threat_class, report, arm="human"
-        )
-        engine.enforce_with_team(plan)
-        engine.commit_cycle()
+    diagnostics: list[str]  # one per malformed feed item that was skipped
 
 
 def run_scenario(
@@ -235,15 +164,14 @@ def run_scenario(
     CLI can map exit codes."""
     if report_format not in ("json", "text", "both"):
         raise InputError(f"unknown report format {report_format!r}")
+    documents = [load_policy_file(path) for path in config.resolved_policy_paths()]
+    feed_items = [item for path in config.resolved_feed_paths() for item in read_feed(path)]
+    model = ForestModel.from_file(config.resolved_model_path())
+
     config_digest = config.digest()
     clock = SimClock(0)
     fleet = provision_fleet(config.endpoints)
     human_fleet = provision_fleet(config.endpoints) if config.mode in ("human", "both") else None
-    net = NetworkModel(**config.network)
-    team = AnalystTeam.default(
-        role_speed=config.team.get("role_speed"),
-        role_error=config.team.get("role_error"),
-    )
     ledger = Ledger(
         validators=config.validators,
         genesis_timestamp=0,
@@ -253,34 +181,29 @@ def run_scenario(
         ledger=ledger,
         fleet=fleet,
         clock=clock,
-        net=net,
+        net=NetworkModel(**config.network),
         master_seed=config.seed,
         human_fleet=human_fleet,
-        team=team,
+        team=AnalystTeam.default(**config.team),
     )
 
-    documents = _load_documents(config.resolved_policy_paths())
     clock.advance(1_000)
     engine.deploy_contract("compliancecontract", documents)
-    contract = engine.active_contract("compliancecontract")
+    rules = engine.active_contract("compliancecontract").rule_set
 
     # Heartbeat audit: every run starts with a full compliance picture.
     clock.advance(1_000)
     audit = engine.run_full_audit("compliancecontract")
 
-    feed_items = _merge_feed_items(config.resolved_feed_paths())
-
     if config.scenario == "ransomware":
         stream = substream(config.seed, "inject")
         count = min(config.infected_count, len(fleet))
-        affected = tuple(sorted(stream.sample(fleet.ids(), count)))
-        scenario = ThreatScenario(affected_ids=affected)
+        scenario = ThreatScenario(affected_ids=tuple(sorted(stream.sample(fleet.ids(), count))))
         clock.advance(1_000)
         alert = inject_threat(fleet, scenario, clock.now)
         if human_fleet is not None:
             # The paired baseline faces the same infection.
-            for eid in affected:
-                human_fleet.get(eid).infected = True
+            inject_threat(human_fleet, scenario, clock.now)
         if alert is not None:
             engine.record_threat_alert(alert)
             feed_items.append(
@@ -295,39 +218,21 @@ def run_scenario(
                     "received_at": clock.now,
                 }
             )
-
-    feed_text = json.dumps(feed_items)
-    model_path = config.resolved_model_path()
-    if not model_path.exists():
-        raise FileNotFoundError(str(model_path))
-    model = ForestModel.from_file(model_path)
+    reports, diagnostics = ingest_feed(feed_items)
 
     outcomes: list[CycleOutcome] = []
-    decision_log: list[tuple[Decision, list, object, object]] = []
-    if config.mode in ("automated", "both"):
-        clock.advance(1_000)
-        outcomes, model, _diags = process_threat_intelligence(
-            feed_text, model, contract.rule_set, engine
-        )
-        decision_log = [
-            (o.decision, o.matched, o.threat_class, o.report) for o in outcomes
-        ]
+    if config.mode == "human":
+        # No automated arm, so no feedback: every report meets the loaded model.
+        decided = [(report, *assess(model, rules, report)) for report in reports]
     else:
-        # Human-only mode still needs the classification pass to reach a
-        # decision; the model is not updated (no automated feedback loop).
-        reports, _diags = ingest_feed(feed_text)
-        for report in reports:
-            threat_class = classify(model, encode_features(report))
-            matched = query_policies(
-                contract.rule_set, threat_class.severity, report.technique_ids
-            )
-            decision_log.append(
-                (decide(matched, model.threshold), matched, threat_class, report)
-            )
-
-    if config.mode in ("human", "both"):
         clock.advance(1_000)
-        _human_pipeline(engine, decision_log)
+        outcomes, _ = process_threat_intelligence(reports, model, rules, engine)
+        decided = [(o.report, o.threat_class, o.matched, o.decision) for o in outcomes]
+    if human_fleet is not None:
+        # The human arm replays the same decisions, one cycle (block) each.
+        clock.advance(1_000)
+        for report, threat_class, matched, decision in decided:
+            engine.run_cycle(decision, matched, threat_class, report, arm="human")
 
     chain = ledger.chain()
     # samples_from_chain's verification is the one check of the fresh chain.
@@ -368,4 +273,5 @@ def run_scenario(
         outcomes=outcomes,
         audit_aggregate=audit.aggregate,
         files=files,
+        diagnostics=diagnostics,
     )

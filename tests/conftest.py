@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from policyledger.contracts import ContractEngine
@@ -57,7 +55,3 @@ def make_tx(ledger: Ledger, kind=TxKind.ENFORCEMENT_DECISION, actor="contract-en
         body=body if body is not None else {"planned": [], "target_endpoints": []},
         metadata=TxMetadata(**meta) if meta else None,
     )
-
-
-def feed_text(items):
-    return json.dumps(items)

@@ -6,7 +6,6 @@ import random
 
 import pytest
 
-from conftest import feed_text
 from policyledger.cti import (
     CVSS_ABSENT,
     CVSS_BASE,
@@ -24,6 +23,7 @@ from policyledger.cti import (
     encode_features,
     ingest_feed,
     normalize_tokens,
+    read_feed,
     token_feature,
     update_model,
 )
@@ -58,7 +58,7 @@ def test_five_clean_items_give_five_reports():
         {"report_id": f"r{i}", "source": "s", "text": f"Alert Number {i}!", "received_at": i}
         for i in range(5)
     ]
-    reports, diags = ingest_feed(feed_text(items))
+    reports, diags = ingest_feed(items)
     assert len(reports) == 5 and diags == []
     assert all(t == t.lower() for r in reports for t in r.tokens)
 
@@ -69,7 +69,7 @@ def test_malformed_item_is_skipped_with_diagnostic():
         for i in range(4)
     ]
     items.insert(2, {"report_id": "bad", "source": "s", "received_at": 0})  # no text
-    reports, diags = ingest_feed(feed_text(items))
+    reports, diags = ingest_feed(items)
     assert len(reports) == 4
     assert len(diags) == 1 and "item[2]" in diags[0]
 
@@ -78,16 +78,19 @@ def test_normalization_strips_punctuation_and_lowercases():
     assert normalize_tokens("SMBv1 Exploit!!") == ("smbv1", "exploit")
 
 
-def test_unreadable_envelope_raises_feed_schema_error():
-    with pytest.raises(FeedSchemaError):
-        ingest_feed("{not json")
-    with pytest.raises(FeedSchemaError):
-        ingest_feed('{"items": []}')
+def test_unreadable_envelope_raises_feed_schema_error(tmp_path):
+    feed = tmp_path / "bad.json"
+    feed.write_text("{not json")
+    with pytest.raises(FeedSchemaError, match="bad.json"):
+        read_feed(feed)
+    feed.write_text('{"items": []}')
+    with pytest.raises(FeedSchemaError, match="bad.json"):
+        read_feed(feed)
 
 
 def test_cvss_out_of_range_is_item_diagnostic():
     items = [{"report_id": "r", "source": "s", "text": "x", "received_at": 0, "cvss": 11.0}]
-    reports, diags = ingest_feed(feed_text(items))
+    reports, diags = ingest_feed(items)
     assert reports == [] and len(diags) == 1
 
 
@@ -153,8 +156,7 @@ def test_ransomware_report_with_high_cvss_classifies_critical(model):
 
 
 def test_ransomware_fixture_feed_hand_evaluation(model):
-    raw = fixture_path("feeds", "ransomware.json").read_text(encoding="utf-8")
-    reports, _ = ingest_feed(raw)
+    reports, _ = ingest_feed(read_feed(fixture_path("feeds", "ransomware.json")))
     fv = encode_features(reports[0])
     totals = hand_vote(model, fv)
     # nokoyawa + ransomware tokens + T1486 + T1490 + the CVE all vote (4, ransomware)
@@ -164,14 +166,12 @@ def test_ransomware_fixture_feed_hand_evaluation(model):
 
 
 def test_benign_fixture_feed_classifies_informational(model):
-    raw = fixture_path("feeds", "benign.json").read_text(encoding="utf-8")
-    reports, _ = ingest_feed(raw)
+    reports, _ = ingest_feed(read_feed(fixture_path("feeds", "benign.json")))
     assert classify(model, encode_features(reports[0])) == ThreatClass(0, ThreatCategory.OTHER)
 
 
 def test_smbv1_fixture_feed_classifies_high_exploit(model):
-    raw = fixture_path("feeds", "smbv1_advisory.json").read_text(encoding="utf-8")
-    reports, _ = ingest_feed(raw)
+    reports, _ = ingest_feed(read_feed(fixture_path("feeds", "smbv1_advisory.json")))
     assert classify(model, encode_features(reports[0])) == ThreatClass(3, ThreatCategory.EXPLOIT)
 
 
@@ -319,6 +319,24 @@ def test_model_has_a_hundred_stumps(model):
     assert len(model.stumps) == 100
     assert len(model.weights) == 100
     assert model.threshold == 3
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda m: m.update(width=10),
+        lambda m: m.update(width=float("inf")),
+        lambda m: m["stumps"][0].update(feature_index=FEATURE_WIDTH),
+        lambda m: m["stumps"][0].update(feature_index=-1),
+        lambda m: m["stumps"][0].update(vote_severity=5),
+    ],
+    ids=["width", "width-infinite", "index-high", "index-negative", "severity"],
+)
+def test_model_that_cannot_classify_is_rejected_at_load(edit):
+    data = json.loads(fixture_path("model.json").read_text(encoding="utf-8"))
+    edit(data)
+    with pytest.raises(InputError):
+        ForestModel.from_json(json.dumps(data))
 
 
 def test_unsupported_model_format_rejected():

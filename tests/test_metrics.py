@@ -230,7 +230,6 @@ def sample(label, policy="p", successes=3, total=4, base=100.0, step=1.0):
         total=total,
         durations=durations,
         endpoint_durations={f"ep-{i:03d}": d for i, d in enumerate(durations)},
-        all_durations=durations + [base] * (total - successes),
     )
 
 
@@ -301,15 +300,6 @@ def test_thousand_randomized_inputs_match_reference_oracle():
         ref = stats.ttest_rel(xs, ys)
         assert ours.t == pytest.approx(float(ref.statistic), rel=1e-9)
         assert ours.p == pytest.approx(float(ref.pvalue), rel=1e-9, abs=1e-300)
-
-
-def test_act_can_include_failures_for_sensitivity():
-    s = MetricSample(
-        label="automated", policy_id="p", successes=2, total=3,
-        durations=[100.0, 200.0], all_durations=[100.0, 200.0, 600.0],
-    )
-    assert s.act() == 150.0
-    assert s.act(include_failures=True) == 300.0
 
 
 # -- samples_from_chain ----------------------------------------------------------

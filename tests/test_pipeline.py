@@ -5,7 +5,7 @@ import json
 import pytest
 
 from conftest import make_engine
-from policyledger.cti import DecisionKind, ForestModel, process_threat_intelligence
+from policyledger.cti import DecisionKind, ForestModel, ingest_feed, process_threat_intelligence, read_feed
 from policyledger.ledger import TxKind, query_history, replay_state, verify_chain
 from policyledger.policy import encode_rules, load_policy_file
 from policyledger.runner import RunConfig, fixture_path, run_scenario
@@ -23,7 +23,7 @@ def smb_feed(n_items=1, received=5000):
         item["report_id"] = f"feed-smb-{i:03d}"
         item["received_at"] = received + i
         items.append(item)
-    return json.dumps(items)
+    return ingest_feed(items)[0]
 
 
 def assert_audit_complete(chain, fleets):
@@ -56,10 +56,8 @@ def test_empty_feed_commits_nothing(engine, smbv1_doc):
     engine.deploy_contract("compliancecontract", [smbv1_doc])
     contract = engine.active_contract("compliancecontract")
     blocks_before = len(engine.ledger.chain())
-    outcomes, model, diags = process_threat_intelligence(
-        "[]", load_model(), contract.rule_set, engine
-    )
-    assert outcomes == [] and diags == []
+    outcomes, model = process_threat_intelligence([], load_model(), contract.rule_set, engine)
+    assert outcomes == []
     assert len(engine.ledger.chain()) == blocks_before
 
 
@@ -68,7 +66,7 @@ def test_one_cycle_block_per_report(smbv1_doc):
     engine.deploy_contract("compliancecontract", [smbv1_doc])
     contract = engine.active_contract("compliancecontract")
     blocks_before = len(engine.ledger.chain())
-    outcomes, _, _ = process_threat_intelligence(
+    outcomes, _ = process_threat_intelligence(
         smb_feed(12), load_model(), contract.rule_set, engine
     )
     assert len(outcomes) == 12
@@ -82,7 +80,7 @@ def test_smbv1_feed_drives_standard_mitigation(smbv1_doc):
     engine = make_engine(endpoints=10)
     engine.deploy_contract("compliancecontract", [smbv1_doc])
     contract = engine.active_contract("compliancecontract")
-    outcomes, model, _ = process_threat_intelligence(
+    outcomes, model = process_threat_intelligence(
         smb_feed(1), load_model(), contract.rule_set, engine
     )
     o = outcomes[0]
@@ -99,8 +97,8 @@ def test_benign_feed_drives_no_action(smbv1_doc):
     engine = make_engine(endpoints=4)
     engine.deploy_contract("compliancecontract", [smbv1_doc])
     contract = engine.active_contract("compliancecontract")
-    raw = fixture_path("feeds", "benign.json").read_text()
-    outcomes, _, _ = process_threat_intelligence(raw, load_model(), contract.rule_set, engine)
+    reports, _ = ingest_feed(read_feed(fixture_path("feeds", "benign.json")))
+    outcomes, _ = process_threat_intelligence(reports, load_model(), contract.rule_set, engine)
     assert outcomes[0].decision.kind == DecisionKind.NO_ACTION_REQUIRED
     assert outcomes[0].results == []
 
@@ -111,7 +109,7 @@ def test_second_pass_is_idempotent_no_new_targets(smbv1_doc):
     engine.deploy_contract("compliancecontract", [smbv1_doc])
     contract = engine.active_contract("compliancecontract")
     process_threat_intelligence(smb_feed(1), load_model(), contract.rule_set, engine)
-    outcomes, _, _ = process_threat_intelligence(
+    outcomes, _ = process_threat_intelligence(
         smb_feed(1, received=9000), load_model(), contract.rule_set, engine
     )
     # fleet already compliant: standard decision with an empty plan

@@ -7,7 +7,7 @@ import pytest
 
 from policyledger.cli import main
 from policyledger.errors import InputError
-from policyledger.ledger import ChainVerdict
+from policyledger.ledger import ChainVerdict, TxKind, query_history
 from policyledger.runner import RunConfig, fixture_path, run_scenario
 
 
@@ -21,6 +21,31 @@ def test_unknown_config_keys_rejected():
         RunConfig.from_dict({"network": {"warp_factor": 9}})
     with pytest.raises(InputError):
         RunConfig.from_dict({"team": {"mascots": 2}})
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"endpoints": "10"},
+        {"seed": "abc"},
+        {"seed": True},
+        {"infected_count": 2.5},
+        {"validators": None},
+        {"network": []},
+        {"network": {"auto_failure_prob": "x"}},
+        {"team": []},
+        {"team": {"role_speed": {"lead": "fast"}}},
+    ],
+    ids=repr,
+)
+def test_mistyped_config_values_are_exit_two_at_load(tmp_path, capsys, config):
+    with pytest.raises(InputError):
+        RunConfig.from_dict(config)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "o").exists()
 
 
 def test_invalid_enum_values_rejected():
@@ -279,6 +304,60 @@ def test_cli_classify_malformed_envelope_is_exit_two(tmp_path):
 
 def test_cli_classify_missing_feed_is_exit_three(tmp_path):
     assert main(["classify", str(tmp_path / "none.json")]) == 3
+
+
+@pytest.mark.parametrize("command", ["run", "classify"])
+@pytest.mark.parametrize(
+    "model_text",
+    ["{not json", '{"format": "policyledger-model/1"}', "[1, 2]"],
+    ids=["not-json", "no-stumps", "array"],
+)
+def test_cli_bad_model_file_is_exit_two(tmp_path, capsys, command, model_text):
+    model = tmp_path / "model.json"
+    model.write_text(model_text)
+    if command == "run":
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"endpoints": 4, "model": str(model)}))
+        argv = ["run", "--config", str(config), "--out", str(tmp_path / "o")]
+    else:
+        argv = ["classify", str(fixture_path("feeds", "smbv1_advisory.json")),
+                "--model", str(model)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_run_warns_about_skipped_feed_items_like_classify(tmp_path, capsys):
+    good = json.loads(fixture_path("feeds", "smbv1_advisory.json").read_text())
+    feed = tmp_path / "feed.json"
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"scenario": "smbv1", "endpoints": 4, "feeds": [str(feed)]}))
+    feed.write_text(json.dumps(good))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "clean")]) == 0
+    assert "warning" not in capsys.readouterr().err
+
+    feed.write_text(json.dumps(good + [{"report_id": "bad", "source": "s"}]))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "skip")]) == 0
+    warning = "warning: skipped malformed item[1]: missing or invalid text\n"
+    assert capsys.readouterr().err == warning
+    assert main(["classify", str(feed)]) == 0
+    assert capsys.readouterr().err == warning
+    for name in ("chain.ndjson", "report.json", "report.txt"):
+        assert (tmp_path / "skip" / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
+
+
+@pytest.mark.parametrize("mode", ["automated", "human"])
+@pytest.mark.parametrize("scenario", ["smbv1", "rdp"])
+def test_run_and_classify_decide_alike(capsys, scenario, mode):
+    feed = fixture_path("feeds", f"{scenario}_advisory.json")
+    policy = fixture_path("policies", f"{scenario}.json")
+    assert main(["classify", str(feed), "--policies", str(policy)]) == 0
+    # report_id severity category decision [rule ids]
+    _, _, _, kind, rule_ids = capsys.readouterr().out.splitlines()[0].split()
+    result = run_scenario(RunConfig(scenario=scenario, mode=mode, endpoints=4, seed=1))
+    body = query_history(result.chain, kind=TxKind.ENFORCEMENT_DECISION)[0].body()
+    assert body["decision"] == kind
+    assert body["matched_rule_ids"] == rule_ids.strip("[]").split(",")
 
 
 def test_cli_replay_lists_both_versions_after_upgrade(tmp_path, capsys):
