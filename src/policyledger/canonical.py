@@ -20,17 +20,38 @@ ZERO_DIGEST = "0" * 64
 # json.dumps with non-default arguments builds a new encoder on every call.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
-
-def canonical_json(value: Any) -> str:
-    """Serialize ``value`` to its canonical JSON form."""
-    return _ENCODER.encode(value)
-
-
 # What _ENCODER writes for a str, without the calls canonical_json makes
 # to get there.
 encode_str = (
     json.encoder.encode_basestring_ascii if _ENCODER.ensure_ascii else json.encoder.encode_basestring
 )
+
+# _ENCODER.encode still builds a C encoder on every call; build it once.
+# Its circular-reference markers outlive each call, and a failed encode
+# leaves entries behind, so canonical_json clears them on every error.
+_MARKERS: dict = {}
+_C_ENCODE = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
+    _MARKERS if _ENCODER.check_circular else None,
+    _ENCODER.default,
+    encode_str,
+    _ENCODER.indent,
+    _ENCODER.key_separator,
+    _ENCODER.item_separator,
+    _ENCODER.sort_keys,
+    _ENCODER.skipkeys,
+    _ENCODER.allow_nan,
+)
+
+
+def canonical_json(value: Any) -> str:
+    """Serialize ``value`` to its canonical JSON form."""
+    if _C_ENCODE is None:
+        return _ENCODER.encode(value)
+    try:
+        return "".join(_C_ENCODE(value, 0))
+    except BaseException:
+        _MARKERS.clear()
+        raise
 
 
 def object_template(*keys: str) -> str:

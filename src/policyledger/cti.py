@@ -140,11 +140,14 @@ def _parse_item(raw: dict) -> ThreatReport:
 def read_feed(path: str | Path) -> list:
     """The items of one feed file.
 
-    An envelope that is not a JSON array raises FeedSchemaError naming the
-    file; a missing file raises FileNotFoundError.
+    A file that is not UTF-8 text, or whose envelope is not a JSON array,
+    raises FeedSchemaError naming the file; a missing file raises
+    FileNotFoundError.
     """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise FeedSchemaError(f"{path}: feed is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FeedSchemaError(f"{path}: feed envelope is not valid JSON: {exc}") from exc
     if not isinstance(data, list):
@@ -305,7 +308,11 @@ class ForestModel:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ForestModel":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise InputError(f"model is not UTF-8 text: {exc}") from exc
+        return cls.from_json(text)
 
 
 def classify(model: ForestModel, fv: list[int]) -> ThreatClass:

@@ -28,12 +28,16 @@ handful of distinct metadata values encodes only that many fragments.
 Chain files are newline-delimited: one canonical-JSON block per line.
 The genesis block records the hash function name, the export format
 version, the validator set, and the run's config digest; all of it is
-covered by the genesis block hash.
+covered by the genesis block hash. A chain file passes through memory
+one line at a time: export builds and writes each block's line in turn,
+splicing each record's line from its fields' encodings and its metadata's
+kept fragment, and import parses each line as it reads it.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -61,9 +65,16 @@ CHAIN_FORMAT = "policyledger-chain/1"
 VOTE_ACCEPT = "accept"
 
 # A record digest's preimage: canonical JSON of every field but the payload.
-_ENVELOPE = object_template("tx_id", "timestamp", "kind", "actor", "payload_digest", "metadata")
+_ENVELOPE_KEYS = ("tx_id", "timestamp", "kind", "actor", "payload_digest", "metadata")
+_ENVELOPE = object_template(*_ENVELOPE_KEYS)
+# A record as a chain file holds it: the envelope plus the payload.
+_RECORD = object_template(*_ENVELOPE_KEYS, "payload")
 # A non-genesis block hash's preimage.
 _BLOCK = object_template("index", "prev_hash", "timestamp", "tx_digests")
+# A non-genesis block as a chain file holds it.
+_BLOCK_LINE = object_template(
+    "index", "prev_hash", "block_hash", "timestamp", "transactions", "validator_votes"
+)
 
 
 def _json_str(value) -> str:
@@ -251,8 +262,17 @@ class TransactionRecord:
     def _envelope(self) -> str:
         """Canonical JSON of the envelope (every field but the payload,
         metadata as a dict), spliced around the metadata's kept fragment."""
+        return _ENVELOPE.format(*self._envelope_members())
+
+    def wire_json(self) -> str:
+        """Canonical JSON of ``to_dict()``: the envelope's members and the
+        payload, spliced like ``_envelope``."""
+        return _RECORD.format(*self._envelope_members(), _json_str(self.payload))
+
+    def _envelope_members(self) -> tuple[str, ...]:
+        """Each envelope field as canonical JSON, in ``_ENVELOPE_KEYS`` order."""
         ts = self.timestamp
-        return _ENVELOPE.format(
+        return (
             _json_str(self.tx_id),
             ts if type(ts) is int else canonical_json(ts),
             _json_str(self.kind.value),
@@ -342,6 +362,24 @@ class LedgerBlock:
         if self.meta is not None:
             out["meta"] = self.meta
         return out
+
+    def wire_json(self) -> str:
+        """Canonical JSON of ``to_dict()``: the block's chain-file line.
+
+        Without ``meta``, and with an exactly-``int`` index and timestamp,
+        it is spliced into a template from each record's ``wire_json``.
+        """
+        index, timestamp = self.index, self.timestamp
+        if self.meta is not None or type(index) is not int or type(timestamp) is not int:
+            return canonical_json(self.to_dict())
+        return _BLOCK_LINE.format(
+            index,
+            _json_str(self.prev_hash),
+            _json_str(self.block_hash),
+            timestamp,
+            encode_array(tx.wire_json() for tx in self.transactions),
+            canonical_json(self.validator_votes),
+        )
 
     _WIRE_KEYS = frozenset(
         {"index", "prev_hash", "block_hash", "timestamp", "transactions", "validator_votes"}
@@ -842,26 +880,41 @@ class CorruptBlock(LedgerBlock):
 
 
 def export_chain(chain: list[LedgerBlock], path: str | Path) -> None:
-    """Write the chain as newline-delimited canonical JSON blocks."""
-    lines = [canonical_json(block.to_dict()) for block in chain]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write the chain as newline-delimited canonical JSON blocks.
+
+    Each block's line is written as soon as it is built, to a sibling
+    temporary file that then replaces ``path``; if any block fails to
+    encode, ``path`` keeps what it held and the temporary file is removed.
+    """
+    path = Path(path)
+    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(partial, "wb") as out:
+            for block in chain:
+                out.write(block.wire_json().encode("utf-8"))
+                out.write(b"\n")
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def import_chain(path: str | Path) -> list[LedgerBlock]:
-    """Read a chain file leniently: unparseable lines become CorruptBlock
-    entries so verification can still report the earliest bad position.
+    """Read a chain file leniently, one line at a time: unparseable lines
+    become CorruptBlock entries so verification can still report the
+    earliest bad position. Positions count every line, blank ones too.
 
     Metadata is interned for this call only: records whose metadata reads
     the same share one ``TxMetadata`` object, and with it one fragment.
     """
-    raw = Path(path).read_bytes()
     chain: list[LedgerBlock] = []
     interned: dict[str, TxMetadata] = {}
-    for pos, line in enumerate(raw.split(b"\n")):
-        if not line.strip():
-            continue
-        try:
-            chain.append(LedgerBlock.from_dict(json.loads(line.decode("utf-8")), interned))
-        except Exception:
-            chain.append(CorruptBlock.at(pos))
+    with open(path, "rb") as lines:
+        for pos, line in enumerate(lines):
+            if not line.strip():
+                continue
+            try:
+                chain.append(LedgerBlock.from_dict(json.loads(line.decode("utf-8")), interned))
+            except Exception:
+                chain.append(CorruptBlock.at(pos))
     return chain

@@ -375,7 +375,11 @@ def load_policy_document(source: str) -> PolicyDocument:
 
 
 def load_policy_file(path: str | Path) -> PolicyDocument:
-    return load_policy_document(Path(path).read_text(encoding="utf-8"))
+    try:
+        source = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError("$", f"not UTF-8 text: {exc}") from exc
+    return load_policy_document(source)
 
 
 # --------------------------------------------------------------------------

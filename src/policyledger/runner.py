@@ -74,6 +74,12 @@ class RunConfig:
             raise InputError("endpoints must be >= 1")
         if self.validators < 1:
             raise InputError("validators must be >= 1")
+        for name in ("policies", "feeds"):
+            paths = getattr(self, name)
+            if not isinstance(paths, list) or not all(isinstance(p, str) for p in paths):
+                raise InputError(f"{name} must be a list of path strings, got {paths!r}")
+        if self.model is not None and not isinstance(self.model, str):
+            raise InputError(f"model must be a path string or null, got {self.model!r}")
         # Building the run's network model and team is their one check.
         try:
             NetworkModel(**self.network)
@@ -95,6 +101,8 @@ class RunConfig:
     def from_file(cls, path: str | Path) -> "RunConfig":
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise InputError(f"config file is not UTF-8 text: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise InputError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):

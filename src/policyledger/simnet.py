@@ -182,6 +182,12 @@ class NetworkModel:
     )
 
     def __post_init__(self):
+        for name in ("auto_base_by_kind", "human_median_ms_by_kind", "human_error_prob_by_kind"):
+            by_kind = getattr(self, name)
+            if not isinstance(by_kind, dict) or not all(
+                isinstance(k, str) and type(v) in (int, float) for k, v in by_kind.items()
+            ):
+                raise InputError(f"{name} must map action kinds to numbers, got {by_kind!r}")
         _check_prob("auto_failure_prob", self.auto_failure_prob)
         _check_prob("human_error_prob", self.human_error_prob)
         for kind, p in self.human_error_prob_by_kind.items():

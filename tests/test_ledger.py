@@ -3,6 +3,9 @@
 import dataclasses
 import json
 import random
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -71,6 +74,31 @@ def test_object_template_places_members_at_their_sorted_keys():
     values = (1, [2, "x"], "}{", None, {"z": 0.5})
     members = [canonical_json(v) for v in values]
     assert object_template(*keys).format(*members) == canonical_json(dict(zip(keys, values)))
+
+
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+              st.text(), st.sampled_from(["é ✓ 漢字 🔒", "\x00\x1f\x7f", '"\\'])),
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.dictionaries(st.text(max_size=6), children, max_size=4)),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=_JSON_VALUES)
+def test_canonical_json_is_json_dumps_with_the_canonical_settings(value):
+    def dumps(v):
+        return json.dumps(v, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+    assert canonical_json(value) == dumps(value)
+    # A failed encode must not leave the encoder thinking the containers it
+    # was inside are still open.
+    outer = [value, {"inner": [object()]}]
+    with pytest.raises(TypeError):
+        canonical_json(outer)
+    outer[1]["inner"].pop()
+    assert canonical_json(outer) == dumps(outer)
 
 
 def test_digest_is_sha256_hex():
@@ -1025,3 +1053,122 @@ def test_block_hash_is_the_digest_of_the_preimage_dict(index, prev_hash, timesta
     assert ledger_module.compute_block_hash(
         index, prev_hash, timestamp, iter(tx_digests)
     ) == digest_value(preimage)
+
+
+# -- streamed chain files ----------------------------------------------------
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    endpoints=st.integers(1, 60),
+    scenario=st.sampled_from(["smbv1", "rdp", "ransomware"]),
+    mode=st.sampled_from(["automated", "human", "both"]),
+)
+def test_streamed_export_is_the_dict_encoding_and_round_trips(seed, endpoints, scenario, mode):
+    from policyledger.runner import RunConfig, run_scenario
+
+    chain = run_scenario(RunConfig(seed=seed, endpoints=endpoints, scenario=scenario,
+                                   mode=mode)).chain
+    expected = "\n".join(canonical_json(b.to_dict()) for b in chain) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "first.ndjson"), Path(tmp, "second.ndjson")
+        export_chain(chain, first)
+        assert first.read_bytes() == expected.encode("utf-8")
+        export_chain(import_chain(first), second)
+        assert second.read_bytes() == first.read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    tx_id=_ANY_TEXT,
+    timestamp=st.one_of(st.integers(-(10**30), 10**30), st.booleans(), st.floats()),
+    actor=st.one_of(_ANY_TEXT, st.integers(), st.none()),
+    payload=st.one_of(_ANY_TEXT, st.integers(), st.none()),
+    payload_digest=_ANY_TEXT,
+    threat_actor=_SCALAR,
+    technique_ids=st.lists(_ANY_TEXT, max_size=4),
+    index=_WIRE_NUMBER,
+    block_timestamp=_WIRE_NUMBER,
+    prev_hash=st.one_of(_ANY_TEXT, st.integers()),
+)
+def test_a_replaced_record_splices_to_its_dict_encoding(
+    run_chain, tx_id, timestamp, actor, payload, payload_digest, threat_actor,
+    technique_ids, index, block_timestamp, prev_hash,
+):
+    block = run_chain[1]
+    first, *rest = block.transactions
+    metadata = dataclasses.replace(first.metadata, threat_actor=threat_actor,
+                                   technique_ids=technique_ids)
+    changed = dataclasses.replace(first, tx_id=tx_id, timestamp=timestamp, actor=actor,
+                                  payload=payload, payload_digest=payload_digest,
+                                  metadata=metadata)
+    assert changed.wire_json() == canonical_json(changed.to_dict())
+    spliced = dataclasses.replace(block, transactions=(changed, *rest), prev_hash=prev_hash)
+    assert spliced.wire_json() == canonical_json(spliced.to_dict())
+    for header in ({"index": index}, {"timestamp": block_timestamp}):
+        other = dataclasses.replace(spliced, **header)
+        assert other.wire_json() == canonical_json(other.to_dict())
+
+
+@pytest.mark.parametrize("existing", [True, False])
+def test_a_failed_export_leaves_the_target_as_it_was(run_chain, tmp_path, existing):
+    target = tmp_path / "chain.ndjson"
+    if existing:
+        target.write_bytes(b"the previous chain\n")
+    # The last block's first record cannot be encoded.
+    last = run_chain[-1]
+    bad = dataclasses.replace(last.transactions[0], actor=object())
+    broken = [*run_chain[:-1], dataclasses.replace(last, transactions=(bad, *last.transactions[1:]))]
+    with pytest.raises(TypeError):
+        export_chain(broken, target)
+    assert [p.name for p in tmp_path.iterdir()] == (["chain.ndjson"] if existing else [])
+    if existing:
+        assert target.read_bytes() == b"the previous chain\n"
+
+
+def test_import_positions_count_every_line(run_chain, tmp_path):
+    path = tmp_path / "chain.ndjson"
+    export_chain(run_chain[:4], path)
+    lines = path.read_bytes().splitlines()
+    clean = import_chain(path)
+
+    # CRLF endings and no final newline read as the same blocks.
+    path.write_bytes(b"\r\n".join(lines))
+    assert import_chain(path) == clean
+    assert verify_chain(import_chain(path)).ok
+
+    # Blank lines are skipped but counted: the garbage is at position 4.
+    path.write_bytes(b"\n".join([lines[0], b"", b"  \r", lines[1], b"{garbage", lines[2], lines[3]]))
+    chain = import_chain(path)
+    assert [type(b).__name__ for b in chain] == [
+        "LedgerBlock", "LedgerBlock", "CorruptBlock", "LedgerBlock", "LedgerBlock",
+    ]
+    assert chain[2].index == 4
+    assert verify_chain(chain) == ChainVerdict(False, 2, "format")
+
+    # A line that is not UTF-8 is corrupt at its own position.
+    path.write_bytes(b"\n".join([lines[0], lines[1], b"\xff" + lines[2]]) + b"\n")
+    assert import_chain(path)[2].index == 2
+
+
+def test_chain_io_holds_one_block_line_at_a_time(tmp_path):
+    chain = committed_chain(n_blocks=20, txs_per_block=30).chain()
+    path = tmp_path / "chain.ndjson"
+    export_chain(chain, path)  # fills each record's kept fragments
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        export_chain(chain, path)
+        _, export_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        imported = import_chain(path)
+        kept, import_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert imported == chain
+    # Whole-file copies (the lines, their join, the file's bytes, its split)
+    # would each cost about ``size``; one block line costs a twentieth.
+    assert export_peak < size
+    # What import holds beyond the chain it returns.
+    assert import_peak - kept < size

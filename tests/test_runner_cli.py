@@ -35,6 +35,14 @@ def test_unknown_config_keys_rejected():
         {"network": {"auto_failure_prob": "x"}},
         {"team": []},
         {"team": {"role_speed": {"lead": "fast"}}},
+        {"network": {"human_error_prob_by_kind": 5}},
+        {"network": {"auto_base_by_kind": 5}},
+        {"network": {"human_median_ms_by_kind": {"set_rdp_port": "slow"}}},
+        {"network": {"auto_base_by_kind": {"set_rdp_port": True}}},
+        {"policies": 5},
+        {"policies": "abc"},
+        {"feeds": [1]},
+        {"model": 5},
     ],
     ids=repr,
 )
@@ -300,6 +308,43 @@ def test_cli_classify_malformed_envelope_is_exit_two(tmp_path):
     feed = tmp_path / "bad.json"
     feed.write_text('{"not": "an array"}')
     assert main(["classify", str(feed)]) == 2
+
+
+_LATIN1 = "café".encode("latin-1")
+
+
+@pytest.mark.parametrize("bad", ["feed", "model", "policy"])
+def test_cli_classify_non_utf8_input_is_exit_two(tmp_path, capsys, bad):
+    files = {
+        "feed": fixture_path("feeds", "smbv1_advisory.json").read_bytes(),
+        "model": fixture_path("model.json").read_bytes(),
+        "policy": fixture_path("policies", "smbv1.json").read_bytes(),
+    }
+    files[bad] = b'[{"text": "' + _LATIN1 + b'"}]'
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    argv = ["classify", str(tmp_path / "feed"), "--model", str(tmp_path / "model"),
+            "--policies", str(tmp_path / "policy")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "UTF-8" in err
+
+
+@pytest.mark.parametrize("bad", ["config", "feed", "model", "policy"])
+def test_cli_run_non_utf8_input_is_exit_two(tmp_path, capsys, bad):
+    paths = {name: tmp_path / name for name in ("feed", "model", "policy")}
+    config = {"scenario": "smbv1", "endpoints": 4, "feeds": [str(paths["feed"])],
+              "model": str(paths["model"]), "policies": [str(paths["policy"])]}
+    paths["feed"].write_bytes(fixture_path("feeds", "smbv1_advisory.json").read_bytes())
+    paths["model"].write_bytes(fixture_path("model.json").read_bytes())
+    paths["policy"].write_bytes(fixture_path("policies", "smbv1.json").read_bytes())
+    (tmp_path / "config").write_text(json.dumps(config))
+    target = tmp_path / bad
+    target.write_bytes(target.read_bytes().replace(b"{", b'{"' + _LATIN1 + b'": 0, ', 1))
+    assert main(["run", "--config", str(tmp_path / "config"), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "UTF-8" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_classify_missing_feed_is_exit_three(tmp_path):
