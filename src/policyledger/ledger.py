@@ -6,8 +6,16 @@ whole transaction records, and links to the previous block hash. Each
 transaction is validated once, at submission; the block vote re-checks
 only records that bypassed that, and its verdict is stamped for every
 validator id. Live state folds only the policy records validation
-reads; world state is derived by replaying the chain, so two replays of
-the same chain are always identical.
+reads, and the values active policy requires are derived from it again
+only when a policy record commits; world state is derived by replaying
+the chain, so two replays of the same chain are always identical.
+
+A record built by ``TransactionRecord.create``, of a kind whose body
+validation reads, keeps the dict its payload was encoded from until its
+block commits, and validation reads that dict instead of parsing the
+payload back; the dict must be JSON data, which reads the same either
+way. A record from an import, the constructor or ``dataclasses.replace``
+has no such dict, and validation parses its payload.
 
 A decision is checked for the writes of its planned actions, as
 ``policy.action_writes`` defines them from the params alone: a firewall
@@ -97,6 +105,11 @@ class TxKind(str, Enum):
     ENFORCEMENT_DECISION = "enforcement_decision"
     ENFORCEMENT_RESULT = "enforcement_result"
     THREAT_ALERT = "threat_alert"
+
+
+#: The kinds whose bodies validation reads, to check them against active
+#: policy and pending writes.
+_BODY_CHECKED = frozenset({TxKind.POLICY_DEPLOY, TxKind.POLICY_UPDATE, TxKind.ENFORCEMENT_DECISION})
 
 
 #: Static actor -> kinds map per the default scenario configuration. The
@@ -200,6 +213,9 @@ class TransactionRecord:
     wire format, and ``dataclasses.replace`` starts a copy without them.
     The record digest's preimage embeds the metadata's kept fragment, so
     records sharing a ``TxMetadata`` object encode it once between them.
+    Likewise ``_source``, the body ``create`` encoded, which validation
+    reads until the record's block commits and drops it; ``create`` keeps
+    it only for the kinds whose bodies validation reads.
     """
 
     tx_id: str
@@ -211,6 +227,7 @@ class TransactionRecord:
     metadata: TxMetadata = field(default_factory=TxMetadata)
     _payload_ok: Optional[bool] = field(default=None, init=False, repr=False, compare=False)
     _digest: Optional[str] = field(default=None, init=False, repr=False, compare=False)
+    _source: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def create(
@@ -222,6 +239,13 @@ class TransactionRecord:
         body: dict,
         metadata: Optional[TxMetadata] = None,
     ) -> "TransactionRecord":
+        """A record whose payload is ``body`` in canonical JSON.
+
+        For the kinds validation reads, the record keeps ``body`` itself,
+        not a copy, until its block commits: the caller hands the dict
+        over, and neither it nor any value inside it may change until
+        then, or validation would read other values than the chain holds.
+        """
         payload = canonical_json(body)
         tx = cls(
             tx_id=tx_id,
@@ -234,6 +258,8 @@ class TransactionRecord:
         )
         # The digest was just computed from this payload: it is intact.
         object.__setattr__(tx, "_payload_ok", True)
+        if kind in _BODY_CHECKED:
+            object.__setattr__(tx, "_source", body)
         return tx
 
     def body(self) -> dict:
@@ -555,6 +581,13 @@ def _planned_settings(body: dict) -> list[tuple[str, str, object]]:
     ]
 
 
+def _validation_body(tx: TransactionRecord) -> dict:
+    """The body validation reads: the dict ``create`` encoded, while the
+    record is pending, or else the parsed payload."""
+    source = tx._source
+    return source if source is not None else tx.body()
+
+
 def _active_required_values(state: WorldState, skip_policy: Optional[str] = None):
     """attribute -> (value, policy_id) for every equals-condition of every
     active policy version."""
@@ -574,9 +607,14 @@ def validate_transaction(
     state: WorldState,
     pending: list[TransactionRecord],
     authorization: dict[str, frozenset[TxKind]],
+    required: dict,
 ) -> TxVerdict:
     """Deterministic admission checks: authorization, consistency with
     active policy, and absence of conflicting pending writes.
+
+    ``required`` is ``_active_required_values(state)``, which the caller
+    keeps; it is derived here again only when the record names an active
+    policy, whose own values the check skips.
 
     Raises MalformedTransaction when the payload digest does not
     recompute; that is corruption, not a validation outcome.
@@ -588,11 +626,12 @@ def validate_transaction(
     if tx.kind not in allowed:
         return TxVerdict(False, "authorization")
 
-    # Only these kinds are checked against active policy and pending writes.
-    if tx.kind not in (TxKind.POLICY_DEPLOY, TxKind.POLICY_UPDATE, TxKind.ENFORCEMENT_DECISION):
+    if tx.kind not in _BODY_CHECKED:
         return ACCEPT
-    body = tx.body()
-    required = _active_required_values(state, skip_policy=body.get("policy_id"))
+    body = _validation_body(tx)
+    skip = body.get("policy_id")
+    if skip in state.policies:
+        required = _active_required_values(state, skip_policy=skip)
 
     if tx.kind in (TxKind.POLICY_DEPLOY, TxKind.POLICY_UPDATE):
         # A new document must not demand a value another active policy forbids.
@@ -614,7 +653,7 @@ def validate_transaction(
         for other in pending:
             if other.kind != TxKind.ENFORCEMENT_DECISION:
                 continue
-            for ep, attr, val in _planned_settings(other.body()):
+            for ep, attr, val in _planned_settings(_validation_body(other)):
                 if (ep, attr) in mine and mine[(ep, attr)] != val:
                     return TxVerdict(False, "pending_conflict")
 
@@ -663,6 +702,9 @@ class Ledger:
         self.blocks: list[LedgerBlock] = [genesis]
         self.pending: list[TransactionRecord] = []
         self._state = WorldState()
+        # _active_required_values(self._state), derived again whenever a
+        # policy record commits; an empty state requires nothing.
+        self._required: dict = {}
         self._seq = 0
         self._seen_tx_ids: set[str] = set()
         # tx_id -> the record submit_transaction admitted under that id.
@@ -679,7 +721,9 @@ class Ledger:
         queue it for the next block when accepted."""
         if tx.tx_id in self._seen_tx_ids or tx.tx_id in self._admitted:
             raise InputError(f"duplicate tx_id {tx.tx_id}")
-        verdict = validate_transaction(tx, self._state, self.pending, self.authorization)
+        verdict = validate_transaction(
+            tx, self._state, self.pending, self.authorization, self._required
+        )
         if verdict:
             self.pending.append(tx)
             self._admitted[tx.tx_id] = tx
@@ -713,11 +757,16 @@ class Ledger:
         # The hash was just computed from these fields: keep it.
         object.__setattr__(block, "_recomputed", block_hash)
         self.blocks.append(block)
+        policy_committed = False
         for tx in pending:
             self._seen_tx_ids.add(tx.tx_id)
             # Validation reads only the active policies from live state.
             if tx.kind in (TxKind.POLICY_DEPLOY, TxKind.POLICY_UPDATE):
                 _apply_tx_to_state(self._state, tx)
+                policy_committed = True
+            object.__setattr__(tx, "_source", None)
+        if policy_committed:
+            self._required = _active_required_values(self._state)
         self.pending.clear()
         self._admitted.clear()
         return block
@@ -732,7 +781,9 @@ class Ledger:
             bypassed = bypassed or self._admitted.get(tx.tx_id) is not tx
             if bypassed:
                 try:
-                    verdict = validate_transaction(tx, self._state, seen, self.authorization)
+                    verdict = validate_transaction(
+                        tx, self._state, seen, self.authorization, self._required
+                    )
                 except MalformedTransaction:
                     return "reject:malformed"
                 if not verdict:

@@ -9,9 +9,12 @@ value the comparator cannot take, an unknown target selector, or an
 time rather than failing mid-run.
 
 Each rule compiles its condition once, when the rule is built, into one
-check over an attribute mapping, ``PolicyRule.is_compliant``: the only
-evaluator of a condition. One comparator table serves that check and the
-``COMPARATORS`` vocabulary, so the two cannot disagree.
+filter over a sequence of attribute mappings, ``PolicyRule.failing``: the
+only evaluator of a condition. It returns the mappings that fail the rule,
+scanning them afresh on every call in one loop, with no Python call per
+mapping. ``PolicyRule.is_compliant`` is that filter over one mapping. One
+comparator table serves the filter and the ``COMPARATORS`` vocabulary, so
+the two cannot disagree.
 
 ``action_writes`` is the one definition of what each action kind writes
 to an endpoint: the simulator applies it, and the ledger checks a planned
@@ -157,18 +160,22 @@ def _comparator(name: str) -> Callable[[object, object], bool]:
     return unknown
 
 
-def _compile(conditions: Iterable["Condition"]) -> Callable[[dict], bool]:
-    """One check for a conjunction: true when every comparison holds, in
-    order, a missing attribute reading as None."""
+def _compile(conditions: Iterable["Condition"]) -> Callable[[Iterable[dict]], list[dict]]:
+    """One filter for a conjunction: the mappings, in order, for which some
+    comparison fails, a missing attribute reading as None. Each mapping's
+    comparisons run in condition order and stop at the first that fails."""
     tests = tuple((c.attribute, _comparator(c.comparator), c.value) for c in conditions)
 
-    def check(attrs: dict) -> bool:
-        for attribute, compare, value in tests:
-            if not compare(attrs.get(attribute), value):
-                return False
-        return True
+    def failing(rows: Iterable[dict]) -> list[dict]:
+        out = []
+        for row in rows:
+            for attribute, compare, value in tests:
+                if not compare(row.get(attribute), value):
+                    out.append(row)
+                    break
+        return out
 
-    return check
+    return failing
 
 
 @dataclass(frozen=True)
@@ -187,9 +194,9 @@ class PolicyRule:
 
     The condition is a conjunction of attribute comparisons; an endpoint
     is compliant with the rule when every comparison holds. The condition
-    compiles once, at construction, into ``_check``: one call per
-    endpoint over the shared comparator table, with no per-condition
-    method dispatch. ``dataclasses.replace`` compiles the copy afresh.
+    compiles once, at construction, into ``_check``, the filter that
+    ``failing`` calls once per fleet over the shared comparator table.
+    ``dataclasses.replace`` compiles the copy afresh.
     """
 
     rule_id: str
@@ -199,13 +206,17 @@ class PolicyRule:
     remediation: EnforcementActionSpec
     technique_tags: tuple[str, ...] = ()
     policy_id: str = ""
-    _check: Callable[[dict], bool] = field(init=False, repr=False, compare=False)
+    _check: Callable[[Iterable[dict]], list[dict]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_check", _compile(self.condition))
 
+    def failing(self, rows: Iterable[dict]) -> list[dict]:
+        """The attribute mappings in ``rows`` that fail this rule, in order."""
+        return self._check(rows)
+
     def is_compliant(self, attrs: dict) -> bool:
-        return self._check(attrs)
+        return not self._check((attrs,))
 
     def observed(self, attrs: dict) -> dict:
         """The endpoint's actual values for this rule's attributes."""

@@ -153,6 +153,13 @@ def _check_prob(name: str, p: float) -> float:
     return p
 
 
+def _check_ms(name: str, value: float, jitter: float = 0) -> None:
+    """A latency, as a run reads it (``int(value)``), must be above
+    ``jitter``, which is not negative."""
+    if not (-math.inf < value < math.inf and int(value) > jitter):
+        raise InputError(f"{name} must be finite, with an integer part above {jitter}; got {value}")
+
+
 @dataclass
 class NetworkModel:
     """Latency/failure parameters for both arms.
@@ -192,14 +199,18 @@ class NetworkModel:
         _check_prob("human_error_prob", self.human_error_prob)
         for kind, p in self.human_error_prob_by_kind.items():
             _check_prob(f"human_error_prob_by_kind[{kind}]", p)
-        for name, value in (
-            ("auto_base_ms", self.auto_base_ms),
-            ("human_median_ms", self.human_median_ms),
-        ):
-            if value <= 0:
-                raise InputError(f"{name} must be positive")
-        if self.auto_jitter_ms < 0 or self.auto_jitter_ms >= self.auto_base_ms:
-            raise InputError("auto_jitter_ms must be in [0, auto_base_ms)")
+        jitter = self.auto_jitter_ms
+        # The jitter bounds a randint draw, which takes only integers.
+        if type(jitter) is not int or jitter < 0:
+            raise InputError(f"auto_jitter_ms must be an integer >= 0, got {jitter!r}")
+        # Every base a kind can draw from exceeds the jitter, so no drawn
+        # duration reaches zero; every median is a lognormal's positive scale.
+        _check_ms("auto_base_ms", self.auto_base_ms, jitter)
+        for kind, base in self.auto_base_by_kind.items():
+            _check_ms(f"auto_base_by_kind[{kind}]", base, jitter)
+        _check_ms("human_median_ms", self.human_median_ms)
+        for kind, median in self.human_median_ms_by_kind.items():
+            _check_ms(f"human_median_ms_by_kind[{kind}]", median)
 
     def auto_base_for(self, kind: str) -> int:
         return int(self.auto_base_by_kind.get(kind, self.auto_base_ms))

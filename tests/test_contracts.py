@@ -394,6 +394,46 @@ def test_compiled_check_equals_the_conditions_on_random_rules(conditions, fields
     assert make_engine(endpoints=1)._targets_for(rule, fleet) == brute
 
 
+# Rows as a fleet filter may meet them: any subset of the attributes.
+_partial_rows = st.lists(st.fixed_dictionaries({}, optional=_FIELD_VALUES), max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(conditions=st.lists(_conditions(), min_size=1, max_size=3),
+       fields=st.lists(_endpoint_fields, max_size=8), partial=_partial_rows)
+def test_compiled_targeting_equals_the_per_endpoint_filter(conditions, fields, partial):
+    rule = dataclasses.replace(_PROPERTY_RULES[0], condition=tuple(conditions))
+    fleet = Fleet(Endpoint(f"ep-{i:03d}", **f) for i, f in enumerate(fields))
+    for rows in ([vars(ep) for ep in fleet.endpoints()], partial):
+        # Targeting as it ran before the fleet filter: one check per row.
+        per_endpoint = _outcome(lambda: [row for row in rows if not rule.is_compliant(row)])
+        oracle = _outcome(lambda: [row for row in rows if not _oracle_compliant(rule, row)])
+        got = _outcome(lambda: rule.failing(iter(rows)))
+        assert got == per_endpoint == oracle
+        if isinstance(got, list):
+            assert all(a is b for a, b in zip(got, per_endpoint))
+    expected = [ep.endpoint_id for ep in fleet.endpoints() if not rule.is_compliant(vars(ep))]
+    assert make_engine(endpoints=1)._targets_for(rule, fleet) == expected
+
+
+def _outcome(filter_rows):
+    """The rows a filter keeps, or the error it raises (``lt`` and ``gt``
+    cannot order a missing attribute's None), message and all."""
+    try:
+        return filter_rows()
+    except TypeError as exc:
+        return repr(exc)
+
+
+def test_targeting_rescans_fields_written_between_decisions():
+    rule = next(r for r in _PROPERTY_RULES if r.rule_id == "rdp-port-33089")
+    fleet = provision_fleet(4)
+    engine = make_engine(endpoints=1)
+    assert engine._targets_for(rule, fleet) == fleet.ids()
+    fleet.get("ep-002").rdp_port = 33089
+    assert engine._targets_for(rule, fleet) == ["ep-000", "ep-001", "ep-003"]
+
+
 def test_targeting_makes_no_per_condition_call(smbv1_doc, rdp_doc, ransomware_doc):
     engine = make_engine(endpoints=6)
     contract = deploy(engine, [smbv1_doc, rdp_doc, ransomware_doc])

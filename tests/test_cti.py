@@ -1,10 +1,12 @@
 """CTI pipeline: ingestion, encoding, the stump forest and the decision."""
 
+import dataclasses
 import itertools
 import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from policyledger.cti import (
     CVSS_ABSENT,
@@ -17,6 +19,7 @@ from policyledger.cti import (
     ThreatCategory,
     ThreatClass,
     ThreatReport,
+    _CATEGORY_ORDER,
     build_default_model,
     classify,
     decide,
@@ -342,3 +345,140 @@ def test_model_that_cannot_classify_is_rejected_at_load(edit):
 def test_unsupported_model_format_rejected():
     with pytest.raises(InputError):
         ForestModel.from_json(json.dumps({"format": "other/9", "stumps": []}))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"learning_rate": 2.0, "weight_floor": -1.0},
+        {"learning_rate": 1.0},
+        {"learning_rate": -0.1},
+        {"learning_rate": float("nan")},
+        {"weight_floor": -1.0},
+        {"weight_floor": 5.0, "weight_cap": 1.0},
+        {"weight_cap": float("nan")},
+    ],
+    ids=repr,
+)
+def test_model_with_bad_hyperparameters_is_rejected_at_load(edit):
+    data = json.loads(fixture_path("model.json").read_text(encoding="utf-8"))
+    data.update(edit)
+    with pytest.raises(InputError):
+        ForestModel.from_json(json.dumps(data))
+
+
+# -- the compiled vote table against the stump loops it replaced ---------------
+
+
+def _loop_classify(model, fv):
+    """``classify`` as a loop over every stump, as it was before the vote
+    table: the oracle for the table's firing set, sums and tie-breaks."""
+    if len(fv) != model.width:
+        raise WidthMismatch("width")
+    totals = {}
+    for stump, weight in zip(model.stumps, model.weights):
+        if fv[stump.feature_index] > stump.threshold:
+            key = (stump.vote_severity, stump.vote_category.value)
+            totals[key] = totals.get(key, 0.0) + weight
+    if not totals:
+        return ThreatClass(0, ThreatCategory.OTHER)
+    best = min(
+        totals.items(),
+        key=lambda kv: (-kv[1], -kv[0][0], _CATEGORY_ORDER[kv[0][1]]),
+    )
+    (severity, category), _ = best
+    return ThreatClass(severity, ThreatCategory(category))
+
+
+def _loop_update(model, predicted, success):
+    """``update_model`` as a loop over every stump, rebuilt through
+    ``dataclasses.replace``, as it was before the vote table."""
+    factor = 1.0 + model.learning_rate if success else 1.0 - model.learning_rate
+    new_weights = []
+    for stump, weight in zip(model.stumps, model.weights):
+        if (
+            stump.vote_severity == predicted.severity
+            and stump.vote_category == predicted.category
+        ):
+            weight = min(model.weight_cap, max(model.weight_floor, weight * factor))
+        new_weights.append(weight)
+    return dataclasses.replace(model, weights=tuple(new_weights))
+
+
+def _bits(weights):
+    return [float(w).hex() for w in weights]
+
+
+# Few features, votes and weight values, so that stumps share features,
+# votes tie, and sums of equal weights in different orders come up.
+_WIDTH = 6
+_stumps = st.builds(
+    Stump,
+    feature_index=st.integers(0, _WIDTH - 1),
+    threshold=st.integers(-1, 2),
+    vote_severity=st.integers(0, 4),
+    vote_category=st.sampled_from([ThreatCategory.EXPLOIT, ThreatCategory.MALWARE,
+                                   ThreatCategory.OTHER]),
+)
+_weights = st.one_of(st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.6, 1.0, 2.0]),
+                     st.floats(0.0, 50.0, allow_nan=False))
+
+
+@st.composite
+def _models(draw):
+    stumps = tuple(draw(st.lists(_stumps, max_size=12)))
+    floor = draw(st.sampled_from([0.0, 0.01, 0.5]))
+    return ForestModel(
+        width=_WIDTH,
+        stumps=stumps,
+        weights=tuple(draw(st.lists(_weights, min_size=len(stumps), max_size=len(stumps)))),
+        learning_rate=draw(st.sampled_from([0.0, 0.05, 0.3, 0.999])),
+        weight_floor=floor,
+        weight_cap=draw(st.sampled_from([floor, 1.0, 3.0, 100.0]).filter(lambda c: c >= floor)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    model=_models(),
+    steps=st.lists(
+        st.tuples(st.lists(st.integers(0, 3), min_size=_WIDTH, max_size=_WIDTH), st.booleans()),
+        max_size=8,
+    ),
+)
+def test_vote_table_matches_the_stump_loops_bit_for_bit(model, steps):
+    oracle = model
+    for fv, success in steps:
+        predicted = classify(model, fv)
+        assert predicted == _loop_classify(oracle, fv)
+        model = update_model(model, predicted, success)
+        oracle = _loop_update(oracle, predicted, success)
+        assert _bits(model.weights) == _bits(oracle.weights)
+        assert model == oracle
+
+
+def test_vote_sums_follow_stump_order():
+    # 0.1 + 0.2 + 0.3 sums to 0.6000000000000001 in stump order and to 0.6
+    # in reverse, where it would tie the single 0.6 vote and lose it to the
+    # higher severity.
+    stumps = tuple(Stump(i, 0, 1, ThreatCategory.RECON) for i in range(3)) + (
+        Stump(3, 0, 2, ThreatCategory.MALWARE),
+    )
+    model = ForestModel(width=4, stumps=stumps, weights=(0.1, 0.2, 0.3, 0.6))
+    assert classify(model, [1, 1, 1, 1]) == ThreatClass(1, ThreatCategory.RECON)
+    assert _loop_classify(model, [1, 1, 1, 1]) == ThreatClass(1, ThreatCategory.RECON)
+
+
+def test_update_shares_the_vote_table(model):
+    updated = update_model(model, ThreatClass(3, ThreatCategory.EXPLOIT), success=False)
+    assert updated._table is model._table
+    assert updated.weights != model.weights
+
+
+def test_replace_compiles_a_new_vote_table(model):
+    reversed_model = dataclasses.replace(
+        model, stumps=model.stumps[::-1], weights=model.weights[::-1]
+    )
+    assert reversed_model._table is not model._table
+    assert reversed_model._table.features == tuple(s.feature_index for s in model.stumps[::-1])
+

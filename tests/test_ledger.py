@@ -291,6 +291,123 @@ def test_conflicting_pending_transactions_are_rejected():
     assert not verdict and verdict.reason == "pending_conflict"
 
 
+# -- validation from the kept dict ---------------------------------------------
+
+_PIDS = ["p1", "p2", "p3"]
+_json_scalars = st.one_of(st.none(), st.booleans(), st.integers(-1, 3),
+                          st.sampled_from([22, 3389, 33089, 0.5, "x"]))
+_conditions = st.fixed_dictionaries({
+    "attribute": st.sampled_from(["smbv1_enabled", "rdp_port", "proxy_outbound_blocked",
+                                  "isolated", "patch_level"]),
+    "comparator": st.sampled_from(["equals", "equals", "not_equals", "lt"]),
+    "value": st.one_of(_json_scalars, st.lists(_json_scalars, max_size=2)),
+})
+_policy_bodies = st.fixed_dictionaries(
+    {"policy_id": st.sampled_from(_PIDS),
+     "rules": st.lists(st.fixed_dictionaries({"condition": st.lists(_conditions, max_size=3)}),
+                       max_size=3)},
+    optional={"contract_id": st.just("c")},
+)
+_plans = st.one_of(
+    st.builds(lambda port: ("set_rdp_port", {"port": port}), st.sampled_from([22, 3389, 33089])),
+    st.builds(lambda blocked: ("update_proxy_rule", {"blocked": blocked}), st.booleans()),
+    st.builds(lambda iso: ("isolate_endpoint", {"isolated": iso}), st.booleans()),
+    st.builds(lambda level: ("apply_patch", {"level": level}), st.integers(0, 3)),
+    st.just(("apply_patch", {})),
+    st.just(("disable_smbv1", {})),
+    st.builds(lambda target: ("update_firewall_rule",
+                              {"direction": "outbound", "target": target, "verdict": "deny"}),
+              st.sampled_from(["*", "10.0.0.0/8"])),
+)
+_planned_items = st.builds(
+    lambda ep, plan: {"endpoint_id": ep, "kind": plan[0], "params": plan[1]},
+    st.sampled_from(["ep-000", "ep-001"]), _plans,
+)
+_decision_bodies = st.fixed_dictionaries(
+    {"planned": st.lists(_planned_items, max_size=4)},
+    # A decision naming a policy skips that policy's own values, as an update does.
+    optional={"policy_id": st.sampled_from(_PIDS)},
+)
+_records = st.one_of(
+    st.tuples(st.just(TxKind.ENFORCEMENT_DECISION), st.just("contract-engine"), _decision_bodies),
+    st.tuples(st.sampled_from([TxKind.POLICY_DEPLOY, TxKind.POLICY_UPDATE]),
+              st.just("policy-admin"), _policy_bodies),
+    st.tuples(st.just(TxKind.ENFORCEMENT_DECISION), st.just("human-team"), _decision_bodies),
+    st.tuples(st.just(TxKind.POLICY_UPDATE), st.just("contract-engine"), _policy_bodies),
+)
+
+
+def _parsed(tx):
+    """``tx`` as an import builds it: no kept dict, so validation parses."""
+    return TransactionRecord(tx.tx_id, tx.timestamp, tx.kind, tx.actor, tx.payload,
+                             tx.payload_digest, tx.metadata)
+
+
+@settings(max_examples=150, deadline=None)
+@given(committed=st.lists(_policy_bodies, max_size=3),
+       pending=st.lists(_decision_bodies, max_size=3), record=_records)
+def test_validating_the_kept_dict_equals_validating_the_parsed_payload(committed, pending, record):
+    ledger = fresh_ledger()
+    state = ledger_module.WorldState()
+    for body in committed:
+        tx = make_tx(ledger, kind=TxKind.POLICY_DEPLOY, actor="policy-admin", body=body)
+        ledger_module._apply_tx_to_state(state, _parsed(tx))
+    kept = [make_tx(ledger, body=body) for body in pending]
+    kind, actor, body = record
+    tx = make_tx(ledger, kind=kind, actor=actor, body=body)
+    assert tx._source is body and _parsed(tx)._source is None
+    required = ledger_module._active_required_values(state)
+    from_dict = ledger_module.validate_transaction(tx, state, kept, DEFAULT_AUTHORIZATION, required)
+    from_payload = ledger_module.validate_transaction(
+        _parsed(tx), state, [_parsed(p) for p in kept], DEFAULT_AUTHORIZATION, required
+    )
+    assert from_dict == from_payload
+
+
+@settings(max_examples=100, deadline=None)
+@given(steps=st.lists(st.tuples(_records, st.booleans()), max_size=10))
+def test_submit_with_the_kept_required_values_equals_validation_from_the_chain(steps):
+    # The ledger derives the values active policy requires only when a
+    # policy record commits; the oracle derives them from the replayed
+    # chain on every submission, from parsed records.
+    ledger = fresh_ledger()
+    for t, ((kind, actor, body), commit) in enumerate(steps, start=1):
+        tx = make_tx(ledger, kind=kind, actor=actor, body=body, timestamp=t)
+        state = replay_state(ledger.chain())
+        expected = ledger_module.validate_transaction(
+            _parsed(tx), state, [_parsed(p) for p in ledger.pending],
+            DEFAULT_AUTHORIZATION, ledger_module._active_required_values(state),
+        )
+        assert ledger.submit_transaction(tx) == expected
+        if commit and ledger.pending:
+            ledger.commit_block(t)
+    # No kept dict outlives its block's commit.
+    assert all(tx._source is None for block in ledger.chain() for tx in block.transactions)
+
+
+def _no_parse(tx):
+    raise AssertionError(f"parsed the payload of {tx.tx_id}")
+
+
+def test_submitting_a_created_record_parses_nothing(monkeypatch):
+    ledger = fresh_ledger()
+    assert ledger.submit_transaction(_policy_tx(ledger, TxKind.POLICY_DEPLOY, 33089))
+    ledger.commit_block(1)
+    monkeypatch.setattr(TransactionRecord, "body", _no_parse)
+    assert ledger.submit_transaction(_port_decision(ledger, 33089))
+    assert not ledger.submit_transaction(_port_decision(ledger, 4000))
+    assert ledger.submit_transaction(_policy_tx(ledger, TxKind.POLICY_UPDATE, 33089))
+
+
+def test_records_without_a_kept_dict_are_parsed():
+    ledger = fresh_ledger()
+    _require(ledger, "rdp_port", 33089)
+    replaced = dataclasses.replace(_port_decision(ledger, 4000))
+    assert replaced._source is None
+    verdict = ledger.submit_transaction(replaced)
+    assert not verdict and verdict.reason == "policy_conflict"
+
+
 # -- commit_block ------------------------------------------------------------
 
 

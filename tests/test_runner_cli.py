@@ -39,6 +39,13 @@ def test_unknown_config_keys_rejected():
         {"network": {"auto_base_by_kind": 5}},
         {"network": {"human_median_ms_by_kind": {"set_rdp_port": "slow"}}},
         {"network": {"auto_base_by_kind": {"set_rdp_port": True}}},
+        {"scenario": "rdp", "network": {"human_median_ms_by_kind": {"set_rdp_port": 0}}},
+        {"scenario": "rdp", "network": {"human_median_ms_by_kind": {"set_rdp_port": -60000}}},
+        {"scenario": "rdp", "network": {"auto_base_by_kind": {"set_rdp_port": -5}}},
+        {"network": {"auto_base_by_kind": {"set_rdp_port": 400}}},
+        {"network": {"human_median_ms_by_kind": {"disable_smbv1": float("inf")}}},
+        {"network": {"auto_base_ms": float("nan")}},
+        {"network": {"auto_jitter_ms": 0.5}},
         {"policies": 5},
         {"policies": "abc"},
         {"feeds": [1]},
@@ -351,11 +358,17 @@ def test_cli_classify_missing_feed_is_exit_three(tmp_path):
     assert main(["classify", str(tmp_path / "none.json")]) == 3
 
 
+def _fixture_model_with(**edit) -> str:
+    return json.dumps({**json.loads(fixture_path("model.json").read_text()), **edit})
+
+
 @pytest.mark.parametrize("command", ["run", "classify"])
 @pytest.mark.parametrize(
     "model_text",
-    ["{not json", '{"format": "policyledger-model/1"}', "[1, 2]"],
-    ids=["not-json", "no-stumps", "array"],
+    ["{not json", '{"format": "policyledger-model/1"}', "[1, 2]",
+     _fixture_model_with(learning_rate=2.0, weight_floor=-1.0),
+     _fixture_model_with(weight_floor=5.0, weight_cap=1.0)],
+    ids=["not-json", "no-stumps", "array", "rate-and-floor", "floor-above-cap"],
 )
 def test_cli_bad_model_file_is_exit_two(tmp_path, capsys, command, model_text):
     model = tmp_path / "model.json"
