@@ -5,12 +5,17 @@ compact separators, no ASCII escaping of non-ASCII text, and numbers
 rendered by Python's shortest-roundtrip repr. Two values that compare
 equal always serialize to identical bytes, which is what makes chain
 hashes and report digests reproducible across runs.
+
+Chain files and payloads are read back by ``decode_json``: one scan by
+a scanner built once, with ``json.loads`` as the fallback for anything
+that scan does not cover, so it accepts and fails as ``json.loads`` does.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import json.scanner
 import random
 from typing import Any, Iterable
 
@@ -52,6 +57,24 @@ def canonical_json(value: Any) -> str:
     except BaseException:
         _MARKERS.clear()
         raise
+
+
+# json.loads checks its argument, skips whitespace and wraps the scan in
+# Python on every call; the scanner underneath it is built once here.
+_SCAN = json.scanner.make_scanner(json.JSONDecoder())
+
+
+def decode_json(text: Any) -> Any:
+    """``json.loads(text)``: the value scanned from position 0 when the scan
+    ends at the end of ``text`` or just before one final newline; in every
+    other case, errors included, ``json.loads(text)`` decides."""
+    try:
+        value, end = _SCAN(text, 0)
+        if end == len(text) or (end == len(text) - 1 and text[end] == "\n"):
+            return value
+    except Exception:
+        pass
+    return json.loads(text)
 
 
 def object_template(*keys: str) -> str:

@@ -124,9 +124,11 @@ class ContractEngine:
         self.contracts: dict[str, list[SmartContract]] = {}
         self._cycle = 0
         self._plan_seq = 0
-        # One metadata object per arm for checks and results, so each
-        # encodes its digest fragment once per engine, not once per record.
+        # One metadata object per arm for checks and results, and one per
+        # distinct decision metadata, so each encodes its digest fragment
+        # once per engine, not once per record.
         self._arm_metadata = {arm: TxMetadata(arm=arm) for arm in ("automated", "human")}
+        self._decision_metadata: dict[tuple, TxMetadata] = {}
 
     # -- plumbing ------------------------------------------------------------
 
@@ -432,14 +434,20 @@ class ContractEngine:
 
     def _threat_metadata(self, threat_class, report, actions, arm) -> TxMetadata:
         kinds = sorted({pa.action.kind for pa in actions})
-        return TxMetadata(
-            threat_type=threat_class.category.value if threat_class else None,
-            threat_actor=report.actor if report else None,
-            technique_ids=report.technique_ids if report else (),
-            recommended_change=",".join(kinds) if kinds else "none",
-            priority=threat_class.severity if threat_class else 0,
-            arm=arm,
+        # TxMetadata's fields, typed by reports and classes, so equal tuples
+        # encode alike.
+        fields = (
+            threat_class.category.value if threat_class else None,
+            report.actor if report else None,
+            tuple(report.technique_ids) if report else (),
+            ",".join(kinds) if kinds else "none",
+            threat_class.severity if threat_class else 0,
+            arm,
         )
+        metadata = self._decision_metadata.get(fields)
+        if metadata is None:
+            metadata = self._decision_metadata[fields] = TxMetadata(*fields)
+        return metadata
 
     # -- enforcement -----------------------------------------------------------
 

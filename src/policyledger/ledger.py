@@ -36,26 +36,29 @@ handful of distinct metadata values encodes only that many fragments.
 Chain files are newline-delimited: one canonical-JSON block per line.
 The genesis block records the hash function name, the export format
 version, the validator set, and the run's config digest; all of it is
-covered by the genesis block hash. A chain file passes through memory
-one line at a time: export builds and writes each block's line in turn,
-splicing each record's line from its fields' encodings and its metadata's
-kept fragment, and import parses each line as it reads it.
+covered by the genesis block hash. Export writes each line one record
+at a time, spliced from its fields' encodings and its metadata's kept
+fragment; import reads one line at a time. Lines and payloads are parsed
+by ``canonical.decode_json``, one C scan with ``json.loads`` as its
+fallback, so every value read and every line refused is ``json.loads``'s.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
+from operator import eq
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .canonical import (
     HASH_FUNCTION_NAME,
     ZERO_DIGEST,
     canonical_bytes,
     canonical_json,
+    decode_json,
     digest_bytes,
     encode_array,
     encode_str,
@@ -79,10 +82,10 @@ _ENVELOPE = object_template(*_ENVELOPE_KEYS)
 _RECORD = object_template(*_ENVELOPE_KEYS, "payload")
 # A non-genesis block hash's preimage.
 _BLOCK = object_template("index", "prev_hash", "timestamp", "tx_digests")
-# A non-genesis block as a chain file holds it.
-_BLOCK_LINE = object_template(
+# A non-genesis block as a chain file holds it, cut where its records go.
+_BLOCK_HEAD, _, _BLOCK_TAIL = object_template(
     "index", "prev_hash", "block_hash", "timestamp", "transactions", "validator_votes"
-)
+).partition("{4}")
 
 
 def _json_str(value) -> str:
@@ -106,6 +109,10 @@ class TxKind(str, Enum):
     ENFORCEMENT_RESULT = "enforcement_result"
     THREAT_ALERT = "threat_alert"
 
+
+#: Each kind by its wire value, and its value as canonical JSON.
+_KIND_OF = {kind.value: kind for kind in TxKind}
+_KIND_JSON = {kind: encode_str(kind.value) for kind in TxKind}
 
 #: The kinds whose bodies validation reads, to check them against active
 #: policy and pending writes.
@@ -189,7 +196,7 @@ class TxMetadata:
             return hit
         # Strict keys: a lenient default here would let a flipped key name
         # round-trip to the same semantics and dodge tamper detection.
-        if set(data) != cls._WIRE_KEYS:
+        if data.keys() != cls._WIRE_KEYS:
             raise ValueError(f"unexpected metadata keys {sorted(set(data) ^ cls._WIRE_KEYS)}")
         metadata = cls(
             threat_type=data["threat_type"],
@@ -263,7 +270,7 @@ class TransactionRecord:
         return tx
 
     def body(self) -> dict:
-        return json.loads(self.payload)
+        return decode_json(self.payload)
 
     def payload_intact(self) -> bool:
         """Whether ``payload`` still hashes to ``payload_digest``."""
@@ -297,13 +304,13 @@ class TransactionRecord:
 
     def _envelope_members(self) -> tuple[str, ...]:
         """Each envelope field as canonical JSON, in ``_ENVELOPE_KEYS`` order."""
-        ts = self.timestamp
+        tx_id, ts, actor, digest = self.tx_id, self.timestamp, self.actor, self.payload_digest
         return (
-            _json_str(self.tx_id),
+            encode_str(tx_id) if type(tx_id) is str else canonical_json(tx_id),
             ts if type(ts) is int else canonical_json(ts),
-            _json_str(self.kind.value),
-            _json_str(self.actor),
-            _json_str(self.payload_digest),
+            _KIND_JSON[self.kind],
+            encode_str(actor) if type(actor) is str else canonical_json(actor),
+            encode_str(digest) if type(digest) is str else canonical_json(digest),
             self.metadata.fragment(),
         )
 
@@ -324,12 +331,12 @@ class TransactionRecord:
 
     @classmethod
     def from_dict(cls, data: dict, interned: dict) -> "TransactionRecord":
-        if set(data) != cls._WIRE_KEYS:
+        if data.keys() != cls._WIRE_KEYS:
             raise ValueError(f"unexpected tx keys {sorted(set(data) ^ cls._WIRE_KEYS)}")
         return cls(
             tx_id=data["tx_id"],
             timestamp=_wire_int(data["timestamp"]),
-            kind=TxKind(data["kind"]),
+            kind=_KIND_OF[data["kind"]],
             actor=data["actor"],
             payload=data["payload"],
             payload_digest=data["payload_digest"],
@@ -390,22 +397,28 @@ class LedgerBlock:
         return out
 
     def wire_json(self) -> str:
-        """Canonical JSON of ``to_dict()``: the block's chain-file line.
+        """Canonical JSON of ``to_dict()``: the block's chain-file line."""
+        return "".join(self.wire_parts())
+
+    def wire_parts(self) -> Iterator[str]:
+        """``wire_json()`` in pieces, one record at a time.
 
         Without ``meta``, and with an exactly-``int`` index and timestamp,
-        it is spliced into a template from each record's ``wire_json``.
+        the header is spliced into a template around each record's
+        ``wire_json``; otherwise the whole line is one piece.
         """
         index, timestamp = self.index, self.timestamp
         if self.meta is not None or type(index) is not int or type(timestamp) is not int:
-            return canonical_json(self.to_dict())
-        return _BLOCK_LINE.format(
-            index,
-            _json_str(self.prev_hash),
-            _json_str(self.block_hash),
-            timestamp,
-            encode_array(tx.wire_json() for tx in self.transactions),
-            canonical_json(self.validator_votes),
-        )
+            yield canonical_json(self.to_dict())
+            return
+        members = (index, _json_str(self.prev_hash), _json_str(self.block_hash), timestamp,
+                   None, canonical_json(self.validator_votes))
+        yield _BLOCK_HEAD.format(*members) + "["
+        for i, tx in enumerate(self.transactions):
+            if i:
+                yield ","
+            yield tx.wire_json()
+        yield "]" + _BLOCK_TAIL.format(*members)
 
     _WIRE_KEYS = frozenset(
         {"index", "prev_hash", "block_hash", "timestamp", "transactions", "validator_votes"}
@@ -413,10 +426,9 @@ class LedgerBlock:
 
     @classmethod
     def from_dict(cls, data: dict, interned: dict) -> "LedgerBlock":
-        extra = set(data) - cls._WIRE_KEYS - {"meta"}
-        missing = cls._WIRE_KEYS - set(data)
-        if extra or missing:
-            raise ValueError(f"unexpected block keys {sorted(extra | missing)}")
+        if data.keys() != cls._WIRE_KEYS and data.keys() != cls._WIRE_KEYS | {"meta"}:
+            bad = (set(data) ^ cls._WIRE_KEYS) - {"meta"}
+            raise ValueError(f"unexpected block keys {sorted(bad)}")
         return cls(
             index=_wire_int(data["index"]),
             prev_hash=data["prev_hash"],
@@ -823,6 +835,7 @@ def verify_chain(chain: list[LedgerBlock]) -> ChainVerdict:
     if genesis.meta is None or genesis.index != 0 or genesis.prev_hash != ZERO_DIGEST:
         return ChainVerdict(False, 0, "format")
     expected_votes = set(genesis.meta.get("validators", []))
+    accept = repeat(VOTE_ACCEPT)
 
     for pos, block in enumerate(chain):
         if isinstance(block, CorruptBlock):
@@ -834,9 +847,8 @@ def verify_chain(chain: list[LedgerBlock]) -> ChainVerdict:
                 return ChainVerdict(False, pos, "digest")
         if block.recomputed_hash() != block.block_hash:
             return ChainVerdict(False, pos, "hash")
-        if set(block.validator_votes) != expected_votes or any(
-            v != VOTE_ACCEPT for v in block.validator_votes.values()
-        ):
+        votes = block.validator_votes
+        if votes.keys() != expected_votes or not all(map(eq, votes.values(), accept)):
             return ChainVerdict(False, pos, "votes")
         if pos > 0 and block.prev_hash != chain[pos - 1].block_hash:
             return ChainVerdict(False, pos, "link")
@@ -864,6 +876,9 @@ class HistoryFilter:
     policy_id: Optional[str] = None
     endpoint_id: Optional[str] = None
     time_range: Optional[tuple[int, int]] = None  # inclusive ticks
+
+
+_EVERYTHING = HistoryFilter()
 
 
 def _tx_matches(tx: TransactionRecord, f: HistoryFilter) -> bool:
@@ -901,12 +916,8 @@ def query_history(
     """
     f = filter if filter is not None else HistoryFilter(**kwargs)
     verify_chain(chain).require()
-    out: list[TransactionRecord] = []
-    for block in chain:
-        for tx in block.transactions:
-            if _tx_matches(tx, f):
-                out.append(tx)
-    return out
+    txs = [tx for block in chain for tx in block.transactions]
+    return txs if f == _EVERYTHING else [tx for tx in txs if _tx_matches(tx, f)]
 
 
 # --------------------------------------------------------------------------
@@ -933,17 +944,18 @@ class CorruptBlock(LedgerBlock):
 def export_chain(chain: list[LedgerBlock], path: str | Path) -> None:
     """Write the chain as newline-delimited canonical JSON blocks.
 
-    Each block's line is written as soon as it is built, to a sibling
-    temporary file that then replaces ``path``; if any block fails to
-    encode, ``path`` keeps what it held and the temporary file is removed.
+    Each block's line is written one record at a time, as ``wire_parts``
+    builds it, to a sibling temporary file that then replaces ``path``; if
+    any block fails to encode, ``path`` keeps what it held and the
+    temporary file is removed.
     """
     path = Path(path)
     partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(partial, "wb") as out:
+        with open(partial, "w", encoding="utf-8", newline="\n") as out:
             for block in chain:
-                out.write(block.wire_json().encode("utf-8"))
-                out.write(b"\n")
+                out.writelines(block.wire_parts())
+                out.write("\n")
         os.replace(partial, path)
     except BaseException:
         partial.unlink(missing_ok=True)
@@ -955,6 +967,9 @@ def import_chain(path: str | Path) -> list[LedgerBlock]:
     become CorruptBlock entries so verification can still report the
     earliest bad position. Positions count every line, blank ones too.
 
+    Each line is parsed by ``decode_json``, which leaves any line its scan
+    does not cover (a CRLF ending, say, or an error) to ``json.loads``.
+
     Metadata is interned for this call only: records whose metadata reads
     the same share one ``TxMetadata`` object, and with it one fragment.
     """
@@ -962,10 +977,10 @@ def import_chain(path: str | Path) -> list[LedgerBlock]:
     interned: dict[str, TxMetadata] = {}
     with open(path, "rb") as lines:
         for pos, line in enumerate(lines):
-            if not line.strip():
+            if not line or line.isspace():
                 continue
             try:
-                chain.append(LedgerBlock.from_dict(json.loads(line.decode("utf-8")), interned))
+                chain.append(LedgerBlock.from_dict(decode_json(line.decode("utf-8")), interned))
             except Exception:
                 chain.append(CorruptBlock.at(pos))
     return chain

@@ -507,6 +507,29 @@ def test_decision_metadata_carries_threat_context(engine, docs):
     assert "disable_smbv1" in tx.metadata.recommended_change
 
 
+def test_equal_decision_metadata_is_one_object(engine, docs):
+    from policyledger.cti import ThreatReport
+
+    contract = deploy(engine, docs[:1])
+    decision, matched = standard_decision(contract)
+
+    def report(technique_ids):
+        return ThreatReport(report_id="rp", source="s", actor="actor-x", cve_ids=(), cvss=8.0,
+                            technique_ids=technique_ids, tokens=("smbv1",), received_at=0)
+
+    exploit, recon = ThreatClass(3, ThreatCategory.EXPLOIT), ThreatClass(2, ThreatCategory.EXPLOIT)
+    for threat_class, techniques in [(exploit, ("T1210",)), (exploit, ["T1210"]),
+                                     (recon, ("T1210",)), (exploit, ("T1021",))]:
+        engine.execute_decision(decision, matched, threat_class, report(techniques))
+        engine.commit_cycle()
+    first, again, other_class, other_ids = [
+        tx.metadata for tx in query_history(engine.ledger.chain(), kind=TxKind.ENFORCEMENT_DECISION)
+    ]
+    assert again is first
+    assert len({id(first), id(other_class), id(other_ids)}) == 3
+    assert (other_class.priority, other_ids.technique_ids) == (2, ("T1021",))
+
+
 # -- enforce ----------------------------------------------------------------
 
 

@@ -12,7 +12,13 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import make_tx
 from policyledger import ledger as ledger_module
-from policyledger.canonical import canonical_json, digest_value, object_template, substream
+from policyledger.canonical import (
+    canonical_json,
+    decode_json,
+    digest_value,
+    object_template,
+    substream,
+)
 from policyledger.errors import (
     ConsensusFailure,
     CorruptChainError,
@@ -99,6 +105,64 @@ def test_canonical_json_is_json_dumps_with_the_canonical_settings(value):
         canonical_json(outer)
     outer[1]["inner"].pop()
     assert canonical_json(outer) == dumps(outer)
+
+
+def _outcome(decode, text):
+    """What ``decode(text)`` gives: its value's type and repr (which tell
+    1, true and 1.0 apart, and match for NaN), or its error's type and
+    message."""
+    try:
+        value = decode(text)
+    except Exception as exc:
+        return "error", type(exc), str(exc)
+    return "value", type(value), repr(value)
+
+
+def _json_text(value, ensure_ascii, spaced):
+    return json.dumps(value, ensure_ascii=ensure_ascii, allow_nan=True,
+                      separators=(", ", ": ") if spaced else (",", ":"))
+
+
+def _spliced(value, cut, edge):
+    text = _json_text(value, False, False)
+    cut %= len(text) + 1
+    return text[:cut] + edge + text[cut:]
+
+
+_EDGES = ["", " ", "\n", "\r\n", "\n\n", " \n", "\t", "\ufeff", "x", "]", "}", " 1", ",",
+          '"', "\\", "\\x", '"\\u12"', '"\\ud800"', "\x00", "NaN", "-", "1e", "[", "{"]
+_DECODER_INPUTS = st.one_of(
+    st.text(),
+    st.text(alphabet=st.sampled_from('{}[]",:0123456789.eE+-\\ntrufalsNI \t\r\n')),
+    st.builds(
+        lambda before, value, ensure_ascii, spaced, after: (
+            before + _json_text(value, ensure_ascii, spaced) + after
+        ),
+        st.sampled_from(_EDGES), _JSON_VALUES, st.booleans(), st.booleans(),
+        st.sampled_from(_EDGES),
+    ),
+    # A bad escape, or any other edge, inside otherwise valid text.
+    st.builds(_spliced, _JSON_VALUES, st.integers(0, 200), st.sampled_from(_EDGES)),
+)
+_NOT_STR = st.one_of(
+    _DECODER_INPUTS.map(lambda text: text.encode("utf-8", "surrogatepass")),
+    _DECODER_INPUTS.map(lambda text: bytearray(text.encode("utf-16", "surrogatepass"))),
+    st.none(), st.integers(), st.floats(), st.lists(st.integers(), max_size=2),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=st.one_of(_DECODER_INPUTS, _NOT_STR))
+def test_decode_json_is_json_loads(text):
+    assert _outcome(decode_json, text) == _outcome(json.loads, text)
+
+
+@pytest.mark.parametrize("text", [
+    '{"a": [1, 2.5, true, null, "\\u00e9"]}', "7\n", "7\r\n", " 7", "7 ", "\ufeff7", "7\n\n",
+    "7 8", '"\\q"', "", "\n", "[1,]", "1" * 5000, "[" * 100_000, b'{"a": 1}\n', 7, None,
+])
+def test_decode_json_edges_are_json_loads(text):
+    assert _outcome(decode_json, text) == _outcome(json.loads, text)
 
 
 def test_digest_is_sha256_hex():
@@ -925,6 +989,26 @@ def test_audit_path_encodes_each_imported_record_once(run_chain, tmp_path, monke
     assert encoded == [tx.tx_id for block in chain for tx in block.transactions]
 
 
+def test_audit_path_calls_neither_json_loads_nor_txkind(run_chain, tmp_path, monkeypatch):
+    from policyledger.metrics import samples_from_chain
+
+    path = tmp_path / "chain.ndjson"
+    export_chain(run_chain, path)
+    calls = []
+    real_loads, real_call = json.loads, type(TxKind).__call__
+    monkeypatch.setattr(json, "loads", lambda *a, **k: calls.append("loads") or real_loads(*a, **k))
+    monkeypatch.setattr(type(TxKind), "__call__", lambda cls, *a, **k: (
+        calls.append(cls.__name__) if cls is TxKind else None) or real_call(cls, *a, **k))
+    chain = import_chain(path)
+    assert verify_chain(chain).ok
+    replay_state(chain)
+    automated, human = samples_from_chain(chain)
+    assert automated and human and calls == []
+    # The counters see the fallback: a CRLF line goes to json.loads.
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n", 1))
+    assert import_chain(path) == chain and calls == ["loads"]
+
+
 def test_run_encodes_each_committed_record_once(monkeypatch):
     from policyledger.runner import RunConfig, run_scenario
 
@@ -1196,6 +1280,43 @@ def test_streamed_export_is_the_dict_encoding_and_round_trips(seed, endpoints, s
         assert second.read_bytes() == first.read_bytes()
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    endpoints=st.integers(1, 40),
+    scenario=st.sampled_from(["smbv1", "rdp", "ransomware"]),
+    mode=st.sampled_from(["automated", "human", "both"]),
+    validators=st.integers(1, 4),
+)
+def test_the_exported_file_alone_rebuilds_the_live_report_and_state(
+    seed, endpoints, scenario, mode, validators,
+):
+    from policyledger.metrics import (
+        build_comparison_report,
+        render_report_text,
+        samples_from_chain,
+    )
+    from policyledger.runner import RunConfig, run_scenario
+
+    with tempfile.TemporaryDirectory() as tmp:
+        result = run_scenario(RunConfig(seed=seed, endpoints=endpoints, scenario=scenario,
+                                        mode=mode, validators=validators), outdir=tmp)
+        live = Path(tmp, "report.json").read_bytes(), Path(tmp, "report.txt").read_bytes()
+        chain = import_chain(Path(tmp, "chain.ndjson"))
+    automated, human = samples_from_chain(chain)
+    rebuilt = build_comparison_report(
+        automated, human, chain_hash=chain[-1].block_hash, seed=seed,
+        config_digest=chain[0].meta["config_digest"],
+    )
+    assert ((rebuilt.to_json() + "\n").encode("utf-8"),
+            render_report_text(rebuilt).encode("utf-8")) == live
+    snapshots = {"automated": result.fleet_snapshot, "human": result.human_snapshot}
+    for arm, endpoints_attrs in replay_state(chain).endpoint_attrs.items():
+        for endpoint, attrs in endpoints_attrs.items():
+            for attr, value in attrs.items():
+                assert snapshots[arm][endpoint][attr] == value, (arm, endpoint, attr)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     tx_id=_ANY_TEXT,
@@ -1289,3 +1410,20 @@ def test_chain_io_holds_one_block_line_at_a_time(tmp_path):
     assert export_peak < size
     # What import holds beyond the chain it returns.
     assert import_peak - kept < size
+
+
+def test_export_holds_one_record_at_a_time(tmp_path):
+    chain = committed_chain(n_blocks=2, txs_per_block=300).chain()
+    path = tmp_path / "chain.ndjson"
+    export_chain(chain, path)  # fills each record's kept fragments
+    largest_line = max(map(len, path.read_bytes().splitlines()))
+    tracemalloc.start()
+    try:
+        export_chain(chain, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Beyond the chain, export holds one record's pieces and the file's
+    # buffers; one whole block line would cost ``largest_line``.
+    assert peak < largest_line
+    assert import_chain(path) == chain
