@@ -182,8 +182,9 @@ def _cmd_classify(args) -> int:
 
     reports, diagnostics = ingest_feed(items)
     _warn_skipped(diagnostics)
+    memo: dict = {}
     for report in reports:
-        threat_class, matched, decision = assess(model, rule_set, report)
+        threat_class, matched, decision = assess(model, rule_set, report, memo)
         line = f"{report.report_id} {threat_class.severity_name} {threat_class.category.value}"
         if args.policies:
             line += f" {decision.kind.value}"

@@ -376,9 +376,9 @@ class ContractEngine:
                     actions.append(PlannedAction(endpoint_id, rule.remediation, rule.rule_id))
             if decision.kind == DecisionKind.IMMEDIATE_ACTION_REQUIRED:
                 isolate = EnforcementActionSpec(kind="isolate_endpoint", params={"isolated": True})
-                for ep in fleet.endpoints():
-                    if ep.infected and not ep.isolated:
-                        actions.append(PlannedAction(ep.endpoint_id, isolate, None))
+                for row in fleet.rows():
+                    if row["infected"] and not row["isolated"]:
+                        actions.append(PlannedAction(row["endpoint_id"], isolate, None))
         # Parallel dispatch order: endpoint id, then remediations before
         # isolation within an endpoint (plan position is the tiebreak).
         indexed = list(enumerate(actions))
@@ -430,7 +430,7 @@ class ContractEngine:
             return sorted(selector)
         # The rule's compiled filter reads each endpoint's own field dict: no
         # attrs() copy, and no cache that a direct field write would stale.
-        return [fields["endpoint_id"] for fields in rule.failing(map(vars, fleet.endpoints()))]
+        return [fields["endpoint_id"] for fields in rule.failing(fleet.rows())]
 
     def _threat_metadata(self, threat_class, report, actions, arm) -> TxMetadata:
         kinds = sorted({pa.action.kind for pa in actions})

@@ -46,7 +46,7 @@ fallback, so every value read and every line refused is ``json.loads``'s.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import repeat
 from operator import eq
@@ -223,6 +223,12 @@ class TransactionRecord:
     Likewise ``_source``, the body ``create`` encoded, which validation
     reads until the record's block commits and drops it; ``create`` keeps
     it only for the kinds whose bodies validation reads.
+
+    ``create`` and ``from_dict`` build through ``_build_record``, which
+    sets each slot directly to what ``__init__`` would: ``__init__`` routes
+    all ten through ``object.__setattr__``, about 3.9 us a record against
+    1.5 us, and every record a run writes or an audit imports is built so.
+    ``__init__`` stays for other callers and ``dataclasses.replace``.
     """
 
     tx_id: str
@@ -254,20 +260,10 @@ class TransactionRecord:
         then, or validation would read other values than the chain holds.
         """
         payload = canonical_json(body)
-        tx = cls(
-            tx_id=tx_id,
-            timestamp=timestamp,
-            kind=kind,
-            actor=actor,
-            payload=payload,
-            payload_digest=digest_bytes(payload.encode("utf-8")),
-            metadata=metadata or TxMetadata(),
-        )
-        # The digest was just computed from this payload: it is intact.
-        object.__setattr__(tx, "_payload_ok", True)
-        if kind in _BODY_CHECKED:
-            object.__setattr__(tx, "_source", body)
-        return tx
+        # The digest is computed here from this payload: it is intact.
+        return _build_record(cls, tx_id, timestamp, kind, actor, payload,
+                             digest_bytes(payload.encode("utf-8")), metadata or TxMetadata(),
+                             True, body if kind in _BODY_CHECKED else None)
 
     def body(self) -> dict:
         return decode_json(self.payload)
@@ -333,15 +329,34 @@ class TransactionRecord:
     def from_dict(cls, data: dict, interned: dict) -> "TransactionRecord":
         if data.keys() != cls._WIRE_KEYS:
             raise ValueError(f"unexpected tx keys {sorted(set(data) ^ cls._WIRE_KEYS)}")
-        return cls(
-            tx_id=data["tx_id"],
-            timestamp=_wire_int(data["timestamp"]),
-            kind=_KIND_OF[data["kind"]],
-            actor=data["actor"],
-            payload=data["payload"],
-            payload_digest=data["payload_digest"],
-            metadata=TxMetadata.from_dict(data["metadata"], interned),
-        )
+        return _build_record(cls, data["tx_id"], _wire_int(data["timestamp"]),
+                             _KIND_OF[data["kind"]], data["actor"], data["payload"],
+                             data["payload_digest"],
+                             TxMetadata.from_dict(data["metadata"], interned), None, None)
+
+
+# Each slot's setter, in field order. Unpacking them fails at import if a
+# field is added or removed without ``_build_record`` following.
+(_SET_TX_ID, _SET_TIMESTAMP, _SET_KIND, _SET_ACTOR, _SET_PAYLOAD, _SET_PAYLOAD_DIGEST,
+ _SET_METADATA, _SET_PAYLOAD_OK, _SET_DIGEST, _SET_SOURCE) = (
+    TransactionRecord.__dict__[f.name].__set__ for f in fields(TransactionRecord))
+
+
+def _build_record(cls, tx_id, timestamp, kind, actor, payload, payload_digest, metadata,
+                  payload_ok, source) -> TransactionRecord:
+    """A record with every slot set; see ``TransactionRecord``."""
+    tx = object.__new__(cls)
+    _SET_TX_ID(tx, tx_id)
+    _SET_TIMESTAMP(tx, timestamp)
+    _SET_KIND(tx, kind)
+    _SET_ACTOR(tx, actor)
+    _SET_PAYLOAD(tx, payload)
+    _SET_PAYLOAD_DIGEST(tx, payload_digest)
+    _SET_METADATA(tx, metadata)
+    _SET_PAYLOAD_OK(tx, payload_ok)
+    _SET_DIGEST(tx, None)
+    _SET_SOURCE(tx, source)
+    return tx
 
 
 @dataclass(frozen=True)

@@ -195,8 +195,9 @@ class PolicyRule:
     The condition is a conjunction of attribute comparisons; an endpoint
     is compliant with the rule when every comparison holds. The condition
     compiles once, at construction, into ``_check``, the filter that
-    ``failing`` calls once per fleet over the shared comparator table.
-    ``dataclasses.replace`` compiles the copy afresh.
+    ``failing`` calls once per fleet over the shared comparator table; its
+    conflict rank and pinned values are computed then too, for
+    ``resolve_conflicts``. ``dataclasses.replace`` compiles the copy afresh.
     """
 
     rule_id: str
@@ -207,9 +208,13 @@ class PolicyRule:
     technique_tags: tuple[str, ...] = ()
     policy_id: str = ""
     _check: Callable[[Iterable[dict]], list[dict]] = field(init=False, repr=False, compare=False)
+    _rank: tuple = field(init=False, repr=False, compare=False)
+    _pins: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_check", _compile(self.condition))
+        object.__setattr__(self, "_rank", (-self.conflict_score(), self.rule_id))
+        object.__setattr__(self, "_pins", tuple(self.pinned_values().items()))
 
     def failing(self, rows: Iterable[dict]) -> list[dict]:
         """The attribute mappings in ``rows`` that fail this rule, in order."""
@@ -459,13 +464,13 @@ def resolve_conflicts(candidates: list[PolicyRule]) -> list[PolicyRule]:
     Deterministic and idempotent; the result never pins one attribute to
     two different values.
     """
-    ranked = sorted(candidates, key=lambda r: (-r.conflict_score(), r.rule_id))
+    if len(candidates) < 2:
+        return list(candidates)
     pinned: dict[str, object] = {}
     kept: list[PolicyRule] = []
-    for rule in ranked:
-        mine = rule.pinned_values()
-        clash = any(attr in pinned and pinned[attr] != val for attr, val in mine.items())
-        if clash:
+    for rule in sorted(candidates, key=operator.attrgetter("_rank")):
+        mine = rule._pins
+        if any(attr in pinned and pinned[attr] != val for attr, val in mine):
             continue
         pinned.update(mine)
         kept.append(rule)

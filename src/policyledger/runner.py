@@ -231,7 +231,8 @@ def run_scenario(
     outcomes: list[CycleOutcome] = []
     if config.mode == "human":
         # No automated arm, so no feedback: every report meets the loaded model.
-        decided = [(report, *assess(model, rules, report)) for report in reports]
+        memo: dict = {}
+        decided = [(report, *assess(model, rules, report, memo)) for report in reports]
     else:
         clock.advance(1_000)
         outcomes, _ = process_threat_intelligence(reports, model, rules, engine)

@@ -88,6 +88,7 @@ class Fleet:
         # Endpoints are never added or removed after construction.
         self._ids = sorted(self._endpoints)
         self._ordered = tuple(self._endpoints[eid] for eid in self._ids)
+        self._rows = tuple(map(vars, self._ordered))
         self.mutation_log: list[dict] = []
 
     def __len__(self) -> int:
@@ -108,6 +109,11 @@ class Fleet:
     def endpoints(self) -> tuple[Endpoint, ...]:
         """Every endpoint in id order; the same tuple on every call."""
         return self._ordered
+
+    def rows(self) -> tuple[dict, ...]:
+        """Every endpoint's own field dict (``vars``) in id order, the same
+        tuple on every call; a direct field write updates its row in place."""
+        return self._rows
 
     def record_mutation(self, endpoint_id: str, attribute: str, value, tick: int, cause: str):
         self.mutation_log.append(

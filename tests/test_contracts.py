@@ -618,3 +618,18 @@ def test_execute_decision_without_ledger_is_refused(docs):
     )
     with pytest.raises(LedgerUnavailable):
         engine.execute_decision(Decision(DecisionKind.NO_ACTION_REQUIRED), [])
+
+
+@settings(max_examples=60, deadline=None)
+@given(fields=st.lists(_endpoint_fields, min_size=1, max_size=10))
+def test_isolation_targets_are_the_live_infected_unisolated_endpoints(fields):
+    engine = make_engine(endpoints=len(fields))
+    # Written after the fleet is built, so the plan must read live fields.
+    for ep, values in zip(engine.fleet.endpoints(), fields):
+        for name, value in values.items():
+            setattr(ep, name, value)
+    plan = engine.execute_decision(Decision(DecisionKind.IMMEDIATE_ACTION_REQUIRED), [])
+    assert [pa.endpoint_id for pa in plan.actions] == [
+        ep.endpoint_id for ep in engine.fleet.endpoints() if ep.infected and not ep.isolated
+    ]
+    assert {pa.action.kind for pa in plan.actions} <= {"isolate_endpoint"}

@@ -1,13 +1,19 @@
 """CTI pipeline: ingestion, encoding, the stump forest and the decision."""
 
 import dataclasses
+import importlib.util
 import itertools
 import json
+import math
+import operator
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from policyledger import cti as cti_module
 from policyledger.cti import (
     CVSS_ABSENT,
     CVSS_BASE,
@@ -26,12 +32,19 @@ from policyledger.cti import (
     encode_features,
     ingest_feed,
     normalize_tokens,
+    process_threat_intelligence,
     read_feed,
     token_feature,
     update_model,
 )
 from policyledger.errors import FeedSchemaError, InputError, WidthMismatch
-from policyledger.policy import Condition, EnforcementActionSpec, PolicyRule
+from policyledger.policy import (
+    Condition,
+    EnforcementActionSpec,
+    PolicyRule,
+    encode_rules,
+    load_policy_file,
+)
 from policyledger.runner import fixture_path
 
 
@@ -482,3 +495,136 @@ def test_replace_compiles_a_new_vote_table(model):
     assert reversed_model._table is not model._table
     assert reversed_model._table.features == tuple(s.feature_index for s in model.stumps[::-1])
 
+
+# -- sparse voting against the dense scan it replaced ------------------------------
+
+
+def _dense_classify(model, fv):
+    """``classify`` as a dense scan of every stump's feature, as it was
+    before the per-feature index: the oracle for sparse voting."""
+    if len(fv) != model.width:
+        raise WidthMismatch("width")
+    table, weights = model._table, model.weights
+    firing = itertools.compress(
+        range(len(weights)),
+        map(operator.gt, map(fv.__getitem__, table.features), table.thresholds),
+    )
+    totals = {}
+    for i in firing:
+        vote = table.votes[i]
+        totals[vote] = totals.get(vote, 0.0) + weights[i]
+    if not totals:
+        return ThreatClass(0, ThreatCategory.OTHER)
+    best = min(
+        totals.items(),
+        key=lambda kv: (-kv[1], -kv[0][0], _CATEGORY_ORDER[kv[0][1]]),
+    )
+    (severity, category), _ = best
+    return ThreatClass(severity, ThreatCategory(category))
+
+
+# Counts as a vector can hold them: zeros, negatives and floats, including
+# values between the integer thresholds, signed zeros and NaN.
+_counts = st.one_of(
+    st.sampled_from([0, 0, 0, 1, 2, 3, -1, -2, 0.0, -0.0, 0.5, -0.5, 1.5, 2.0, math.nan]),
+    st.floats(-3.0, 3.0, allow_nan=False),
+    st.integers(-3, 3),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    model=_models(),
+    steps=st.lists(
+        st.tuples(st.lists(_counts, min_size=_WIDTH, max_size=_WIDTH), st.booleans()),
+        max_size=8,
+    ),
+)
+def test_sparse_vote_equals_the_dense_scan_bit_for_bit(model, steps):
+    oracle = model
+    for fv, success in steps:
+        predicted = classify(model, fv)
+        assert predicted == _dense_classify(oracle, fv)
+        model = update_model(model, predicted, success)
+        oracle = _loop_update(oracle, predicted, success)
+        assert _bits(model.weights) == _bits(oracle.weights)
+        assert model == oracle
+
+
+def test_sparse_sums_follow_stump_order_not_feature_order():
+    # As in test_vote_sums_follow_stump_order, but the stumps run against
+    # feature order: summed by feature, 0.3 + 0.2 + 0.1 is 0.6 and would tie
+    # the 0.6 vote and lose it to the higher severity.
+    stumps = tuple(Stump(2 - i, 0, 1, ThreatCategory.RECON) for i in range(3)) + (
+        Stump(3, 0, 2, ThreatCategory.MALWARE),
+    )
+    model = ForestModel(width=4, stumps=stumps, weights=(0.1, 0.2, 0.3, 0.6))
+    assert classify(model, [1, 1, 1, 1]) == ThreatClass(1, ThreatCategory.RECON)
+    assert _dense_classify(model, [1, 1, 1, 1]) == ThreatClass(1, ThreatCategory.RECON)
+
+
+def test_negative_thresholds_fire_on_zero_counts():
+    stumps = (Stump(0, -1, 2, ThreatCategory.RECON), Stump(1, 0, 4, ThreatCategory.MALWARE))
+    model = ForestModel(width=2, stumps=stumps, weights=(1.0, 1.0))
+    assert classify(model, [0, 0]) == ThreatClass(2, ThreatCategory.RECON)
+    assert classify(model, [-1, 0]) == ThreatClass(0, ThreatCategory.OTHER)
+    assert classify(model, [0, 1]) == ThreatClass(4, ThreatCategory.MALWARE)
+
+
+@pytest.mark.parametrize("feature_index", [-1, 4])
+def test_a_stump_outside_the_width_is_rejected_at_construction(feature_index):
+    with pytest.raises(InputError):
+        ForestModel(width=4, stumps=(Stump(feature_index, 0, 1, ThreatCategory.RECON),),
+                    weights=(1.0,))
+
+
+def test_update_clone_is_a_plain_forest_model(model):
+    updated = update_model(model, ThreatClass(4, ThreatCategory.RANSOMWARE), success=True)
+    assert type(updated) is ForestModel
+    assert vars(updated).keys() == vars(model).keys()
+    assert dataclasses.replace(updated) == updated
+    assert model.weights == build_default_model().weights
+
+
+# -- the feature memo lives for one pass ----------------------------------------
+
+
+def _perfbench_feed(seed, reports, monkeypatch):
+    """The benchmark's generated feed, from its own workload module."""
+    name = "perfbench_workloads"
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, workloads)
+    spec.loader.exec_module(workloads)
+    return workloads.generate_feed(seed, reports)
+
+
+class _NoEnforcement:
+    def run_cycle(self, *args, **kwargs):
+        return []
+
+
+def test_one_pass_hashes_each_distinct_id_once(model, monkeypatch):
+    reports, _ = ingest_feed(_perfbench_feed(1, 1_000, monkeypatch))
+    distinct = (
+        {("tok", t) for r in reports for t in r.tokens}
+        | {("tech", t) for r in reports for t in r.technique_ids}
+        | {("cve", c) for r in reports for c in r.cve_ids}
+    )
+    assert len(distinct) == 129
+    calls = []
+    real = cti_module.stable_index
+    monkeypatch.setattr(cti_module, "stable_index", lambda key, n: calls.append(key) or real(key, n))
+    rules = encode_rules(load_policy_file(fixture_path("policies", "smbv1.json")))[0]
+
+    first, _ = process_threat_intelligence(reports, model, rules, _NoEnforcement())
+    assert len(calls) == len(set(calls)) == len(distinct)
+    # Nothing survives the pass: a second one hashes every id again.
+    second, _ = process_threat_intelligence(reports, model, rules, _NoEnforcement())
+    assert len(calls) == 2 * len(distinct)
+    assert [o.threat_class for o in first] == [o.threat_class for o in second]
+    # And a memo changes no vector.
+    memo = {}
+    assert all(encode_features(r, memo) == encode_features(r) for r in reports)

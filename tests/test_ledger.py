@@ -1427,3 +1427,56 @@ def test_export_holds_one_record_at_a_time(tmp_path):
     # buffers; one whole block line would cost ``largest_line``.
     assert peak < largest_line
     assert import_chain(path) == chain
+
+
+# -- one builder for every created and imported record ---------------------------
+
+
+_MEMO_SLOTS = ("_payload_ok", "_digest", "_source")
+
+
+def _slots(tx):
+    return {f.name: getattr(tx, f.name) for f in dataclasses.fields(TransactionRecord)}
+
+
+@pytest.mark.parametrize("kind", list(TxKind))
+def test_created_and_imported_records_equal_the_dataclass_built_record(kind):
+    body = {"plan_id": "p", "planned": [], "target_endpoints": []}
+    metadata = TxMetadata(threat_type="exploit", technique_ids=("T1210",), priority=3)
+    created = TransactionRecord.create("tx-1", 7, kind, "contract-engine", body, metadata)
+    built = TransactionRecord(
+        tx_id="tx-1",
+        timestamp=7,
+        kind=kind,
+        actor="contract-engine",
+        payload=canonical_json(body),
+        payload_digest=digest_value(body),
+        metadata=metadata,
+    )
+    assert type(created) is TransactionRecord
+    assert _slots(created) == {
+        **_slots(built),
+        "_payload_ok": True,
+        "_source": body if kind in ledger_module._BODY_CHECKED else None,
+    }
+    if kind in ledger_module._BODY_CHECKED:
+        assert created._source is body
+
+    imported = TransactionRecord.from_dict(decode_json(created.wire_json()), {})
+    assert type(imported) is TransactionRecord
+    assert _slots(imported) == _slots(built)
+    assert all(getattr(imported, name) is None for name in _MEMO_SLOTS)
+
+    # A replace copy starts with empty memos, whichever builder made the source.
+    for record in (created, imported):
+        record.record_digest()
+        fresh = dataclasses.replace(record)
+        assert fresh == record
+        assert all(getattr(fresh, name) is None for name in _MEMO_SLOTS)
+
+
+def test_create_defaults_the_metadata_like_the_constructor():
+    created = TransactionRecord.create("tx-1", 0, TxKind.THREAT_ALERT, "cti-engine", {})
+    assert created.metadata == TxMetadata()
+    assert created == TransactionRecord("tx-1", 0, TxKind.THREAT_ALERT, "cti-engine",
+                                        created.payload, created.payload_digest)

@@ -5,6 +5,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from policyledger.errors import AmbiguityError, InputError, SchemaError
 from policyledger.policy import (
@@ -286,3 +287,56 @@ def test_compiled_check_takes_no_part_in_equality_or_repr():
     assert a._check is not b._check
     assert a == b and repr(a) == repr(b)
     assert "_check" not in repr(a)
+
+
+def _resolve_by_scoring_each_call(candidates):
+    """``resolve_conflicts`` as it was before rules kept their rank and
+    pins: the oracle for the kept rules and their order."""
+    ranked = sorted(candidates, key=lambda r: (-r.conflict_score(), r.rule_id))
+    pinned = {}
+    kept = []
+    for rule in ranked:
+        mine = rule.pinned_values()
+        if any(attr in pinned and pinned[attr] != val for attr, val in mine.items()):
+            continue
+        pinned.update(mine)
+        kept.append(rule)
+    return kept
+
+
+# Few attributes, values and ids, so pins clash, scores tie and ids repeat.
+_conditions = st.lists(
+    st.builds(
+        Condition,
+        attribute=st.sampled_from(["rdp_port", "patch_level", "smbv1_enabled"]),
+        comparator=st.sampled_from(["equals", "equals", "not_equals", "gt"]),
+        value=st.one_of(st.integers(0, 2), st.booleans(), st.just([1])),
+    ),
+    min_size=1,
+    max_size=3,
+)
+_rules = st.builds(
+    PolicyRule,
+    rule_id=st.sampled_from(["a", "b", "c", "d"]),
+    condition=_conditions.map(tuple),
+    severity_weight=st.integers(0, 2),
+    regulatory_importance=st.integers(0, 1),
+    remediation=st.just(EnforcementActionSpec(kind="disable_smbv1")),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(candidates=st.lists(_rules, max_size=4))
+def test_resolve_conflicts_keeps_what_scoring_on_each_call_keeps(candidates):
+    kept = resolve_conflicts(candidates)
+    oracle = _resolve_by_scoring_each_call(candidates)
+    assert [id(r) for r in kept] == [id(r) for r in oracle]
+    assert kept is not candidates
+
+
+def test_a_replaced_rule_is_ranked_by_its_new_fields():
+    a = make_rule("a", value=1, severity=1, importance=0, params={"port": 1})
+    b = make_rule("b", value=2, severity=2, importance=0, params={"port": 2})
+    assert resolve_conflicts([a, b]) == [b]
+    stronger = dataclasses.replace(a, regulatory_importance=4)
+    assert resolve_conflicts([stronger, b]) == [stronger]

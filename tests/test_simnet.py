@@ -428,3 +428,16 @@ def test_endpoint_fields_match_policy_vocabulary():
 
     names = {f.name for f in fields(Endpoint)} - {"endpoint_id"}
     assert names == set(ENDPOINT_ATTRIBUTES)
+
+
+def test_fleet_rows_are_the_endpoints_live_field_dicts():
+    fleet = Fleet([Endpoint("ep-b"), Endpoint("ep-a")])
+    rows = fleet.rows()
+    assert fleet.rows() is rows
+    assert [row["endpoint_id"] for row in rows] == fleet.ids()
+    ep = fleet.get("ep-a")
+    ep.infected = True
+    ep.firewall_rules.append(["inbound", "445", "deny"])
+    assert rows[0]["infected"] is True
+    assert rows[0]["firewall_rules"] == [["inbound", "445", "deny"]]
+    assert all(row is vars(ep) for row, ep in zip(rows, fleet.endpoints()))
