@@ -9,15 +9,21 @@ hashes and report digests reproducible across runs.
 Chain files and payloads are read back by ``decode_json``: one scan by
 a scanner built once, with ``json.loads`` as the fallback for anything
 that scan does not cover, so it accepts and fails as ``json.loads`` does.
+
+The seeded substreams every random draw comes from, and ``slot_builder``
+for the frozen value objects built once per record or endpoint, live here
+too, beneath every module that uses them.
 """
 
 from __future__ import annotations
 
+import _random
+import dataclasses
 import hashlib
 import json
 import json.scanner
 import random
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 HASH_FUNCTION_NAME = "sha-256"
 ZERO_DIGEST = "0" * 64
@@ -125,12 +131,42 @@ def stable_index(label: str, size: int) -> int:
     return int.from_bytes(h[:8], "big") % size
 
 
+_NEW_RANDOM = random.Random.__new__
+_SEED_RANDOM = _random.Random.seed  # the C seed under random.Random.seed
+
+
 def substream(master_seed: int, *labels: object) -> random.Random:
     """Derive an independent RNG substream from a master seed and labels.
 
     Streams are keyed by (seed, labels) through SHA-256, so adding a new
-    consumer (e.g. one more endpoint) never perturbs existing streams.
+    consumer (e.g. one more endpoint) never perturbs existing streams. The
+    stream's state equals ``random.Random(n)``'s, ``n`` the first 8 bytes,
+    read big-endian, of the SHA-256 of the ``"/"``-joined ``str``s; it is
+    seeded by one C call on a fresh instance, as for an int the Python
+    ``__init__`` and ``seed`` around that call add only ``gauss_next``.
     """
     key = "/".join([str(master_seed), *[str(x) for x in labels]])
     h = hashlib.sha256(key.encode("utf-8")).digest()
-    return random.Random(int.from_bytes(h[:8], "big"))
+    stream = _NEW_RANDOM(random.Random)
+    _SEED_RANDOM(stream, int.from_bytes(h[:8], "big"))
+    stream.gauss_next = None
+    return stream
+
+
+def slot_builder(cls: type) -> Callable[..., Any]:
+    """A function of a ``slots=True`` dataclass's field values, in field
+    order, returning a new ``cls`` with each slot set once.
+
+    For a frozen class it builds what ``__init__`` builds from the same
+    values, at about half the cost: ``__init__`` routes every field through
+    ``object.__setattr__``. It runs no ``__post_init__`` and fills no
+    default. Like ``dataclasses``' ``__init__``, its code is generated, so
+    each slot's setter is a name in that code, not an item of a loop.
+    """
+    names = [f.name for f in dataclasses.fields(cls)]
+    scope = {"_new": object.__new__, "_cls": cls}
+    scope.update((f"_set_{name}", cls.__dict__[name].__set__) for name in names)
+    code = [f"def build({', '.join(names)}):", "    self = _new(_cls)"]
+    code += [f"    _set_{name}(self, {name})" for name in names]
+    exec("\n".join([*code, "    return self"]), scope)
+    return scope["build"]

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .canonical import substream
+from .canonical import slot_builder, substream
 from .cti import Decision, DecisionKind, ThreatClass, ThreatReport
 from .errors import InputError, LedgerUnavailable, UnknownContract
 from .ledger import Ledger, LedgerBlock, TransactionRecord, TxKind, TxMetadata
@@ -61,7 +61,7 @@ class ContractEvent:
             raise InputError(f"unknown event kind {self.event_kind!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComplianceCheckResult:
     endpoint_id: str
     rule_id: str
@@ -74,11 +74,23 @@ class ComplianceCheckResult:
         return self.verdict == "compliant"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlannedAction:
     endpoint_id: str
     action: EnforcementActionSpec
     rule_id: Optional[str] = None
+
+
+# A run builds a check result per endpoint and rule, and a planned action
+# per endpoint and arm; see ``canonical.slot_builder``.
+_check_result = slot_builder(ComplianceCheckResult)
+_planned_action = slot_builder(PlannedAction)
+
+
+# Kinds read once per record; an attribute read of the enum costs more.
+_CHECK = TxKind.COMPLIANCE_CHECK
+_DECISION = TxKind.ENFORCEMENT_DECISION
+_RESULT = TxKind.ENFORCEMENT_RESULT
 
 
 @dataclass
@@ -140,16 +152,10 @@ class ContractEngine:
     def _submit(self, kind: TxKind, actor: str, body: dict, timestamp: int,
                 metadata: Optional[TxMetadata] = None) -> TransactionRecord:
         ledger = self._require_ledger()
-        tx = TransactionRecord.create(
-            tx_id=ledger.next_tx_id(),
-            timestamp=timestamp,
-            kind=kind,
-            actor=actor,
-            body=body,
-            metadata=metadata or self._arm_metadata["automated"],
-        )
+        tx = TransactionRecord.create(ledger.next_tx_id(), timestamp, kind, actor, body,
+                                      metadata or self._arm_metadata["automated"])
         verdict = ledger.submit_transaction(tx)
-        if not verdict:
+        if not verdict.accepted:
             raise InputError(f"ledger rejected {kind.value} tx: {verdict.reason}")
         return tx
 
@@ -269,23 +275,18 @@ class ContractEngine:
         results = []
         for endpoint_id, attrs in subjects:
             for rule in contract.rule_set:
-                result = ComplianceCheckResult(
-                    endpoint_id=endpoint_id,
-                    rule_id=rule.rule_id,
-                    verdict="compliant" if rule.is_compliant(attrs) else "non_compliant",
-                    observed=rule.observed(attrs),
-                    checked_at=tick,
-                )
+                verdict = "compliant" if rule.is_compliant(attrs) else "non_compliant"
+                observed = rule.observed(attrs)
                 body = {
                     "endpoint_id": endpoint_id,
                     "rule_id": rule.rule_id,
                     "policy_id": rule.policy_id,
-                    "verdict": result.verdict,
-                    "observed": result.observed,
+                    "verdict": verdict,
+                    "observed": observed,
                     "checked_at": tick,
                 }
-                self._submit(TxKind.COMPLIANCE_CHECK, "contract-engine", body, tick)
-                results.append(result)
+                self._submit(_CHECK, "contract-engine", body, tick)
+                results.append(_check_result(endpoint_id, rule.rule_id, verdict, observed, tick))
         return results
 
     def handle_event(self, event: ContractEvent, contract: Optional[SmartContract] = None,
@@ -301,7 +302,7 @@ class ContractEngine:
         self.clock.advance_to(event.occurred_at)
         if event.subject != "fleet" and event.subject not in self.fleet:
             self._submit(
-                TxKind.COMPLIANCE_CHECK,
+                _CHECK,
                 "contract-engine",
                 {
                     "warning": "unknown_subject",
@@ -373,12 +374,12 @@ class ContractEngine:
             for rule in deduped:
                 targets = self._targets_for(rule, fleet)
                 for endpoint_id in targets:
-                    actions.append(PlannedAction(endpoint_id, rule.remediation, rule.rule_id))
+                    actions.append(_planned_action(endpoint_id, rule.remediation, rule.rule_id))
             if decision.kind == DecisionKind.IMMEDIATE_ACTION_REQUIRED:
                 isolate = EnforcementActionSpec(kind="isolate_endpoint", params={"isolated": True})
                 for row in fleet.rows():
                     if row["infected"] and not row["isolated"]:
-                        actions.append(PlannedAction(row["endpoint_id"], isolate, None))
+                        actions.append(_planned_action(row["endpoint_id"], isolate, None))
         # Parallel dispatch order: endpoint id, then remediations before
         # isolation within an endpoint (plan position is the tiebreak).
         indexed = list(enumerate(actions))
@@ -392,6 +393,11 @@ class ContractEngine:
         issued_at = self.clock.now
         actor = "contract-engine" if arm == "automated" else "human-team"
         metadata = self._threat_metadata(threat_class, report, ordered, arm)
+        # One copy of each distinct action's params, shared by its items: the
+        # record keeps this body until its block commits, and a rule's params
+        # dict is not frozen. Validation reads the writes once per copy.
+        distinct = {id(pa.action): pa.action for pa in ordered}
+        params = {key: dict(action.params) for key, action in distinct.items()}
         body = {
             "plan_id": plan_id,
             "decision": decision.kind.value,
@@ -402,9 +408,7 @@ class ContractEngine:
                 {
                     "endpoint_id": pa.endpoint_id,
                     "kind": pa.action.kind,
-                    # A copy: the record keeps this body until its block
-                    # commits, and the rule's params dict is not frozen.
-                    "params": dict(pa.action.params),
+                    "params": params[id(pa.action)],
                     "rule_id": pa.rule_id,
                 }
                 for pa in ordered
@@ -412,7 +416,7 @@ class ContractEngine:
             "target_endpoints": sorted({pa.endpoint_id for pa in ordered}),
             "issued_at": issued_at,
         }
-        tx = self._submit(TxKind.ENFORCEMENT_DECISION, actor, body, issued_at, metadata)
+        tx = self._submit(_DECISION, actor, body, issued_at, metadata)
         return EnforcementPlan(
             plan_id=plan_id,
             arm=arm,
@@ -514,15 +518,19 @@ class ContractEngine:
 
     def _log_result(self, plan: EnforcementPlan, pa: PlannedAction, result: ApplyResult) -> None:
         actor = "contract-engine" if plan.arm == "automated" else "human-team"
-        body = {**result.to_dict(), "plan_id": plan.plan_id,
-                "params": pa.action.params, "rule_id": pa.rule_id}
-        self._submit(
-            TxKind.ENFORCEMENT_RESULT,
-            actor,
-            body,
-            result.finished_at,
-            self._arm_metadata[plan.arm],
-        )
+        body = {
+            "endpoint_id": result.endpoint_id,
+            "action_kind": result.action_kind,
+            "outcome": result.outcome,
+            "failure_reason": result.failure_reason,
+            "duration_ms": result.duration_ms,
+            "finished_at": result.finished_at,
+            "applied": result.applied,
+            "plan_id": plan.plan_id,
+            "params": pa.action.params,
+            "rule_id": pa.rule_id,
+        }
+        self._submit(_RESULT, actor, body, result.finished_at, self._arm_metadata[plan.arm])
 
     # -- threat alerts -----------------------------------------------------------
 

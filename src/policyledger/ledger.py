@@ -46,7 +46,7 @@ fallback, so every value read and every line refused is ``json.loads``'s.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
 from operator import eq
@@ -63,6 +63,7 @@ from .canonical import (
     encode_array,
     encode_str,
     object_template,
+    slot_builder,
 )
 from .errors import (
     ConsensusFailure,
@@ -117,6 +118,16 @@ _KIND_JSON = {kind: encode_str(kind.value) for kind in TxKind}
 #: The kinds whose bodies validation reads, to check them against active
 #: policy and pending writes.
 _BODY_CHECKED = frozenset({TxKind.POLICY_DEPLOY, TxKind.POLICY_UPDATE, TxKind.ENFORCEMENT_DECISION})
+
+# Kinds as per-record loops compare them, with ``==``: an attribute read of
+# the enum costs more, and a record built by ``dataclasses.replace`` may
+# hold a plain str, which ``is`` would miss.
+_POLICY_KINDS = (TxKind.POLICY_DEPLOY, TxKind.POLICY_UPDATE)
+_CHECK = TxKind.COMPLIANCE_CHECK
+_DECISION = TxKind.ENFORCEMENT_DECISION
+_RESULT = TxKind.ENFORCEMENT_RESULT
+_ALERT = TxKind.THREAT_ALERT
+_NO_KINDS: frozenset = frozenset()
 
 
 #: Static actor -> kinds map per the default scenario configuration. The
@@ -224,11 +235,11 @@ class TransactionRecord:
     reads until the record's block commits and drops it; ``create`` keeps
     it only for the kinds whose bodies validation reads.
 
-    ``create`` and ``from_dict`` build through ``_build_record``, which
-    sets each slot directly to what ``__init__`` would: ``__init__`` routes
-    all ten through ``object.__setattr__``, about 3.9 us a record against
-    1.5 us, and every record a run writes or an audit imports is built so.
-    ``__init__`` stays for other callers and ``dataclasses.replace``.
+    ``create`` and ``from_dict`` build through ``_build_record``
+    (``canonical.slot_builder``), which sets each of the ten slots once,
+    to what ``__init__`` would set it: every record a run writes or an
+    audit imports is built so. ``__init__`` stays for other callers and
+    ``dataclasses.replace``.
     """
 
     tx_id: str
@@ -261,9 +272,9 @@ class TransactionRecord:
         """
         payload = canonical_json(body)
         # The digest is computed here from this payload: it is intact.
-        return _build_record(cls, tx_id, timestamp, kind, actor, payload,
+        return _build_record(tx_id, timestamp, kind, actor, payload,
                              digest_bytes(payload.encode("utf-8")), metadata or TxMetadata(),
-                             True, body if kind in _BODY_CHECKED else None)
+                             True, None, body if kind in _BODY_CHECKED else None)
 
     def body(self) -> dict:
         return decode_json(self.payload)
@@ -329,34 +340,13 @@ class TransactionRecord:
     def from_dict(cls, data: dict, interned: dict) -> "TransactionRecord":
         if data.keys() != cls._WIRE_KEYS:
             raise ValueError(f"unexpected tx keys {sorted(set(data) ^ cls._WIRE_KEYS)}")
-        return _build_record(cls, data["tx_id"], _wire_int(data["timestamp"]),
+        return _build_record(data["tx_id"], _wire_int(data["timestamp"]),
                              _KIND_OF[data["kind"]], data["actor"], data["payload"],
                              data["payload_digest"],
-                             TxMetadata.from_dict(data["metadata"], interned), None, None)
+                             TxMetadata.from_dict(data["metadata"], interned), None, None, None)
 
 
-# Each slot's setter, in field order. Unpacking them fails at import if a
-# field is added or removed without ``_build_record`` following.
-(_SET_TX_ID, _SET_TIMESTAMP, _SET_KIND, _SET_ACTOR, _SET_PAYLOAD, _SET_PAYLOAD_DIGEST,
- _SET_METADATA, _SET_PAYLOAD_OK, _SET_DIGEST, _SET_SOURCE) = (
-    TransactionRecord.__dict__[f.name].__set__ for f in fields(TransactionRecord))
-
-
-def _build_record(cls, tx_id, timestamp, kind, actor, payload, payload_digest, metadata,
-                  payload_ok, source) -> TransactionRecord:
-    """A record with every slot set; see ``TransactionRecord``."""
-    tx = object.__new__(cls)
-    _SET_TX_ID(tx, tx_id)
-    _SET_TIMESTAMP(tx, timestamp)
-    _SET_KIND(tx, kind)
-    _SET_ACTOR(tx, actor)
-    _SET_PAYLOAD(tx, payload)
-    _SET_PAYLOAD_DIGEST(tx, payload_digest)
-    _SET_METADATA(tx, metadata)
-    _SET_PAYLOAD_OK(tx, payload_ok)
-    _SET_DIGEST(tx, None)
-    _SET_SOURCE(tx, source)
-    return tx
+_build_record = slot_builder(TransactionRecord)
 
 
 @dataclass(frozen=True)
@@ -521,10 +511,11 @@ class WorldState:
 
 
 def _apply_tx_to_state(state: WorldState, tx: TransactionRecord) -> None:
-    if tx.kind == TxKind.ENFORCEMENT_DECISION:
+    kind = tx.kind
+    if kind == _DECISION:
         return  # intent only; it does not mutate state, so it is not parsed
     body = tx.body()
-    if tx.kind in (TxKind.POLICY_DEPLOY, TxKind.POLICY_UPDATE):
+    if kind in _POLICY_KINDS:
         pid = body["policy_id"]
         state.policies[pid] = body
         state.policy_history.setdefault(pid, []).append(body)
@@ -534,7 +525,7 @@ def _apply_tx_to_state(state: WorldState, tx: TransactionRecord) -> None:
                 "version": body.get("contract_version", 1),
                 "lifecycle": "active",
             }
-    elif tx.kind == TxKind.COMPLIANCE_CHECK:
+    elif kind == _CHECK:
         if body.get("warning"):
             return
         ep = body["endpoint_id"]
@@ -542,7 +533,7 @@ def _apply_tx_to_state(state: WorldState, tx: TransactionRecord) -> None:
             "verdict": body["verdict"],
             "checked_at": body["checked_at"],
         }
-    elif tx.kind == TxKind.ENFORCEMENT_RESULT:
+    elif kind == _RESULT:
         if body["outcome"] != "success":
             return
         arm = tx.metadata.arm
@@ -551,7 +542,7 @@ def _apply_tx_to_state(state: WorldState, tx: TransactionRecord) -> None:
         )
         for attr, value in body.get("applied", {}).items():
             attrs[attr] = value
-    elif tx.kind == TxKind.THREAT_ALERT:
+    elif kind == _ALERT:
         state.alerts.append(
             {"report_id": body.get("report_id"), "affected": body.get("affected", [])}
         )
@@ -598,14 +589,29 @@ class ChainVerdict:
 # Validation (shared by submission and the block vote)
 
 
+_NO_PARAMS: dict = {}  # an item's params when it has none; read, never written
+
+
 def _planned_settings(body: dict) -> list[tuple[str, str, object]]:
     """(endpoint, attribute, value) writes implied by a decision payload:
-    those its params alone fix, as no endpoint has been touched yet."""
-    return [
-        (item["endpoint_id"], attr, value)
-        for item in body.get("planned", [])
-        for attr, value in action_writes(item.get("kind"), item.get("params", {})).items()
-    ]
+    those its params alone fix, as no endpoint has been touched yet.
+
+    ``action_writes`` runs once per distinct (kind, params) pair of objects:
+    items that share them, as a decision's items of one action do, share
+    the writes. The ids are of objects that ``body`` or this module holds
+    for the whole call, so equal ids mean the same objects."""
+    writes_of: dict = {}
+    settings = []
+    for item in body.get("planned", []):
+        kind, params = item.get("kind"), item.get("params", _NO_PARAMS)
+        key = (id(kind), id(params))
+        writes = writes_of.get(key)
+        if writes is None:
+            writes = writes_of[key] = action_writes(kind, params).items()
+        endpoint = item["endpoint_id"]
+        for attr, value in writes:
+            settings.append((endpoint, attr, value))
+    return settings
 
 
 def _validation_body(tx: TransactionRecord) -> dict:
@@ -649,18 +655,18 @@ def validate_transaction(
     if not tx.payload_intact():
         raise MalformedTransaction(f"tx {tx.tx_id}: payload digest mismatch")
 
-    allowed = authorization.get(tx.actor, frozenset())
-    if tx.kind not in allowed:
+    kind = tx.kind
+    if kind not in authorization.get(tx.actor, _NO_KINDS):
         return TxVerdict(False, "authorization")
 
-    if tx.kind not in _BODY_CHECKED:
+    if kind not in _BODY_CHECKED:
         return ACCEPT
     body = _validation_body(tx)
     skip = body.get("policy_id")
     if skip in state.policies:
         required = _active_required_values(state, skip_policy=skip)
 
-    if tx.kind in (TxKind.POLICY_DEPLOY, TxKind.POLICY_UPDATE):
+    if kind in _POLICY_KINDS:
         # A new document must not demand a value another active policy forbids.
         for rule in body.get("rules", []):
             for cond in rule.get("condition", []):
@@ -669,7 +675,7 @@ def validate_transaction(
                 prior = required.get(cond["attribute"])
                 if prior is not None and prior[0] != cond["value"]:
                     return TxVerdict(False, "policy_conflict")
-    elif tx.kind == TxKind.ENFORCEMENT_DECISION:
+    elif kind == _DECISION:
         planned = _planned_settings(body)
         for endpoint, attr, value in planned:
             prior = required.get(attr)
@@ -678,7 +684,7 @@ def validate_transaction(
         # Conflicting pending writes to the same endpoint attribute.
         mine = {(ep, attr): val for ep, attr, val in planned}
         for other in pending:
-            if other.kind != TxKind.ENFORCEMENT_DECISION:
+            if other.kind != _DECISION:
                 continue
             for ep, attr, val in _planned_settings(_validation_body(other)):
                 if (ep, attr) in mine and mine[(ep, attr)] != val:
@@ -751,7 +757,7 @@ class Ledger:
         verdict = validate_transaction(
             tx, self._state, self.pending, self.authorization, self._required
         )
-        if verdict:
+        if verdict.accepted:
             self.pending.append(tx)
             self._admitted[tx.tx_id] = tx
         return verdict
@@ -788,7 +794,7 @@ class Ledger:
         for tx in pending:
             self._seen_tx_ids.add(tx.tx_id)
             # Validation reads only the active policies from live state.
-            if tx.kind in (TxKind.POLICY_DEPLOY, TxKind.POLICY_UPDATE):
+            if tx.kind in _POLICY_KINDS:
                 _apply_tx_to_state(self._state, tx)
                 policy_committed = True
             object.__setattr__(tx, "_source", None)

@@ -364,8 +364,9 @@ def samples_from_chain(chain) -> tuple[list[MetricSample], list[MetricSample]]:
                     rule_policy[rule["rule_id"]] = body["policy_id"]
 
     acc: dict[tuple[str, str], dict] = {}
+    result_kind = TxKind.ENFORCEMENT_RESULT
     for tx in txs:
-        if tx.kind != TxKind.ENFORCEMENT_RESULT:
+        if tx.kind != result_kind:
             continue
         body = tx.body()
         rule_id = body.get("rule_id")

@@ -70,10 +70,9 @@ class RunConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise InputError(f"{name} must be an integer, got {value!r}")
-        if self.endpoints < 1:
-            raise InputError("endpoints must be >= 1")
-        if self.validators < 1:
-            raise InputError("validators must be >= 1")
+        for name, least in (("endpoints", 1), ("validators", 1), ("infected_count", 0)):
+            if getattr(self, name) < least:
+                raise InputError(f"{name} must be >= {least}")
         for name in ("policies", "feeds"):
             paths = getattr(self, name)
             if not isinstance(paths, list) or not all(isinstance(p, str) for p in paths):

@@ -23,11 +23,12 @@ fields where a write depends on them.
 from __future__ import annotations
 
 import copy
+import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .canonical import substream
+from .canonical import slot_builder, substream
 from .errors import InputError, UnknownEndpoint
 from .policy import ENDPOINT_ATTRIBUTES, EnforcementActionSpec, action_writes
 
@@ -68,10 +69,13 @@ class Endpoint:
     infected: bool = False
 
     def attrs(self) -> dict:
-        """A fresh attribute dict in ENDPOINT_ATTRIBUTES order; mutating it,
-        or the rule lists inside it, leaves the endpoint unchanged."""
-        out = {name: getattr(self, name) for name in ENDPOINT_ATTRIBUTES}
-        out["firewall_rules"] = [list(r) for r in self.firewall_rules]
+        """A fresh attribute dict in ENDPOINT_ATTRIBUTES order: one copy of
+        the endpoint's field dict (``vars``) without its id, and a copy of
+        each firewall rule; mutating it, or the rule lists inside it, leaves
+        the endpoint unchanged."""
+        out = vars(self).copy()
+        del out["endpoint_id"]
+        out["firewall_rules"] = list(map(list, out["firewall_rules"]))
         return out
 
 
@@ -228,8 +232,11 @@ class NetworkModel:
         return float(self.human_error_prob_by_kind.get(kind, self.human_error_prob))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ApplyResult:
+    """One attempt's outcome; a run builds one per endpoint and arm, each
+    through ``_apply_result`` (see ``canonical.slot_builder``)."""
+
     endpoint_id: str
     action_kind: str
     outcome: str  # "success" | "failure"
@@ -242,16 +249,8 @@ class ApplyResult:
     def success(self) -> bool:
         return self.outcome == "success"
 
-    def to_dict(self) -> dict:
-        return {
-            "endpoint_id": self.endpoint_id,
-            "action_kind": self.action_kind,
-            "outcome": self.outcome,
-            "failure_reason": self.failure_reason,
-            "duration_ms": self.duration_ms,
-            "finished_at": self.finished_at,
-            "applied": self.applied,
-        }
+
+_apply_result = slot_builder(ApplyResult)
 
 
 # --------------------------------------------------------------------------
@@ -268,12 +267,12 @@ def _settle(fleet: Fleet, ep: Endpoint, action: EnforcementActionSpec, error: Op
     if ep.isolated and not unisolating:
         error = "isolated"
     if error is not None:
-        return ApplyResult(ep.endpoint_id, action.kind, "failure", error, duration, finished)
+        return _apply_result(ep.endpoint_id, action.kind, "failure", error, duration, finished, {})
     applied = action_writes(action.kind, action.params, vars(ep))
     for attr, value in applied.items():
         setattr(ep, attr, value)
         fleet.record_mutation(ep.endpoint_id, attr, value, finished, cause)
-    return ApplyResult(ep.endpoint_id, action.kind, "success", None, duration, finished, applied)
+    return _apply_result(ep.endpoint_id, action.kind, "success", None, duration, finished, applied)
 
 
 def apply_action(
@@ -354,8 +353,9 @@ class Analyst:
     error_multiplier: float
 
     def __post_init__(self):
-        if self.speed_multiplier <= 0 or self.error_multiplier <= 0:
-            raise InputError("analyst multipliers must be positive")
+        # NaN fails both comparisons; a run would fail on it, or on inf.
+        if not (0 < self.speed_multiplier < math.inf and 0 < self.error_multiplier < math.inf):
+            raise InputError("analyst multipliers must be positive and finite")
 
 
 DEFAULT_ROLE_SPEED = {"lead": 0.9, "senior": 1.0, "junior": 1.3}
@@ -379,6 +379,13 @@ class AnalystTeam:
         role_speed: Optional[dict] = None,
         role_error: Optional[dict] = None,
     ) -> "AnalystTeam":
+        for name, given in (("role_speed", role_speed), ("role_error", role_error)):
+            if given is not None and not (isinstance(given, dict) and all(
+                role in DEFAULT_ROLE_SPEED and type(v) in (int, float) for role, v in given.items()
+            )):
+                raise InputError(
+                    f"{name} must map roles ({', '.join(DEFAULT_ROLE_SPEED)}) to numbers, got {given!r}"
+                )
         speed = {**DEFAULT_ROLE_SPEED, **(role_speed or {})}
         error = {**DEFAULT_ROLE_ERROR, **(role_error or {})}
         roster = [
@@ -405,16 +412,23 @@ class AnalystTeam:
         )
 
     def assign(self, task_count: int) -> list[int]:
-        """Task index -> member index, weighted round-robin by speed."""
-        counts = [0] * len(self.members)
+        """Task index -> member index, weighted round-robin by speed.
+
+        Each task goes to the member whose load with it, (tasks so far + 1)
+        times its speed multiplier, is least, ties to the lower index. A
+        heap of (that load, index) pops the same member a scan of every
+        member picks, so the order equals the scan's.
+        """
+        speeds = [m.speed_multiplier for m in self.members]
+        taken = [1] * len(speeds)  # tasks each member holds once it takes the next
+        heap = [(speed, i) for i, speed in enumerate(speeds)]
+        heapq.heapify(heap)
         out = []
         for _ in range(task_count):
-            pick = min(
-                range(len(self.members)),
-                key=lambda i: ((counts[i] + 1) * self.members[i].speed_multiplier, i),
-            )
-            counts[pick] += 1
+            pick = heap[0][1]
             out.append(pick)
+            taken[pick] += 1
+            heapq.heapreplace(heap, (taken[pick] * speeds[pick], pick))
         return out
 
 

@@ -8,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_engine
-from policyledger.contracts import ContractEngine, ContractEvent
+from policyledger import ledger as ledger_module
+from policyledger.contracts import (
+    ComplianceCheckResult,
+    ContractEngine,
+    ContractEvent,
+    PlannedAction,
+    _check_result,
+    _planned_action,
+)
 from policyledger.cti import Decision, DecisionKind, ThreatClass, ThreatCategory
 from policyledger.errors import InputError, LedgerUnavailable, UnknownContract
 from policyledger.ledger import TxKind, query_history
@@ -17,11 +25,21 @@ from policyledger.policy import (
     ENDPOINT_ATTRIBUTES,
     ORDERED_ATTRIBUTES,
     Condition,
+    EnforcementActionSpec,
+    action_writes,
     load_policy_document,
     load_policy_file,
 )
 from policyledger.runner import fixture_path
-from policyledger.simnet import Endpoint, Fleet, NetworkModel, SimClock, provision_fleet
+from policyledger.simnet import (
+    ApplyResult,
+    Endpoint,
+    Fleet,
+    NetworkModel,
+    SimClock,
+    _apply_result,
+    provision_fleet,
+)
 
 
 @pytest.fixture
@@ -633,3 +651,67 @@ def test_isolation_targets_are_the_live_infected_unisolated_endpoints(fields):
         ep.endpoint_id for ep in engine.fleet.endpoints() if ep.infected and not ep.isolated
     ]
     assert {pa.action.kind for pa in plan.actions} <= {"isolate_endpoint"}
+
+
+# -- value objects built slot by slot ------------------------------------------------
+
+
+def _hash_or_error(value):
+    try:
+        return hash(value)
+    except TypeError as exc:
+        return str(exc)
+
+
+# A dict field makes the object unhashable, as the run's objects are; a
+# tuple in its place makes it hashable, so both outcomes are compared.
+_MAPPING = st.one_of(
+    st.dictionaries(st.text(max_size=4), st.integers() | st.booleans(), max_size=3),
+    st.tuples(st.text(max_size=4), st.integers()),
+)
+_TEXT = st.text(max_size=8)
+_VALUES = {
+    ApplyResult: (_apply_result, st.tuples(
+        _TEXT, _TEXT, st.sampled_from(["success", "failure"]), st.none() | _TEXT,
+        st.integers(), st.integers(), _MAPPING)),
+    ComplianceCheckResult: (_check_result, st.tuples(
+        _TEXT, _TEXT, st.sampled_from(["compliant", "non_compliant"]), _MAPPING, st.integers())),
+    PlannedAction: (_planned_action, st.tuples(
+        _TEXT,
+        st.sampled_from([EnforcementActionSpec(kind="disable_smbv1"), ("disable_smbv1",)]),
+        st.none() | _TEXT)),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), cls=st.sampled_from(list(_VALUES)))
+def test_built_value_objects_equal_their_init_made_twins(data, cls):
+    build, values = _VALUES[cls]
+    args = data.draw(values)
+    built, made = build(*args), cls(*args)
+    assert type(built) is cls
+    assert built == made and repr(built) == repr(made)
+    assert _hash_or_error(built) == _hash_or_error(made)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        built.endpoint_id = "other"
+
+
+def test_decision_validation_derives_each_distinct_actions_writes_once(monkeypatch, smbv1_doc):
+    # Validation derived the writes once per planned item: 4 000 calls for
+    # one action on 4 000 endpoints.
+    engine = make_engine(endpoints=4000)
+    decision, matched = standard_decision(deploy(engine, [smbv1_doc]))
+    calls = []
+
+    def counted(kind, params, fields=None):
+        calls.append(kind)
+        return action_writes(kind, params, fields)
+
+    monkeypatch.setattr(ledger_module, "action_writes", counted)
+    plan = engine.execute_decision(decision, matched)
+    assert len(plan.actions) == 4000
+    assert calls == ["disable_smbv1"]
+    # The items share one copy of the action's params, not the rule's dict.
+    planned = engine.ledger.pending[-1]._source["planned"]
+    assert len({id(item["params"]) for item in planned}) == 1
+    assert planned[0]["params"] is not matched[0].remediation.params

@@ -1,6 +1,7 @@
 """Ledger unit tests: validation, consensus, tamper evidence, replay."""
 
 import dataclasses
+import hashlib
 import json
 import random
 import tempfile
@@ -174,6 +175,21 @@ def test_substreams_are_label_independent():
     a1 = [substream(42, "ep", i).random() for i in range(5)]
     a2 = [substream(42, "ep", i).random() for i in range(8)][:5]
     assert a1 == a2  # adding consumers never perturbs existing streams
+
+
+_LABEL = st.one_of(st.text(max_size=12), st.integers(), st.sampled_from(["auto", "human", None]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(-(2**70), 2**70), labels=st.lists(_LABEL, max_size=5))
+def test_substream_state_is_random_seeded_from_the_key_digest(seed, labels):
+    key = "/".join(str(x) for x in [seed, *labels]).encode("utf-8")
+    expected = random.Random(int.from_bytes(hashlib.sha256(key).digest()[:8], "big"))
+    stream = substream(seed, *labels)
+    assert stream.getstate() == expected.getstate()
+    # gauss keeps its second draw in gauss_next, which the state includes.
+    assert [stream.gauss(0, 1) for _ in range(3)] == [expected.gauss(0, 1) for _ in range(3)]
+    assert stream.getstate() == expected.getstate()
 
 
 # -- submit_transaction ------------------------------------------------------

@@ -30,11 +30,15 @@ def test_unknown_config_keys_rejected():
         {"seed": "abc"},
         {"seed": True},
         {"infected_count": 2.5},
+        {"scenario": "ransomware", "infected_count": -1, "endpoints": 5},
         {"validators": None},
         {"network": []},
         {"network": {"auto_failure_prob": "x"}},
         {"team": []},
         {"team": {"role_speed": {"lead": "fast"}}},
+        {"team": {"role_error": {"intern": 1.0}}},
+        {"team": {"role_speed": {"lead": True}}},
+        {"team": {"role_speed": {"lead": float("nan")}}},
         {"network": {"human_error_prob_by_kind": 5}},
         {"network": {"auto_base_by_kind": 5}},
         {"network": {"human_median_ms_by_kind": {"set_rdp_port": "slow"}}},

@@ -10,6 +10,7 @@ from policyledger.errors import InputError, UnknownEndpoint
 from policyledger.ledger import _planned_settings
 from policyledger.policy import ACTION_KINDS, ENDPOINT_ATTRIBUTES, EnforcementActionSpec, action_writes
 from policyledger.simnet import (
+    Analyst,
     AnalystTeam,
     Endpoint,
     Fleet,
@@ -186,6 +187,20 @@ _ENDPOINT_FIELDS = st.fixed_dictionaries({
 _UNMODELED_KINDS = ("revoke_access", "update_permissions", "update_ids_params")
 
 
+@settings(max_examples=100, deadline=None)
+@given(fields=_ENDPOINT_FIELDS)
+def test_attrs_is_a_copy_of_the_fields_in_vocabulary_order(fields):
+    ep = Endpoint("ep-000", **fields)
+    rules_before = [list(r) for r in ep.firewall_rules]
+    attrs = ep.attrs()
+    assert list(attrs) == list(ENDPOINT_ATTRIBUTES)
+    assert attrs == {name: getattr(ep, name) for name in ENDPOINT_ATTRIBUTES}
+    attrs["firewall_rules"].append(["inbound", "*", "deny"])
+    for rule in attrs["firewall_rules"]:
+        rule.append("changed")
+    assert ep.firewall_rules == rules_before
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), kind=st.sampled_from(ACTION_KINDS), fields=_ENDPOINT_FIELDS)
 def test_applied_writes_are_the_field_diff_and_cover_the_ledger_view(data, kind, fields):
@@ -353,6 +368,37 @@ def test_weighted_round_robin_gives_fast_roles_more_tasks():
     assert sum(counts) == 60
     # Deterministic: same inputs, same assignment.
     assert assignment == team.assign(60)
+
+
+def _min_scan_assign(team, task_count):
+    """The reference assignment: each task scans every member for the least
+    (load with the task, index)."""
+    counts = [0] * len(team.members)
+    out = []
+    for _ in range(task_count):
+        pick = min(
+            range(len(team.members)),
+            key=lambda i: ((counts[i] + 1) * team.members[i].speed_multiplier, i),
+        )
+        counts[pick] += 1
+        out.append(pick)
+    return out
+
+
+# Few distinct speeds make ties, which break by member index.
+_SPEED = st.one_of(
+    st.sampled_from([0.9, 1.0, 1.3, 2, 0.5]),
+    st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(speeds=st.lists(_SPEED, min_size=1, max_size=7), task_count=st.integers(0, 500))
+def test_heap_assignment_equals_the_min_scan(speeds, task_count):
+    team = AnalystTeam(tuple(
+        Analyst(f"a-{i}", "senior", speed, 1.0) for i, speed in enumerate(speeds)
+    ))
+    assert team.assign(task_count) == _min_scan_assign(team, task_count)
 
 
 def test_empty_plan_is_an_input_error():
