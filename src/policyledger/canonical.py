@@ -6,6 +6,12 @@ rendered by Python's shortest-roundtrip repr. Two values that compare
 equal always serialize to identical bytes, which is what makes chain
 hashes and report digests reproducible across runs.
 
+The encoder keeps no circular-reference markers, as nothing the package
+encodes is cyclic: a value that contains itself raises ``RecursionError``
+(``json.dumps`` raises ``ValueError``). Fragments encoded once are put
+together by ``object_splicer``'s generated functions, one f-string per
+object shape with its keys sorted when it is generated.
+
 Chain files and payloads are read back by ``decode_json``: one scan by
 a scanner built once, with ``json.loads`` as the fallback for anything
 that scan does not cover, so it accepts and fails as ``json.loads`` does.
@@ -23,13 +29,16 @@ import hashlib
 import json
 import json.scanner
 import random
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Optional
 
 HASH_FUNCTION_NAME = "sha-256"
 ZERO_DIGEST = "0" * 64
 
 # json.dumps with non-default arguments builds a new encoder on every call.
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+# Marking each container to detect cycles costs a dict insert and delete.
+_ENCODER = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), ensure_ascii=False, check_circular=False
+)
 
 # What _ENCODER writes for a str, without the calls canonical_json makes
 # to get there.
@@ -38,11 +47,8 @@ encode_str = (
 )
 
 # _ENCODER.encode still builds a C encoder on every call; build it once.
-# Its circular-reference markers outlive each call, and a failed encode
-# leaves entries behind, so canonical_json clears them on every error.
-_MARKERS: dict = {}
 _C_ENCODE = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
-    _MARKERS if _ENCODER.check_circular else None,
+    None,  # no markers: check_circular is off
     _ENCODER.default,
     encode_str,
     _ENCODER.indent,
@@ -55,14 +61,11 @@ _C_ENCODE = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
 
 
 def canonical_json(value: Any) -> str:
-    """Serialize ``value`` to its canonical JSON form."""
+    """Serialize ``value`` to its canonical JSON form. ``value`` must not
+    contain itself: a cyclic value raises ``RecursionError``."""
     if _C_ENCODE is None:
         return _ENCODER.encode(value)
-    try:
-        return "".join(_C_ENCODE(value, 0))
-    except BaseException:
-        _MARKERS.clear()
-        raise
+    return "".join(_C_ENCODE(value, 0))
 
 
 # json.loads checks its argument, skips whitespace and wraps the scan in
@@ -83,22 +86,29 @@ def decode_json(text: Any) -> Any:
     return json.loads(text)
 
 
-def object_template(*keys: str) -> str:
-    """A ``str.format`` template for the canonical JSON object with ``keys``.
+def object_splicer(*keys: str, cut: Optional[str] = None) -> Callable[..., Any]:
+    """A function of one member per key, in the order of ``keys``, that
+    returns the canonical JSON object with ``keys``, each member placed at
+    its key's sorted position. A member is canonical JSON, or an int.
 
-    ``template.format(*members)`` takes each member's value as canonical
-    JSON, in the order of ``keys``, and places it at its key's sorted
-    position, so a caller can splice in fragments it encoded once.
+    With ``cut``, one of ``keys``, it takes no member for that key and
+    returns the text before and the text after where that member goes.
+    Like ``slot_builder``'s, its code is generated: one f-string, about
+    half the cost of a ``str.format`` template.
     """
-
-    def escape(text: str) -> str:
+    def literal(text: str) -> str:
         return text.replace("{", "{{").replace("}", "}}")
 
-    members = (
-        escape(encode_str(key) + _ENCODER.key_separator) + "{%d}" % i
+    # A NUL marks the cut: encode_str escapes every control character.
+    text = "{{" + literal(_ENCODER.item_separator).join(
+        literal(encode_str(key) + _ENCODER.key_separator) + ("\0" if key == cut else "{m%d}" % i)
         for key, i in sorted((key, i) for i, key in enumerate(keys))
-    )
-    return "{{" + escape(_ENCODER.item_separator).join(members) + "}}"
+    ) + "}}"
+    args = ", ".join("m%d" % i for i, key in enumerate(keys) if key != cut)
+    pieces = ", ".join("f" + repr(piece) for piece in text.split("\0"))
+    scope: dict = {}
+    exec(f"def splice({args}):\n    return {pieces}", scope)
+    return scope["splice"]
 
 
 def encode_array(items: Iterable[str]) -> str:

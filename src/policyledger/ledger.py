@@ -21,7 +21,8 @@ A decision is checked for the writes of its planned actions, as
 ``policy.action_writes`` defines them from the params alone: a firewall
 rule's append is unknown before the endpoint is touched, but an outbound
 deny-all still sets ``proxy_outbound_blocked``, and a patch with an
-explicit ``level`` sets ``patch_level``.
+explicit ``level`` sets ``patch_level``. Required values are checked once
+per distinct action, and per item only against another pending decision.
 
 A record is frozen and every digest input is immutable, so each record
 object computes its payload check and its record digest once, on first
@@ -38,8 +39,9 @@ The genesis block records the hash function name, the export format
 version, the validator set, and the run's config digest; all of it is
 covered by the genesis block hash. Export writes each line one record
 at a time, spliced from its fields' encodings and its metadata's kept
-fragment; import reads one line at a time. Lines and payloads are parsed
-by ``canonical.decode_json``, one C scan with ``json.loads`` as its
+fragment, by functions ``canonical.object_splicer`` generates at import;
+import reads one line at a time. Lines and payloads are parsed by
+``canonical.decode_json``, one C scan with ``json.loads`` as its
 fallback, so every value read and every line refused is ``json.loads``'s.
 """
 
@@ -49,7 +51,7 @@ import os
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
-from operator import eq
+from operator import eq, itemgetter, methodcaller
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
@@ -62,7 +64,7 @@ from .canonical import (
     digest_bytes,
     encode_array,
     encode_str,
-    object_template,
+    object_splicer,
     slot_builder,
 )
 from .errors import (
@@ -78,15 +80,17 @@ VOTE_ACCEPT = "accept"
 
 # A record digest's preimage: canonical JSON of every field but the payload.
 _ENVELOPE_KEYS = ("tx_id", "timestamp", "kind", "actor", "payload_digest", "metadata")
-_ENVELOPE = object_template(*_ENVELOPE_KEYS)
+_ENVELOPE = object_splicer(*_ENVELOPE_KEYS)
 # A record as a chain file holds it: the envelope plus the payload.
-_RECORD = object_template(*_ENVELOPE_KEYS, "payload")
+_RECORD = object_splicer(*_ENVELOPE_KEYS, "payload")
 # A non-genesis block hash's preimage.
-_BLOCK = object_template("index", "prev_hash", "timestamp", "tx_digests")
-# A non-genesis block as a chain file holds it, cut where its records go.
-_BLOCK_HEAD, _, _BLOCK_TAIL = object_template(
-    "index", "prev_hash", "block_hash", "timestamp", "transactions", "validator_votes"
-).partition("{4}")
+_BLOCK = object_splicer("index", "prev_hash", "timestamp", "tx_digests")
+# A non-genesis block as a chain file holds it: the text before and after
+# its records.
+_BLOCK_ENDS = object_splicer(
+    "index", "prev_hash", "block_hash", "timestamp", "transactions", "validator_votes",
+    cut="transactions",
+)
 
 
 def _json_str(value) -> str:
@@ -302,12 +306,12 @@ class TransactionRecord:
     def _envelope(self) -> str:
         """Canonical JSON of the envelope (every field but the payload,
         metadata as a dict), spliced around the metadata's kept fragment."""
-        return _ENVELOPE.format(*self._envelope_members())
+        return _ENVELOPE(*self._envelope_members())
 
     def wire_json(self) -> str:
         """Canonical JSON of ``to_dict()``: the envelope's members and the
         payload, spliced like ``_envelope``."""
-        return _RECORD.format(*self._envelope_members(), _json_str(self.payload))
+        return _RECORD(*self._envelope_members(), _json_str(self.payload))
 
     def _envelope_members(self) -> tuple[str, ...]:
         """Each envelope field as canonical JSON, in ``_ENVELOPE_KEYS`` order."""
@@ -409,21 +413,21 @@ class LedgerBlock:
         """``wire_json()`` in pieces, one record at a time.
 
         Without ``meta``, and with an exactly-``int`` index and timestamp,
-        the header is spliced into a template around each record's
-        ``wire_json``; otherwise the whole line is one piece.
+        the header is spliced around each record's ``wire_json``;
+        otherwise the whole line is one piece.
         """
         index, timestamp = self.index, self.timestamp
         if self.meta is not None or type(index) is not int or type(timestamp) is not int:
             yield canonical_json(self.to_dict())
             return
-        members = (index, _json_str(self.prev_hash), _json_str(self.block_hash), timestamp,
-                   None, canonical_json(self.validator_votes))
-        yield _BLOCK_HEAD.format(*members) + "["
+        head, tail = _BLOCK_ENDS(index, _json_str(self.prev_hash), _json_str(self.block_hash),
+                                 timestamp, canonical_json(self.validator_votes))
+        yield head + "["
         for i, tx in enumerate(self.transactions):
             if i:
                 yield ","
             yield tx.wire_json()
-        yield "]" + _BLOCK_TAIL.format(*members)
+        yield "]" + tail
 
     _WIRE_KEYS = frozenset(
         {"index", "prev_hash", "block_hash", "timestamp", "transactions", "validator_votes"}
@@ -462,10 +466,10 @@ def compute_block_hash(
 
     The preimage is the canonical JSON of a dict of these fields. Without
     ``meta``, and with an exactly-``int`` index and timestamp, it is
-    spliced into a template rather than encoded as a dict.
+    spliced from its members' encodings rather than encoded as a dict.
     """
     if meta is None and type(index) is int and type(timestamp) is int:
-        preimage = _BLOCK.format(
+        preimage = _BLOCK(
             index, _json_str(prev_hash), timestamp, encode_array(map(_json_str, tx_digests))
         )
         return digest_bytes(preimage.encode("utf-8"))
@@ -590,28 +594,35 @@ class ChainVerdict:
 
 
 _NO_PARAMS: dict = {}  # an item's params when it has none; read, never written
+_ITEM_ENDPOINT = itemgetter("endpoint_id")
+_ITEM_KIND = methodcaller("get", "kind")
+_ITEM_PARAMS = methodcaller("get", "params", _NO_PARAMS)
 
 
-def _planned_settings(body: dict) -> list[tuple[str, str, object]]:
-    """(endpoint, attribute, value) writes implied by a decision payload:
-    those its params alone fix, as no endpoint has been touched yet.
+def _planned_actions(body: dict) -> tuple[list, list, dict]:
+    """A decision payload's items as each item's endpoint and action key,
+    and each key's writes: ``action_writes`` of the params alone, as no
+    endpoint has been touched yet. A key is the ids of an item's (kind,
+    params) objects, which the lists hold for the call, so the writes are
+    derived once per action that items share. Each per-item step maps a C
+    callable, and a missing endpoint id or a mistyped item raises there."""
+    planned = body.get("planned", ())
+    endpoints = list(map(_ITEM_ENDPOINT, planned))
+    kinds = list(map(_ITEM_KIND, planned))
+    params = list(map(_ITEM_PARAMS, planned))
+    keys = list(zip(map(id, kinds), map(id, params)))
+    actions = dict(zip(keys, zip(kinds, params)))
+    writes_of = {key: action_writes(*action).items() for key, action in actions.items()}
+    return endpoints, keys, writes_of
 
-    ``action_writes`` runs once per distinct (kind, params) pair of objects:
-    items that share them, as a decision's items of one action do, share
-    the writes. The ids are of objects that ``body`` or this module holds
-    for the whole call, so equal ids mean the same objects."""
-    writes_of: dict = {}
-    settings = []
-    for item in body.get("planned", []):
-        kind, params = item.get("kind"), item.get("params", _NO_PARAMS)
-        key = (id(kind), id(params))
-        writes = writes_of.get(key)
-        if writes is None:
-            writes = writes_of[key] = action_writes(kind, params).items()
-        endpoint = item["endpoint_id"]
-        for attr, value in writes:
-            settings.append((endpoint, attr, value))
-    return settings
+
+def _planned_settings(body: dict) -> Iterator[tuple[str, str, object]]:
+    """(endpoint, attribute, value) writes implied by a decision payload,
+    per write of each item, in item order."""
+    endpoints, keys, writes_of = _planned_actions(body)
+    for endpoint, key in zip(endpoints, keys):
+        for attr, value in writes_of[key]:
+            yield endpoint, attr, value
 
 
 def _validation_body(tx: TransactionRecord) -> dict:
@@ -650,7 +661,8 @@ def validate_transaction(
     policy, whose own values the check skips.
 
     Raises MalformedTransaction when the payload digest does not
-    recompute; that is corruption, not a validation outcome.
+    recompute, or when a body lacks a field the checks read or holds one
+    of the wrong type; that is corruption, not a validation outcome.
     """
     if not tx.payload_intact():
         raise MalformedTransaction(f"tx {tx.tx_id}: payload digest mismatch")
@@ -661,7 +673,14 @@ def validate_transaction(
 
     if kind not in _BODY_CHECKED:
         return ACCEPT
-    body = _validation_body(tx)
+    try:
+        return _check_body(kind, _validation_body(tx), state, pending, required)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise MalformedTransaction(f"tx {tx.tx_id}: malformed body ({exc!r})") from exc
+
+
+def _check_body(kind, body, state: WorldState, pending: list, required: dict) -> TxVerdict:
+    """``validate_transaction``'s checks of a policy or decision body."""
     skip = body.get("policy_id")
     if skip in state.policies:
         required = _active_required_values(state, skip_policy=skip)
@@ -676,19 +695,20 @@ def validate_transaction(
                 if prior is not None and prior[0] != cond["value"]:
                     return TxVerdict(False, "policy_conflict")
     elif kind == _DECISION:
-        planned = _planned_settings(body)
-        for endpoint, attr, value in planned:
-            prior = required.get(attr)
-            if prior is not None and prior[0] != value:
-                return TxVerdict(False, "policy_conflict")
+        _, _, writes_of = _planned_actions(body)
+        for writes in writes_of.values():
+            for attr, value in writes:
+                prior = required.get(attr)
+                if prior is not None and prior[0] != value:
+                    return TxVerdict(False, "policy_conflict")
         # Conflicting pending writes to the same endpoint attribute.
-        mine = {(ep, attr): val for ep, attr, val in planned}
-        for other in pending:
-            if other.kind != _DECISION:
-                continue
-            for ep, attr, val in _planned_settings(_validation_body(other)):
-                if (ep, attr) in mine and mine[(ep, attr)] != val:
-                    return TxVerdict(False, "pending_conflict")
+        others = [other for other in pending if other.kind == _DECISION]
+        if others:
+            mine = {(ep, attr): val for ep, attr, val in _planned_settings(body)}
+            for other in others:
+                for ep, attr, val in _planned_settings(_validation_body(other)):
+                    if (ep, attr) in mine and mine[(ep, attr)] != val:
+                        return TxVerdict(False, "pending_conflict")
 
     return ACCEPT
 

@@ -6,10 +6,13 @@ contract -> heartbeat audit -> threat processing (Algorithm-style cycles
 for the automated arm, the analyst-team baseline for the human arm, both
 sharing one seed in ``both`` mode so the comparison is paired) -> report
 and chain export. Identical configs produce byte-identical outputs.
+
+A run pauses the cyclic garbage collector (see ``run_scenario``).
 """
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass, field, fields
 from importlib import resources
@@ -168,7 +171,24 @@ def run_scenario(
     """Execute one scenario end to end; write report + chain when outdir
     is given. ``report_format`` selects json, text, or both report files.
     Raises for config errors; missing files raise FileNotFoundError so the
-    CLI can map exit codes."""
+    CLI can map exit codes.
+
+    The cyclic garbage collector is paused for the run, as ``timeit``
+    pauses it: a run makes no reference cycles, so each of the hundreds of
+    passes a large run would trigger frees nothing
+    (``test_run_scenario_makes_no_cycles_and_restores_the_collector`` pins
+    this). It is enabled again on return or raise if it was on at entry.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _run_scenario(config, outdir, report_format)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _run_scenario(config: RunConfig, outdir: Optional[str | Path], report_format: str) -> RunResult:
     if report_format not in ("json", "text", "both"):
         raise InputError(f"unknown report format {report_format!r}")
     documents = [load_policy_file(path) for path in config.resolved_policy_paths()]

@@ -157,17 +157,31 @@ def snapshot(fleet: Fleet) -> dict:
 # Network model
 
 
+#: Bounds that keep every draw a run makes from a NetworkModel finite: a
+#: lognormal draw around a median at most MAX_LATENCY_MS (about 116 days)
+#: with a sigma at most MAX_SIGMA_LOG stays far below float overflow.
+MAX_LATENCY_MS = 10**10
+MAX_SIGMA_LOG = 5
+
+
+def _is_number(value) -> bool:
+    """An int or float, not a bool."""
+    return type(value) in (int, float)
+
+
 def _check_prob(name: str, p: float) -> float:
-    if not 0.0 <= p <= 1.0:
-        raise InputError(f"{name} must be in [0,1], got {p}")
+    if not (_is_number(p) and 0.0 <= p <= 1.0):
+        raise InputError(f"{name} must be a number in [0,1], got {p!r}")
     return p
 
 
 def _check_ms(name: str, value: float, jitter: float = 0) -> None:
     """A latency, as a run reads it (``int(value)``), must be above
-    ``jitter``, which is not negative."""
-    if not (-math.inf < value < math.inf and int(value) > jitter):
-        raise InputError(f"{name} must be finite, with an integer part above {jitter}; got {value}")
+    ``jitter``, which is not negative, and at most ``MAX_LATENCY_MS``."""
+    if not (_is_number(value) and -math.inf < value < math.inf
+            and jitter < int(value) <= MAX_LATENCY_MS):
+        raise InputError(f"{name} must be a finite number with an integer part above {jitter} "
+                         f"and at most {MAX_LATENCY_MS}; got {value!r}")
 
 
 @dataclass
@@ -202,7 +216,7 @@ class NetworkModel:
         for name in ("auto_base_by_kind", "human_median_ms_by_kind", "human_error_prob_by_kind"):
             by_kind = getattr(self, name)
             if not isinstance(by_kind, dict) or not all(
-                isinstance(k, str) and type(v) in (int, float) for k, v in by_kind.items()
+                isinstance(k, str) and _is_number(v) for k, v in by_kind.items()
             ):
                 raise InputError(f"{name} must map action kinds to numbers, got {by_kind!r}")
         _check_prob("auto_failure_prob", self.auto_failure_prob)
@@ -221,6 +235,9 @@ class NetworkModel:
         _check_ms("human_median_ms", self.human_median_ms)
         for kind, median in self.human_median_ms_by_kind.items():
             _check_ms(f"human_median_ms_by_kind[{kind}]", median)
+        sigma = self.human_sigma_log
+        if not (_is_number(sigma) and 0 <= sigma <= MAX_SIGMA_LOG):
+            raise InputError(f"human_sigma_log must be a number in [0, {MAX_SIGMA_LOG}], got {sigma!r}")
 
     def auto_base_for(self, kind: str) -> int:
         return int(self.auto_base_by_kind.get(kind, self.auto_base_ms))
@@ -381,7 +398,7 @@ class AnalystTeam:
     ) -> "AnalystTeam":
         for name, given in (("role_speed", role_speed), ("role_error", role_error)):
             if given is not None and not (isinstance(given, dict) and all(
-                role in DEFAULT_ROLE_SPEED and type(v) in (int, float) for role, v in given.items()
+                role in DEFAULT_ROLE_SPEED and _is_number(v) for role, v in given.items()
             )):
                 raise InputError(
                     f"{name} must map roles ({', '.join(DEFAULT_ROLE_SPEED)}) to numbers, got {given!r}"

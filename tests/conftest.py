@@ -1,10 +1,22 @@
 import pytest
+from hypothesis import strategies as st
 
 from policyledger.contracts import ContractEngine
 from policyledger.ledger import Ledger, TransactionRecord, TxKind
 from policyledger.policy import load_policy_file
-from policyledger.runner import fixture_path
+from policyledger.runner import RunConfig, fixture_path
 from policyledger.simnet import NetworkModel, SimClock, provision_fleet
+
+
+#: Small end-to-end run configs, for properties of whole runs.
+run_configs = st.builds(
+    RunConfig,
+    seed=st.integers(0, 2**16),
+    endpoints=st.integers(1, 40),
+    scenario=st.sampled_from(["smbv1", "rdp", "ransomware"]),
+    mode=st.sampled_from(["automated", "human", "both"]),
+    validators=st.integers(1, 4),
+)
 
 
 @pytest.fixture

@@ -11,13 +11,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_tx
+from conftest import make_tx, run_configs
 from policyledger import ledger as ledger_module
 from policyledger.canonical import (
     canonical_json,
     decode_json,
     digest_value,
-    object_template,
+    object_splicer,
     substream,
 )
 from policyledger.errors import (
@@ -76,13 +76,6 @@ def test_canonical_json_sorts_keys_and_is_compact():
     assert canonical_json({"b": 1, "a": [1, 2]}) == '{"a":[1,2],"b":1}'
 
 
-def test_object_template_places_members_at_their_sorted_keys():
-    keys = ("b", "a", "{0}", "é", "")
-    values = (1, [2, "x"], "}{", None, {"z": 0.5})
-    members = [canonical_json(v) for v in values]
-    assert object_template(*keys).format(*members) == canonical_json(dict(zip(keys, values)))
-
-
 _JSON_VALUES = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
               st.text(), st.sampled_from(["é ✓ 漢字 🔒", "\x00\x1f\x7f", '"\\'])),
@@ -90,6 +83,41 @@ _JSON_VALUES = st.recursive(
                                st.dictionaries(st.text(max_size=6), children, max_size=4)),
     max_leaves=20,
 )
+
+
+_SPLICE_TEXT = st.text(
+    alphabet=st.one_of(st.characters(), st.sampled_from('{}"\'\\\x00\x1f\x7f\u2028é漢🔒')),
+    max_size=8,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(items=st.dictionaries(
+    _SPLICE_TEXT,
+    st.one_of(st.integers(-(10**30), 10**30), _SPLICE_TEXT, _JSON_VALUES),
+    max_size=7,
+), data=st.data())
+def test_object_splicer_places_members_at_their_sorted_keys(items, data):
+    # Members are canonical JSON, except ints, which go in as they are.
+    keys = list(items)
+    members = [v if type(v) is int else canonical_json(v) for v in items.values()]
+    expected = canonical_json(items)
+    assert object_splicer(*keys)(*members) == expected
+    if keys:
+        i = data.draw(st.integers(0, len(keys) - 1))
+        head, tail = object_splicer(*keys, cut=keys[i])(*members[:i], *members[i + 1:])
+        assert head + canonical_json(items[keys[i]]) + tail == expected
+
+
+def test_canonical_json_of_a_cyclic_value_raises_recursion_error():
+    looped_list: list = [1]
+    looped_list.append(looped_list)
+    looped_dict: dict = {"a": [1]}
+    looped_dict["a"].append(looped_dict)
+    for value in (looped_list, looped_dict):
+        with pytest.raises(RecursionError):
+            canonical_json(value)
+    assert canonical_json({"a": [1]}) == '{"a":[1]}'
 
 
 @settings(max_examples=200, deadline=None)
@@ -371,6 +399,26 @@ def test_conflicting_pending_transactions_are_rejected():
     assert not verdict and verdict.reason == "pending_conflict"
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        {"planned": [{"kind": "disable_smbv1", "params": {}}]},
+        {"planned": [{"endpoint_id": "ep-1", "kind": "set_rdp_port", "params": {}}]},
+        {"planned": "oops"},
+    ],
+    ids=["no endpoint_id", "no port", "planned not a list"],
+)
+def test_a_malformed_decision_body_is_a_malformed_transaction(body):
+    ledger = fresh_ledger()
+    with pytest.raises(MalformedTransaction):
+        ledger.submit_transaction(make_tx(ledger, body=body))
+    # The same record slipped past submission fails the block vote.
+    ledger.pending.append(make_tx(ledger, body=body))
+    with pytest.raises(ConsensusFailure, match="reject:malformed"):
+        ledger.commit_block(1)
+    assert len(ledger.chain()) == 1
+
+
 # -- validation from the kept dict ---------------------------------------------
 
 _PIDS = ["p1", "p2", "p3"]
@@ -463,6 +511,129 @@ def test_submit_with_the_kept_required_values_equals_validation_from_the_chain(s
             ledger.commit_block(t)
     # No kept dict outlives its block's commit.
     assert all(tx._source is None for block in ledger.chain() for tx in block.transactions)
+
+
+def _oracle_planned_settings(body):
+    """The ledger's per-item decision writes before the per-action check:
+    (endpoint, attribute, value) for every item, in item order."""
+    writes_of: dict = {}
+    settings = []
+    for item in body.get("planned", []):
+        kind, params = item.get("kind"), item.get("params", ledger_module._NO_PARAMS)
+        key = (id(kind), id(params))
+        writes = writes_of.get(key)
+        if writes is None:
+            writes = writes_of[key] = ledger_module.action_writes(kind, params).items()
+        endpoint = item["endpoint_id"]
+        for attr, value in writes:
+            settings.append((endpoint, attr, value))
+    return settings
+
+
+def _oracle_validate(tx, state, pending, authorization, required):
+    """``validate_transaction`` as it was before it checked required values
+    once per distinct action and built the per-item map only when another
+    decision is pending. A malformed body raises whatever it raises."""
+    if not tx.payload_intact():
+        raise MalformedTransaction(f"tx {tx.tx_id}: payload digest mismatch")
+    kind = tx.kind
+    if kind not in authorization.get(tx.actor, frozenset()):
+        return ledger_module.TxVerdict(False, "authorization")
+    if kind not in ledger_module._BODY_CHECKED:
+        return ledger_module.ACCEPT
+    body = ledger_module._validation_body(tx)
+    skip = body.get("policy_id")
+    if skip in state.policies:
+        required = ledger_module._active_required_values(state, skip_policy=skip)
+    if kind in (TxKind.POLICY_DEPLOY, TxKind.POLICY_UPDATE):
+        for rule in body.get("rules", []):
+            for cond in rule.get("condition", []):
+                if cond.get("comparator") != "equals":
+                    continue
+                prior = required.get(cond["attribute"])
+                if prior is not None and prior[0] != cond["value"]:
+                    return ledger_module.TxVerdict(False, "policy_conflict")
+    elif kind == TxKind.ENFORCEMENT_DECISION:
+        planned = _oracle_planned_settings(body)
+        for endpoint, attr, value in planned:
+            prior = required.get(attr)
+            if prior is not None and prior[0] != value:
+                return ledger_module.TxVerdict(False, "policy_conflict")
+        mine = {(ep, attr): val for ep, attr, val in planned}
+        for other in pending:
+            if other.kind != TxKind.ENFORCEMENT_DECISION:
+                continue
+            for ep, attr, val in _oracle_planned_settings(ledger_module._validation_body(other)):
+                if (ep, attr) in mine and mine[(ep, attr)] != val:
+                    return ledger_module.TxVerdict(False, "pending_conflict")
+    return ledger_module.ACCEPT
+
+
+@st.composite
+def _oracle_decision_bodies(draw, breakable=False):
+    """A decision body of 1-6 actions on three endpoints. An item of an
+    action shares its params object, as the engine's items do, or holds an
+    equal copy. With ``breakable``, one item may be made malformed."""
+    actions = draw(st.lists(_plans, min_size=1, max_size=6))
+    uses = list(range(len(actions))) + draw(
+        st.lists(st.integers(0, len(actions) - 1), max_size=8))
+    planned = []
+    for i in uses:
+        kind, params = actions[i]
+        planned.append({
+            "endpoint_id": draw(st.sampled_from(["ep-000", "ep-001", "ep-002"])),
+            "kind": kind,
+            "params": params if draw(st.booleans()) else dict(params),
+            "rule_id": "r",
+        })
+    body = {"planned": draw(st.permutations(planned))}
+    if breakable and draw(st.booleans()):
+        at = draw(st.integers(0, len(body["planned"]) - 1))
+        how = draw(st.sampled_from(["endpoint", "params", "null params", "item", "planned"]))
+        item = body["planned"][at] = dict(body["planned"][at])
+        if how == "endpoint":
+            del item["endpoint_id"]
+        elif how == "params":
+            item["params"] = {}
+        elif how == "null params":
+            item["params"] = None
+        elif how == "item":
+            body["planned"][at] = "oops"
+        elif how == "planned":
+            body["planned"] = "oops"
+    return body
+
+
+def _verdict_or_malformed(validate, *args):
+    try:
+        return validate(*args)
+    except (MalformedTransaction, AttributeError, KeyError, TypeError, ValueError):
+        return "malformed"
+
+
+@settings(max_examples=200, deadline=None)
+@given(committed=st.lists(_policy_bodies, max_size=3),
+       pending=st.lists(_oracle_decision_bodies(), max_size=3),
+       body=_oracle_decision_bodies(breakable=True), actor=st.sampled_from(["contract-engine",
+                                                                            "human-team"]))
+def test_validate_transaction_gives_the_oracles_verdict(committed, pending, body, actor):
+    ledger = fresh_ledger()
+    state = ledger_module.WorldState()
+    for policy in committed:
+        tx = make_tx(ledger, kind=TxKind.POLICY_DEPLOY, actor="policy-admin", body=policy)
+        ledger_module._apply_tx_to_state(state, _parsed(tx))
+    required = ledger_module._active_required_values(state)
+    kept = [make_tx(ledger, body=other) for other in pending]
+    tx = make_tx(ledger, actor=actor, body=body)
+    expected = _verdict_or_malformed(_oracle_validate, tx, state, kept, DEFAULT_AUTHORIZATION,
+                                     required)
+    for record, others in ((tx, kept), (_parsed(tx), [_parsed(other) for other in kept])):
+        try:
+            verdict = ledger_module.validate_transaction(record, state, others,
+                                                         DEFAULT_AUTHORIZATION, required)
+        except MalformedTransaction:
+            verdict = "malformed"
+        assert verdict == expected
 
 
 def _no_parse(tx):
@@ -1297,26 +1468,18 @@ def test_streamed_export_is_the_dict_encoding_and_round_trips(seed, endpoints, s
 
 
 @settings(max_examples=80, deadline=None)
-@given(
-    seed=st.integers(0, 2**16),
-    endpoints=st.integers(1, 40),
-    scenario=st.sampled_from(["smbv1", "rdp", "ransomware"]),
-    mode=st.sampled_from(["automated", "human", "both"]),
-    validators=st.integers(1, 4),
-)
-def test_the_exported_file_alone_rebuilds_the_live_report_and_state(
-    seed, endpoints, scenario, mode, validators,
-):
+@given(config=run_configs)
+def test_the_exported_file_alone_rebuilds_the_live_report_and_state(config):
     from policyledger.metrics import (
         build_comparison_report,
         render_report_text,
         samples_from_chain,
     )
-    from policyledger.runner import RunConfig, run_scenario
+    from policyledger.runner import run_scenario
 
+    seed = config.seed
     with tempfile.TemporaryDirectory() as tmp:
-        result = run_scenario(RunConfig(seed=seed, endpoints=endpoints, scenario=scenario,
-                                        mode=mode, validators=validators), outdir=tmp)
+        result = run_scenario(config, outdir=tmp)
         live = Path(tmp, "report.json").read_bytes(), Path(tmp, "report.txt").read_bytes()
         chain = import_chain(Path(tmp, "chain.ndjson"))
     automated, human = samples_from_chain(chain)

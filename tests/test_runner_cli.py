@@ -1,9 +1,14 @@
 """Run configuration, CLI commands, exit codes, and output determinism."""
 
+import gc
 import json
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import run_configs
 
 from policyledger.cli import main
 from policyledger.errors import InputError
@@ -50,6 +55,13 @@ def test_unknown_config_keys_rejected():
         {"network": {"human_median_ms_by_kind": {"disable_smbv1": float("inf")}}},
         {"network": {"auto_base_ms": float("nan")}},
         {"network": {"auto_jitter_ms": 0.5}},
+        {"network": {"human_sigma_log": "a"}},
+        {"network": {"human_sigma_log": float("nan")}},
+        {"network": {"human_sigma_log": 1e308}},
+        {"network": {"human_sigma_log": -1}},
+        {"network": {"human_median_ms": 1e300}},
+        {"network": {"human_error_prob": True}},
+        {"network": {"auto_failure_prob": True}},
         {"policies": 5},
         {"policies": "abc"},
         {"feeds": [1]},
@@ -87,6 +99,34 @@ def test_config_digest_is_stable_and_sensitive():
 def test_custom_scenario_requires_policies():
     with pytest.raises(InputError):
         RunConfig(scenario="custom").resolved_policy_paths()
+
+
+# -- the collector pause -------------------------------------------------------
+
+
+@settings(max_examples=20, deadline=None)
+@given(config=run_configs, enabled=st.booleans())
+def test_run_scenario_makes_no_cycles_and_restores_the_collector(config, enabled):
+    # run_scenario pauses the cyclic collector because a run makes no
+    # reference cycles: with the collector off, a run leaves none behind.
+    was_enabled = gc.isenabled()
+    try:
+        gc.disable()
+        gc.collect()
+        with tempfile.TemporaryDirectory() as tmp:
+            run_scenario(config, outdir=tmp)
+        assert gc.collect() == 0
+        assert not gc.isenabled()
+        # It leaves the collector as it found it, on return and on raise.
+        (gc.enable if enabled else gc.disable)()
+        run_scenario(config)
+        assert gc.isenabled() == enabled
+        with pytest.raises(FileNotFoundError):
+            run_scenario(RunConfig(seed=config.seed, scenario=config.scenario,
+                                   feeds=["no/such/feed.json"]))
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 # -- determinism (runs twice, byte-identical) -----------------------------------
