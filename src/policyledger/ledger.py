@@ -29,7 +29,7 @@ object computes its payload check and its record digest once, on first
 use, and keeps them. Likewise, block hashes are recomputed once per block
 object; links, votes and indices are checked on every call. Genesis is
 the exception: its ``meta`` is a mutable dict, so its hash is recomputed
-on every call. A record digest's preimage is built around its metadata's
+on every call. A record digest's preimage is spliced around its metadata's
 canonical JSON fragment, which each ``TxMetadata`` object encodes once; an
 import interns metadata, one object per distinct value, so a chain with a
 handful of distinct metadata values encodes only that many fragments.
@@ -37,10 +37,14 @@ handful of distinct metadata values encodes only that many fragments.
 Chain files are newline-delimited: one canonical-JSON block per line.
 The genesis block records the hash function name, the export format
 version, the validator set, and the run's config digest; all of it is
-covered by the genesis block hash. Export writes each line one record
-at a time, spliced from its fields' encodings and its metadata's kept
-fragment, by functions ``canonical.object_splicer`` generates at import;
-import reads one line at a time. Lines and payloads are parsed by
+covered by the genesis block hash. Record and block field types are
+checked once, when the object is built, however it is built; a mistyped
+field raises ``TypeError``, which an import reads as a corrupt line. So
+each record, block and block-hash preimage has one encoder: a splice of
+its fields' encodings (genesis's ``meta`` is one) and its metadata's kept
+fragment, by functions ``canonical.object_splicer`` generates at import.
+Export writes each line one record at a time; import reads one line at a
+time. Lines and payloads are parsed by
 ``canonical.decode_json``, one C scan with ``json.loads`` as its
 fallback, so every value read and every line refused is ``json.loads``'s.
 """
@@ -58,7 +62,6 @@ from typing import Iterable, Iterator, Optional
 from .canonical import (
     HASH_FUNCTION_NAME,
     ZERO_DIGEST,
-    canonical_bytes,
     canonical_json,
     decode_json,
     digest_bytes,
@@ -83,19 +86,29 @@ _ENVELOPE_KEYS = ("tx_id", "timestamp", "kind", "actor", "payload_digest", "meta
 _ENVELOPE = object_splicer(*_ENVELOPE_KEYS)
 # A record as a chain file holds it: the envelope plus the payload.
 _RECORD = object_splicer(*_ENVELOPE_KEYS, "payload")
-# A non-genesis block hash's preimage.
-_BLOCK = object_splicer("index", "prev_hash", "timestamp", "tx_digests")
-# A non-genesis block as a chain file holds it: the text before and after
-# its records.
-_BLOCK_ENDS = object_splicer(
-    "index", "prev_hash", "block_hash", "timestamp", "transactions", "validator_votes",
-    cut="transactions",
-)
+# A block hash's preimage; genesis adds its meta.
+_BLOCK_KEYS = ("index", "prev_hash", "timestamp", "tx_digests")
+_BLOCK = object_splicer(*_BLOCK_KEYS)
+_GENESIS = object_splicer(*_BLOCK_KEYS, "meta")
+# A block as a chain file holds it: the text before and after its records.
+_LINE_KEYS = ("index", "prev_hash", "block_hash", "timestamp", "transactions", "validator_votes")
+_BLOCK_ENDS = object_splicer(*_LINE_KEYS, cut="transactions")
+_GENESIS_ENDS = object_splicer(*_LINE_KEYS, "meta", cut="transactions")
 
 
-def _json_str(value) -> str:
-    """Canonical JSON of a field that should be a str, whatever it holds."""
-    return encode_str(value) if type(value) is str else canonical_json(value)
+def _type_check(owner: str, **types: type):
+    """A function of one value per keyword, in order, that raises TypeError
+    unless each value is exactly of its keyword's type: the splices encode
+    no other. A bool is not an int."""
+    expected = tuple(types.values())
+
+    def check(*values) -> None:
+        if tuple(map(type, values)) != expected:
+            name, want, value = next((name, want, value) for (name, want), value
+                                     in zip(types.items(), values) if type(value) is not want)
+            raise TypeError(f"{owner}.{name} must be {want.__name__}, got {value!r}")
+
+    return check
 
 
 def _wire_int(value) -> int:
@@ -123,9 +136,8 @@ _KIND_JSON = {kind: encode_str(kind.value) for kind in TxKind}
 #: policy and pending writes.
 _BODY_CHECKED = frozenset({TxKind.POLICY_DEPLOY, TxKind.POLICY_UPDATE, TxKind.ENFORCEMENT_DECISION})
 
-# Kinds as per-record loops compare them, with ``==``: an attribute read of
-# the enum costs more, and a record built by ``dataclasses.replace`` may
-# hold a plain str, which ``is`` would miss.
+# Kinds as module globals for per-record loops: an attribute read of the
+# enum costs more.
 _POLICY_KINDS = (TxKind.POLICY_DEPLOY, TxKind.POLICY_UPDATE)
 _CHECK = TxKind.COMPLIANCE_CHECK
 _DECISION = TxKind.ENFORCEMENT_DECISION
@@ -225,6 +237,12 @@ class TxMetadata:
         return metadata
 
 
+_check_record = _type_check("TransactionRecord", tx_id=str, timestamp=int, kind=TxKind, actor=str,
+                            payload=str, payload_digest=str, metadata=TxMetadata)
+_check_block = _type_check("LedgerBlock", index=int, prev_hash=str, block_hash=str, timestamp=int,
+                           validator_votes=dict)
+
+
 @dataclass(frozen=True, slots=True)
 class TransactionRecord:
     """One audited event: a policy deploy/update, a compliance check, an
@@ -239,11 +257,11 @@ class TransactionRecord:
     reads until the record's block commits and drops it; ``create`` keeps
     it only for the kinds whose bodies validation reads.
 
-    ``create`` and ``from_dict`` build through ``_build_record``
-    (``canonical.slot_builder``), which sets each of the ten slots once,
-    to what ``__init__`` would set it: every record a run writes or an
-    audit imports is built so. ``__init__`` stays for other callers and
-    ``dataclasses.replace``.
+    ``__post_init__`` checks the field types; ``create`` and ``from_dict``
+    check them too, and build through ``_build_record``
+    (``canonical.slot_builder``), which sets each of the ten slots once, to
+    what ``__init__`` would set it: every record a run writes or an audit
+    imports is built so.
     """
 
     tx_id: str
@@ -256,6 +274,10 @@ class TransactionRecord:
     _payload_ok: Optional[bool] = field(default=None, init=False, repr=False, compare=False)
     _digest: Optional[str] = field(default=None, init=False, repr=False, compare=False)
     _source: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        _check_record(self.tx_id, self.timestamp, self.kind, self.actor, self.payload,
+                      self.payload_digest, self.metadata)
 
     @classmethod
     def create(
@@ -275,10 +297,11 @@ class TransactionRecord:
         then, or validation would read other values than the chain holds.
         """
         payload = canonical_json(body)
+        fields = (tx_id, timestamp, kind, actor, payload, digest_bytes(payload.encode("utf-8")),
+                  TxMetadata() if metadata is None else metadata)
+        _check_record(*fields)
         # The digest is computed here from this payload: it is intact.
-        return _build_record(tx_id, timestamp, kind, actor, payload,
-                             digest_bytes(payload.encode("utf-8")), metadata or TxMetadata(),
-                             True, None, body if kind in _BODY_CHECKED else None)
+        return _build_record(*fields, True, None, body if kind in _BODY_CHECKED else None)
 
     def body(self) -> dict:
         return decode_json(self.payload)
@@ -309,45 +332,27 @@ class TransactionRecord:
         return _ENVELOPE(*self._envelope_members())
 
     def wire_json(self) -> str:
-        """Canonical JSON of ``to_dict()``: the envelope's members and the
-        payload, spliced like ``_envelope``."""
-        return _RECORD(*self._envelope_members(), _json_str(self.payload))
+        """The record as a chain file holds it: the envelope's members and
+        the payload, spliced like ``_envelope``."""
+        return _RECORD(*self._envelope_members(), encode_str(self.payload))
 
-    def _envelope_members(self) -> tuple[str, ...]:
-        """Each envelope field as canonical JSON, in ``_ENVELOPE_KEYS`` order."""
-        tx_id, ts, actor, digest = self.tx_id, self.timestamp, self.actor, self.payload_digest
-        return (
-            encode_str(tx_id) if type(tx_id) is str else canonical_json(tx_id),
-            ts if type(ts) is int else canonical_json(ts),
-            _KIND_JSON[self.kind],
-            encode_str(actor) if type(actor) is str else canonical_json(actor),
-            encode_str(digest) if type(digest) is str else canonical_json(digest),
-            self.metadata.fragment(),
-        )
+    def _envelope_members(self) -> tuple:
+        """Each envelope field as canonical JSON, or an int, in
+        ``_ENVELOPE_KEYS`` order."""
+        return (encode_str(self.tx_id), self.timestamp, _KIND_JSON[self.kind],
+                encode_str(self.actor), encode_str(self.payload_digest), self.metadata.fragment())
 
-    def to_dict(self) -> dict:
-        return {
-            "tx_id": self.tx_id,
-            "timestamp": self.timestamp,
-            "kind": self.kind.value,
-            "actor": self.actor,
-            "payload": self.payload,
-            "payload_digest": self.payload_digest,
-            "metadata": self.metadata.to_dict(),
-        }
-
-    _WIRE_KEYS = frozenset(
-        {"tx_id", "timestamp", "kind", "actor", "payload", "payload_digest", "metadata"}
-    )
+    _WIRE_KEYS = frozenset({*_ENVELOPE_KEYS, "payload"})
 
     @classmethod
     def from_dict(cls, data: dict, interned: dict) -> "TransactionRecord":
         if data.keys() != cls._WIRE_KEYS:
             raise ValueError(f"unexpected tx keys {sorted(set(data) ^ cls._WIRE_KEYS)}")
-        return _build_record(data["tx_id"], _wire_int(data["timestamp"]),
-                             _KIND_OF[data["kind"]], data["actor"], data["payload"],
-                             data["payload_digest"],
-                             TxMetadata.from_dict(data["metadata"], interned), None, None, None)
+        fields = (data["tx_id"], data["timestamp"], _KIND_OF[data["kind"]], data["actor"],
+                  data["payload"], data["payload_digest"],
+                  TxMetadata.from_dict(data["metadata"], interned))
+        _check_record(*fields)
+        return _build_record(*fields, None, None, None)
 
 
 _build_record = slot_builder(TransactionRecord)
@@ -373,6 +378,8 @@ class LedgerBlock:
     _recomputed: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_block(self.index, self.prev_hash, self.block_hash, self.timestamp,
+                     self.validator_votes)
         # A caller's list stays mutable; the kept hash must not follow it.
         object.__setattr__(self, "transactions", tuple(self.transactions))
 
@@ -392,36 +399,20 @@ class LedgerBlock:
                 object.__setattr__(self, "_recomputed", recomputed)
         return recomputed
 
-    def to_dict(self) -> dict:
-        out = {
-            "index": self.index,
-            "prev_hash": self.prev_hash,
-            "block_hash": self.block_hash,
-            "timestamp": self.timestamp,
-            "transactions": [tx.to_dict() for tx in self.transactions],
-            "validator_votes": dict(sorted(self.validator_votes.items())),
-        }
-        if self.meta is not None:
-            out["meta"] = self.meta
-        return out
-
     def wire_json(self) -> str:
-        """Canonical JSON of ``to_dict()``: the block's chain-file line."""
+        """The block's chain-file line."""
         return "".join(self.wire_parts())
 
     def wire_parts(self) -> Iterator[str]:
-        """``wire_json()`` in pieces, one record at a time.
-
-        Without ``meta``, and with an exactly-``int`` index and timestamp,
-        the header is spliced around each record's ``wire_json``;
-        otherwise the whole line is one piece.
-        """
-        index, timestamp = self.index, self.timestamp
-        if self.meta is not None or type(index) is not int or type(timestamp) is not int:
-            yield canonical_json(self.to_dict())
-            return
-        head, tail = _BLOCK_ENDS(index, _json_str(self.prev_hash), _json_str(self.block_hash),
-                                 timestamp, canonical_json(self.validator_votes))
+        """``wire_json()`` in pieces, one record at a time: the header, with
+        genesis's ``meta`` as one member, spliced around each record's
+        ``wire_json``."""
+        header = (self.index, encode_str(self.prev_hash), encode_str(self.block_hash),
+                  self.timestamp, canonical_json(self.validator_votes))
+        if self.meta is None:
+            head, tail = _BLOCK_ENDS(*header)
+        else:
+            head, tail = _GENESIS_ENDS(*header, canonical_json(self.meta))
         yield head + "["
         for i, tx in enumerate(self.transactions):
             if i:
@@ -429,9 +420,7 @@ class LedgerBlock:
             yield tx.wire_json()
         yield "]" + tail
 
-    _WIRE_KEYS = frozenset(
-        {"index", "prev_hash", "block_hash", "timestamp", "transactions", "validator_votes"}
-    )
+    _WIRE_KEYS = frozenset(_LINE_KEYS)
 
     @classmethod
     def from_dict(cls, data: dict, interned: dict) -> "LedgerBlock":
@@ -439,14 +428,14 @@ class LedgerBlock:
             bad = (set(data) ^ cls._WIRE_KEYS) - {"meta"}
             raise ValueError(f"unexpected block keys {sorted(bad)}")
         return cls(
-            index=_wire_int(data["index"]),
+            index=data["index"],
             prev_hash=data["prev_hash"],
             block_hash=data["block_hash"],
-            timestamp=_wire_int(data["timestamp"]),
+            timestamp=data["timestamp"],
             transactions=tuple(
                 TransactionRecord.from_dict(t, interned) for t in data["transactions"]
             ),
-            validator_votes=dict(data["validator_votes"]),
+            validator_votes=data["validator_votes"],
             meta=data.get("meta"),
         )
 
@@ -464,24 +453,16 @@ def compute_block_hash(
     hash-function name, format version and validator set are themselves
     tamper-evident.
 
-    The preimage is the canonical JSON of a dict of these fields. Without
-    ``meta``, and with an exactly-``int`` index and timestamp, it is
-    spliced from its members' encodings rather than encoded as a dict.
+    The preimage is the canonical JSON object of these fields, spliced
+    from their encodings, with ``meta`` as one member. ``index`` and
+    ``timestamp`` must be ints and the rest strs, as a block's fields are.
     """
-    if meta is None and type(index) is int and type(timestamp) is int:
-        preimage = _BLOCK(
-            index, _json_str(prev_hash), timestamp, encode_array(map(_json_str, tx_digests))
-        )
-        return digest_bytes(preimage.encode("utf-8"))
-    preimage: dict = {
-        "index": index,
-        "prev_hash": prev_hash,
-        "timestamp": timestamp,
-        "tx_digests": list(tx_digests),
-    }
-    if meta is not None:
-        preimage["meta"] = meta
-    return digest_bytes(canonical_bytes(preimage))
+    digests = encode_array(map(encode_str, tx_digests))
+    if meta is None:
+        preimage = _BLOCK(index, encode_str(prev_hash), timestamp, digests)
+    else:
+        preimage = _GENESIS(index, encode_str(prev_hash), timestamp, digests, canonical_json(meta))
+    return digest_bytes(preimage.encode("utf-8"))
 
 
 # --------------------------------------------------------------------------
@@ -868,14 +849,18 @@ def verify_chain(chain: list[LedgerBlock]) -> ChainVerdict:
 
     Returns Ok, or the earliest violated block and the failed check:
     digest (payload), hash (block hash), link (prev_hash), votes, index,
-    or format (unparseable import line).
+    or format (an unparseable or mistyped import line, or a genesis whose
+    ``meta`` is not a dict or whose validators are not a list of strs).
     """
     if not chain:
         return ChainVerdict(False, 0, "format")
     genesis = chain[0]
-    if genesis.meta is None or genesis.index != 0 or genesis.prev_hash != ZERO_DIGEST:
+    meta = genesis.meta
+    validators = meta.get("validators", []) if type(meta) is dict else None
+    if (genesis.index != 0 or genesis.prev_hash != ZERO_DIGEST or type(validators) is not list
+            or not all(type(v) is str for v in validators)):
         return ChainVerdict(False, 0, "format")
-    expected_votes = set(genesis.meta.get("validators", []))
+    expected_votes = set(validators)
     accept = repeat(VOTE_ACCEPT)
 
     for pos, block in enumerate(chain):

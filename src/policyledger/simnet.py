@@ -159,9 +159,11 @@ def snapshot(fleet: Fleet) -> dict:
 
 #: Bounds that keep every draw a run makes from a NetworkModel finite: a
 #: lognormal draw around a median at most MAX_LATENCY_MS (about 116 days)
-#: with a sigma at most MAX_SIGMA_LOG stays far below float overflow.
+#: with a sigma at most MAX_SIGMA_LOG, times an analyst's multiplier of at
+#: most MAX_MULTIPLIER, stays far below float overflow.
 MAX_LATENCY_MS = 10**10
 MAX_SIGMA_LOG = 5
+MAX_MULTIPLIER = 1000
 
 
 def _is_number(value) -> bool:
@@ -371,8 +373,9 @@ class Analyst:
 
     def __post_init__(self):
         # NaN fails both comparisons; a run would fail on it, or on inf.
-        if not (0 < self.speed_multiplier < math.inf and 0 < self.error_multiplier < math.inf):
-            raise InputError("analyst multipliers must be positive and finite")
+        if not (0 < self.speed_multiplier <= MAX_MULTIPLIER
+                and 0 < self.error_multiplier <= MAX_MULTIPLIER):
+            raise InputError(f"analyst multipliers must be positive and at most {MAX_MULTIPLIER}")
 
 
 DEFAULT_ROLE_SPEED = {"lead": 0.9, "senior": 1.0, "junior": 1.3}

@@ -69,6 +69,43 @@ def committed_chain(n_blocks=5, txs_per_block=2):
     return ledger
 
 
+# The dict encodings of records, blocks and block-hash preimages: the
+# oracle that the ledger's splices must equal byte for byte.
+
+
+def _record_dict(tx):
+    return {
+        "tx_id": tx.tx_id,
+        "timestamp": tx.timestamp,
+        "kind": tx.kind.value,
+        "actor": tx.actor,
+        "payload": tx.payload,
+        "payload_digest": tx.payload_digest,
+        "metadata": tx.metadata.to_dict(),
+    }
+
+
+def _block_dict(block):
+    out = {
+        "index": block.index,
+        "prev_hash": block.prev_hash,
+        "block_hash": block.block_hash,
+        "timestamp": block.timestamp,
+        "transactions": [_record_dict(tx) for tx in block.transactions],
+        "validator_votes": dict(sorted(block.validator_votes.items())),
+    }
+    if block.meta is not None:
+        out["meta"] = block.meta
+    return out
+
+
+def _preimage_dict(index, prev_hash, timestamp, tx_digests, meta=None):
+    out = {"index": index, "prev_hash": prev_hash, "timestamp": timestamp, "tx_digests": tx_digests}
+    if meta is not None:
+        out["meta"] = meta
+    return out
+
+
 # -- canonical helpers -------------------------------------------------------
 
 
@@ -1148,7 +1185,7 @@ def test_tampering_any_field_of_a_verified_record_is_detected(run_chain, data, n
     with pytest.raises(CorruptChainError):
         query_history(chain)
     # The memo takes no part in equality, hashing or repr.
-    copy = TransactionRecord.from_dict(tx.to_dict(), {})
+    copy = TransactionRecord.from_dict(_record_dict(tx), {})
     assert tx == copy and hash(tx) == hash(copy) and repr(tx) == repr(copy)
 
 
@@ -1233,12 +1270,15 @@ _SCALAR = st.one_of(
 )
 
 
+_WIRE_INT = st.integers(-(10**30), 10**30)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     tx_id=_ANY_TEXT,
-    timestamp=st.one_of(st.integers(-(10**30), 10**30), st.booleans(), st.floats(allow_nan=False)),
+    timestamp=_WIRE_INT,
     kind=st.sampled_from(list(TxKind)),
-    actor=st.one_of(_ANY_TEXT, st.integers(), st.none()),
+    actor=_ANY_TEXT,
     payload_digest=_ANY_TEXT,
     threat_type=_SCALAR,
     threat_actor=_SCALAR,
@@ -1254,14 +1294,8 @@ def test_record_digest_is_the_digest_of_the_envelope_dict(
     metadata = TxMetadata(threat_type, threat_actor, technique_ids, recommended_change,
                           priority, arm)
     tx = TransactionRecord(tx_id, timestamp, kind, actor, "{}", payload_digest, metadata)
-    envelope = {
-        "tx_id": tx_id,
-        "timestamp": timestamp,
-        "kind": kind.value,
-        "actor": actor,
-        "payload_digest": payload_digest,
-        "metadata": metadata.to_dict(),
-    }
+    envelope = _record_dict(tx)
+    del envelope["payload"]
     assert tx._envelope() == canonical_json(envelope)
     assert tx.record_digest() == digest_value(envelope)
 
@@ -1282,39 +1316,63 @@ def _twins(path):
     raise AssertionError("no two records share their metadata")
 
 
+_STRING_FIELDS = [("record", name) for name in ("tx_id", "kind", "actor", "payload", "payload_digest")]
+_STRING_FIELDS += [("block", "prev_hash"), ("block", "block_hash")]
+
+
 @pytest.mark.parametrize(
-    "field, value, expected",
+    "where, field, value, expected",
     [
         # Each non-integer would read through int() as the committed value,
         # or as another integer, so only its JSON type shows the edit.
-        ("priority", False, "format"),
-        ("priority", 0.0, "format"),
-        ("timestamp", True, "format"),
-        ("timestamp", float, "format"),
-        ("timestamp", str, "format"),
-        ("index", float, "format"),
-        ("actor", 5, "hash"),
+        ("metadata", "priority", False, "format"),
+        ("metadata", "priority", 0.0, "format"),
+        ("record", "timestamp", True, "format"),
+        ("record", "timestamp", float, "format"),
+        ("record", "timestamp", str, "format"),
+        ("block", "index", float, "format"),
+        # The votes as a list of pairs, which dict() would read as the same.
+        ("block", "validator_votes", lambda votes: sorted(votes.items()), "format"),
+        # A well-typed edit fails the hash.
+        ("record", "actor", "intruder", "hash"),
+        # Every string field of a record or a block holding another JSON type.
+        *[(where, field, value, "format")
+          for where, field in _STRING_FIELDS for value in (5, None, ["x"])],
+        # A genesis whose meta, or validator set, has the wrong shape.
+        ("genesis", "meta", 5, "format"),
+        ("genesis", "meta", [], "format"),
+        ("validators", "validators", 5, "format"),
+        ("validators", "validators", [["x"]], "format"),
     ],
 )
-def test_type_tampered_chain_file(run_chain, tmp_path, capsys, field, value, expected):
+def test_type_tampered_chain_file(run_chain, tmp_path, capsys, where, field, value, expected):
     from policyledger.cli import main
 
     path = tmp_path / "chain.ndjson"
     export_chain(run_chain, path)
     (b, t), (twin_b, twin_t) = _twins(path)
+    if where in ("genesis", "validators"):
+        b = 0
     lines = path.read_text().splitlines()
     block = json.loads(lines[b])
-    record = block["transactions"][t]
-    target = {"priority": record["metadata"], "index": block}.get(field, record)
-    # A type stands for the committed value converted to it.
-    target[field] = value(target[field]) if isinstance(value, type) else value
+    if where in ("record", "metadata"):
+        target = block["transactions"][t]
+        target = target["metadata"] if where == "metadata" else target
+    else:
+        target = block["meta"] if where == "validators" else block
+    # A type or function stands for the committed value converted by it.
+    target[field] = value(target[field]) if callable(value) else value
     lines[b] = canonical_json(block)
     path.write_text("\n".join(lines) + "\n")
 
     chain = import_chain(path)
     assert verify_chain(chain) == ChainVerdict(False, b, expected)
     assert main(["verify-chain", str(path)]) == 1
-    assert "Traceback" not in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == f"corrupt: block {b} ({expected})\n" and "Traceback" not in err
+    assert main(["replay", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: chain corrupt at block {b} ({expected})\n"
     if expected == "hash":
         # The record still shares its metadata with its twin.
         assert chain[b].transactions[t].metadata is chain[twin_b].transactions[twin_t].metadata
@@ -1354,7 +1412,7 @@ def test_replacing_a_field_of_a_verified_block_is_detected(run_chain, name):
     reason = "index" if name == "index" else "hash"
     assert verify_chain(chain) == ChainVerdict(False, pos, reason)
     # The memo takes no part in equality or repr.
-    fresh = LedgerBlock.from_dict(block.to_dict(), {})
+    fresh = LedgerBlock.from_dict(_block_dict(block), {})
     assert fresh._recomputed is None
     assert block == fresh and repr(block) == repr(fresh)
 
@@ -1421,26 +1479,23 @@ def test_run_hashes_each_committed_block_once(monkeypatch):
     assert sorted(i for i in hashed if i) == list(range(1, len(chain)))
 
 
-_WIRE_NUMBER = st.one_of(st.integers(-(10**30), 10**30), st.booleans(), st.floats())
+_GENESIS_META = st.dictionaries(_ANY_TEXT, _JSON_VALUES, max_size=4)
+_META = st.one_of(st.none(), _GENESIS_META)
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    index=_WIRE_NUMBER,
+    index=_WIRE_INT,
     prev_hash=_ANY_TEXT,
-    timestamp=_WIRE_NUMBER,
+    timestamp=_WIRE_INT,
     tx_digests=st.lists(_ANY_TEXT, max_size=5),
+    meta=_META,
 )
-def test_block_hash_is_the_digest_of_the_preimage_dict(index, prev_hash, timestamp, tx_digests):
-    preimage = {
-        "index": index,
-        "prev_hash": prev_hash,
-        "timestamp": timestamp,
-        "tx_digests": tx_digests,
-    }
+def test_block_hash_is_the_digest_of_the_preimage_dict(index, prev_hash, timestamp, tx_digests,
+                                                       meta):
     assert ledger_module.compute_block_hash(
-        index, prev_hash, timestamp, iter(tx_digests)
-    ) == digest_value(preimage)
+        index, prev_hash, timestamp, iter(tx_digests), meta
+    ) == digest_value(_preimage_dict(index, prev_hash, timestamp, tx_digests, meta))
 
 
 # -- streamed chain files ----------------------------------------------------
@@ -1458,7 +1513,7 @@ def test_streamed_export_is_the_dict_encoding_and_round_trips(seed, endpoints, s
 
     chain = run_scenario(RunConfig(seed=seed, endpoints=endpoints, scenario=scenario,
                                    mode=mode)).chain
-    expected = "\n".join(canonical_json(b.to_dict()) for b in chain) + "\n"
+    expected = "\n".join(canonical_json(_block_dict(b)) for b in chain) + "\n"
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp, "first.ndjson"), Path(tmp, "second.ndjson")
         export_chain(chain, first)
@@ -1499,19 +1554,20 @@ def test_the_exported_file_alone_rebuilds_the_live_report_and_state(config):
 @settings(max_examples=200, deadline=None)
 @given(
     tx_id=_ANY_TEXT,
-    timestamp=st.one_of(st.integers(-(10**30), 10**30), st.booleans(), st.floats()),
-    actor=st.one_of(_ANY_TEXT, st.integers(), st.none()),
-    payload=st.one_of(_ANY_TEXT, st.integers(), st.none()),
+    timestamp=_WIRE_INT,
+    actor=_ANY_TEXT,
+    payload=_ANY_TEXT,
     payload_digest=_ANY_TEXT,
     threat_actor=_SCALAR,
     technique_ids=st.lists(_ANY_TEXT, max_size=4),
-    index=_WIRE_NUMBER,
-    block_timestamp=_WIRE_NUMBER,
-    prev_hash=st.one_of(_ANY_TEXT, st.integers()),
+    index=_WIRE_INT,
+    block_timestamp=_WIRE_INT,
+    prev_hash=_ANY_TEXT,
+    meta=_GENESIS_META,
 )
 def test_a_replaced_record_splices_to_its_dict_encoding(
     run_chain, tx_id, timestamp, actor, payload, payload_digest, threat_actor,
-    technique_ids, index, block_timestamp, prev_hash,
+    technique_ids, index, block_timestamp, prev_hash, meta,
 ):
     block = run_chain[1]
     first, *rest = block.transactions
@@ -1520,12 +1576,55 @@ def test_a_replaced_record_splices_to_its_dict_encoding(
     changed = dataclasses.replace(first, tx_id=tx_id, timestamp=timestamp, actor=actor,
                                   payload=payload, payload_digest=payload_digest,
                                   metadata=metadata)
-    assert changed.wire_json() == canonical_json(changed.to_dict())
+    assert changed.wire_json() == canonical_json(_record_dict(changed))
     spliced = dataclasses.replace(block, transactions=(changed, *rest), prev_hash=prev_hash)
-    assert spliced.wire_json() == canonical_json(spliced.to_dict())
-    for header in ({"index": index}, {"timestamp": block_timestamp}):
+    assert spliced.wire_json() == canonical_json(_block_dict(spliced))
+    for header in ({"index": index}, {"timestamp": block_timestamp}, {"block_hash": prev_hash}):
         other = dataclasses.replace(spliced, **header)
-        assert other.wire_json() == canonical_json(other.to_dict())
+        assert other.wire_json() == canonical_json(_block_dict(other))
+    # Genesis splices its meta as one member.
+    genesis = dataclasses.replace(run_chain[0], meta=meta, timestamp=block_timestamp)
+    assert genesis.wire_json() == canonical_json(_block_dict(genesis))
+
+
+_RECORD_TYPES = {"tx_id": str, "timestamp": int, "kind": TxKind, "actor": str, "payload": str,
+                 "payload_digest": str, "metadata": TxMetadata}
+_BLOCK_TYPES = {"index": int, "prev_hash": str, "block_hash": str, "timestamp": int,
+                "validator_votes": dict}
+# Values of the types a caller or a chain file could put in a field, among
+# them a str subclass, a bool, a float and containers.
+_ANY_VALUE = st.one_of(
+    st.none(), st.booleans(), _WIRE_INT, st.floats(), _ANY_TEXT, st.lists(st.integers(), max_size=2),
+    st.dictionaries(_ANY_TEXT, st.integers(), max_size=2), st.sampled_from(list(TxKind)),
+    st.builds(TxMetadata), st.builds(object),
+)
+_CREATE_ARGS = ("tx_id", "timestamp", "kind", "actor", "metadata")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_every_construction_path_refuses_a_mistyped_field(run_chain, data):
+    block = run_chain[1]
+    tx = block.transactions[0]
+    types = data.draw(st.sampled_from([_RECORD_TYPES, _BLOCK_TYPES]))
+    name = data.draw(st.sampled_from(sorted(types)))
+    value = data.draw(_ANY_VALUE.filter(lambda v: type(v) is not types[name]))
+    if types is _RECORD_TYPES:
+        fields = {f: getattr(tx, f) for f in types}
+        builds = [lambda: TransactionRecord(**{**fields, name: value}),
+                  lambda: dataclasses.replace(tx, **{name: value})]
+        if name in _CREATE_ARGS and not (name == "metadata" and value is None):  # the default
+            args = {**{f: fields[f] for f in _CREATE_ARGS}, name: value}
+            builds.append(lambda: TransactionRecord.create(body={}, **args))
+        if name not in ("kind", "metadata"):  # the wire form holds their JSON, not them
+            wire = {**_record_dict(tx), name: value}
+            builds.append(lambda: TransactionRecord.from_dict(wire, {}))
+    else:
+        builds = [lambda: dataclasses.replace(block, **{name: value}),
+                  lambda: LedgerBlock.from_dict({**_block_dict(block), name: value}, {})]
+    for build in builds:
+        with pytest.raises(TypeError, match=rf"\.{name} must be "):
+            build()
 
 
 @pytest.mark.parametrize("existing", [True, False])
@@ -1533,10 +1632,10 @@ def test_a_failed_export_leaves_the_target_as_it_was(run_chain, tmp_path, existi
     target = tmp_path / "chain.ndjson"
     if existing:
         target.write_bytes(b"the previous chain\n")
-    # The last block's first record cannot be encoded.
+    # The last block's votes cannot be encoded.
     last = run_chain[-1]
-    bad = dataclasses.replace(last.transactions[0], actor=object())
-    broken = [*run_chain[:-1], dataclasses.replace(last, transactions=(bad, *last.transactions[1:]))]
+    votes = {**last.validator_votes, "validator-0": object()}
+    broken = [*run_chain[:-1], dataclasses.replace(last, validator_votes=votes)]
     with pytest.raises(TypeError):
         export_chain(broken, target)
     assert [p.name for p in tmp_path.iterdir()] == (["chain.ndjson"] if existing else [])

@@ -44,6 +44,9 @@ def test_unknown_config_keys_rejected():
         {"team": {"role_error": {"intern": 1.0}}},
         {"team": {"role_speed": {"lead": True}}},
         {"team": {"role_speed": {"lead": float("nan")}}},
+        {"endpoints": 5, "network": {"human_median_ms": 10**10},
+         "team": {"role_speed": {"lead": 1e300, "senior": 1e300, "junior": 1e300}}},
+        {"team": {"role_error": {"junior": 1e300}}},
         {"network": {"human_error_prob_by_kind": 5}},
         {"network": {"auto_base_by_kind": 5}},
         {"network": {"human_median_ms_by_kind": {"set_rdp_port": "slow"}}},
