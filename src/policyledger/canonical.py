@@ -23,7 +23,6 @@ too, beneath every module that uses them.
 
 from __future__ import annotations
 
-import _random
 import dataclasses
 import hashlib
 import json
@@ -46,26 +45,11 @@ encode_str = (
     json.encoder.encode_basestring_ascii if _ENCODER.ensure_ascii else json.encoder.encode_basestring
 )
 
-# _ENCODER.encode still builds a C encoder on every call; build it once.
-_C_ENCODE = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
-    None,  # no markers: check_circular is off
-    _ENCODER.default,
-    encode_str,
-    _ENCODER.indent,
-    _ENCODER.key_separator,
-    _ENCODER.item_separator,
-    _ENCODER.sort_keys,
-    _ENCODER.skipkeys,
-    _ENCODER.allow_nan,
-)
-
 
 def canonical_json(value: Any) -> str:
     """Serialize ``value`` to its canonical JSON form. ``value`` must not
     contain itself: a cyclic value raises ``RecursionError``."""
-    if _C_ENCODE is None:
-        return _ENCODER.encode(value)
-    return "".join(_C_ENCODE(value, 0))
+    return _ENCODER.encode(value)
 
 
 # json.loads checks its argument, skips whitespace and wraps the scan in
@@ -141,26 +125,17 @@ def stable_index(label: str, size: int) -> int:
     return int.from_bytes(h[:8], "big") % size
 
 
-_NEW_RANDOM = random.Random.__new__
-_SEED_RANDOM = _random.Random.seed  # the C seed under random.Random.seed
-
-
 def substream(master_seed: int, *labels: object) -> random.Random:
     """Derive an independent RNG substream from a master seed and labels.
 
     Streams are keyed by (seed, labels) through SHA-256, so adding a new
     consumer (e.g. one more endpoint) never perturbs existing streams. The
-    stream's state equals ``random.Random(n)``'s, ``n`` the first 8 bytes,
-    read big-endian, of the SHA-256 of the ``"/"``-joined ``str``s; it is
-    seeded by one C call on a fresh instance, as for an int the Python
-    ``__init__`` and ``seed`` around that call add only ``gauss_next``.
+    stream is ``random.Random(n)``, ``n`` the first 8 bytes, read
+    big-endian, of the SHA-256 of the ``"/"``-joined ``str``s.
     """
     key = "/".join([str(master_seed), *[str(x) for x in labels]])
     h = hashlib.sha256(key.encode("utf-8")).digest()
-    stream = _NEW_RANDOM(random.Random)
-    _SEED_RANDOM(stream, int.from_bytes(h[:8], "big"))
-    stream.gauss_next = None
-    return stream
+    return random.Random(int.from_bytes(h[:8], "big"))
 
 
 def slot_builder(cls: type) -> Callable[..., Any]:

@@ -102,11 +102,17 @@ def _cmd_run(args) -> int:
         config = RunConfig.from_dict(merged)
         merged["seed"] = _resolve_seed(args, config)
         config = RunConfig.from_dict(merged)
-    except FileNotFoundError as exc:
-        print(f"error: config file not found: {exc}", file=sys.stderr)
+        for path in (*config.resolved_policy_paths(), *config.resolved_feed_paths(), config.resolved_model_path()):
+            if path.is_dir():
+                raise IsADirectoryError(path)
+    except (FileNotFoundError, IsADirectoryError) as exc:
+        print(f"error: missing input file: {exc.filename or exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
     except (InputError, SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    if Path(args.out).exists() and not Path(args.out).is_dir():
+        print(f"error: output path {args.out} exists and is not a directory", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
     try:
@@ -136,7 +142,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify_chain(args) -> int:
     path = Path(args.chain_file)
-    if not path.exists():
+    if not path.exists() or path.is_dir():
         print(f"error: chain file not found: {path}", file=sys.stderr)
         return EXIT_MISSING_INPUT
     chain = import_chain(path)
@@ -150,7 +156,7 @@ def _cmd_verify_chain(args) -> int:
 
 def _cmd_replay(args) -> int:
     path = Path(args.chain_file)
-    if not path.exists():
+    if not path.exists() or path.is_dir():
         print(f"error: chain file not found: {path}", file=sys.stderr)
         return EXIT_MISSING_INPUT
     chain = import_chain(path)
@@ -173,7 +179,7 @@ def _cmd_classify(args) -> int:
         items = read_feed(args.feed_file)
         model = ForestModel.from_file(args.model or fixture_path("model.json"))
         rule_set = combine_rule_sets(encode_rules(load_policy_file(p))[0] for p in args.policies)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: missing input file: {exc.filename or exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
     except (FeedSchemaError, SchemaError, AmbiguityError, InputError) as exc:

@@ -393,11 +393,6 @@ class ContractEngine:
         issued_at = self.clock.now
         actor = "contract-engine" if arm == "automated" else "human-team"
         metadata = self._threat_metadata(threat_class, report, ordered, arm)
-        # One copy of each distinct action's params, shared by its items: the
-        # record keeps this body until its block commits, and a rule's params
-        # dict is not frozen. Validation reads the writes once per copy.
-        distinct = {id(pa.action): pa.action for pa in ordered}
-        params = {key: dict(action.params) for key, action in distinct.items()}
         body = {
             "plan_id": plan_id,
             "decision": decision.kind.value,
@@ -408,7 +403,7 @@ class ContractEngine:
                 {
                     "endpoint_id": pa.endpoint_id,
                     "kind": pa.action.kind,
-                    "params": params[id(pa.action)],
+                    "params": pa.action.params,
                     "rule_id": pa.rule_id,
                 }
                 for pa in ordered

@@ -18,13 +18,10 @@ fires casts its (severity, category) vote scaled by a per-stump weight;
 the feedback loop nudges those weights multiplicatively based on
 enforcement outcomes and never touches the stump structure.
 
-A model compiles its stump structure once, when it is built, into a vote
-table: each stump's feature, threshold and vote, each vote's stumps, and
-each feature's stumps. ``classify`` votes sparsely (see ``ForestModel``)
-and sums the firing stumps' weights per vote in stump order.
-``update_model`` reweights only the stumps that voted the predicted
-class, and the model it returns shares the table rather than compiling
-it again.
+``classify`` sums the firing stumps' weights per vote in stump order. A
+model indexes its stumps by vote once, when it is built; ``update_model``
+reweights only the stumps that voted the predicted class, and the model
+it returns shares that index.
 """
 
 from __future__ import annotations
@@ -33,9 +30,8 @@ import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import compress
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .canonical import canonical_json, stable_index
 from .errors import FeedSchemaError, InputError, WidthMismatch
@@ -66,7 +62,6 @@ class ThreatCategory(str, Enum):
 
 
 _CATEGORY_ORDER = {cat.value: i for i, cat in enumerate(ThreatCategory)}
-_CATEGORY_OF = {cat.value: cat for cat in ThreatCategory}
 
 
 @dataclass(frozen=True)
@@ -243,53 +238,17 @@ class Stump:
     vote_category: ThreatCategory
 
 
-class _VoteTable(NamedTuple):
-    """A stump structure compiled for voting: per stump, in stump order,
-    its feature index, threshold and (severity, category value) vote; per
-    vote, the positions of the stumps casting it, in stump order; per
-    feature, the (position, threshold) of each stump that only a nonzero
-    count can fire; and the positions of the stumps that a zero count
-    fires, those with a negative threshold."""
-
-    features: tuple[int, ...]
-    thresholds: tuple[int, ...]
-    votes: tuple[tuple[int, str], ...]
-    voters: dict[tuple[int, str], list[int]]
-    by_feature: dict[int, list[tuple[int, int]]]
-    below_zero: tuple[int, ...]
-
-
-def _vote_table(stumps: tuple[Stump, ...]) -> _VoteTable:
-    votes = tuple((s.vote_severity, s.vote_category.value) for s in stumps)
-    voters: dict[tuple[int, str], list[int]] = {}
-    for i, vote in enumerate(votes):
-        voters.setdefault(vote, []).append(i)
-    by_feature: dict[int, list[tuple[int, int]]] = {}
-    below_zero = []
-    for i, s in enumerate(stumps):
-        if 0 > s.threshold:
-            below_zero.append(i)
-        else:
-            by_feature.setdefault(s.feature_index, []).append((i, s.threshold))
-    features = tuple(s.feature_index for s in stumps)
-    return _VoteTable(features, tuple(s.threshold for s in stumps), votes, voters,
-                      by_feature, tuple(below_zero))
-
-
 @dataclass(frozen=True)
 class ForestModel:
     """Fixed stump structure with mutable-by-replacement vote weights.
 
-    The vote table compiled from the stumps takes no part in equality or
-    repr; ``dataclasses.replace`` compiles the copy's afresh. ``update_model``
-    clones a model's attributes instead, sharing the table and skipping
+    ``_voters``, the positions of the stumps casting each (severity,
+    category) vote in stump order, takes no part in equality or repr;
+    ``dataclasses.replace`` builds the copy's afresh. ``update_model``
+    clones a model's attributes instead, sharing the index and skipping
     ``__post_init__``: measured on the shipped 100-stump model, ``replace``
     took about 93 us per update, ``copy.copy`` 3.3 us and the clone 1.4 us,
     and a run makes one update per report and arm.
-
-    ``classify`` visits only a vector's nonzero features, through the
-    table's per-feature index, and tests each stump with a negative
-    threshold explicitly, as a zero count fires it.
     """
 
     width: int
@@ -299,7 +258,7 @@ class ForestModel:
     learning_rate: float = 0.05
     weight_floor: float = 0.01
     weight_cap: float = 100.0
-    _table: _VoteTable = field(init=False, repr=False, compare=False)
+    _voters: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.stumps) != len(self.weights):
@@ -311,11 +270,13 @@ class ForestModel:
             raise InputError(f"learning_rate {self.learning_rate} outside [0, 1)")
         if not 0.0 <= self.weight_floor <= self.weight_cap:
             raise InputError(f"need 0 <= weight_floor {self.weight_floor} <= weight_cap {self.weight_cap}")
+        voters: dict[tuple[int, ThreatCategory], list[int]] = {}
         for i, s in enumerate(self.stumps):
-            # A vote visits only the vector's own features.
+            # A negative index would read the vector from its end.
             if not 0 <= s.feature_index < self.width:
                 raise InputError(f"stumps[{i}]: feature_index {s.feature_index} outside the width")
-        object.__setattr__(self, "_table", _vote_table(self.stumps))
+            voters.setdefault((s.vote_severity, s.vote_category), []).append(i)
+        object.__setattr__(self, "_voters", voters)
 
     def to_json(self) -> str:
         return canonical_json(
@@ -396,29 +357,21 @@ def classify(model: ForestModel, fv: list[int]) -> ThreatClass:
     """
     if len(fv) != model.width:
         raise WidthMismatch(f"vector width {len(fv)} != model width {model.width}")
-    table, weights = model._table, model.weights
-    features, thresholds, by_feature = table.features, table.thresholds, table.by_feature
-    firing = [i for i in table.below_zero if fv[features[i]] > thresholds[i]]
-    for f in compress(range(len(fv)), fv):
-        for i, threshold in by_feature.get(f, ()):
-            if fv[f] > threshold:
-                firing.append(i)
-    # Summed in stump order, so the totals are those of a loop over every stump.
-    firing.sort()
-    totals: dict[tuple[int, str], float] = {}
-    for i in firing:
-        vote = table.votes[i]
-        totals[vote] = totals.get(vote, 0.0) + weights[i]
+    totals: dict[tuple[int, ThreatCategory], float] = {}
+    for stump, weight in zip(model.stumps, model.weights):
+        if fv[stump.feature_index] > stump.threshold:
+            vote = (stump.vote_severity, stump.vote_category)
+            totals[vote] = totals.get(vote, 0.0) + weight
     if not totals:
         return ThreatClass(0, ThreatCategory.OTHER)
     # Highest mass wins; ties fail safe to higher severity, then to the
     # earlier category in enum order for determinism.
     best = min(
         totals.items(),
-        key=lambda kv: (-kv[1], -kv[0][0], _CATEGORY_ORDER[kv[0][1]]),
+        key=lambda kv: (-kv[1], -kv[0][0], _CATEGORY_ORDER[kv[0][1].value]),
     )
     (severity, category), _ = best
-    return ThreatClass(severity, _CATEGORY_OF[category])
+    return ThreatClass(severity, category)
 
 
 def decide(matched_policies: list[PolicyRule], threshold: int = 3) -> Decision:
@@ -446,15 +399,15 @@ def update_model(model: ForestModel, predicted: ThreatClass, success: bool) -> F
     Success multiplies their weights by (1 + rate), failure by
     (1 - rate); weights stay clamped and structure never changes. Only
     those stumps' weights are computed; the returned model shares
-    ``model``'s vote table.
+    ``model``'s vote index.
     """
     factor = 1.0 + model.learning_rate if success else 1.0 - model.learning_rate
     floor, cap = model.weight_floor, model.weight_cap
     weights = list(model.weights)
     # __post_init__ holds 0 <= floor, so every clamped weight is non-negative.
-    for i in model._table.voters.get((predicted.severity, predicted.category.value), ()):
+    for i in model._voters.get((predicted.severity, predicted.category), ()):
         weights[i] = min(cap, max(floor, weights[i] * factor))
-    # A clone keeps the vote table; see ForestModel on why not replace.
+    # A clone keeps the vote index; see ForestModel on why not replace.
     updated = object.__new__(type(model))
     vars(updated).update(vars(model), weights=tuple(weights))
     return updated

@@ -6,23 +6,16 @@ whole transaction records, and links to the previous block hash. Each
 transaction is validated once, at submission; the block vote re-checks
 only records that bypassed that, and its verdict is stamped for every
 validator id. Live state folds only the policy records validation
-reads, and the values active policy requires are derived from it again
-only when a policy record commits; world state is derived by replaying
-the chain, so two replays of the same chain are always identical.
-
-A record built by ``TransactionRecord.create``, of a kind whose body
-validation reads, keeps the dict its payload was encoded from until its
-block commits, and validation reads that dict instead of parsing the
-payload back; the dict must be JSON data, which reads the same either
-way. A record from an import, the constructor or ``dataclasses.replace``
-has no such dict, and validation parses its payload.
+reads, and validation derives from it the values active policy requires;
+world state is derived by replaying the chain, so two replays of the same
+chain are always identical. Validation parses the payloads of the kinds
+whose bodies it reads.
 
 A decision is checked for the writes of its planned actions, as
 ``policy.action_writes`` defines them from the params alone: a firewall
 rule's append is unknown before the endpoint is touched, but an outbound
 deny-all still sets ``proxy_outbound_blocked``, and a patch with an
-explicit ``level`` sets ``patch_level``. Required values are checked once
-per distinct action, and per item only against another pending decision.
+explicit ``level`` sets ``patch_level``.
 
 A record is frozen and every digest input is immutable, so each record
 object computes its payload check and its record digest once, on first
@@ -55,7 +48,7 @@ import os
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
-from operator import eq, itemgetter, methodcaller
+from operator import eq
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
@@ -253,13 +246,10 @@ class TransactionRecord:
     wire format, and ``dataclasses.replace`` starts a copy without them.
     The record digest's preimage embeds the metadata's kept fragment, so
     records sharing a ``TxMetadata`` object encode it once between them.
-    Likewise ``_source``, the body ``create`` encoded, which validation
-    reads until the record's block commits and drops it; ``create`` keeps
-    it only for the kinds whose bodies validation reads.
 
     ``__post_init__`` checks the field types; ``create`` and ``from_dict``
     check them too, and build through ``_build_record``
-    (``canonical.slot_builder``), which sets each of the ten slots once, to
+    (``canonical.slot_builder``), which sets each of the nine slots once, to
     what ``__init__`` would set it: every record a run writes or an audit
     imports is built so.
     """
@@ -273,7 +263,6 @@ class TransactionRecord:
     metadata: TxMetadata = field(default_factory=TxMetadata)
     _payload_ok: Optional[bool] = field(default=None, init=False, repr=False, compare=False)
     _digest: Optional[str] = field(default=None, init=False, repr=False, compare=False)
-    _source: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_record(self.tx_id, self.timestamp, self.kind, self.actor, self.payload,
@@ -289,19 +278,13 @@ class TransactionRecord:
         body: dict,
         metadata: Optional[TxMetadata] = None,
     ) -> "TransactionRecord":
-        """A record whose payload is ``body`` in canonical JSON.
-
-        For the kinds validation reads, the record keeps ``body`` itself,
-        not a copy, until its block commits: the caller hands the dict
-        over, and neither it nor any value inside it may change until
-        then, or validation would read other values than the chain holds.
-        """
+        """A record whose payload is ``body`` in canonical JSON."""
         payload = canonical_json(body)
         fields = (tx_id, timestamp, kind, actor, payload, digest_bytes(payload.encode("utf-8")),
                   TxMetadata() if metadata is None else metadata)
         _check_record(*fields)
         # The digest is computed here from this payload: it is intact.
-        return _build_record(*fields, True, None, body if kind in _BODY_CHECKED else None)
+        return _build_record(*fields, True, None)
 
     def body(self) -> dict:
         return decode_json(self.payload)
@@ -352,7 +335,7 @@ class TransactionRecord:
                   data["payload"], data["payload_digest"],
                   TxMetadata.from_dict(data["metadata"], interned))
         _check_record(*fields)
-        return _build_record(*fields, None, None, None)
+        return _build_record(*fields, None, None)
 
 
 _build_record = slot_builder(TransactionRecord)
@@ -495,35 +478,43 @@ class WorldState:
         }
 
 
+def _id(value) -> str:
+    """``value``, a world-state key: a str, or the state would not encode."""
+    if type(value) is not str:
+        raise TypeError(f"id {value!r} is not a string")
+    return value
+
+
 def _apply_tx_to_state(state: WorldState, tx: TransactionRecord) -> None:
+    """Fold one record into ``state``; a body it cannot fold raises."""
     kind = tx.kind
     if kind == _DECISION:
         return  # intent only; it does not mutate state, so it is not parsed
     body = tx.body()
     if kind in _POLICY_KINDS:
-        pid = body["policy_id"]
+        pid = _id(body["policy_id"])
         state.policies[pid] = body
         state.policy_history.setdefault(pid, []).append(body)
         cid = body.get("contract_id")
         if cid:
-            state.contracts[cid] = {
+            state.contracts[_id(cid)] = {
                 "version": body.get("contract_version", 1),
                 "lifecycle": "active",
             }
     elif kind == _CHECK:
         if body.get("warning"):
             return
-        ep = body["endpoint_id"]
-        state.compliance.setdefault(ep, {})[body["rule_id"]] = {
+        ep = _id(body["endpoint_id"])
+        state.compliance.setdefault(ep, {})[_id(body["rule_id"])] = {
             "verdict": body["verdict"],
             "checked_at": body["checked_at"],
         }
     elif kind == _RESULT:
         if body["outcome"] != "success":
             return
-        arm = tx.metadata.arm
+        arm = _id(tx.metadata.arm)
         attrs = state.endpoint_attrs.setdefault(arm, {}).setdefault(
-            body["endpoint_id"], {}
+            _id(body["endpoint_id"]), {}
         )
         for attr, value in body.get("applied", {}).items():
             attrs[attr] = value
@@ -532,7 +523,7 @@ def _apply_tx_to_state(state: WorldState, tx: TransactionRecord) -> None:
             {"report_id": body.get("report_id"), "affected": body.get("affected", [])}
         )
         for ep in body.get("affected", []):
-            state.endpoint_attrs.setdefault("automated", {}).setdefault(ep, {})[
+            state.endpoint_attrs.setdefault("automated", {}).setdefault(_id(ep), {})[
                 "infected"
             ] = True
 
@@ -574,43 +565,16 @@ class ChainVerdict:
 # Validation (shared by submission and the block vote)
 
 
-_NO_PARAMS: dict = {}  # an item's params when it has none; read, never written
-_ITEM_ENDPOINT = itemgetter("endpoint_id")
-_ITEM_KIND = methodcaller("get", "kind")
-_ITEM_PARAMS = methodcaller("get", "params", _NO_PARAMS)
-
-
-def _planned_actions(body: dict) -> tuple[list, list, dict]:
-    """A decision payload's items as each item's endpoint and action key,
-    and each key's writes: ``action_writes`` of the params alone, as no
-    endpoint has been touched yet. A key is the ids of an item's (kind,
-    params) objects, which the lists hold for the call, so the writes are
-    derived once per action that items share. Each per-item step maps a C
-    callable, and a missing endpoint id or a mistyped item raises there."""
-    planned = body.get("planned", ())
-    endpoints = list(map(_ITEM_ENDPOINT, planned))
-    kinds = list(map(_ITEM_KIND, planned))
-    params = list(map(_ITEM_PARAMS, planned))
-    keys = list(zip(map(id, kinds), map(id, params)))
-    actions = dict(zip(keys, zip(kinds, params)))
-    writes_of = {key: action_writes(*action).items() for key, action in actions.items()}
-    return endpoints, keys, writes_of
-
-
-def _planned_settings(body: dict) -> Iterator[tuple[str, str, object]]:
-    """(endpoint, attribute, value) writes implied by a decision payload,
-    per write of each item, in item order."""
-    endpoints, keys, writes_of = _planned_actions(body)
-    for endpoint, key in zip(endpoints, keys):
-        for attr, value in writes_of[key]:
-            yield endpoint, attr, value
-
-
-def _validation_body(tx: TransactionRecord) -> dict:
-    """The body validation reads: the dict ``create`` encoded, while the
-    record is pending, or else the parsed payload."""
-    source = tx._source
-    return source if source is not None else tx.body()
+def _planned_settings(body: dict) -> list[tuple[str, str, object]]:
+    """(endpoint, attribute, value) writes implied by a decision payload:
+    those its params alone fix, as no endpoint has been touched yet. Every
+    item must name its endpoint, whether or not its action writes."""
+    settings = []
+    for item in body.get("planned", []):
+        endpoint = item["endpoint_id"]
+        for attr, value in action_writes(item.get("kind"), item.get("params", {})).items():
+            settings.append((endpoint, attr, value))
+    return settings
 
 
 def _active_required_values(state: WorldState, skip_policy: Optional[str] = None):
@@ -632,14 +596,9 @@ def validate_transaction(
     state: WorldState,
     pending: list[TransactionRecord],
     authorization: dict[str, frozenset[TxKind]],
-    required: dict,
 ) -> TxVerdict:
     """Deterministic admission checks: authorization, consistency with
     active policy, and absence of conflicting pending writes.
-
-    ``required`` is ``_active_required_values(state)``, which the caller
-    keeps; it is derived here again only when the record names an active
-    policy, whose own values the check skips.
 
     Raises MalformedTransaction when the payload digest does not
     recompute, or when a body lacks a field the checks read or holds one
@@ -655,18 +614,17 @@ def validate_transaction(
     if kind not in _BODY_CHECKED:
         return ACCEPT
     try:
-        return _check_body(kind, _validation_body(tx), state, pending, required)
+        return _check_body(kind, tx.body(), state, pending)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise MalformedTransaction(f"tx {tx.tx_id}: malformed body ({exc!r})") from exc
 
 
-def _check_body(kind, body, state: WorldState, pending: list, required: dict) -> TxVerdict:
+def _check_body(kind, body, state: WorldState, pending: list) -> TxVerdict:
     """``validate_transaction``'s checks of a policy or decision body."""
-    skip = body.get("policy_id")
-    if skip in state.policies:
-        required = _active_required_values(state, skip_policy=skip)
+    required = _active_required_values(state, skip_policy=body.get("policy_id"))
 
     if kind in _POLICY_KINDS:
+        _id(body["policy_id"])  # live state folds the policy by it at commit
         # A new document must not demand a value another active policy forbids.
         for rule in body.get("rules", []):
             for cond in rule.get("condition", []):
@@ -676,20 +634,19 @@ def _check_body(kind, body, state: WorldState, pending: list, required: dict) ->
                 if prior is not None and prior[0] != cond["value"]:
                     return TxVerdict(False, "policy_conflict")
     elif kind == _DECISION:
-        _, _, writes_of = _planned_actions(body)
-        for writes in writes_of.values():
-            for attr, value in writes:
-                prior = required.get(attr)
-                if prior is not None and prior[0] != value:
-                    return TxVerdict(False, "policy_conflict")
+        planned = _planned_settings(body)
+        for _, attr, value in planned:
+            prior = required.get(attr)
+            if prior is not None and prior[0] != value:
+                return TxVerdict(False, "policy_conflict")
         # Conflicting pending writes to the same endpoint attribute.
-        others = [other for other in pending if other.kind == _DECISION]
-        if others:
-            mine = {(ep, attr): val for ep, attr, val in _planned_settings(body)}
-            for other in others:
-                for ep, attr, val in _planned_settings(_validation_body(other)):
-                    if (ep, attr) in mine and mine[(ep, attr)] != val:
-                        return TxVerdict(False, "pending_conflict")
+        mine = {(ep, attr): val for ep, attr, val in planned}
+        for other in pending:
+            if other.kind != _DECISION:
+                continue
+            for ep, attr, val in _planned_settings(other.body()):
+                if (ep, attr) in mine and mine[(ep, attr)] != val:
+                    return TxVerdict(False, "pending_conflict")
 
     return ACCEPT
 
@@ -736,9 +693,6 @@ class Ledger:
         self.blocks: list[LedgerBlock] = [genesis]
         self.pending: list[TransactionRecord] = []
         self._state = WorldState()
-        # _active_required_values(self._state), derived again whenever a
-        # policy record commits; an empty state requires nothing.
-        self._required: dict = {}
         self._seq = 0
         self._seen_tx_ids: set[str] = set()
         # tx_id -> the record submit_transaction admitted under that id.
@@ -755,9 +709,7 @@ class Ledger:
         queue it for the next block when accepted."""
         if tx.tx_id in self._seen_tx_ids or tx.tx_id in self._admitted:
             raise InputError(f"duplicate tx_id {tx.tx_id}")
-        verdict = validate_transaction(
-            tx, self._state, self.pending, self.authorization, self._required
-        )
+        verdict = validate_transaction(tx, self._state, self.pending, self.authorization)
         if verdict.accepted:
             self.pending.append(tx)
             self._admitted[tx.tx_id] = tx
@@ -791,16 +743,11 @@ class Ledger:
         # The hash was just computed from these fields: keep it.
         object.__setattr__(block, "_recomputed", block_hash)
         self.blocks.append(block)
-        policy_committed = False
         for tx in pending:
             self._seen_tx_ids.add(tx.tx_id)
             # Validation reads only the active policies from live state.
             if tx.kind in _POLICY_KINDS:
                 _apply_tx_to_state(self._state, tx)
-                policy_committed = True
-            object.__setattr__(tx, "_source", None)
-        if policy_committed:
-            self._required = _active_required_values(self._state)
         self.pending.clear()
         self._admitted.clear()
         return block
@@ -815,9 +762,7 @@ class Ledger:
             bypassed = bypassed or self._admitted.get(tx.tx_id) is not tx
             if bypassed:
                 try:
-                    verdict = validate_transaction(
-                        tx, self._state, seen, self.authorization, self._required
-                    )
+                    verdict = validate_transaction(tx, self._state, seen, self.authorization)
                 except MalformedTransaction:
                     return "reject:malformed"
                 if not verdict:
@@ -885,13 +830,19 @@ def replay_state(chain: list[LedgerBlock]) -> WorldState:
     """Fold every transaction in block/tx order into a fresh WorldState.
 
     Pure: the same chain always replays to the same state. Refuses
-    chains that do not verify.
+    chains that do not verify, and a verifying chain holding a body that
+    cannot be folded, naming its block.
     """
     verify_chain(chain).require()
     state = WorldState()
     for block in chain:
         for tx in block.transactions:
-            _apply_tx_to_state(state, tx)
+            try:
+                _apply_tx_to_state(state, tx)
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise CorruptChainError(
+                    f"chain corrupt at block {block.index} (body of {tx.tx_id}: {exc!r})"
+                ) from exc
     return state
 
 

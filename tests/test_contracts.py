@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_engine
-from policyledger import ledger as ledger_module
 from policyledger.contracts import (
     ComplianceCheckResult,
     ContractEngine,
@@ -26,7 +25,6 @@ from policyledger.policy import (
     ORDERED_ATTRIBUTES,
     Condition,
     EnforcementActionSpec,
-    action_writes,
     load_policy_document,
     load_policy_file,
 )
@@ -694,24 +692,3 @@ def test_built_value_objects_equal_their_init_made_twins(data, cls):
     assert _hash_or_error(built) == _hash_or_error(made)
     with pytest.raises(dataclasses.FrozenInstanceError):
         built.endpoint_id = "other"
-
-
-def test_decision_validation_derives_each_distinct_actions_writes_once(monkeypatch, smbv1_doc):
-    # Validation derived the writes once per planned item: 4 000 calls for
-    # one action on 4 000 endpoints.
-    engine = make_engine(endpoints=4000)
-    decision, matched = standard_decision(deploy(engine, [smbv1_doc]))
-    calls = []
-
-    def counted(kind, params, fields=None):
-        calls.append(kind)
-        return action_writes(kind, params, fields)
-
-    monkeypatch.setattr(ledger_module, "action_writes", counted)
-    plan = engine.execute_decision(decision, matched)
-    assert len(plan.actions) == 4000
-    assert calls == ["disable_smbv1"]
-    # The items share one copy of the action's params, not the rule's dict.
-    planned = engine.ledger.pending[-1]._source["planned"]
-    assert len({id(item["params"]) for item in planned}) == 1
-    assert planned[0]["params"] is not matched[0].remediation.params

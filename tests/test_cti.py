@@ -380,12 +380,12 @@ def test_model_with_bad_hyperparameters_is_rejected_at_load(edit):
         ForestModel.from_json(json.dumps(data))
 
 
-# -- the compiled vote table against the stump loops it replaced ---------------
+# -- classify and update_model against loops over every stump ------------------
 
 
 def _loop_classify(model, fv):
-    """``classify`` as a loop over every stump, as it was before the vote
-    table: the oracle for the table's firing set, sums and tie-breaks."""
+    """``classify`` as a loop over every stump: the oracle for its firing
+    set, sums and tie-breaks."""
     if len(fv) != model.width:
         raise WidthMismatch("width")
     totals = {}
@@ -405,7 +405,7 @@ def _loop_classify(model, fv):
 
 def _loop_update(model, predicted, success):
     """``update_model`` as a loop over every stump, rebuilt through
-    ``dataclasses.replace``, as it was before the vote table."""
+    ``dataclasses.replace``: the oracle for its per-vote index and clone."""
     factor = 1.0 + model.learning_rate if success else 1.0 - model.learning_rate
     new_weights = []
     for stump, weight in zip(model.stumps, model.weights):
@@ -482,36 +482,42 @@ def test_vote_sums_follow_stump_order():
     assert _loop_classify(model, [1, 1, 1, 1]) == ThreatClass(1, ThreatCategory.RECON)
 
 
-def test_update_shares_the_vote_table(model):
+def test_update_shares_the_vote_index(model):
     updated = update_model(model, ThreatClass(3, ThreatCategory.EXPLOIT), success=False)
-    assert updated._table is model._table
+    assert updated._voters is model._voters
     assert updated.weights != model.weights
 
 
-def test_replace_compiles_a_new_vote_table(model):
+def test_replace_builds_a_new_vote_index(model):
     reversed_model = dataclasses.replace(
         model, stumps=model.stumps[::-1], weights=model.weights[::-1]
     )
-    assert reversed_model._table is not model._table
-    assert reversed_model._table.features == tuple(s.feature_index for s in model.stumps[::-1])
+    assert reversed_model._voters is not model._voters
+    last = len(model.stumps) - 1
+    assert reversed_model._voters == {
+        vote: [last - i for i in reversed(positions)] for vote, positions in model._voters.items()
+    }
 
 
-# -- sparse voting against the dense scan it replaced ------------------------------
+# -- classify against a dense scan of the stumps' features ------------------------
 
 
 def _dense_classify(model, fv):
-    """``classify`` as a dense scan of every stump's feature, as it was
-    before the per-feature index: the oracle for sparse voting."""
+    """``classify`` as a dense scan: every stump's feature count against
+    its threshold, over lists built from the stumps."""
     if len(fv) != model.width:
         raise WidthMismatch("width")
-    table, weights = model._table, model.weights
+    features = [s.feature_index for s in model.stumps]
+    thresholds = [s.threshold for s in model.stumps]
+    votes = [(s.vote_severity, s.vote_category.value) for s in model.stumps]
+    weights = model.weights
     firing = itertools.compress(
         range(len(weights)),
-        map(operator.gt, map(fv.__getitem__, table.features), table.thresholds),
+        map(operator.gt, map(fv.__getitem__, features), thresholds),
     )
     totals = {}
     for i in firing:
-        vote = table.votes[i]
+        vote = votes[i]
         totals[vote] = totals.get(vote, 0.0) + weights[i]
     if not totals:
         return ThreatClass(0, ThreatCategory.OTHER)
@@ -540,7 +546,7 @@ _counts = st.one_of(
         max_size=8,
     ),
 )
-def test_sparse_vote_equals_the_dense_scan_bit_for_bit(model, steps):
+def test_classify_equals_the_dense_scan_bit_for_bit(model, steps):
     oracle = model
     for fv, success in steps:
         predicted = classify(model, fv)
@@ -551,7 +557,7 @@ def test_sparse_vote_equals_the_dense_scan_bit_for_bit(model, steps):
         assert model == oracle
 
 
-def test_sparse_sums_follow_stump_order_not_feature_order():
+def test_sums_follow_stump_order_not_feature_order():
     # As in test_vote_sums_follow_stump_order, but the stumps run against
     # feature order: summed by feature, 0.3 + 0.2 + 0.1 is 0.6 and would tie
     # the 0.6 vote and lose it to the higher severity.

@@ -456,7 +456,17 @@ def test_a_malformed_decision_body_is_a_malformed_transaction(body):
     assert len(ledger.chain()) == 1
 
 
-# -- validation from the kept dict ---------------------------------------------
+@pytest.mark.parametrize("policy_id", [None, ["p"], 5, "absent"])
+def test_a_policy_body_without_a_string_id_is_a_malformed_transaction(policy_id):
+    # Live state folds a committed policy by its id.
+    body = {"rules": []} if policy_id == "absent" else {"policy_id": policy_id, "rules": []}
+    ledger = fresh_ledger()
+    with pytest.raises(MalformedTransaction):
+        ledger.submit_transaction(
+            make_tx(ledger, kind=TxKind.POLICY_DEPLOY, actor="policy-admin", body=body))
+
+
+# -- validation against oracles ------------------------------------------------
 
 _PIDS = ["p1", "p2", "p3"]
 _json_scalars = st.one_of(st.none(), st.booleans(), st.integers(-1, 3),
@@ -503,74 +513,44 @@ _records = st.one_of(
 
 
 def _parsed(tx):
-    """``tx`` as an import builds it: no kept dict, so validation parses."""
+    """``tx`` as the constructor builds it, with no memo filled."""
     return TransactionRecord(tx.tx_id, tx.timestamp, tx.kind, tx.actor, tx.payload,
                              tx.payload_digest, tx.metadata)
-
-
-@settings(max_examples=150, deadline=None)
-@given(committed=st.lists(_policy_bodies, max_size=3),
-       pending=st.lists(_decision_bodies, max_size=3), record=_records)
-def test_validating_the_kept_dict_equals_validating_the_parsed_payload(committed, pending, record):
-    ledger = fresh_ledger()
-    state = ledger_module.WorldState()
-    for body in committed:
-        tx = make_tx(ledger, kind=TxKind.POLICY_DEPLOY, actor="policy-admin", body=body)
-        ledger_module._apply_tx_to_state(state, _parsed(tx))
-    kept = [make_tx(ledger, body=body) for body in pending]
-    kind, actor, body = record
-    tx = make_tx(ledger, kind=kind, actor=actor, body=body)
-    assert tx._source is body and _parsed(tx)._source is None
-    required = ledger_module._active_required_values(state)
-    from_dict = ledger_module.validate_transaction(tx, state, kept, DEFAULT_AUTHORIZATION, required)
-    from_payload = ledger_module.validate_transaction(
-        _parsed(tx), state, [_parsed(p) for p in kept], DEFAULT_AUTHORIZATION, required
-    )
-    assert from_dict == from_payload
 
 
 @settings(max_examples=100, deadline=None)
 @given(steps=st.lists(st.tuples(_records, st.booleans()), max_size=10))
 def test_submit_with_the_kept_required_values_equals_validation_from_the_chain(steps):
-    # The ledger derives the values active policy requires only when a
-    # policy record commits; the oracle derives them from the replayed
-    # chain on every submission, from parsed records.
+    # The ledger validates against the policies its live state folded at
+    # each commit; the oracle validates against the replayed chain, from
+    # records built by the constructor.
     ledger = fresh_ledger()
     for t, ((kind, actor, body), commit) in enumerate(steps, start=1):
         tx = make_tx(ledger, kind=kind, actor=actor, body=body, timestamp=t)
         state = replay_state(ledger.chain())
         expected = ledger_module.validate_transaction(
-            _parsed(tx), state, [_parsed(p) for p in ledger.pending],
-            DEFAULT_AUTHORIZATION, ledger_module._active_required_values(state),
+            _parsed(tx), state, [_parsed(p) for p in ledger.pending], DEFAULT_AUTHORIZATION
         )
         assert ledger.submit_transaction(tx) == expected
         if commit and ledger.pending:
             ledger.commit_block(t)
-    # No kept dict outlives its block's commit.
-    assert all(tx._source is None for block in ledger.chain() for tx in block.transactions)
 
 
 def _oracle_planned_settings(body):
-    """The ledger's per-item decision writes before the per-action check:
-    (endpoint, attribute, value) for every item, in item order."""
-    writes_of: dict = {}
+    """A decision's writes: (endpoint, attribute, value) for every item, in
+    item order."""
     settings = []
     for item in body.get("planned", []):
-        kind, params = item.get("kind"), item.get("params", ledger_module._NO_PARAMS)
-        key = (id(kind), id(params))
-        writes = writes_of.get(key)
-        if writes is None:
-            writes = writes_of[key] = ledger_module.action_writes(kind, params).items()
+        writes = ledger_module.action_writes(item.get("kind"), item.get("params", {}))
         endpoint = item["endpoint_id"]
-        for attr, value in writes:
+        for attr, value in writes.items():
             settings.append((endpoint, attr, value))
     return settings
 
 
-def _oracle_validate(tx, state, pending, authorization, required):
-    """``validate_transaction`` as it was before it checked required values
-    once per distinct action and built the per-item map only when another
-    decision is pending. A malformed body raises whatever it raises."""
+def _oracle_validate(tx, state, pending, authorization):
+    """``validate_transaction``, written out step by step. A malformed body
+    raises whatever it raises."""
     if not tx.payload_intact():
         raise MalformedTransaction(f"tx {tx.tx_id}: payload digest mismatch")
     kind = tx.kind
@@ -578,11 +558,12 @@ def _oracle_validate(tx, state, pending, authorization, required):
         return ledger_module.TxVerdict(False, "authorization")
     if kind not in ledger_module._BODY_CHECKED:
         return ledger_module.ACCEPT
-    body = ledger_module._validation_body(tx)
+    body = tx.body()
     skip = body.get("policy_id")
-    if skip in state.policies:
-        required = ledger_module._active_required_values(state, skip_policy=skip)
+    required = ledger_module._active_required_values(state, skip_policy=skip)
     if kind in (TxKind.POLICY_DEPLOY, TxKind.POLICY_UPDATE):
+        if type(body["policy_id"]) is not str:
+            raise TypeError("policy_id")
         for rule in body.get("rules", []):
             for cond in rule.get("condition", []):
                 if cond.get("comparator") != "equals":
@@ -600,7 +581,7 @@ def _oracle_validate(tx, state, pending, authorization, required):
         for other in pending:
             if other.kind != TxKind.ENFORCEMENT_DECISION:
                 continue
-            for ep, attr, val in _oracle_planned_settings(ledger_module._validation_body(other)):
+            for ep, attr, val in _oracle_planned_settings(other.body()):
                 if (ep, attr) in mine and mine[(ep, attr)] != val:
                     return ledger_module.TxVerdict(False, "pending_conflict")
     return ledger_module.ACCEPT
@@ -659,41 +640,16 @@ def test_validate_transaction_gives_the_oracles_verdict(committed, pending, body
     for policy in committed:
         tx = make_tx(ledger, kind=TxKind.POLICY_DEPLOY, actor="policy-admin", body=policy)
         ledger_module._apply_tx_to_state(state, _parsed(tx))
-    required = ledger_module._active_required_values(state)
     kept = [make_tx(ledger, body=other) for other in pending]
     tx = make_tx(ledger, actor=actor, body=body)
-    expected = _verdict_or_malformed(_oracle_validate, tx, state, kept, DEFAULT_AUTHORIZATION,
-                                     required)
+    expected = _verdict_or_malformed(_oracle_validate, tx, state, kept, DEFAULT_AUTHORIZATION)
     for record, others in ((tx, kept), (_parsed(tx), [_parsed(other) for other in kept])):
         try:
             verdict = ledger_module.validate_transaction(record, state, others,
-                                                         DEFAULT_AUTHORIZATION, required)
+                                                         DEFAULT_AUTHORIZATION)
         except MalformedTransaction:
             verdict = "malformed"
         assert verdict == expected
-
-
-def _no_parse(tx):
-    raise AssertionError(f"parsed the payload of {tx.tx_id}")
-
-
-def test_submitting_a_created_record_parses_nothing(monkeypatch):
-    ledger = fresh_ledger()
-    assert ledger.submit_transaction(_policy_tx(ledger, TxKind.POLICY_DEPLOY, 33089))
-    ledger.commit_block(1)
-    monkeypatch.setattr(TransactionRecord, "body", _no_parse)
-    assert ledger.submit_transaction(_port_decision(ledger, 33089))
-    assert not ledger.submit_transaction(_port_decision(ledger, 4000))
-    assert ledger.submit_transaction(_policy_tx(ledger, TxKind.POLICY_UPDATE, 33089))
-
-
-def test_records_without_a_kept_dict_are_parsed():
-    ledger = fresh_ledger()
-    _require(ledger, "rdp_port", 33089)
-    replaced = dataclasses.replace(_port_decision(ledger, 4000))
-    assert replaced._source is None
-    verdict = ledger.submit_transaction(replaced)
-    assert not verdict and verdict.reason == "policy_conflict"
 
 
 # -- commit_block ------------------------------------------------------------
@@ -1710,7 +1666,7 @@ def test_export_holds_one_record_at_a_time(tmp_path):
 # -- one builder for every created and imported record ---------------------------
 
 
-_MEMO_SLOTS = ("_payload_ok", "_digest", "_source")
+_MEMO_SLOTS = ("_payload_ok", "_digest")
 
 
 def _slots(tx):
@@ -1732,13 +1688,7 @@ def test_created_and_imported_records_equal_the_dataclass_built_record(kind):
         metadata=metadata,
     )
     assert type(created) is TransactionRecord
-    assert _slots(created) == {
-        **_slots(built),
-        "_payload_ok": True,
-        "_source": body if kind in ledger_module._BODY_CHECKED else None,
-    }
-    if kind in ledger_module._BODY_CHECKED:
-        assert created._source is body
+    assert _slots(created) == {**_slots(built), "_payload_ok": True}
 
     imported = TransactionRecord.from_dict(decode_json(created.wire_json()), {})
     assert type(imported) is TransactionRecord

@@ -5,9 +5,8 @@ import json
 import pytest
 
 from conftest import make_engine
-from policyledger import ledger as ledger_module
 from policyledger.cti import DecisionKind, ForestModel, ingest_feed, process_threat_intelligence, read_feed
-from policyledger.ledger import Ledger, TransactionRecord, TxKind, query_history, replay_state, verify_chain
+from policyledger.ledger import TxKind, query_history, replay_state, verify_chain
 from policyledger.policy import encode_rules, load_policy_file
 from policyledger.runner import RunConfig, fixture_path, run_scenario
 
@@ -200,69 +199,3 @@ def test_rdp_run_hits_the_moved_port():
     assert sum(moved) >= 55  # near-full coverage at 2% failure
     entry = result.report.per_policy["rdp-port"]
     assert entry["automated"]["act_ms"] == pytest.approx(321_000, rel=0.01)
-
-
-# -- fixed cost per decision cycle ------------------------------------------------
-
-_TECHNIQUE_SETS = [[], ["T1210"], ["T1021.001"], ["T1486"], ["T1566"], ["T1021.001", "T1210"]]
-
-
-def _cti_stream_config(tmp_path, reports=18):
-    """A small stream of tagged reports against the three fixture policies,
-    run on both arms with human errors off."""
-    feed = [
-        {"report_id": f"r{i:03d}", "source": "test", "text": ["exploit", "scanning", "ransomware"][i % 3],
-         "technique_ids": _TECHNIQUE_SETS[i % len(_TECHNIQUE_SETS)], "received_at": 5_000 + i}
-        for i in range(reports)
-    ]
-    (tmp_path / "feed.json").write_text(json.dumps(feed))
-    return RunConfig(
-        seed=3, endpoints=6, scenario="custom", mode="both",
-        policies=[str(fixture_path("policies", f"{name}.json"))
-                  for name in ("smbv1", "rdp", "ransomware")],
-        feeds=[str(tmp_path / "feed.json")],
-        network={"human_error_prob": 0.0, "human_error_prob_by_kind": {}},
-    )
-
-
-def test_submitting_engine_built_records_parses_no_payload(tmp_path, monkeypatch):
-    parses = {"in_submit": 0, "all": 0}
-    submitting = []
-    real_body, real_submit = TransactionRecord.body, Ledger.submit_transaction
-
-    def counting_body(tx):
-        parses["all"] += 1
-        parses["in_submit"] += bool(submitting)
-        return real_body(tx)
-
-    def submit(ledger, tx):
-        submitting.append(tx)
-        try:
-            return real_submit(ledger, tx)
-        finally:
-            submitting.pop()
-
-    monkeypatch.setattr(TransactionRecord, "body", counting_body)
-    monkeypatch.setattr(Ledger, "submit_transaction", submit)
-    result = run_scenario(_cti_stream_config(tmp_path))
-    decisions = [o.decision.kind for o in result.outcomes]
-    assert DecisionKind.NO_ACTION_REQUIRED in decisions
-    assert DecisionKind.IMMEDIATE_ACTION_REQUIRED in decisions
-    assert parses["in_submit"] == 0
-    assert parses["all"] > 0  # the counter sees the run's other parses
-
-
-def test_required_values_are_derived_once_per_committed_policy_set(tmp_path, monkeypatch):
-    calls = []
-    real = ledger_module._active_required_values
-
-    def counting(state, skip_policy=None):
-        calls.append(skip_policy)
-        return real(state, skip_policy)
-
-    monkeypatch.setattr(ledger_module, "_active_required_values", counting)
-    result = run_scenario(_cti_stream_config(tmp_path))
-    decisions = query_history(result.chain, kind=TxKind.ENFORCEMENT_DECISION)
-    assert len(decisions) == 2 * len(result.outcomes) > 0
-    # One deploy block of three policies: derived once, when it commits.
-    assert calls == [None]

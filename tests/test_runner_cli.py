@@ -1,18 +1,28 @@
 """Run configuration, CLI commands, exit codes, and output determinism."""
 
+import dataclasses
 import gc
 import json
 import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import run_configs
 
+from policyledger.canonical import canonical_json, digest_bytes
 from policyledger.cli import main
 from policyledger.errors import InputError
-from policyledger.ledger import ChainVerdict, TxKind, query_history
+from policyledger.ledger import (
+    ChainVerdict,
+    TxKind,
+    compute_block_hash,
+    export_chain,
+    query_history,
+    verify_chain,
+)
 from policyledger.runner import RunConfig, fixture_path, run_scenario
 
 
@@ -332,6 +342,59 @@ def test_cli_replay_corrupt_chain_is_exit_one(tmp_path, capsys):
     assert main(["replay", str(chain_file)]) == 1
 
 
+def _resealed(chain, pick, edit):
+    """``chain`` with the body of the first record ``pick`` accepts replaced
+    by ``edit(body)``, and its payload digest, every record digest, block
+    hash and link from its block on recomputed: it verifies. Returns the
+    chain and the edited block's index."""
+    blocks = list(chain)
+    pos, at = next((pos, at) for pos, block in enumerate(blocks)
+                   for at, tx in enumerate(block.transactions) if pick(tx))
+    tx = blocks[pos].transactions[at]
+    payload = canonical_json(edit(tx.body()))
+    txs = list(blocks[pos].transactions)
+    txs[at] = dataclasses.replace(tx, payload=payload,
+                                  payload_digest=digest_bytes(payload.encode("utf-8")))
+    blocks[pos] = dataclasses.replace(blocks[pos], transactions=tuple(txs))
+    for i in range(pos, len(blocks)):
+        block = dataclasses.replace(blocks[i], prev_hash=blocks[i - 1].block_hash)
+        digests = [tx.record_digest() for tx in block.transactions]
+        blocks[i] = dataclasses.replace(block, block_hash=compute_block_hash(
+            block.index, block.prev_hash, block.timestamp, digests))
+    return blocks, pos
+
+
+def _applied_result(tx):
+    return tx.kind == TxKind.ENFORCEMENT_RESULT and tx.body()["outcome"] == "success"
+
+
+@pytest.mark.parametrize(
+    "pick, edit",
+    [
+        (_applied_result, lambda body: []),
+        (_applied_result, lambda body: {**body, "applied": 5}),
+        (lambda tx: tx.kind == TxKind.THREAT_ALERT, lambda body: {**body, "affected": 5}),
+        (_applied_result, lambda body: {**body, "endpoint_id": [1]}),
+        (lambda tx: tx.kind == TxKind.COMPLIANCE_CHECK, lambda body: {**body, "endpoint_id": None}),
+    ],
+    ids=["result-list", "applied-int", "affected-int", "endpoint-list", "check-endpoint-null"],
+)
+def test_cli_replay_refuses_a_verifying_chain_with_an_unfoldable_body(tmp_path, capsys,
+                                                                      pick, edit):
+    result = run_scenario(RunConfig(seed=3, scenario="ransomware", mode="automated",
+                                    endpoints=6, infected_count=2))
+    chain, pos = _resealed(result.chain, pick, edit)
+    assert verify_chain(chain)
+    path = tmp_path / "chain.ndjson"
+    export_chain(chain, path)
+    assert main(["verify-chain", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["replay", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: chain corrupt at block {pos} (body of tx-")
+
+
 # -- cli: classify -----------------------------------------------------------------
 
 
@@ -403,6 +466,45 @@ def test_cli_run_non_utf8_input_is_exit_two(tmp_path, capsys, bad):
 
 def test_cli_classify_missing_feed_is_exit_three(tmp_path):
     assert main(["classify", str(tmp_path / "none.json")]) == 3
+
+
+def _run_config_naming(tmp_path, **config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"endpoints": 4, **config}))
+    return ["run", "--config", str(path), "--out", str(tmp_path / "o")]
+
+
+_FEED = str(fixture_path("feeds", "smbv1_advisory.json"))
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (lambda t: ["verify-chain", str(t / "dir")], 3),
+        (lambda t: ["replay", str(t / "dir")], 3),
+        (lambda t: ["classify", str(t / "dir")], 3),
+        (lambda t: ["classify", _FEED, "--model", str(t / "dir")], 3),
+        (lambda t: ["classify", _FEED, "--policies", str(t / "dir")], 3),
+        (lambda t: ["run", "--config", str(t / "dir"), "--out", str(t / "o")], 3),
+        (lambda t: _run_config_naming(t, scenario="custom", policies=[str(t / "dir")]), 3),
+        (lambda t: _run_config_naming(t, feeds=[str(t / "dir")]), 3),
+        (lambda t: _run_config_naming(t, model=str(t / "dir")), 3),
+        # An output path that is a file: refused before the run.
+        (lambda t: ["run", "--endpoints", "4", "--out", str(t / "file")], 2),
+    ],
+    ids=["verify-chain", "replay", "classify", "classify-model", "classify-policies",
+         "run-config", "config-policies", "config-feeds", "config-model", "run-out-file"],
+)
+def test_cli_input_directory_or_output_file_is_an_error_exit(tmp_path, capsys, argv, code):
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("kept")
+    args = argv(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    assert main(args) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "file").read_text() == "kept"
 
 
 def _fixture_model_with(**edit) -> str:

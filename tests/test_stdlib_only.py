@@ -30,3 +30,16 @@ def test_every_module_imports_only_stdlib_or_policyledger():
         and name.split(".")[0] not in sys.stdlib_module_names
     }
     assert not outside, sorted(outside)
+
+
+def test_no_module_imports_a_private_stdlib_module():
+    # A private module such as _random is an implementation detail of the
+    # public one, with no promise of stability across Python versions.
+    # __future__ is the public module of compiler directives.
+    private = {
+        f"{path.name}: {name}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for name in _absolute_imports(path)
+        if name.startswith("_") and name != "__future__"
+    }
+    assert not private, sorted(private)
