@@ -28,7 +28,7 @@ from .errors import (
 )
 from .ledger import import_chain, replay_state, verify_chain
 from .policy import combine_rule_sets, encode_rules, load_policy_file
-from .runner import RunConfig, fixture_path, run_scenario
+from .runner import MODES, SCENARIOS, RunConfig, fixture_path, run_scenario
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -48,8 +48,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a scenario and emit report + chain export")
     run.add_argument("--config", help="JSON scenario config file")
-    run.add_argument("--scenario", choices=["smbv1", "rdp", "ransomware", "custom"])
-    run.add_argument("--mode", choices=["automated", "human", "both"])
+    run.add_argument("--scenario", choices=SCENARIOS)
+    run.add_argument("--mode", choices=MODES)
     run.add_argument("--seed", type=int, help=f"overrides {SEED_ENV_VAR} and config")
     run.add_argument("--endpoints", type=int)
     run.add_argument("--out", default="out", help="output directory (default: ./out)")
@@ -90,34 +90,23 @@ def _warn_skipped(diagnostics: list[str]) -> None:
 def _cmd_run(args) -> int:
     try:
         config = RunConfig.from_file(args.config) if args.config else RunConfig()
-        overrides = {}
-        if args.scenario is not None:
-            overrides["scenario"] = args.scenario
-        if args.mode is not None:
-            overrides["mode"] = args.mode
-        if args.endpoints is not None:
-            overrides["endpoints"] = args.endpoints
-        merged = dict(config.to_dict())
-        merged.update(overrides)
-        config = RunConfig.from_dict(merged)
+        merged = config.to_dict()
+        for name in ("scenario", "mode", "endpoints"):
+            if getattr(args, name) is not None:
+                merged[name] = getattr(args, name)
         merged["seed"] = _resolve_seed(args, config)
         config = RunConfig.from_dict(merged)
         for path in (*config.resolved_policy_paths(), *config.resolved_feed_paths(), config.resolved_model_path()):
             if path.is_dir():
                 raise IsADirectoryError(path)
+        out = Path(args.out)
+        if out.exists() and not out.is_dir():
+            raise InputError(f"output path {args.out} exists and is not a directory")
+        for name in ("chain.ndjson", "report.json", "report.txt"):
+            if (out / name).is_dir():
+                raise InputError(f"output file {out / name} is a directory")
+        result = run_scenario(config, outdir=out, report_format=args.report_format)
     except (FileNotFoundError, IsADirectoryError) as exc:
-        print(f"error: missing input file: {exc.filename or exc}", file=sys.stderr)
-        return EXIT_MISSING_INPUT
-    except (InputError, SchemaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    if Path(args.out).exists() and not Path(args.out).is_dir():
-        print(f"error: output path {args.out} exists and is not a directory", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-
-    try:
-        result = run_scenario(config, outdir=args.out, report_format=args.report_format)
-    except FileNotFoundError as exc:
         print(f"error: missing input file: {exc.filename or exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
     except (InputError, SchemaError, AmbiguityError, FeedSchemaError) as exc:

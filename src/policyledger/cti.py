@@ -157,7 +157,7 @@ def read_feed(path: str | Path) -> list:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise FeedSchemaError(f"{path}: feed is not UTF-8 text: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer too long to convert
         raise FeedSchemaError(f"{path}: feed envelope is not valid JSON: {exc}") from exc
     if not isinstance(data, list):
         raise FeedSchemaError(f"{path}: feed envelope must be an array of items")
@@ -307,7 +307,7 @@ class ForestModel:
         encoded report raises InputError."""
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer too long to convert
             raise InputError(f"model is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise InputError("model must be a JSON object")

@@ -624,7 +624,9 @@ def _check_body(kind, body, state: WorldState, pending: list) -> TxVerdict:
     required = _active_required_values(state, skip_policy=body.get("policy_id"))
 
     if kind in _POLICY_KINDS:
-        _id(body["policy_id"])  # live state folds the policy by it at commit
+        _id(body["policy_id"])  # live state folds the policy by it at commit,
+        if body.get("contract_id"):  # and the contract the policy names by its id
+            _id(body["contract_id"])
         # A new document must not demand a value another active policy forbids.
         for rule in body.get("rules", []):
             for cond in rule.get("condition", []):

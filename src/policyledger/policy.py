@@ -359,7 +359,7 @@ def load_policy_document(source: str) -> PolicyDocument:
     """Parse and fully validate one policy document from JSON text."""
     try:
         data = json.loads(source)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer too long to convert
         raise SchemaError("$", f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise SchemaError("$", "document must be an object")

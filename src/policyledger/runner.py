@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import gc
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -27,7 +27,8 @@ from .errors import InputError
 from .ledger import Ledger, export_chain, verify_chain  # noqa: F401
 from .metrics import ComparisonReport, build_comparison_report, render_report_text, samples_from_chain
 from .policy import load_policy_file
-from .simnet import AnalystTeam, Fleet, NetworkModel, SimClock, ThreatScenario, inject_threat, provision_fleet, snapshot
+from .simnet import (AnalystTeam, FieldSpec, Fleet, NetworkModel, SimClock, ThreatScenario, check_config,
+                     inject_threat, provision_fleet, snapshot)
 
 SCENARIOS = ("smbv1", "rdp", "ransomware", "custom")
 MODES = ("automated", "human", "both")
@@ -64,37 +65,26 @@ class RunConfig:
     infected_count: int = 10
     validators: int = 3
 
+    SPEC = {
+        "seed": FieldSpec("int"),
+        "endpoints": FieldSpec("int", 1, unit="endpoints"),
+        "scenario": FieldSpec("str", of=SCENARIOS),
+        "mode": FieldSpec("str", of=MODES),
+        "network": FieldSpec("config", of=NetworkModel),
+        "team": FieldSpec("config", of=AnalystTeam),
+        "policies": FieldSpec("paths"),
+        "feeds": FieldSpec("paths"),
+        "model": FieldSpec("path"),
+        "infected_count": FieldSpec("int", 0, unit="endpoints"),
+        "validators": FieldSpec("int", 1, unit="validators"),
+    }
+
     def __post_init__(self):
-        if self.scenario not in SCENARIOS:
-            raise InputError(f"unknown scenario {self.scenario!r}")
-        if self.mode not in MODES:
-            raise InputError(f"unknown mode {self.mode!r}")
-        for name in ("seed", "endpoints", "infected_count", "validators"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise InputError(f"{name} must be an integer, got {value!r}")
-        for name, least in (("endpoints", 1), ("validators", 1), ("infected_count", 0)):
-            if getattr(self, name) < least:
-                raise InputError(f"{name} must be >= {least}")
-        for name in ("policies", "feeds"):
-            paths = getattr(self, name)
-            if not isinstance(paths, list) or not all(isinstance(p, str) for p in paths):
-                raise InputError(f"{name} must be a list of path strings, got {paths!r}")
-        if self.model is not None and not isinstance(self.model, str):
-            raise InputError(f"model must be a path string or null, got {self.model!r}")
-        # Building the run's network model and team is their one check.
-        try:
-            NetworkModel(**self.network)
-        except TypeError as exc:
-            raise InputError(f"invalid network config: {exc}") from exc
-        try:
-            AnalystTeam.default(**self.team)
-        except TypeError as exc:
-            raise InputError(f"invalid team config: {exc}") from exc
+        check_config(RunConfig, vars(self))
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        unknown = set(data) - {f.name for f in fields(cls)}
+        unknown = set(data) - set(cls.SPEC)
         if unknown:
             raise InputError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
@@ -105,7 +95,7 @@ class RunConfig:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
         except UnicodeDecodeError as exc:
             raise InputError(f"config file is not UTF-8 text: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer too long to convert
             raise InputError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise InputError("config file must contain a JSON object")
@@ -129,19 +119,7 @@ class RunConfig:
         return Path(self.model) if self.model else fixture_path("model.json")
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "endpoints": self.endpoints,
-            "scenario": self.scenario,
-            "mode": self.mode,
-            "network": self.network,
-            "team": self.team,
-            "policies": [str(p) for p in self.policies],
-            "feeds": [str(p) for p in self.feeds],
-            "model": str(self.model) if self.model else None,
-            "infected_count": self.infected_count,
-            "validators": self.validators,
-        }
+        return {**vars(self), "model": self.model or None}
 
     def digest(self) -> str:
         return digest_value(self.to_dict())

@@ -25,8 +25,8 @@ from __future__ import annotations
 import copy
 import heapq
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Iterable, NamedTuple, Optional
 
 from .canonical import slot_builder, substream
 from .errors import InputError, UnknownEndpoint
@@ -166,24 +166,68 @@ MAX_SIGMA_LOG = 5
 MAX_MULTIPLIER = 1000
 
 
-def _is_number(value) -> bool:
-    """An int or float, not a bool."""
-    return type(value) in (int, float)
+class FieldSpec(NamedTuple):
+    """How construction checks one config field: its type (a key of
+    ``_TYPES``), range and unit, and ``of``: a str's choices, a role map's
+    roles, a config's class, or the scalar field whose spec a by-kind
+    map's values take. A str ``low`` names an earlier field of the same
+    spec, whose value is the bound."""
+
+    type: str
+    low: object = -math.inf
+    high: object = math.inf
+    unit: str = ""
+    of: object = None
 
 
-def _check_prob(name: str, p: float) -> float:
-    if not (_is_number(p) and 0.0 <= p <= 1.0):
-        raise InputError(f"{name} must be a number in [0,1], got {p!r}")
-    return p
+#: Each type: what it takes, as its error says, and the test of a value
+#: against its resolved bounds. A map's entries are checked after it.
+_TYPES = {
+    "int": ("an integer in [{low}, {high}]",
+            lambda v, low, high, of: type(v) is int and low <= v <= high),
+    "number": ("a number (not a bool) in [{low}, {high}]",
+               lambda v, low, high, of: type(v) in (int, float) and low <= v <= high),
+    "ms": ("a finite number (not a bool) with an integer part in ({low}, {high}]",
+           lambda v, low, high, of: type(v) in (int, float) and -math.inf < v < math.inf
+           and low < int(v) <= high),
+    "roles": ("null or a map of roles {of} to numbers (not bools) in ({low}, {high}]",
+              lambda v, low, high, of: v is None or isinstance(v, dict) and all(
+                  role in of and type(m) in (int, float) and low < m <= high for role, m in v.items())),
+    "str": ("one of {of}", lambda v, low, high, of: v in of),
+    "paths": ("a list of path strings",
+              lambda v, low, high, of: isinstance(v, list) and all(isinstance(p, str) for p in v)),
+    "path": ("a path string or null", lambda v, low, high, of: v is None or isinstance(v, str)),
+    "by_kind": ("a map of action kinds to {of} values",
+                lambda v, low, high, of: isinstance(v, dict) and all(type(k) is str for k in v)),
+    "config": ("a map of {of.__name__} fields", lambda v, low, high, of: isinstance(v, dict)),
+}
 
 
-def _check_ms(name: str, value: float, jitter: float = 0) -> None:
-    """A latency, as a run reads it (``int(value)``), must be above
-    ``jitter``, which is not negative, and at most ``MAX_LATENCY_MS``."""
-    if not (_is_number(value) and -math.inf < value < math.inf
-            and jitter < int(value) <= MAX_LATENCY_MS):
-        raise InputError(f"{name} must be a finite number with an integer part above {jitter} "
-                         f"and at most {MAX_LATENCY_MS}; got {value!r}")
+def check_config(cls, values: dict) -> None:
+    """Raise InputError unless every key of ``values`` is a field of
+    ``cls.SPEC`` and every value fits its field. A spec'd field that
+    ``values`` leaves out takes its dataclass default."""
+    unknown = set(values) - set(cls.SPEC)
+    if unknown:
+        raise InputError(f"unknown {cls.__name__} keys: {sorted(map(str, unknown))}")
+    values = {f.name: f.default_factory() if f.default is MISSING else f.default
+              for f in fields(cls) if f.name in cls.SPEC} | values
+    for name, spec in cls.SPEC.items():
+        if name in values:
+            _check(name, spec, values[name], values, cls.SPEC)
+
+
+def _check(name: str, spec: FieldSpec, value, values: dict, specs: dict) -> None:
+    kind, low, high, _, of = spec
+    low = values[low] if isinstance(low, str) else low
+    must, fits = _TYPES[kind]
+    if not fits(value, low, high, of):
+        raise InputError(f"{name} must be {must.format(low=low, high=high, of=of)}, got {value!r}")
+    if kind == "config":
+        check_config(of, value)
+    elif kind == "by_kind":
+        for key, item in value.items():
+            _check(f"{name}[{key}]", specs[of], item, values, specs)
 
 
 @dataclass
@@ -214,32 +258,23 @@ class NetworkModel:
         default_factory=lambda: {"set_rdp_port": 0.20}
     )
 
+    # A field that a bound names comes before the fields it bounds. The jitter
+    # bounds a randint draw, which takes only integers; every base exceeds it,
+    # so no drawn duration reaches zero; a median is a lognormal's positive scale.
+    SPEC = {
+        "auto_jitter_ms": FieldSpec("int", 0, unit="ms"),
+        "auto_base_ms": FieldSpec("ms", "auto_jitter_ms", MAX_LATENCY_MS, "ms"),
+        "auto_base_by_kind": FieldSpec("by_kind", unit="ms", of="auto_base_ms"),
+        "auto_failure_prob": FieldSpec("number", 0, 1, "probability"),
+        "human_median_ms": FieldSpec("ms", 0, MAX_LATENCY_MS, "ms"),
+        "human_median_ms_by_kind": FieldSpec("by_kind", unit="ms", of="human_median_ms"),
+        "human_sigma_log": FieldSpec("number", 0, MAX_SIGMA_LOG, "ln ms"),
+        "human_error_prob": FieldSpec("number", 0, 1, "probability"),
+        "human_error_prob_by_kind": FieldSpec("by_kind", unit="probability", of="human_error_prob"),
+    }
+
     def __post_init__(self):
-        for name in ("auto_base_by_kind", "human_median_ms_by_kind", "human_error_prob_by_kind"):
-            by_kind = getattr(self, name)
-            if not isinstance(by_kind, dict) or not all(
-                isinstance(k, str) and _is_number(v) for k, v in by_kind.items()
-            ):
-                raise InputError(f"{name} must map action kinds to numbers, got {by_kind!r}")
-        _check_prob("auto_failure_prob", self.auto_failure_prob)
-        _check_prob("human_error_prob", self.human_error_prob)
-        for kind, p in self.human_error_prob_by_kind.items():
-            _check_prob(f"human_error_prob_by_kind[{kind}]", p)
-        jitter = self.auto_jitter_ms
-        # The jitter bounds a randint draw, which takes only integers.
-        if type(jitter) is not int or jitter < 0:
-            raise InputError(f"auto_jitter_ms must be an integer >= 0, got {jitter!r}")
-        # Every base a kind can draw from exceeds the jitter, so no drawn
-        # duration reaches zero; every median is a lognormal's positive scale.
-        _check_ms("auto_base_ms", self.auto_base_ms, jitter)
-        for kind, base in self.auto_base_by_kind.items():
-            _check_ms(f"auto_base_by_kind[{kind}]", base, jitter)
-        _check_ms("human_median_ms", self.human_median_ms)
-        for kind, median in self.human_median_ms_by_kind.items():
-            _check_ms(f"human_median_ms_by_kind[{kind}]", median)
-        sigma = self.human_sigma_log
-        if not (_is_number(sigma) and 0 <= sigma <= MAX_SIGMA_LOG):
-            raise InputError(f"human_sigma_log must be a number in [0, {MAX_SIGMA_LOG}], got {sigma!r}")
+        check_config(NetworkModel, vars(self))
 
     def auto_base_for(self, kind: str) -> int:
         return int(self.auto_base_by_kind.get(kind, self.auto_base_ms))
@@ -371,12 +406,6 @@ class Analyst:
     speed_multiplier: float
     error_multiplier: float
 
-    def __post_init__(self):
-        # NaN fails both comparisons; a run would fail on it, or on inf.
-        if not (0 < self.speed_multiplier <= MAX_MULTIPLIER
-                and 0 < self.error_multiplier <= MAX_MULTIPLIER):
-            raise InputError(f"analyst multipliers must be positive and at most {MAX_MULTIPLIER}")
-
 
 DEFAULT_ROLE_SPEED = {"lead": 0.9, "senior": 1.0, "junior": 1.3}
 DEFAULT_ROLE_ERROR = {"lead": 0.8, "senior": 1.0, "junior": 1.4}
@@ -393,19 +422,19 @@ class AnalystTeam:
 
     members: tuple[Analyst, ...]
 
+    # The arguments of ``default``; NaN and inf fail the multipliers' range.
+    SPEC = {
+        "role_speed": FieldSpec("roles", 0, MAX_MULTIPLIER, "x task time", tuple(DEFAULT_ROLE_SPEED)),
+        "role_error": FieldSpec("roles", 0, MAX_MULTIPLIER, "x error probability", tuple(DEFAULT_ROLE_SPEED)),
+    }
+
     @classmethod
     def default(
         cls,
         role_speed: Optional[dict] = None,
         role_error: Optional[dict] = None,
     ) -> "AnalystTeam":
-        for name, given in (("role_speed", role_speed), ("role_error", role_error)):
-            if given is not None and not (isinstance(given, dict) and all(
-                role in DEFAULT_ROLE_SPEED and _is_number(v) for role, v in given.items()
-            )):
-                raise InputError(
-                    f"{name} must map roles ({', '.join(DEFAULT_ROLE_SPEED)}) to numbers, got {given!r}"
-                )
+        check_config(cls, {"role_speed": role_speed, "role_error": role_error})
         speed = {**DEFAULT_ROLE_SPEED, **(role_speed or {})}
         error = {**DEFAULT_ROLE_ERROR, **(role_error or {})}
         roster = [

@@ -466,6 +466,18 @@ def test_a_policy_body_without_a_string_id_is_a_malformed_transaction(policy_id)
             make_tx(ledger, kind=TxKind.POLICY_DEPLOY, actor="policy-admin", body=body))
 
 
+@pytest.mark.parametrize("contract_id", [["c"], 5, {"c": 1}])
+def test_a_policy_body_naming_a_non_string_contract_is_malformed_and_changes_nothing(contract_id):
+    # Live state folds the contract by its id, after the block is appended.
+    ledger = fresh_ledger()
+    blocks, pending = list(ledger.blocks), list(ledger.pending)
+    body = {"policy_id": "p", "contract_id": contract_id, "rules": []}
+    with pytest.raises(MalformedTransaction):
+        ledger.submit_transaction(
+            make_tx(ledger, kind=TxKind.POLICY_DEPLOY, actor="policy-admin", body=body))
+    assert ledger.blocks == blocks and ledger.pending == pending
+
+
 # -- validation against oracles ------------------------------------------------
 
 _PIDS = ["p1", "p2", "p3"]
@@ -564,6 +576,8 @@ def _oracle_validate(tx, state, pending, authorization):
     if kind in (TxKind.POLICY_DEPLOY, TxKind.POLICY_UPDATE):
         if type(body["policy_id"]) is not str:
             raise TypeError("policy_id")
+        if body.get("contract_id") and type(body["contract_id"]) is not str:
+            raise TypeError("contract_id")
         for rule in body.get("rules", []):
             for cond in rule.get("condition", []):
                 if cond.get("comparator") != "equals":

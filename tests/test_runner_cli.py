@@ -38,50 +38,50 @@ def test_unknown_config_keys_rejected():
         RunConfig.from_dict({"team": {"mascots": 2}})
 
 
-@pytest.mark.parametrize(
-    "config",
-    [
-        {"endpoints": "10"},
-        {"seed": "abc"},
-        {"seed": True},
-        {"infected_count": 2.5},
-        {"scenario": "ransomware", "infected_count": -1, "endpoints": 5},
-        {"validators": None},
-        {"network": []},
-        {"network": {"auto_failure_prob": "x"}},
-        {"team": []},
-        {"team": {"role_speed": {"lead": "fast"}}},
-        {"team": {"role_error": {"intern": 1.0}}},
-        {"team": {"role_speed": {"lead": True}}},
-        {"team": {"role_speed": {"lead": float("nan")}}},
-        {"endpoints": 5, "network": {"human_median_ms": 10**10},
-         "team": {"role_speed": {"lead": 1e300, "senior": 1e300, "junior": 1e300}}},
-        {"team": {"role_error": {"junior": 1e300}}},
-        {"network": {"human_error_prob_by_kind": 5}},
-        {"network": {"auto_base_by_kind": 5}},
-        {"network": {"human_median_ms_by_kind": {"set_rdp_port": "slow"}}},
-        {"network": {"auto_base_by_kind": {"set_rdp_port": True}}},
-        {"scenario": "rdp", "network": {"human_median_ms_by_kind": {"set_rdp_port": 0}}},
-        {"scenario": "rdp", "network": {"human_median_ms_by_kind": {"set_rdp_port": -60000}}},
-        {"scenario": "rdp", "network": {"auto_base_by_kind": {"set_rdp_port": -5}}},
-        {"network": {"auto_base_by_kind": {"set_rdp_port": 400}}},
-        {"network": {"human_median_ms_by_kind": {"disable_smbv1": float("inf")}}},
-        {"network": {"auto_base_ms": float("nan")}},
-        {"network": {"auto_jitter_ms": 0.5}},
-        {"network": {"human_sigma_log": "a"}},
-        {"network": {"human_sigma_log": float("nan")}},
-        {"network": {"human_sigma_log": 1e308}},
-        {"network": {"human_sigma_log": -1}},
-        {"network": {"human_median_ms": 1e300}},
-        {"network": {"human_error_prob": True}},
-        {"network": {"auto_failure_prob": True}},
-        {"policies": 5},
-        {"policies": "abc"},
-        {"feeds": [1]},
-        {"model": 5},
-    ],
-    ids=repr,
-)
+#: Configs that load refuses; test_config_table.py keeps each as an example.
+MISTYPED_CONFIGS = [
+    {"endpoints": "10"},
+    {"seed": "abc"},
+    {"seed": True},
+    {"infected_count": 2.5},
+    {"scenario": "ransomware", "infected_count": -1, "endpoints": 5},
+    {"validators": None},
+    {"network": []},
+    {"network": {"auto_failure_prob": "x"}},
+    {"team": []},
+    {"team": {"role_speed": {"lead": "fast"}}},
+    {"team": {"role_error": {"intern": 1.0}}},
+    {"team": {"role_speed": {"lead": True}}},
+    {"team": {"role_speed": {"lead": float("nan")}}},
+    {"endpoints": 5, "network": {"human_median_ms": 10**10},
+     "team": {"role_speed": {"lead": 1e300, "senior": 1e300, "junior": 1e300}}},
+    {"team": {"role_error": {"junior": 1e300}}},
+    {"network": {"human_error_prob_by_kind": 5}},
+    {"network": {"auto_base_by_kind": 5}},
+    {"network": {"human_median_ms_by_kind": {"set_rdp_port": "slow"}}},
+    {"network": {"auto_base_by_kind": {"set_rdp_port": True}}},
+    {"scenario": "rdp", "network": {"human_median_ms_by_kind": {"set_rdp_port": 0}}},
+    {"scenario": "rdp", "network": {"human_median_ms_by_kind": {"set_rdp_port": -60000}}},
+    {"scenario": "rdp", "network": {"auto_base_by_kind": {"set_rdp_port": -5}}},
+    {"network": {"auto_base_by_kind": {"set_rdp_port": 400}}},
+    {"network": {"human_median_ms_by_kind": {"disable_smbv1": float("inf")}}},
+    {"network": {"auto_base_ms": float("nan")}},
+    {"network": {"auto_jitter_ms": 0.5}},
+    {"network": {"human_sigma_log": "a"}},
+    {"network": {"human_sigma_log": float("nan")}},
+    {"network": {"human_sigma_log": 1e308}},
+    {"network": {"human_sigma_log": -1}},
+    {"network": {"human_median_ms": 1e300}},
+    {"network": {"human_error_prob": True}},
+    {"network": {"auto_failure_prob": True}},
+    {"policies": 5},
+    {"policies": "abc"},
+    {"feeds": [1]},
+    {"model": 5},
+]
+
+
+@pytest.mark.parametrize("config", MISTYPED_CONFIGS, ids=repr)
 def test_mistyped_config_values_are_exit_two_at_load(tmp_path, capsys, config):
     with pytest.raises(InputError):
         RunConfig.from_dict(config)
@@ -447,8 +447,9 @@ def test_cli_classify_non_utf8_input_is_exit_two(tmp_path, capsys, bad):
     assert err.startswith("error: ") and "UTF-8" in err
 
 
-@pytest.mark.parametrize("bad", ["config", "feed", "model", "policy"])
-def test_cli_run_non_utf8_input_is_exit_two(tmp_path, capsys, bad):
+def _run_inputs_with(tmp_path, bad, member: bytes) -> list:
+    """``run`` argv for a config naming copies of the fixture feed, model and
+    policy, with ``member`` put first in the first object of file ``bad``."""
     paths = {name: tmp_path / name for name in ("feed", "model", "policy")}
     config = {"scenario": "smbv1", "endpoints": 4, "feeds": [str(paths["feed"])],
               "model": str(paths["model"]), "policies": [str(paths["policy"])]}
@@ -457,10 +458,24 @@ def test_cli_run_non_utf8_input_is_exit_two(tmp_path, capsys, bad):
     paths["policy"].write_bytes(fixture_path("policies", "smbv1.json").read_bytes())
     (tmp_path / "config").write_text(json.dumps(config))
     target = tmp_path / bad
-    target.write_bytes(target.read_bytes().replace(b"{", b'{"' + _LATIN1 + b'": 0, ', 1))
-    assert main(["run", "--config", str(tmp_path / "config"), "--out", str(tmp_path / "o")]) == 2
+    target.write_bytes(target.read_bytes().replace(b"{", b"{" + member + b", ", 1))
+    return ["run", "--config", str(tmp_path / "config"), "--out", str(tmp_path / "o")]
+
+
+@pytest.mark.parametrize("bad", ["config", "feed", "model", "policy"])
+def test_cli_run_non_utf8_input_is_exit_two(tmp_path, capsys, bad):
+    assert main(_run_inputs_with(tmp_path, bad, b'"' + _LATIN1 + b'": 0')) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "UTF-8" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("bad", ["config", "feed", "model", "policy"])
+def test_cli_run_input_with_an_integer_too_long_to_read_is_exit_two(tmp_path, capsys, bad):
+    # json.loads refuses an integer of more than 4300 digits with a ValueError.
+    assert main(_run_inputs_with(tmp_path, bad, b'"n": 1' + b"0" * 5000)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "digits" in err
     assert not (tmp_path / "o").exists()
 
 
@@ -505,6 +520,16 @@ def test_cli_input_directory_or_output_file_is_an_error_exit(tmp_path, capsys, a
     assert captured.err.startswith("error: ") and captured.out == ""
     assert sorted(tmp_path.rglob("*")) == before
     assert (tmp_path / "file").read_text() == "kept"
+
+
+@pytest.mark.parametrize("name", ["chain.ndjson", "report.json", "report.txt"])
+def test_cli_run_output_file_that_is_a_directory_is_exit_two_before_the_run(tmp_path, capsys, name):
+    (tmp_path / "o" / name).mkdir(parents=True)
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["run", "--endpoints", "4", "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def _fixture_model_with(**edit) -> str:

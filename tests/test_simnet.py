@@ -438,22 +438,21 @@ def test_network_model_validates_probabilities():
         NetworkModel(auto_base_ms=0)
 
 
-@pytest.mark.parametrize(
-    "bad",
-    [
-        {"human_median_ms_by_kind": {"set_rdp_port": 0}},
-        {"human_median_ms_by_kind": {"set_rdp_port": float("nan")}},
-        {"auto_base_by_kind": {"set_rdp_port": -1}},
-        {"auto_base_by_kind": {"set_rdp_port": 500}},  # not above the jitter
-        {"auto_base_by_kind": {"set_rdp_port": float("inf")}},
-        {"auto_jitter_ms": -1},
-        {"auto_jitter_ms": 0.5},  # randint takes integers only
-        {"auto_jitter_ms": 500.0},
-        {"human_median_ms": float("inf")},
-        {"human_median_ms": 0.5},  # a run reads it as int(0.5) == 0
-    ],
-    ids=repr,
-)
+NETWORK_BOUNDS_CASES = [
+    {"human_median_ms_by_kind": {"set_rdp_port": 0}},
+    {"human_median_ms_by_kind": {"set_rdp_port": float("nan")}},
+    {"auto_base_by_kind": {"set_rdp_port": -1}},
+    {"auto_base_by_kind": {"set_rdp_port": 500}},  # not above the jitter
+    {"auto_base_by_kind": {"set_rdp_port": float("inf")}},
+    {"auto_jitter_ms": -1},
+    {"auto_jitter_ms": 0.5},  # randint takes integers only
+    {"auto_jitter_ms": 500.0},
+    {"human_median_ms": float("inf")},
+    {"human_median_ms": 0.5},  # a run reads it as int(0.5) == 0
+]
+
+
+@pytest.mark.parametrize("bad", NETWORK_BOUNDS_CASES, ids=repr)
 def test_network_model_bounds_every_latency_like_the_scalars(bad):
     with pytest.raises(InputError):
         NetworkModel(**bad)
