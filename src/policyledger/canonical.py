@@ -16,9 +16,11 @@ Chain files and payloads are read back by ``decode_json``: one scan by
 a scanner built once, with ``json.loads`` as the fallback for anything
 that scan does not cover, so it accepts and fails as ``json.loads`` does.
 
-The seeded substreams every random draw comes from, and ``slot_builder``
-for the frozen value objects built once per record or endpoint, live here
-too, beneath every module that uses them.
+The seeded substreams every random draw comes from, ``slot_builder``
+for the frozen value objects built once per record or endpoint, and the
+field table that checks every config and input file (``FieldSpec``,
+``check_fields``, ``check_config``) live here too, beneath every module
+that uses them.
 """
 
 from __future__ import annotations
@@ -27,8 +29,11 @@ import dataclasses
 import hashlib
 import json
 import json.scanner
+import math
 import random
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, NamedTuple, Optional
+
+from .errors import SchemaError
 
 HASH_FUNCTION_NAME = "sha-256"
 ZERO_DIGEST = "0" * 64
@@ -155,3 +160,116 @@ def slot_builder(cls: type) -> Callable[..., Any]:
     code += [f"    _set_{name}(self, {name})" for name in names]
     exec("\n".join([*code, "    return self"]), scope)
     return scope["build"]
+
+
+# --------------------------------------------------------------------------
+# The field table
+
+
+class FieldSpec(NamedTuple):
+    """One field of a config or input file: its type (a key of ``_TYPES``),
+    range, unit and ``of``, whether it must be given, and whether it may be
+    null. ``of`` is a ``str``'s choices, a ``pattern``'s regex, a role
+    map's roles, a ``config``'s class, an ``object``'s spec, a ``list``'s
+    item spec, a ``params`` field's spec per ``kind`` beside it, or the
+    field whose spec a by-kind map's values take. A str bound names a field
+    of the same object checked before this one, whose value is the bound."""
+
+    type: str
+    low: object = -math.inf
+    high: object = math.inf
+    unit: str = ""
+    of: object = None
+    required: bool = False
+    null: bool = False
+
+
+#: Each type: what it takes, as its error says; the test of a value
+#: against its resolved bounds; and, for a container, the check of its
+#: entries, made after that test.
+_TYPES = {
+    "int": ("an integer in [{low}, {high}]",
+            lambda v, low, high, of: type(v) is int and low <= v <= high, None),
+    "number": ("a number (not a bool) in [{low}, {high}]",
+               lambda v, low, high, of: type(v) in (int, float) and low <= v <= high, None),
+    "ms": ("a finite number (not a bool) with an integer part in ({low}, {high}]",
+           lambda v, low, high, of: type(v) in (int, float) and -math.inf < v < math.inf
+           and low < int(v) <= high, None),
+    "bool": ("true or false", lambda v, low, high, of: type(v) is bool, None),
+    "str": ("one of {of}", lambda v, low, high, of: v in of, None),
+    "text": ("a string", lambda v, low, high, of: isinstance(v, str), None),
+    "pattern": ("a string matching {of.pattern}",
+                lambda v, low, high, of: isinstance(v, str) and of.match(v) is not None, None),
+    "any": ("any value", lambda v, low, high, of: True, None),
+    "selector": ("one of {of} or a list of strings",
+                 lambda v, low, high, of: v in of or isinstance(v, list) and all(isinstance(x, str) for x in v),
+                 None),
+    "roles": ("null or a map of roles {of} to numbers (not bools) in ({low}, {high}]",
+              lambda v, low, high, of: v is None or isinstance(v, dict) and all(
+                  role in of and type(m) in (int, float) and low < m <= high for role, m in v.items()), None),
+    "list": ("a list of at least {low} items", lambda v, low, high, of: isinstance(v, list) and len(v) >= low,
+             lambda v, field, values, spec, where: _each(field.of, enumerate(v), values, spec, where)),
+    "by_kind": ("a map of action kinds to {of} values",
+                lambda v, low, high, of: isinstance(v, dict) and all(type(k) is str for k in v),
+                lambda v, field, values, spec, where: _each(spec[field.of], v.items(), values, spec, where)),
+    "object": ("an object", lambda v, low, high, of: isinstance(v, dict),
+               lambda v, field, values, spec, where: check_fields(field.of, v, where)),
+    "params": ("an object", lambda v, low, high, of: isinstance(v, dict),
+               lambda v, field, values, spec, where: check_fields(field.of[values["kind"]], v, where)),
+    "config": ("a map of {of.__name__} fields", lambda v, low, high, of: isinstance(v, dict),
+               lambda v, field, values, spec, where: check_config(field.of, v, where)),
+}
+
+
+def check_fields(spec: dict, values: Any, path: str = "$") -> None:
+    """Raise SchemaError unless ``values`` is an object that holds every
+    required field of ``spec`` and no key that is not one of its fields
+    (any key, if ``spec`` has a ``"*"`` field), and each of whose values
+    fits its field. The error's path is ``path`` and the field's below it."""
+    if not isinstance(values, dict):
+        raise SchemaError(path, f"must be an object, got {values!r}")
+    if "*" not in spec and not spec.keys() >= values.keys():
+        raise SchemaError(path, f"unknown fields: {sorted(map(str, values.keys() - spec.keys()))}")
+    for name, field in spec.items():
+        if name in values:
+            _check(field, values[name], values, spec, path, name)
+        elif field.required:
+            raise SchemaError(_join(path, name), "missing field")
+
+
+def check_config(cls: type, values: Any, path: str = "$") -> dict:
+    """``values`` over the defaults of the dataclass ``cls``'s optional
+    fields, checked against ``cls.SPEC`` by ``check_fields``: a bound that
+    names a field left out reads its default."""
+    if isinstance(values, dict):
+        values = {f.name: f.default_factory() if f.default is dataclasses.MISSING else f.default
+                  for f in dataclasses.fields(cls)
+                  if f.name in cls.SPEC and not cls.SPEC[f.name].required} | values
+    check_fields(cls.SPEC, values, path)
+    return values
+
+
+def _check(field: FieldSpec, value, values: dict, spec: dict, path: str, key) -> None:
+    """Check one value below the object ``values``, whose spec is
+    ``spec``: the value at field name, list index or map key ``key`` of
+    the field or container at ``path``."""
+    kind, low, high, _, of, _, null = field
+    if value is None and null:
+        return
+    low = values[low] if type(low) is str else low
+    high = values[high] if type(high) is str else high
+    must, fits, entries = _TYPES[kind]
+    if not fits(value, low, high, of):
+        must = must.format(low=low, high=high, of=of) + (" or null" if null else "")
+        raise SchemaError(_join(path, key), f"must be {must}, got {value!r}")
+    if entries is not None:
+        entries(value, field, values, spec, _join(path, key))
+
+
+def _each(field: FieldSpec, items: Iterable, values: dict, spec: dict, path: str) -> None:
+    for key, item in items:
+        _check(field, item, values, spec, path, key)
+
+
+def _join(path: str, key) -> str:
+    return f"{path}[{key}]" if type(key) is int else f"{path}.{key}"

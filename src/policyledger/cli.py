@@ -24,7 +24,6 @@ from .errors import (
     FeedSchemaError,
     InputError,
     PolicyLedgerError,
-    SchemaError,
 )
 from .ledger import import_chain, replay_state, verify_chain
 from .policy import combine_rule_sets, encode_rules, load_policy_file
@@ -96,12 +95,10 @@ def _cmd_run(args) -> int:
                 merged[name] = getattr(args, name)
         merged["seed"] = _resolve_seed(args, config)
         config = RunConfig.from_dict(merged)
-        for path in (*config.resolved_policy_paths(), *config.resolved_feed_paths(), config.resolved_model_path()):
-            if path.is_dir():
-                raise IsADirectoryError(path)
         out = Path(args.out)
-        if out.exists() and not out.is_dir():
-            raise InputError(f"output path {args.out} exists and is not a directory")
+        for path in (out, *out.parents):
+            if path.exists() and not path.is_dir():
+                raise InputError(f"output path {path} exists and is not a directory")
         for name in ("chain.ndjson", "report.json", "report.txt"):
             if (out / name).is_dir():
                 raise InputError(f"output file {out / name} is a directory")
@@ -109,7 +106,7 @@ def _cmd_run(args) -> int:
     except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: missing input file: {exc.filename or exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
-    except (InputError, SchemaError, AmbiguityError, FeedSchemaError) as exc:
+    except (InputError, AmbiguityError, FeedSchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except (ConsensusFailure, CorruptChainError) as exc:
@@ -171,7 +168,7 @@ def _cmd_classify(args) -> int:
     except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: missing input file: {exc.filename or exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
-    except (FeedSchemaError, SchemaError, AmbiguityError, InputError) as exc:
+    except (FeedSchemaError, AmbiguityError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 

@@ -86,6 +86,9 @@ class PlannedAction:
 _check_result = slot_builder(ComplianceCheckResult)
 _planned_action = slot_builder(PlannedAction)
 
+# Every immediate action isolates with the same, checked, spec.
+_ISOLATE = EnforcementActionSpec(kind="isolate_endpoint", params={"isolated": True})
+
 
 # Kinds read once per record; an attribute read of the enum costs more.
 _CHECK = TxKind.COMPLIANCE_CHECK
@@ -376,10 +379,9 @@ class ContractEngine:
                 for endpoint_id in targets:
                     actions.append(_planned_action(endpoint_id, rule.remediation, rule.rule_id))
             if decision.kind == DecisionKind.IMMEDIATE_ACTION_REQUIRED:
-                isolate = EnforcementActionSpec(kind="isolate_endpoint", params={"isolated": True})
                 for row in fleet.rows():
                     if row["infected"] and not row["isolated"]:
-                        actions.append(_planned_action(row["endpoint_id"], isolate, None))
+                        actions.append(_planned_action(row["endpoint_id"], _ISOLATE, None))
         # Parallel dispatch order: endpoint id, then remediations before
         # isolation within an endpoint (plan position is the tiebreak).
         indexed = list(enumerate(actions))

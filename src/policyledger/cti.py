@@ -2,10 +2,13 @@
 three-way response decision.
 
 ``read_feed`` is the one check of a feed file's envelope (a JSON array),
-and ``ingest_feed`` turns its items into reports, skipping each malformed
-item with a diagnostic. ``assess`` is the one path from a report to a
-decision (encode, classify, query the policies, decide); both arms of a
-run and the ``classify`` command go through it.
+and ``ingest_feed`` turns its items into reports, skipping each item that
+does not fit the field table ``ThreatReport.SPEC`` (see
+``canonical.check_fields``) with a diagnostic naming its path. A model
+file is checked against ``ForestModel.SPEC`` and ``Stump.SPEC``.
+``assess`` is the one path from a report to a decision (encode, classify,
+query the policies, decide); both arms of a run and the ``classify``
+command go through it.
 
 The encoder hashes each distinct token and id once per pass over a feed
 (one ``process_threat_intelligence`` call, a run's human-only decide loop,
@@ -27,14 +30,15 @@ it returns shares that index.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Optional
 
-from .canonical import canonical_json, stable_index
-from .errors import FeedSchemaError, InputError, WidthMismatch
+from .canonical import FieldSpec, canonical_json, check_config, check_fields, stable_index
+from .errors import FeedSchemaError, InputError, SchemaError, WidthMismatch
 from .policy import PolicyRule, RuleSet, query_policies
 
 MODEL_FORMAT = "policyledger-model/1"
@@ -48,6 +52,10 @@ CVSS_BASE = 250  # five bins, then the absent-CVSS slot
 CVSS_ABSENT = 255
 
 SEVERITY_NAMES = {0: "informational", 1: "low", 2: "medium", 3: "high", 4: "critical"}
+
+#: The largest weight cap: as every weight lies at most at the cap, a
+#: report's vote sums stay far below float overflow.
+MAX_WEIGHT = 10**6
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -101,6 +109,19 @@ class ThreatReport:
     tokens: tuple[str, ...]
     received_at: int
 
+    #: A feed item: its text becomes ``tokens``; it may hold other keys.
+    SPEC = {
+        "report_id": FieldSpec("text", required=True),
+        "source": FieldSpec("text", required=True),
+        "text": FieldSpec("text", required=True),
+        "received_at": FieldSpec("int", unit="ms"),
+        "actor": FieldSpec("text", null=True),
+        "technique_ids": FieldSpec("list", 0, of=FieldSpec("text")),
+        "cve_ids": FieldSpec("list", 0, of=FieldSpec("text")),
+        "cvss": FieldSpec("number", 0, 10, "CVSS score", null=True),
+        "*": FieldSpec("any"),
+    }
+
 
 def normalize_tokens(text: str) -> tuple[str, ...]:
     """Lowercase word list with punctuation stripped."""
@@ -111,38 +132,18 @@ def normalize_tokens(text: str) -> tuple[str, ...]:
 # Feed ingestion
 
 
-def _parse_item(raw: dict) -> ThreatReport:
-    if not isinstance(raw, dict):
-        raise ValueError("item is not an object")
-    for key, typ in (("report_id", str), ("source", str), ("text", str)):
-        if not isinstance(raw.get(key), typ):
-            raise ValueError(f"missing or invalid {key}")
-    received = raw.get("received_at", 0)
-    if not isinstance(received, int) or isinstance(received, bool):
-        raise ValueError("received_at must be an integer tick")
-    actor = raw.get("actor")
-    if actor is not None and not isinstance(actor, str):
-        raise ValueError("actor must be a string")
-    techniques = raw.get("technique_ids", [])
-    cves = raw.get("cve_ids", [])
-    if not isinstance(techniques, list) or not isinstance(cves, list):
-        raise ValueError("technique_ids/cve_ids must be lists")
+def _parse_item(raw: dict, path: str) -> ThreatReport:
+    check_fields(ThreatReport.SPEC, raw, path)
     cvss = raw.get("cvss")
-    if cvss is not None:
-        if isinstance(cvss, bool) or not isinstance(cvss, (int, float)):
-            raise ValueError("cvss must be a number")
-        cvss = float(cvss)
-        if not 0.0 <= cvss <= 10.0:
-            raise ValueError(f"cvss {cvss} outside 0..10")
     return ThreatReport(
         report_id=raw["report_id"],
         source=raw["source"],
-        actor=actor,
-        technique_ids=tuple(str(t).upper() for t in techniques),
-        cve_ids=tuple(str(c).upper() for c in cves),
-        cvss=cvss,
+        actor=raw.get("actor"),
+        technique_ids=tuple(t.upper() for t in raw.get("technique_ids", ())),
+        cve_ids=tuple(c.upper() for c in raw.get("cve_ids", ())),
+        cvss=None if cvss is None else float(cvss),
         tokens=normalize_tokens(raw["text"]),
-        received_at=received,
+        received_at=raw.get("received_at", 0),
     )
 
 
@@ -174,9 +175,9 @@ def ingest_feed(items: list) -> tuple[list[ThreatReport], list[str]]:
     diagnostics: list[str] = []
     for i, raw_item in enumerate(items):
         try:
-            reports.append(_parse_item(raw_item))
-        except ValueError as exc:
-            diagnostics.append(f"item[{i}]: {exc}")
+            reports.append(_parse_item(raw_item, f"item[{i}]"))
+        except SchemaError as exc:
+            diagnostics.append(str(exc))
     return reports, diagnostics
 
 
@@ -237,6 +238,15 @@ class Stump:
     vote_severity: int
     vote_category: ThreatCategory
 
+    #: Its index must also lie below the model's width, checked when the
+    #: model is built.
+    SPEC = {
+        "feature_index": FieldSpec("int", unit="feature", required=True),
+        "threshold": FieldSpec("int", unit="count", required=True),
+        "vote_severity": FieldSpec("int", 0, 4, "severity", required=True),
+        "vote_category": FieldSpec("str", of=tuple(c.value for c in ThreatCategory), required=True),
+    }
+
 
 @dataclass(frozen=True)
 class ForestModel:
@@ -260,16 +270,21 @@ class ForestModel:
     weight_cap: float = 100.0
     _voters: dict = field(init=False, repr=False, compare=False)
 
+    #: A model file; a weight may start below the floor, but not above the cap.
+    SPEC = {
+        "format": FieldSpec("str", of=(MODEL_FORMAT,), required=True),
+        "width": FieldSpec("int", FEATURE_WIDTH, FEATURE_WIDTH, "features", required=True),
+        "threshold": FieldSpec("int", unit="severity", required=True),
+        "learning_rate": FieldSpec("number", 0, math.nextafter(1, 0)),
+        "weight_cap": FieldSpec("number", 0, MAX_WEIGHT, "vote weight"),
+        "weight_floor": FieldSpec("number", 0, "weight_cap", "vote weight"),
+        "stumps": FieldSpec("list", 0, of=FieldSpec("object", of=Stump.SPEC), required=True),
+        "weights": FieldSpec("list", 0, of=FieldSpec("number", 0, "weight_cap", "vote weight"), required=True),
+    }
+
     def __post_init__(self):
         if len(self.stumps) != len(self.weights):
             raise InputError("one weight per stump required")
-        if any(w < 0 for w in self.weights):
-            raise InputError("weights must be non-negative")
-        # Written so that NaN fails each check.
-        if not 0.0 <= self.learning_rate < 1.0:
-            raise InputError(f"learning_rate {self.learning_rate} outside [0, 1)")
-        if not 0.0 <= self.weight_floor <= self.weight_cap:
-            raise InputError(f"need 0 <= weight_floor {self.weight_floor} <= weight_cap {self.weight_cap}")
         voters: dict[tuple[int, ThreatCategory], list[int]] = {}
         for i, s in enumerate(self.stumps):
             # A negative index would read the vector from its end.
@@ -302,44 +317,17 @@ class ForestModel:
 
     @classmethod
     def from_json(cls, text: str) -> "ForestModel":
-        """Parse a model file. Text that is not a JSON object, that has a
-        missing or mistyped key, or whose stumps could not classify an
-        encoded report raises InputError."""
+        """Parse a model file. Text that is not a JSON object that fits
+        ``SPEC``, or whose stumps could not classify an encoded report,
+        raises InputError."""
         try:
             data = json.loads(text)
         except ValueError as exc:  # also an integer too long to convert
             raise InputError(f"model is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise InputError("model must be a JSON object")
-        if data.get("format") != MODEL_FORMAT:
-            raise InputError(f"unsupported model format {data.get('format')!r}")
-        try:
-            stumps = tuple(
-                Stump(
-                    feature_index=int(s["feature_index"]),
-                    threshold=int(s["threshold"]),
-                    vote_severity=int(s["vote_severity"]),
-                    vote_category=ThreatCategory(s["vote_category"]),
-                )
-                for s in data["stumps"]
-            )
-            model = cls(
-                width=int(data["width"]),
-                stumps=stumps,
-                weights=tuple(float(w) for w in data["weights"]),
-                threshold=int(data["threshold"]),
-                learning_rate=float(data.get("learning_rate", 0.05)),
-                weight_floor=float(data.get("weight_floor", 0.01)),
-                weight_cap=float(data.get("weight_cap", 100.0)),
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise InputError(f"malformed model: {type(exc).__name__}: {exc}") from exc
-        if model.width != FEATURE_WIDTH:
-            raise InputError(f"model width {model.width} != feature width {FEATURE_WIDTH}")
-        for i, s in enumerate(model.stumps):
-            if s.vote_severity not in SEVERITY_NAMES:
-                raise InputError(f"stumps[{i}]: vote_severity {s.vote_severity} out of range")
-        return model
+        data = check_config(cls, data)
+        del data["format"]
+        stumps = tuple(Stump(**{**s, "vote_category": ThreatCategory(s["vote_category"])}) for s in data["stumps"])
+        return cls(**{**data, "stumps": stumps, "weights": tuple(data["weights"])})
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ForestModel":
@@ -404,7 +392,7 @@ def update_model(model: ForestModel, predicted: ThreatClass, success: bool) -> F
     factor = 1.0 + model.learning_rate if success else 1.0 - model.learning_rate
     floor, cap = model.weight_floor, model.weight_cap
     weights = list(model.weights)
-    # __post_init__ holds 0 <= floor, so every clamped weight is non-negative.
+    # A loaded model holds 0 <= floor, so every clamped weight is non-negative.
     for i in model._voters.get((predicted.severity, predicted.category), ()):
         weights[i] = min(cap, max(floor, weights[i] * factor))
     # A clone keeps the vote index; see ForestModel on why not replace.

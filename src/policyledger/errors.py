@@ -9,10 +9,11 @@ class InputError(PolicyLedgerError):
     """An argument violates a documented precondition."""
 
 
-class SchemaError(PolicyLedgerError):
-    """A structured document is missing a field or has the wrong type.
+class SchemaError(InputError):
+    """A config or input file is missing a field or has a value that does
+    not fit it.
 
-    ``path`` locates the offending field, e.g. ``rules[2].severity_weight``.
+    ``path`` locates the offending field, e.g. ``$.rules[2].severity_weight``.
     """
 
     def __init__(self, path: str, message: str):

@@ -1,12 +1,16 @@
 """Policy documents, executable compliance rules, and conflict resolution.
 
 Documents are structured JSON (one per file) and compile into predicate
-rules over the closed endpoint attribute vocabulary. Rules that reference
-an unknown attribute raise AmbiguityError at load time: an ambiguous
-policy is a surfaced failure, never a silent skip. A condition whose
-value the comparator cannot take, an unknown target selector, or an
-``apply_patch`` level that is not an integer raises SchemaError at load
-time rather than failing mid-run.
+rules over the closed endpoint attribute vocabulary. A document is
+checked at load against the field tables ``PolicyDocument.SPEC``,
+``PolicyRule.SPEC``, ``Condition.SPEC``, ``EnforcementActionSpec.SPEC``
+and ``ACTION_PARAMS`` (see ``canonical.check_fields``): a missing,
+unknown or mistyped field, or a value out of its range, raises
+SchemaError naming its path. The checks across fields follow: a
+condition on an attribute outside the vocabulary raises AmbiguityError
+(an ambiguous policy is a surfaced failure, never a silent skip), ``lt``
+and ``gt`` need an integer attribute and an integer, ``in`` needs a
+list, and rule ids must be distinct, each a SchemaError.
 
 Each rule compiles its condition once, when the rule is built, into one
 filter over a sequence of attribute mappings, ``PolicyRule.failing``: the
@@ -34,7 +38,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Optional
 
-from .canonical import canonical_json
+from .canonical import FieldSpec, canonical_json, check_fields
 from .errors import AmbiguityError, InputError, SchemaError
 
 #: Closed attribute set; identical to the simulated endpoint's fields.
@@ -62,17 +66,20 @@ COMPARATORS = tuple(_COMPARE)
 #: Attributes that ``lt``/``gt`` may order: the integer-valued ones.
 ORDERED_ATTRIBUTES = ("rdp_port", "patch_level")
 
-ACTION_KINDS = (
-    "disable_smbv1",
-    "set_rdp_port",
-    "update_firewall_rule",
-    "update_proxy_rule",
-    "isolate_endpoint",
-    "revoke_access",
-    "update_permissions",
-    "apply_patch",
-    "update_ids_params",
-)
+#: Each action kind's params. The kinds with no modeled attribute take any.
+ACTION_PARAMS = {
+    "disable_smbv1": {},
+    "set_rdp_port": {"port": FieldSpec("int", 1, 65535, "port", required=True)},
+    "update_firewall_rule": {key: FieldSpec("text", required=True) for key in ("direction", "target", "verdict")},
+    "update_proxy_rule": {"blocked": FieldSpec("bool")},
+    "isolate_endpoint": {"isolated": FieldSpec("bool")},
+    "revoke_access": {"*": FieldSpec("any")},
+    "update_permissions": {"*": FieldSpec("any")},
+    "apply_patch": {"level": FieldSpec("int", unit="patch level")},
+    "update_ids_params": {"*": FieldSpec("any")},
+}
+
+ACTION_KINDS = tuple(ACTION_PARAMS)
 
 
 def action_writes(kind: str, params: dict, fields: Optional[dict] = None) -> dict:
@@ -120,29 +127,14 @@ class EnforcementActionSpec:
     params: dict = field(default_factory=dict)
     target_selector: object = "non_compliant"
 
+    SPEC = {
+        "kind": FieldSpec("str", of=ACTION_KINDS, required=True),
+        "params": FieldSpec("params", of=ACTION_PARAMS),
+        "target_selector": FieldSpec("selector", of=("all", "non_compliant")),
+    }
+
     def __post_init__(self):
-        if self.kind not in ACTION_KINDS:
-            raise InputError(f"unknown action kind {self.kind!r}")
-        if self.kind == "set_rdp_port":
-            port = self.params.get("port")
-            if not isinstance(port, int) or not 1 <= port <= 65535:
-                raise InputError(f"set_rdp_port requires port in 1..65535, got {port!r}")
-        if self.kind == "apply_patch" and "level" in self.params:
-            level = self.params["level"]
-            if not isinstance(level, int) or isinstance(level, bool):
-                raise InputError(f"apply_patch level must be an integer, got {level!r}")
-        if self.kind == "update_firewall_rule":
-            for key in ("direction", "target", "verdict"):
-                if key not in self.params:
-                    raise InputError(f"update_firewall_rule missing param {key!r}")
-        selector = self.target_selector
-        if selector not in ("all", "non_compliant") and not (
-            isinstance(selector, list) and all(isinstance(ep, str) for ep in selector)
-        ):
-            raise InputError(
-                f"target_selector must be 'all', 'non_compliant' or a list of "
-                f"endpoint ids, got {selector!r}"
-            )
+        check_fields(EnforcementActionSpec.SPEC, vars(self))
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "params": self.params, "target_selector": self.target_selector}
@@ -184,6 +176,12 @@ class Condition:
     comparator: str
     value: object
 
+    SPEC = {
+        "attribute": FieldSpec("text", required=True),
+        "comparator": FieldSpec("str", of=COMPARATORS, required=True),
+        "value": FieldSpec("any", required=True),
+    }
+
     def to_dict(self) -> dict:
         return {"attribute": self.attribute, "comparator": self.comparator, "value": self.value}
 
@@ -210,6 +208,15 @@ class PolicyRule:
     _check: Callable[[Iterable[dict]], list[dict]] = field(init=False, repr=False, compare=False)
     _rank: tuple = field(init=False, repr=False, compare=False)
     _pins: tuple = field(init=False, repr=False, compare=False)
+
+    SPEC = {
+        "rule_id": FieldSpec("text", required=True),
+        "condition": FieldSpec("list", 1, of=FieldSpec("object", of=Condition.SPEC), required=True),
+        "severity_weight": FieldSpec("int", 0, 4, required=True),
+        "regulatory_importance": FieldSpec("int", 0, 4, required=True),
+        "remediation": FieldSpec("object", of=EnforcementActionSpec.SPEC, required=True),
+        "technique_tags": FieldSpec("list", 0, of=FieldSpec("pattern", of=TECHNIQUE_ID_RE)),
+    }
 
     def __post_init__(self):
         object.__setattr__(self, "_check", _compile(self.condition))
@@ -257,6 +264,15 @@ class PolicyDocument:
     effective_from: int
     rules: tuple[PolicyRule, ...]
 
+    SPEC = {
+        "policy_id": FieldSpec("text", required=True),
+        "title": FieldSpec("text", required=True),
+        "version": FieldSpec("int", 1, required=True),
+        "source_framework": FieldSpec("text", required=True),
+        "effective_from": FieldSpec("int", unit="ms", required=True),
+        "rules": FieldSpec("list", 1, of=FieldSpec("object", of=PolicyRule.SPEC), required=True),
+    }
+
     def to_dict(self) -> dict:
         return {
             "policy_id": self.policy_id,
@@ -272,39 +288,19 @@ class PolicyDocument:
 # Loading
 
 
-def _require(data: dict, key: str, typ, path: str):
-    if key not in data:
-        raise SchemaError(f"{path}.{key}", "missing field")
-    value = data[key]
-    if typ is int and isinstance(value, bool):
-        raise SchemaError(f"{path}.{key}", "expected integer, got boolean")
-    if not isinstance(value, typ):
-        raise SchemaError(f"{path}.{key}", f"expected {typ.__name__}, got {type(value).__name__}")
-    return value
-
-
 def _load_rule(data: dict, path: str, policy_id: str) -> PolicyRule:
-    rule_id = _require(data, "rule_id", str, path)
-    raw_conditions = _require(data, "condition", list, path)
-    if not raw_conditions:
-        raise SchemaError(f"{path}.condition", "must not be empty")
+    """One rule that ``PolicyRule.SPEC`` has checked, with the checks
+    across a condition's fields."""
     conditions = []
-    for i, raw in enumerate(raw_conditions):
+    for i, raw in enumerate(data["condition"]):
         cpath = f"{path}.condition[{i}]"
-        if not isinstance(raw, dict):
-            raise SchemaError(cpath, "expected object")
-        attribute = _require(raw, "attribute", str, cpath)
-        comparator = _require(raw, "comparator", str, cpath)
-        if "value" not in raw:
-            raise SchemaError(f"{cpath}.value", "missing field")
+        condition = Condition(**raw)
+        attribute, comparator, value = condition.attribute, condition.comparator, condition.value
         if attribute not in ENDPOINT_ATTRIBUTES:
             raise AmbiguityError(
                 f"{cpath}: attribute {attribute!r} is not in the endpoint vocabulary; "
                 f"ambiguous conditions are rejected, not skipped"
             )
-        if comparator not in COMPARATORS:
-            raise SchemaError(f"{cpath}.comparator", f"unknown comparator {comparator!r}")
-        value = raw["value"]
         if comparator in ("lt", "gt"):
             if attribute not in ORDERED_ATTRIBUTES:
                 raise SchemaError(
@@ -317,42 +313,14 @@ def _load_rule(data: dict, path: str, policy_id: str) -> PolicyRule:
                 )
         if comparator == "in" and not isinstance(value, list):
             raise SchemaError(f"{cpath}.value", f"'in' needs a list, got {value!r}")
-        conditions.append(Condition(attribute, comparator, value))
-
-    severity = _require(data, "severity_weight", int, path)
-    importance = _require(data, "regulatory_importance", int, path)
-    if not 0 <= severity <= 4:
-        raise SchemaError(f"{path}.severity_weight", f"{severity} outside 0..4")
-    if not 0 <= importance <= 4:
-        raise SchemaError(f"{path}.regulatory_importance", f"{importance} outside 0..4")
-
-    raw_rem = _require(data, "remediation", dict, path)
-    kind = _require(raw_rem, "kind", str, f"{path}.remediation")
-    try:
-        remediation = EnforcementActionSpec(
-            kind=kind,
-            params=raw_rem.get("params", {}),
-            target_selector=raw_rem.get("target_selector", "non_compliant"),
-        )
-    except InputError as exc:
-        raise SchemaError(f"{path}.remediation", str(exc)) from exc
-
-    tags = data.get("technique_tags", [])
-    if not isinstance(tags, list):
-        raise SchemaError(f"{path}.technique_tags", "expected list")
-    for tag in tags:
-        if not isinstance(tag, str) or not TECHNIQUE_ID_RE.match(tag):
-            raise SchemaError(f"{path}.technique_tags", f"bad technique id {tag!r}")
-
-    return PolicyRule(
-        rule_id=rule_id,
-        condition=tuple(conditions),
-        severity_weight=severity,
-        regulatory_importance=importance,
-        remediation=remediation,
-        technique_tags=tuple(tags),
-        policy_id=policy_id,
-    )
+        conditions.append(condition)
+    return PolicyRule(**{
+        **data,
+        "condition": tuple(conditions),
+        "remediation": EnforcementActionSpec(**data["remediation"]),
+        "technique_tags": tuple(data.get("technique_tags", ())),
+        "policy_id": policy_id,
+    })
 
 
 def load_policy_document(source: str) -> PolicyDocument:
@@ -361,33 +329,15 @@ def load_policy_document(source: str) -> PolicyDocument:
         data = json.loads(source)
     except ValueError as exc:  # also an integer too long to convert
         raise SchemaError("$", f"not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise SchemaError("$", "document must be an object")
-
-    policy_id = _require(data, "policy_id", str, "$")
-    title = _require(data, "title", str, "$")
-    version = _require(data, "version", int, "$")
-    if version < 1:
-        raise SchemaError("$.version", "must be a positive integer")
-    framework = _require(data, "source_framework", str, "$")
-    effective = _require(data, "effective_from", int, "$")
-    raw_rules = _require(data, "rules", list, "$")
-    if not raw_rules:
-        raise SchemaError("$.rules", "must not be empty")
-    known = set(data) - {
-        "policy_id", "title", "version", "source_framework", "effective_from", "rules",
-    }
-    if known:
-        raise SchemaError("$", f"unknown fields: {sorted(known)}")
-
+    check_fields(PolicyDocument.SPEC, data)
     rules = tuple(
-        _load_rule(raw, f"$.rules[{i}]", policy_id)
-        for i, raw in enumerate(raw_rules)
+        _load_rule(raw, f"$.rules[{i}]", data["policy_id"])
+        for i, raw in enumerate(data["rules"])
     )
     seen_ids = [r.rule_id for r in rules]
     if len(set(seen_ids)) != len(seen_ids):
         raise SchemaError("$.rules", "duplicate rule_id")
-    return PolicyDocument(policy_id, title, version, framework, effective, rules)
+    return PolicyDocument(**{**data, "rules": rules})
 
 
 def load_policy_file(path: str | Path) -> PolicyDocument:

@@ -19,7 +19,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .canonical import digest_value, substream
+from .canonical import FieldSpec, check_config, digest_value, substream
 from .contracts import ContractEngine
 from .cti import CycleOutcome, ForestModel, assess, ingest_feed, process_threat_intelligence, read_feed
 from .errors import InputError
@@ -27,7 +27,7 @@ from .errors import InputError
 from .ledger import Ledger, export_chain, verify_chain  # noqa: F401
 from .metrics import ComparisonReport, build_comparison_report, render_report_text, samples_from_chain
 from .policy import load_policy_file
-from .simnet import (AnalystTeam, FieldSpec, Fleet, NetworkModel, SimClock, ThreatScenario, check_config,
+from .simnet import (MAX_ENDPOINTS, MAX_VALIDATORS, AnalystTeam, Fleet, NetworkModel, SimClock, ThreatScenario,
                      inject_threat, provision_fleet, snapshot)
 
 SCENARIOS = ("smbv1", "rdp", "ransomware", "custom")
@@ -67,16 +67,16 @@ class RunConfig:
 
     SPEC = {
         "seed": FieldSpec("int"),
-        "endpoints": FieldSpec("int", 1, unit="endpoints"),
+        "endpoints": FieldSpec("int", 1, MAX_ENDPOINTS, "endpoints"),
         "scenario": FieldSpec("str", of=SCENARIOS),
         "mode": FieldSpec("str", of=MODES),
         "network": FieldSpec("config", of=NetworkModel),
         "team": FieldSpec("config", of=AnalystTeam),
-        "policies": FieldSpec("paths"),
-        "feeds": FieldSpec("paths"),
-        "model": FieldSpec("path"),
+        "policies": FieldSpec("list", 0, of=FieldSpec("text")),
+        "feeds": FieldSpec("list", 0, of=FieldSpec("text")),
+        "model": FieldSpec("text", null=True),
         "infected_count": FieldSpec("int", 0, unit="endpoints"),
-        "validators": FieldSpec("int", 1, unit="validators"),
+        "validators": FieldSpec("int", 1, MAX_VALIDATORS, "validators"),
     }
 
     def __post_init__(self):
@@ -84,10 +84,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        unknown = set(data) - set(cls.SPEC)
-        if unknown:
-            raise InputError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**data)
+        return cls(**check_config(cls, data))
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
@@ -97,8 +94,6 @@ class RunConfig:
             raise InputError(f"config file is not UTF-8 text: {exc}") from exc
         except ValueError as exc:  # also an integer too long to convert
             raise InputError(f"config file is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise InputError("config file must contain a JSON object")
         return cls.from_dict(data)
 
     def resolved_policy_paths(self) -> list[Path]:

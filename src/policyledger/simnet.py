@@ -25,10 +25,10 @@ from __future__ import annotations
 import copy
 import heapq
 import math
-from dataclasses import MISSING, dataclass, field, fields
-from typing import Iterable, NamedTuple, Optional
+from dataclasses import dataclass, field
+from typing import Iterable, Optional
 
-from .canonical import slot_builder, substream
+from .canonical import FieldSpec, check_config, slot_builder, substream
 from .errors import InputError, UnknownEndpoint
 from .policy import ENDPOINT_ATTRIBUTES, EnforcementActionSpec, action_writes
 
@@ -165,69 +165,11 @@ MAX_LATENCY_MS = 10**10
 MAX_SIGMA_LOG = 5
 MAX_MULTIPLIER = 1000
 
-
-class FieldSpec(NamedTuple):
-    """How construction checks one config field: its type (a key of
-    ``_TYPES``), range and unit, and ``of``: a str's choices, a role map's
-    roles, a config's class, or the scalar field whose spec a by-kind
-    map's values take. A str ``low`` names an earlier field of the same
-    spec, whose value is the bound."""
-
-    type: str
-    low: object = -math.inf
-    high: object = math.inf
-    unit: str = ""
-    of: object = None
-
-
-#: Each type: what it takes, as its error says, and the test of a value
-#: against its resolved bounds. A map's entries are checked after it.
-_TYPES = {
-    "int": ("an integer in [{low}, {high}]",
-            lambda v, low, high, of: type(v) is int and low <= v <= high),
-    "number": ("a number (not a bool) in [{low}, {high}]",
-               lambda v, low, high, of: type(v) in (int, float) and low <= v <= high),
-    "ms": ("a finite number (not a bool) with an integer part in ({low}, {high}]",
-           lambda v, low, high, of: type(v) in (int, float) and -math.inf < v < math.inf
-           and low < int(v) <= high),
-    "roles": ("null or a map of roles {of} to numbers (not bools) in ({low}, {high}]",
-              lambda v, low, high, of: v is None or isinstance(v, dict) and all(
-                  role in of and type(m) in (int, float) and low < m <= high for role, m in v.items())),
-    "str": ("one of {of}", lambda v, low, high, of: v in of),
-    "paths": ("a list of path strings",
-              lambda v, low, high, of: isinstance(v, list) and all(isinstance(p, str) for p in v)),
-    "path": ("a path string or null", lambda v, low, high, of: v is None or isinstance(v, str)),
-    "by_kind": ("a map of action kinds to {of} values",
-                lambda v, low, high, of: isinstance(v, dict) and all(type(k) is str for k in v)),
-    "config": ("a map of {of.__name__} fields", lambda v, low, high, of: isinstance(v, dict)),
-}
-
-
-def check_config(cls, values: dict) -> None:
-    """Raise InputError unless every key of ``values`` is a field of
-    ``cls.SPEC`` and every value fits its field. A spec'd field that
-    ``values`` leaves out takes its dataclass default."""
-    unknown = set(values) - set(cls.SPEC)
-    if unknown:
-        raise InputError(f"unknown {cls.__name__} keys: {sorted(map(str, unknown))}")
-    values = {f.name: f.default_factory() if f.default is MISSING else f.default
-              for f in fields(cls) if f.name in cls.SPEC} | values
-    for name, spec in cls.SPEC.items():
-        if name in values:
-            _check(name, spec, values[name], values, cls.SPEC)
-
-
-def _check(name: str, spec: FieldSpec, value, values: dict, specs: dict) -> None:
-    kind, low, high, _, of = spec
-    low = values[low] if isinstance(low, str) else low
-    must, fits = _TYPES[kind]
-    if not fits(value, low, high, of):
-        raise InputError(f"{name} must be {must.format(low=low, high=high, of=of)}, got {value!r}")
-    if kind == "config":
-        check_config(of, value)
-    elif kind == "by_kind":
-        for key, item in value.items():
-            _check(f"{name}[{key}]", specs[of], item, values, specs)
+#: Bounds on a run's size, so that a config cannot ask for more memory than
+#: a host has: 10^5 endpoints is ten times the largest fleet the scaling
+#: runs measure, and every block records one vote per validator.
+MAX_ENDPOINTS = 10**5
+MAX_VALIDATORS = 100
 
 
 @dataclass

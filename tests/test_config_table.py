@@ -1,6 +1,6 @@
 """The run config's field table (``SPEC``) against the hand-written checks
 it replaced, each config it sees run through the CLI, and the README's
-schema table against the specs."""
+schema tables against every spec."""
 
 import contextlib
 import io
@@ -17,17 +17,21 @@ from test_runner_cli import MISTYPED_CONFIGS
 from test_simnet import NETWORK_BOUNDS_CASES
 
 from policyledger.cli import main
+from policyledger.cti import ForestModel, ThreatReport
 from policyledger.errors import InputError
 from policyledger.ledger import import_chain, verify_chain
+from policyledger.policy import PolicyDocument
 from policyledger.runner import RunConfig, fixture_path
 from policyledger.simnet import AnalystTeam, NetworkModel
 
 # -- the oracle ----------------------------------------------------------------
 # RunConfig.__post_init__, NetworkModel.__post_init__, AnalystTeam.default's
 # role-map check and Analyst.__post_init__ as they were written out by hand
-# before one field table replaced them, applied to a config dict.
+# before one field table replaced them, applied to a config dict, with the
+# upper bounds on endpoints and validators added since.
 
 _MAX_LATENCY_MS, _MAX_SIGMA_LOG, _MAX_MULTIPLIER = 10**10, 5, 1000
+_MAX_ENDPOINTS, _MAX_VALIDATORS = 10**5, 100
 _ROLE_SPEED = {"lead": 0.9, "senior": 1.0, "junior": 1.3}
 _ROLE_ERROR = {"lead": 0.8, "senior": 1.0, "junior": 1.4}
 _RUN_DEFAULTS = {"seed": 42, "endpoints": 60, "scenario": "smbv1", "mode": "both", "network": {},
@@ -119,6 +123,8 @@ def _oracle_accepts(config: dict) -> bool:
                 raise _Refused
         if c["endpoints"] < 1 or c["validators"] < 1 or c["infected_count"] < 0:
             raise _Refused
+        if c["endpoints"] > _MAX_ENDPOINTS or c["validators"] > _MAX_VALIDATORS:
+            raise _Refused
         for name in ("policies", "feeds"):
             paths = c[name]
             if not isinstance(paths, list) or not all(isinstance(p, str) for p in paths):
@@ -173,7 +179,7 @@ def _edges(name, spec, specs) -> list:
         return [*spec.of, "nope", *_MISTYPED]
     if kind == "config":
         return [{}, {"warp_factor": 9}, *_MISTYPED]
-    valid = [[], _VALID_PATHS[name]] if kind == "paths" else [None, "", _VALID_PATHS[name]]
+    valid = [[], _VALID_PATHS[name]] if kind == "list" else [None, "", _VALID_PATHS[name]]
     # A path string that names no file is a missing input (exit 3), not a type error.
     return valid + [[None]] + [v for v in _MISTYPED if not isinstance(v, str)]
 
@@ -265,14 +271,46 @@ def test_a_drawn_config_loads_as_the_hand_written_checks_decided_and_runs_or_exi
             assert not out.exists()
 
 
+@pytest.mark.parametrize("name, bound", [("endpoints", _MAX_ENDPOINTS), ("validators", _MAX_VALIDATORS)])
+def test_endpoints_and_validators_above_their_bound_are_refused_at_load(tmp_path, capsys, name, bound):
+    # Loaded only: a run at the bound would provision it.
+    for value in (bound - 1, bound, bound + 1, 10**400):
+        assert _loads({name: value}) == _oracle_accepts({name: value}) == (value <= bound), value
+    for value in (bound + 1, 10**400):
+        path, out = tmp_path / "cfg.json", tmp_path / "out"
+        path.write_text(json.dumps({name: value}))
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: $.{name}: must be an integer in [1, {bound}]")
+        assert not out.exists()
+
+
+def _spec_rows(spec: dict, prefix: str = ""):
+    """(path, FieldSpec) of every field of ``spec`` and of the specs below it."""
+    for name, field in spec.items():
+        yield prefix + name, field
+        item, below = (field.of, f"{prefix}{name}[].") if field.type == "list" else (field, f"{prefix}{name}.")
+        if item.type == "config":
+            yield from _spec_rows(item.of.SPEC, below)
+        elif item.type == "object":
+            yield from _spec_rows(item.of, below)
+        elif item.type == "params":
+            for params in item.of.values():
+                yield from _spec_rows(params, below)
+
+
+_README_TABLES = [
+    ("Scenario config schema", RunConfig.SPEC),
+    ("Policy document schema", PolicyDocument.SPEC),
+    ("Feed item schema", ThreatReport.SPEC),
+    ("Model file schema", ForestModel.SPEC),
+]
+
+
 def test_the_readme_schema_table_lists_every_spec_field():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = readme.split("### Scenario config schema")[1].split("\n## ")[0]
-    specs = [("", RunConfig.SPEC)] + [
-        (f"{name}.", spec.of.SPEC) for name, spec in RunConfig.SPEC.items() if spec.type == "config"
-    ]
-    for prefix, spec_table in specs:
-        for name, spec in spec_table.items():
-            row = re.search(rf"^\| `{re.escape(prefix + name)}` \| {spec.type} \|.*$", section, re.M)
-            assert row, prefix + name
-            assert row.group().rstrip(" |").endswith(spec.unit), prefix + name
+    for heading, spec in _README_TABLES:
+        section = re.split(r"\n##+ ", readme.split(f"### {heading}\n")[1])[0]
+        for path, field in _spec_rows(spec):
+            row = re.search(rf"^\| `{re.escape(path)}` \| {field.type} \|.*$", section, re.M)
+            assert row, path
+            assert row.group().rstrip(" |").endswith(field.unit), path

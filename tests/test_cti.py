@@ -104,6 +104,25 @@ def test_unreadable_envelope_raises_feed_schema_error(tmp_path):
         read_feed(feed)
 
 
+@pytest.mark.parametrize(
+    "field, value, path",
+    [
+        ("technique_ids", [[1]], "technique_ids[0]"),
+        ("technique_ids", [None], "technique_ids[0]"),
+        ("technique_ids", "T1210", "technique_ids"),
+        ("cve_ids", [1], "cve_ids[0]"),
+        ("cvss", 10**400, "cvss"),
+    ],
+    ids=["technique-list", "technique-null", "technique-string", "cve-number", "cvss-huge"],
+)
+def test_a_feed_item_with_a_mistyped_field_is_skipped_with_its_path(field, value, path):
+    items = [{"report_id": "ok", "source": "s", "text": "x"},
+             {"report_id": "r", "source": "s", "text": "x", field: value}]
+    reports, diags = ingest_feed(items)
+    assert [r.report_id for r in reports] == ["ok"]
+    assert len(diags) == 1 and diags[0].startswith(f"item[1].{path}: must be ")
+
+
 def test_cvss_out_of_range_is_item_diagnostic():
     items = [{"report_id": "r", "source": "s", "text": "x", "received_at": 0, "cvss": 11.0}]
     reports, diags = ingest_feed(items)

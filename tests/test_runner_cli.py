@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -536,13 +537,33 @@ def _fixture_model_with(**edit) -> str:
     return json.dumps({**json.loads(fixture_path("model.json").read_text()), **edit})
 
 
+def _fixture_model_edited(edit) -> str:
+    model = json.loads(fixture_path("model.json").read_text())
+    edit(model)
+    return json.dumps(model)
+
+
 @pytest.mark.parametrize("command", ["run", "classify"])
 @pytest.mark.parametrize(
     "model_text",
     ["{not json", '{"format": "policyledger-model/1"}', "[1, 2]",
      _fixture_model_with(learning_rate=2.0, weight_floor=-1.0),
-     _fixture_model_with(weight_floor=5.0, weight_cap=1.0)],
-    ids=["not-json", "no-stumps", "array", "rate-and-floor", "floor-above-cap"],
+     _fixture_model_with(weight_floor=5.0, weight_cap=1.0),
+     _fixture_model_edited(lambda m: m["stumps"][0].update(feature_index=3.7)),
+     _fixture_model_edited(lambda m: m["stumps"][0].update(feature_index="3")),
+     _fixture_model_edited(lambda m: m["weights"].__setitem__(0, math.nan)),
+     _fixture_model_edited(lambda m: m["weights"].__setitem__(0, "1.5")),
+     _fixture_model_edited(lambda m: m["weights"].__setitem__(0, True)),
+     _fixture_model_edited(lambda m: m["weights"].__setitem__(0, 100.5)),
+     _fixture_model_edited(lambda m: m["weights"].__setitem__(0, 10**400)),
+     _fixture_model_with(weight_cap=10**6 + 1),
+     _fixture_model_with(weight_cap=math.inf),
+     _fixture_model_with(threshold=3.5),
+     _fixture_model_with(learning_rte=0.5)],
+    ids=["not-json", "no-stumps", "array", "rate-and-floor", "floor-above-cap",
+         "index-float", "index-string", "weight-nan", "weight-string", "weight-bool",
+         "weight-above-cap", "weight-huge", "cap-above-bound", "cap-infinite",
+         "threshold-float", "unknown-key"],
 )
 def test_cli_bad_model_file_is_exit_two(tmp_path, capsys, command, model_text):
     model = tmp_path / "model.json"
@@ -570,7 +591,7 @@ def test_cli_run_warns_about_skipped_feed_items_like_classify(tmp_path, capsys):
 
     feed.write_text(json.dumps(good + [{"report_id": "bad", "source": "s"}]))
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "skip")]) == 0
-    warning = "warning: skipped malformed item[1]: missing or invalid text\n"
+    warning = "warning: skipped malformed item[1].text: missing field\n"
     assert capsys.readouterr().err == warning
     assert main(["classify", str(feed)]) == 0
     assert capsys.readouterr().err == warning
@@ -624,17 +645,22 @@ def test_cli_report_format_selector(tmp_path):
     assert not (out / "report.txt").exists()
 
 
-def _run_with_smbv1_rule(tmp_path, edit):
-    """``policyledger run`` on 4 endpoints with the smbv1 fixture policy,
-    its first rule changed by ``edit``; returns the exit code."""
+def _run_with_smbv1_policy(tmp_path, edit):
+    """``policyledger run`` on 4 endpoints with the smbv1 fixture policy
+    changed by ``edit``; returns the exit code."""
     doc = json.loads(fixture_path("policies", "smbv1.json").read_text())
-    edit(doc["rules"][0])
+    edit(doc)
     policy = tmp_path / "policy.json"
     policy.write_text(json.dumps(doc))
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"scenario": "smbv1", "endpoints": 4,
                                   "policies": [str(policy)]}))
     return main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+
+
+def _run_with_smbv1_rule(tmp_path, edit):
+    """The same, with the policy's first rule changed by ``edit``."""
+    return _run_with_smbv1_policy(tmp_path, lambda doc: edit(doc["rules"][0]))
 
 
 def test_cli_run_unknown_target_endpoint_is_exit_two_at_load(tmp_path, capsys):
@@ -658,6 +684,12 @@ def test_cli_run_unknown_target_endpoint_is_exit_two_at_load(tmp_path, capsys):
         ("condition", {"attribute": "rdp_port", "comparator": "in", "value": 3389}),
         ("remediation", {"kind": "apply_patch", "params": {"level": "abc"}}),
         ("remediation", {"kind": "apply_patch", "params": {"level": True}}),
+        ("remediation", {"kind": "set_rdp_port", "params": 5}),
+        ("remediation", {"kind": "set_rdp_port", "params": []}),
+        ("remediation", {"kind": "update_firewall_rule", "params": ["direction", "target", "verdict"]}),
+        ("remediation", {"kind": "update_firewall_rule",
+                         "params": {"direction": "outbound", "target": "*", "verdict": 0}}),
+        ("remediation", {"kind": "disable_smbv1", "params": {"port": 33089}}),
     ],
 )
 def test_cli_run_invalid_rule_is_exit_two_at_load(tmp_path, capsys, field, value):
@@ -674,6 +706,31 @@ def test_cli_run_invalid_rule_is_exit_two_at_load(tmp_path, capsys, field, value
     assert "Traceback" not in err
     assert err.startswith("error: $.rules[0]")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda d: d.update(rules=[5]), lambda d: d["rules"][0].update(technique_tag=["T1210"])],
+    ids=["rule-not-an-object", "unknown-rule-field"],
+)
+def test_cli_run_mistyped_policy_is_exit_two_at_load(tmp_path, capsys, edit):
+    assert _run_with_smbv1_policy(tmp_path, edit) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: $.rules[0]")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("below", ["sub", "sub/deeper"])
+def test_cli_run_out_below_a_file_is_exit_two_before_the_run(tmp_path, capsys, monkeypatch, below):
+    from policyledger import cli
+
+    monkeypatch.setattr(cli, "run_scenario", lambda *args, **kwargs: pytest.fail("the run started"))
+    (tmp_path / "file").write_text("kept")
+    assert main(["run", "--endpoints", "4", "--out", str(tmp_path / "file" / below)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: output path {tmp_path / 'file'} exists and is not a directory\n"
+    assert captured.out == "" and (tmp_path / "file").read_text() == "kept"
 
 
 def _patch_verify_chain(monkeypatch, replacement):
