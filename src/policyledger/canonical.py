@@ -17,7 +17,10 @@ a scanner built once, with ``json.loads`` as the fallback for anything
 that scan does not cover, so it accepts and fails as ``json.loads`` does.
 
 The seeded substreams every random draw comes from, ``slot_builder``
-for the frozen value objects built once per record or endpoint, and the
+for the frozen value objects built once per record, block or endpoint,
+``generated_function`` beneath it, ``object_splicer``, the ledger's type
+checks and each policy rule's filter, ``collector_paused`` for the run
+and the audit, and the
 field table that checks every config and input file (``FieldSpec``,
 ``check_fields``, ``check_config``) live here too, beneath every module
 that uses them.
@@ -26,6 +29,8 @@ that uses them.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import gc
 import hashlib
 import json
 import json.scanner
@@ -95,9 +100,35 @@ def object_splicer(*keys: str, cut: Optional[str] = None) -> Callable[..., Any]:
     ) + "}}"
     args = ", ".join("m%d" % i for i, key in enumerate(keys) if key != cut)
     pieces = ", ".join("f" + repr(piece) for piece in text.split("\0"))
-    scope: dict = {}
-    exec(f"def splice({args}):\n    return {pieces}", scope)
-    return scope["splice"]
+    return generated_function(f"def splice({args}):\n    return {pieces}", {}, "splice")
+
+
+def generated_function(source: str, scope: dict, name: str) -> Callable[..., Any]:
+    """The function ``name`` that ``source`` defines when executed with
+    ``scope`` as its globals. It is popped from ``scope``, so the two form
+    no reference cycle: one generated while the collector is paused is
+    freed by its reference count alone."""
+    exec(source, scope)
+    return scope.pop(name)
+
+
+def collector_paused(fn: Callable[..., Any]) -> Callable[..., Any]:
+    """``fn`` with the cyclic garbage collector paused for each call, as
+    ``timeit`` pauses it, for functions that make no reference cycles:
+    every pass the collector would make during them frees nothing. It is
+    enabled again on return or raise only if it was on at entry, so
+    paused functions may call each other."""
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 def encode_array(items: Iterable[str]) -> str:
@@ -158,8 +189,7 @@ def slot_builder(cls: type) -> Callable[..., Any]:
     scope.update((f"_set_{name}", cls.__dict__[name].__set__) for name in names)
     code = [f"def build({', '.join(names)}):", "    self = _new(_cls)"]
     code += [f"    _set_{name}(self, {name})" for name in names]
-    exec("\n".join([*code, "    return self"]), scope)
-    return scope["build"]
+    return generated_function("\n".join([*code, "    return self"]), scope, "build")
 
 
 # --------------------------------------------------------------------------

@@ -379,9 +379,8 @@ class ContractEngine:
                 for endpoint_id in targets:
                     actions.append(_planned_action(endpoint_id, rule.remediation, rule.rule_id))
             if decision.kind == DecisionKind.IMMEDIATE_ACTION_REQUIRED:
-                for row in fleet.rows():
-                    if row["infected"] and not row["isolated"]:
-                        actions.append(_planned_action(row["endpoint_id"], _ISOLATE, None))
+                actions += [_planned_action(row["endpoint_id"], _ISOLATE, None)
+                            for row in fleet.rows() if row["infected"] and not row["isolated"]]
         # Parallel dispatch order: endpoint id, then remediations before
         # isolation within an endpoint (plan position is the tiebreak).
         indexed = list(enumerate(actions))

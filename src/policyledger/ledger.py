@@ -23,17 +23,21 @@ use, and keeps them. Likewise, block hashes are recomputed once per block
 object; links, votes and indices are checked on every call. Genesis is
 the exception: its ``meta`` is a mutable dict, so its hash is recomputed
 on every call. A record digest's preimage is spliced around its metadata's
-canonical JSON fragment, which each ``TxMetadata`` object encodes once; an
-import interns metadata, one object per distinct value, so a chain with a
-handful of distinct metadata values encodes only that many fragments.
+canonical JSON fragment, which each ``TxMetadata`` object encodes once.
+Metadata field types are checked when it is built, so equal metadata
+encodes alike; an import interns it by its typed field values, one object
+per distinct value, so a chain with a handful of distinct metadata values
+encodes only that many fragments.
 
 Chain files are newline-delimited: one canonical-JSON block per line.
 The genesis block records the hash function name, the export format
 version, the validator set, and the run's config digest; all of it is
 covered by the genesis block hash. Record and block field types are
 checked once, when the object is built, however it is built; a mistyped
-field raises ``TypeError``, which an import reads as a corrupt line. So
-each record, block and block-hash preimage has one encoder: a splice of
+field raises ``TypeError``, which an import reads as a corrupt line. Every
+record and block a run commits or an import reads is built once, slot by
+slot (``canonical.slot_builder``), after that check. So each record,
+block and block-hash preimage has one encoder: a splice of
 its fields' encodings (genesis's ``meta`` is one) and its metadata's kept
 fragment, by functions ``canonical.object_splicer`` generates at import.
 Export writes each line one record at a time; import reads one line at a
@@ -47,8 +51,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import repeat
-from operator import eq
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
@@ -56,10 +58,12 @@ from .canonical import (
     HASH_FUNCTION_NAME,
     ZERO_DIGEST,
     canonical_json,
+    collector_paused,
     decode_json,
     digest_bytes,
     encode_array,
     encode_str,
+    generated_function,
     object_splicer,
     slot_builder,
 )
@@ -89,27 +93,30 @@ _BLOCK_ENDS = object_splicer(*_LINE_KEYS, cut="transactions")
 _GENESIS_ENDS = object_splicer(*_LINE_KEYS, "meta", cut="transactions")
 
 
-def _type_check(owner: str, **types: type):
+def _type_check(owner: str, **types: type | tuple[type, ...]):
     """A function of one value per keyword, in order, that raises TypeError
-    unless each value is exactly of its keyword's type: the splices encode
-    no other. A bool is not an int."""
-    expected = tuple(types.values())
+    unless each value is exactly of its keyword's type, or of one of its
+    tuple of types: the splices encode no other, and digests cover the
+    value as read, so reading ``false`` or ``0.0`` as ``0`` would let a
+    changed chain file verify. A bool is not an int. Its code is generated,
+    one ``type(value) is T`` test per keyword, as every record and block
+    an import reads is checked by it."""
+    allowed = {name: want if type(want) is tuple else (want,) for name, want in types.items()}
 
-    def check(*values) -> None:
-        if tuple(map(type, values)) != expected:
-            name, want, value = next((name, want, value) for (name, want), value
-                                     in zip(types.items(), values) if type(value) is not want)
-            raise TypeError(f"{owner}.{name} must be {want.__name__}, got {value!r}")
+    def refuse(*values) -> None:
+        name, want, value = next((name, want, value) for (name, want), value
+                                 in zip(allowed.items(), values) if type(value) not in want)
+        want = " or ".join(t.__name__ for t in want)
+        raise TypeError(f"{owner}.{name} must be {want}, got {value!r}")
 
-    return check
-
-
-def _wire_int(value) -> int:
-    """An integer field of a chain file. Digests cover the value as read, so
-    reading ``false`` or ``0.0`` as ``0`` would let a changed file verify."""
-    if type(value) is not int:
-        raise ValueError(f"expected an integer, got {value!r}")
-    return value
+    scope: dict = {"_refuse": refuse}
+    tests = []
+    for name, want in allowed.items():
+        scope[f"_{name}"] = want[0] if len(want) == 1 else want
+        tests.append(f"type({name}) {'is' if len(want) == 1 else 'in'} _{name}")
+    args = ", ".join(allowed)
+    source = f"def check({args}):\n    if not ({' and '.join(tests)}):\n        _refuse({args})"
+    return generated_function(source, scope, "check")
 
 
 class TxKind(str, Enum):
@@ -162,6 +169,11 @@ class TxMetadata:
     """Threat context attached to a transaction (type of threat, actor,
     technique ids, recommended change, priority 0-4).
 
+    Its field types are checked when it is built: ``threat_type``,
+    ``threat_actor`` and ``recommended_change`` are str or None, ``arm`` a
+    str, ``priority`` an int (not a bool) and ``technique_ids`` a list or
+    tuple of strs, kept as a tuple; so equal objects encode alike.
+
     Its canonical JSON fragment, which every record digest embeds, is
     encoded once per object and kept; it takes no part in equality or
     repr, and ``dataclasses.replace`` starts a copy without it. Records
@@ -177,10 +189,12 @@ class TxMetadata:
     _fragment: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        ids = _technique_ids(self.technique_ids)
+        object.__setattr__(self, "technique_ids", ids)
+        _check_metadata(self.threat_type, self.threat_actor, ids, self.recommended_change,
+                        self.priority, self.arm)
         if not 0 <= self.priority <= 4:
             raise InputError(f"metadata priority {self.priority} outside 0..4")
-        # A caller's list stays mutable; record digests must not follow it.
-        object.__setattr__(self, "technique_ids", tuple(self.technique_ids))
 
     def to_dict(self) -> dict:
         return {
@@ -207,27 +221,38 @@ class TxMetadata:
     @classmethod
     def from_dict(cls, data: dict, interned: dict) -> "TxMetadata":
         """Build from the wire form. ``interned`` is a dict the caller keeps
-        for one import: equal wire values get one shared object."""
-        # repr, unlike == and hash, tells 1, true and 1.0 apart, which
-        # encode differently.
-        key = repr(data)
-        hit = interned.get(key)
-        if hit is not None:
-            return hit
+        for one import: equal typed values get one shared object."""
         # Strict keys: a lenient default here would let a flipped key name
         # round-trip to the same semantics and dodge tamper detection.
         if data.keys() != cls._WIRE_KEYS:
             raise ValueError(f"unexpected metadata keys {sorted(set(data) ^ cls._WIRE_KEYS)}")
-        metadata = cls(
-            threat_type=data["threat_type"],
-            threat_actor=data["threat_actor"],
-            technique_ids=tuple(data["technique_ids"]),
-            recommended_change=data["recommended_change"],
-            priority=_wire_int(data["priority"]),
-            arm=data["arm"],
-        )
-        interned[key] = metadata
+        key = (data["threat_type"], data["threat_actor"], _technique_ids(data["technique_ids"]),
+               data["recommended_change"], data["priority"], data["arm"])
+        # Checked before the lookup: 1, true and 1.0 are equal keys, but
+        # encode differently.
+        _check_metadata(*key)
+        metadata = interned.get(key)
+        if metadata is None:
+            metadata = interned[key] = cls(*key)
         return metadata
+
+
+def _technique_ids(ids) -> tuple[str, ...]:
+    """``ids``, a list or tuple of strs, as a tuple: a caller's list stays
+    mutable, and record digests must not follow it."""
+    if type(ids) is list or type(ids) is tuple:
+        for i in ids:
+            if type(i) is not str:
+                break
+        else:
+            return tuple(ids)
+    raise TypeError(f"TxMetadata.technique_ids must be a list of str, got {ids!r}")
+
+
+_STR_OR_NONE = (str, type(None))
+_check_metadata = _type_check("TxMetadata", threat_type=_STR_OR_NONE, threat_actor=_STR_OR_NONE,
+                              technique_ids=tuple, recommended_change=_STR_OR_NONE, priority=int,
+                              arm=str)
 
 
 _check_record = _type_check("TransactionRecord", tx_id=str, timestamp=int, kind=TxKind, actor=str,
@@ -341,7 +366,7 @@ class TransactionRecord:
 _build_record = slot_builder(TransactionRecord)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LedgerBlock:
     """One committed block: header, records, and the validators' votes.
 
@@ -349,6 +374,11 @@ class LedgerBlock:
     on the object after first use, like a record's digests; it takes no
     part in equality or repr, and ``dataclasses.replace`` starts a copy
     without it. Genesis keeps none, since its ``meta`` is a mutable dict.
+
+    ``__post_init__`` checks the header's field types; ``from_dict`` and
+    ``Ledger.commit_block`` check them first too, and build through
+    ``_build_block``, as records are built through ``_build_record``:
+    every block a run commits or an audit imports is built so.
     """
 
     index: int
@@ -410,17 +440,14 @@ class LedgerBlock:
         if data.keys() != cls._WIRE_KEYS and data.keys() != cls._WIRE_KEYS | {"meta"}:
             bad = (set(data) ^ cls._WIRE_KEYS) - {"meta"}
             raise ValueError(f"unexpected block keys {sorted(bad)}")
-        return cls(
-            index=data["index"],
-            prev_hash=data["prev_hash"],
-            block_hash=data["block_hash"],
-            timestamp=data["timestamp"],
-            transactions=tuple(
-                TransactionRecord.from_dict(t, interned) for t in data["transactions"]
-            ),
-            validator_votes=data["validator_votes"],
-            meta=data.get("meta"),
-        )
+        header = (data["index"], data["prev_hash"], data["block_hash"], data["timestamp"])
+        votes = data["validator_votes"]
+        _check_block(*header, votes)
+        transactions = tuple([TransactionRecord.from_dict(t, interned) for t in data["transactions"]])
+        return _build_block(*header, transactions, votes, data.get("meta"), None)
+
+
+_build_block = slot_builder(LedgerBlock)
 
 
 def compute_block_hash(
@@ -725,25 +752,18 @@ class Ledger:
         """
         if not self.pending:
             raise InputError("nothing to commit")
-        pending = list(self.pending)
+        pending = tuple(self.pending)
         vote = self._validator_vote(pending)
         if vote != VOTE_ACCEPT:
             raise ConsensusFailure(f"validator rejected pending block: {vote}")
         votes = {vid: vote for vid in self.validator_ids}
 
         prev = self.blocks[-1]
-        digests = [tx.record_digest() for tx in pending]
-        block_hash = compute_block_hash(prev.index + 1, prev.block_hash, timestamp, digests)
-        block = LedgerBlock(
-            index=prev.index + 1,
-            prev_hash=prev.block_hash,
-            block_hash=block_hash,
-            timestamp=timestamp,
-            transactions=tuple(pending),
-            validator_votes=votes,
-        )
+        index, prev_hash = prev.index + 1, prev.block_hash
+        block_hash = compute_block_hash(index, prev_hash, timestamp, [tx.record_digest() for tx in pending])
+        _check_block(index, prev_hash, block_hash, timestamp, votes)
         # The hash was just computed from these fields: keep it.
-        object.__setattr__(block, "_recomputed", block_hash)
+        block = _build_block(index, prev_hash, block_hash, timestamp, pending, votes, None, block_hash)
         self.blocks.append(block)
         for tx in pending:
             self._seen_tx_ids.add(tx.tx_id)
@@ -754,7 +774,7 @@ class Ledger:
         self._admitted.clear()
         return block
 
-    def _validator_vote(self, pending: list[TransactionRecord]) -> str:
+    def _validator_vote(self, pending: tuple[TransactionRecord, ...]) -> str:
         """The validators' common verdict on the batch. An admitted record
         is validated again only behind a record that bypassed submission,
         which it was never checked against."""
@@ -807,8 +827,8 @@ def verify_chain(chain: list[LedgerBlock]) -> ChainVerdict:
     if (genesis.index != 0 or genesis.prev_hash != ZERO_DIGEST or type(validators) is not list
             or not all(type(v) is str for v in validators)):
         return ChainVerdict(False, 0, "format")
-    expected_votes = set(validators)
-    accept = repeat(VOTE_ACCEPT)
+    # Every validator, and no other id, voted to accept.
+    expected_votes = dict.fromkeys(validators, VOTE_ACCEPT)
 
     for pos, block in enumerate(chain):
         if isinstance(block, CorruptBlock):
@@ -820,14 +840,14 @@ def verify_chain(chain: list[LedgerBlock]) -> ChainVerdict:
                 return ChainVerdict(False, pos, "digest")
         if block.recomputed_hash() != block.block_hash:
             return ChainVerdict(False, pos, "hash")
-        votes = block.validator_votes
-        if votes.keys() != expected_votes or not all(map(eq, votes.values(), accept)):
+        if block.validator_votes != expected_votes:
             return ChainVerdict(False, pos, "votes")
         if pos > 0 and block.prev_hash != chain[pos - 1].block_hash:
             return ChainVerdict(False, pos, "link")
     return ChainVerdict(True)
 
 
+@collector_paused
 def replay_state(chain: list[LedgerBlock]) -> WorldState:
     """Fold every transaction in block/tx order into a fresh WorldState.
 
@@ -941,6 +961,7 @@ def export_chain(chain: list[LedgerBlock], path: str | Path) -> None:
         raise
 
 
+@collector_paused
 def import_chain(path: str | Path) -> list[LedgerBlock]:
     """Read a chain file leniently, one line at a time: unparseable lines
     become CorruptBlock entries so verification can still report the
@@ -950,10 +971,11 @@ def import_chain(path: str | Path) -> list[LedgerBlock]:
     does not cover (a CRLF ending, say, or an error) to ``json.loads``.
 
     Metadata is interned for this call only: records whose metadata reads
-    the same share one ``TxMetadata`` object, and with it one fragment.
+    the same, type for type, share one ``TxMetadata`` object, and with it
+    one fragment.
     """
     chain: list[LedgerBlock] = []
-    interned: dict[str, TxMetadata] = {}
+    interned: dict[tuple, TxMetadata] = {}
     with open(path, "rb") as lines:
         for pos, line in enumerate(lines):
             if not line or line.isspace():

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .canonical import canonical_json, digest_bytes
+from .canonical import canonical_json, collector_paused, digest_bytes
 from .errors import DegenerateInput, InputError
 
 REPORT_FORMAT = "policyledger-report/1"
@@ -344,54 +344,55 @@ def build_comparison_report(
     )
 
 
+@collector_paused
 def samples_from_chain(chain) -> tuple[list[MetricSample], list[MetricSample]]:
     """Rebuild the metric samples from a committed chain.
 
     Walks enforcement-result transactions, grouping by arm and policy via
     the decision transactions' rule->policy mapping; this is what makes a
-    report reproducible from an exported chain alone.
+    report reproducible from an exported chain alone. One walk sorts out
+    the deploys, updates and results.
     """
     from .ledger import TxKind, query_history
 
-    txs = query_history(chain)  # the one verification of the chain
+    deploy, update, result = TxKind.POLICY_DEPLOY, TxKind.POLICY_UPDATE, TxKind.ENFORCEMENT_RESULT
+    deploys, updates, results = [], [], []
+    for tx in query_history(chain):  # the one verification of the chain
+        kind = tx.kind
+        if kind is result:
+            results.append(tx)
+        elif kind is deploy:
+            deploys.append(tx)
+        elif kind is update:
+            updates.append(tx)
+
     rule_policy: dict[str, str] = {}
     # Every deploy first, then every update, so an upgrade's mapping wins.
-    for kind in (TxKind.POLICY_DEPLOY, TxKind.POLICY_UPDATE):
-        for tx in txs:
-            if tx.kind == kind:
-                body = tx.body()
-                for rule in body.get("rules", []):
-                    rule_policy[rule["rule_id"]] = body["policy_id"]
+    for tx in deploys + updates:
+        body = tx.body()
+        for rule in body.get("rules", []):
+            rule_policy[rule["rule_id"]] = body["policy_id"]
 
-    acc: dict[tuple[str, str], dict] = {}
-    result_kind = TxKind.ENFORCEMENT_RESULT
-    for tx in txs:
-        if tx.kind != result_kind:
-            continue
+    # (arm, policy_id) -> [successes, total, durations, duration by endpoint]
+    acc: dict[tuple[str, str], list] = {}
+    for tx in results:
         body = tx.body()
         rule_id = body.get("rule_id")
-        policy_id = rule_policy.get(rule_id, "ad-hoc") if rule_id else "ad-hoc"
-        key = (tx.metadata.arm, policy_id)
-        bucket = acc.setdefault(
-            key,
-            {"successes": 0, "total": 0, "durations": [], "by_endpoint": {}},
-        )
-        bucket["total"] += 1
+        key = (tx.metadata.arm, rule_policy.get(rule_id, "ad-hoc") if rule_id else "ad-hoc")
+        bucket = acc.get(key)
+        if bucket is None:
+            bucket = acc[key] = [0, 0, [], {}]
+        bucket[1] += 1
         if body["outcome"] == "success":
-            bucket["successes"] += 1
-            bucket["durations"].append(float(body["duration_ms"]))
-            bucket["by_endpoint"][body["endpoint_id"]] = float(body["duration_ms"])
+            duration = float(body["duration_ms"])
+            bucket[0] += 1
+            bucket[2].append(duration)
+            bucket[3][body["endpoint_id"]] = duration
 
     automated: list[MetricSample] = []
     human: list[MetricSample] = []
-    for (arm, policy_id), bucket in sorted(acc.items()):
-        sample = MetricSample(
-            label=arm,
-            policy_id=policy_id,
-            successes=bucket["successes"],
-            total=bucket["total"],
-            durations=bucket["durations"],
-            endpoint_durations=bucket["by_endpoint"],
-        )
+    for (arm, policy_id), (successes, total, durations, by_endpoint) in sorted(acc.items()):
+        sample = MetricSample(label=arm, policy_id=policy_id, successes=successes, total=total,
+                              durations=durations, endpoint_durations=by_endpoint)
         (automated if arm == "automated" else human).append(sample)
     return automated, human

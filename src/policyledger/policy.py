@@ -14,9 +14,11 @@ list, and rule ids must be distinct, each a SchemaError.
 
 Each rule compiles its condition once, when the rule is built, into one
 filter over a sequence of attribute mappings, ``PolicyRule.failing``: the
-only evaluator of a condition. It returns the mappings that fail the rule,
-scanning them afresh on every call in one loop, with no Python call per
-mapping. ``PolicyRule.is_compliant`` is that filter over one mapping. One
+only evaluator of a condition. It is generated code, one list
+comprehension with the comparisons inline, as ``canonical.object_splicer``
+generates its splices, and returns the mappings that fail the rule,
+scanning them afresh on every call with no Python call per mapping.
+``PolicyRule.is_compliant`` is that filter over one mapping. One
 comparator table serves the filter and the ``COMPARATORS`` vocabulary, so
 the two cannot disagree.
 
@@ -38,7 +40,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Optional
 
-from .canonical import FieldSpec, canonical_json, check_fields
+from .canonical import FieldSpec, canonical_json, check_fields, generated_function
 from .errors import AmbiguityError, InputError, SchemaError
 
 #: Closed attribute set; identical to the simulated endpoint's fields.
@@ -52,14 +54,8 @@ ENDPOINT_ATTRIBUTES = (
     "infected",
 )
 
-#: Comparator name -> test(observed, value).
-_COMPARE: dict[str, Callable[[object, object], bool]] = {
-    "equals": operator.eq,
-    "not_equals": operator.ne,
-    "lt": operator.lt,
-    "gt": operator.gt,
-    "in": lambda observed, value: observed in value,
-}
+#: Comparator name -> the Python operator of ``observed <op> value``.
+_COMPARE = {"equals": "==", "not_equals": "!=", "lt": "<", "gt": ">", "in": "in"}
 
 COMPARATORS = tuple(_COMPARE)
 
@@ -140,34 +136,24 @@ class EnforcementActionSpec:
         return {"kind": self.kind, "params": self.params, "target_selector": self.target_selector}
 
 
-def _comparator(name: str) -> Callable[[object, object], bool]:
-    """The test for comparator ``name``; an unknown name gives a test that
-    raises InputError when evaluated, not when the condition is built."""
-    if name in _COMPARE:
-        return _COMPARE[name]
-
-    def unknown(observed, value):
-        raise InputError(f"unknown comparator {name!r}")
-
-    return unknown
+def _unknown_comparator(name: str):
+    raise InputError(f"unknown comparator {name!r}")
 
 
 def _compile(conditions: Iterable["Condition"]) -> Callable[[Iterable[dict]], list[dict]]:
     """One filter for a conjunction: the mappings, in order, for which some
     comparison fails, a missing attribute reading as None. Each mapping's
-    comparisons run in condition order and stop at the first that fails."""
-    tests = tuple((c.attribute, _comparator(c.comparator), c.value) for c in conditions)
-
-    def failing(rows: Iterable[dict]) -> list[dict]:
-        out = []
-        for row in rows:
-            for attribute, compare, value in tests:
-                if not compare(row.get(attribute), value):
-                    out.append(row)
-                    break
-        return out
-
-    return failing
+    comparisons run in condition order and stop at the first that fails.
+    An unknown comparator raises InputError when evaluated, not when the
+    condition is built. Attributes and values reach the code as names."""
+    scope: dict = {"_unknown": _unknown_comparator}
+    tests = []
+    for i, c in enumerate(conditions):
+        scope.update({f"a{i}": c.attribute, f"c{i}": c.comparator, f"v{i}": c.value})
+        op = _COMPARE.get(c.comparator)
+        tests.append(f"row.get(a{i}) {op} v{i}" if op else f"_unknown(c{i})")
+    source = f"def failing(rows):\n    return [row for row in rows if not ({' and '.join(tests) or 'True'})]"
+    return generated_function(source, scope, "failing")
 
 
 @dataclass(frozen=True)

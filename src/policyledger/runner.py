@@ -12,14 +12,13 @@ A run pauses the cyclic garbage collector (see ``run_scenario``).
 
 from __future__ import annotations
 
-import gc
 import json
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .canonical import FieldSpec, check_config, digest_value, substream
+from .canonical import FieldSpec, check_config, collector_paused, digest_value, substream
 from .contracts import ContractEngine
 from .cti import CycleOutcome, ForestModel, assess, ingest_feed, process_threat_intelligence, read_feed
 from .errors import InputError
@@ -136,6 +135,7 @@ class RunResult:
     diagnostics: list[str]  # one per malformed feed item that was skipped
 
 
+@collector_paused
 def run_scenario(
     config: RunConfig,
     outdir: Optional[str | Path] = None,
@@ -146,22 +146,13 @@ def run_scenario(
     Raises for config errors; missing files raise FileNotFoundError so the
     CLI can map exit codes.
 
-    The cyclic garbage collector is paused for the run, as ``timeit``
-    pauses it: a run makes no reference cycles, so each of the hundreds of
+    The cyclic garbage collector is paused for the run by
+    ``canonical.collector_paused``, as for the auditor's import, replay and
+    samples: a run makes no reference cycles, so each of the hundreds of
     passes a large run would trigger frees nothing
     (``test_run_scenario_makes_no_cycles_and_restores_the_collector`` pins
     this). It is enabled again on return or raise if it was on at entry.
     """
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        return _run_scenario(config, outdir, report_format)
-    finally:
-        if collecting:
-            gc.enable()
-
-
-def _run_scenario(config: RunConfig, outdir: Optional[str | Path], report_format: str) -> RunResult:
     if report_format not in ("json", "text", "both"):
         raise InputError(f"unknown report format {report_format!r}")
     documents = [load_policy_file(path) for path in config.resolved_policy_paths()]

@@ -18,7 +18,7 @@ from policyledger.contracts import (
 )
 from policyledger.cti import Decision, DecisionKind, ThreatClass, ThreatCategory
 from policyledger.errors import InputError, LedgerUnavailable, UnknownContract
-from policyledger.ledger import TxKind, query_history
+from policyledger.ledger import LedgerBlock, TransactionRecord, TxKind, _build_block, query_history
 from policyledger.policy import (
     COMPARATORS,
     ENDPOINT_ATTRIBUTES,
@@ -678,6 +678,13 @@ _VALUES = {
         _TEXT,
         st.sampled_from([EnforcementActionSpec(kind="disable_smbv1"), ("disable_smbv1",)]),
         st.none() | _TEXT)),
+    # Its slots end with the kept hash, which __init__ leaves unset.
+    LedgerBlock: (lambda *fields: _build_block(*fields, None), st.tuples(
+        st.integers(), _TEXT, _TEXT, st.integers(),
+        st.lists(st.builds(TransactionRecord.create, _TEXT, st.integers(), st.sampled_from(list(TxKind)),
+                           _TEXT, st.just({})), max_size=2).map(tuple),
+        st.dictionaries(_TEXT, st.sampled_from(["accept", "reject:authorization"]), max_size=3),
+        st.none() | st.dictionaries(_TEXT, st.integers(), max_size=2))),
 }
 
 
@@ -691,4 +698,4 @@ def test_built_value_objects_equal_their_init_made_twins(data, cls):
     assert built == made and repr(built) == repr(made)
     assert _hash_or_error(built) == _hash_or_error(made)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        built.endpoint_id = "other"
+        setattr(built, dataclasses.fields(cls)[0].name, "other")

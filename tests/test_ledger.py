@@ -29,6 +29,7 @@ from policyledger.errors import (
 from policyledger.ledger import (
     CHAIN_FORMAT,
     ChainVerdict,
+    CorruptBlock,
     DEFAULT_AUTHORIZATION,
     Ledger,
     LedgerBlock,
@@ -945,6 +946,18 @@ def test_vote_tampering_is_detected():
     assert (verdict.first_bad_index, verdict.reason) == (2, "votes")
 
 
+@pytest.mark.parametrize("edit", [
+    lambda votes: {k: v for k, v in votes.items() if k != "validator-1"},  # a vote missing
+    lambda votes: {**votes, "validator-9": "accept"},  # a vote by no validator
+    lambda votes: {**votes, "validator-1": ["accept"]},
+    lambda votes: {},
+], ids=["missing", "extra", "not-a-str", "none"])
+def test_a_vote_set_other_than_every_validator_accepting_is_detected(edit):
+    chain = committed_chain(4).chain()
+    chain[2] = dataclasses.replace(chain[2], validator_votes=edit(chain[2].validator_votes))
+    assert verify_chain(chain) == ChainVerdict(False, 2, "votes")
+
+
 def mutate_export_single_bit(path, rng):
     """Flip one random bit of one random block line; returns the line index."""
     raw = path.read_bytes()
@@ -1231,13 +1244,8 @@ _ANY_TEXT = st.one_of(
     st.text(max_size=12),
     st.sampled_from(["", "é ✓ 漢字 🔒", 'say "hi" \\ back/slash', "\x00\x08\x1f\x7f", "  "]),
 )
-_SCALAR = st.one_of(
-    st.none(),
-    _ANY_TEXT,
-    st.booleans(),
-    st.integers(-(10**30), 10**30),
-    st.floats(),
-)
+# What a metadata text field holds; TxMetadata refuses any other type.
+_TEXT_OR_NONE = st.none() | _ANY_TEXT
 
 
 _WIRE_INT = st.integers(-(10**30), 10**30)
@@ -1250,11 +1258,11 @@ _WIRE_INT = st.integers(-(10**30), 10**30)
     kind=st.sampled_from(list(TxKind)),
     actor=_ANY_TEXT,
     payload_digest=_ANY_TEXT,
-    threat_type=_SCALAR,
-    threat_actor=_SCALAR,
+    threat_type=_TEXT_OR_NONE,
+    threat_actor=_TEXT_OR_NONE,
     technique_ids=st.one_of(st.just([]), st.lists(_ANY_TEXT, max_size=60)),
-    recommended_change=_SCALAR,
-    priority=st.one_of(st.booleans(), st.integers(0, 4), st.floats(0, 4)),
+    recommended_change=_TEXT_OR_NONE,
+    priority=st.integers(0, 4),
     arm=_ANY_TEXT,
 )
 def test_record_digest_is_the_digest_of_the_envelope_dict(
@@ -1301,6 +1309,9 @@ _STRING_FIELDS += [("block", "prev_hash"), ("block", "block_hash")]
         ("record", "timestamp", float, "format"),
         ("record", "timestamp", str, "format"),
         ("block", "index", float, "format"),
+        ("block", "timestamp", True, "format"),
+        ("block", "timestamp", float, "format"),
+        ("block", "timestamp", str, "format"),
         # The votes as a list of pairs, which dict() would read as the same.
         ("block", "validator_votes", lambda votes: sorted(votes.items()), "format"),
         # A well-typed edit fails the hash.
@@ -1337,6 +1348,9 @@ def test_type_tampered_chain_file(run_chain, tmp_path, capsys, where, field, val
 
     chain = import_chain(path)
     assert verify_chain(chain) == ChainVerdict(False, b, expected)
+    # A mistyped record or header field makes its whole line corrupt.
+    assert isinstance(chain[b], CorruptBlock) == (
+        expected == "format" and where in ("record", "metadata", "block"))
     assert main(["verify-chain", str(path)]) == 1
     out, err = capsys.readouterr()
     assert out == f"corrupt: block {b} ({expected})\n" and "Traceback" not in err
@@ -1348,15 +1362,48 @@ def test_type_tampered_chain_file(run_chain, tmp_path, capsys, where, field, val
         assert chain[b].transactions[t].metadata is chain[twin_b].transactions[twin_t].metadata
 
 
-def test_import_interns_metadata_by_wire_type():
-    wire = TxMetadata().to_dict()
+@pytest.mark.parametrize("field, value", [
+    *[(field, value) for field in ("threat_type", "threat_actor", "recommended_change", "arm")
+      for value in (1, True, 1.0, [1])],
+    ("priority", True), ("priority", 1.0), ("priority", [1]),
+    ("technique_ids", [1]), ("technique_ids", [None]), ("technique_ids", "T1190"),
+])
+def test_a_mistyped_metadata_value_is_a_format_failure(run_chain, tmp_path, capsys, field, value):
+    from policyledger.cli import main
+
+    path = tmp_path / "chain.ndjson"
+    export_chain(run_chain, path)
+    (b, t), twins = _twins(path)
+    lines = path.read_text().splitlines()
+    block = json.loads(lines[b])
+    block["transactions"][t]["metadata"][field] = value
+    lines[b] = canonical_json(block)
+    path.write_text("\n".join(lines) + "\n")
+
+    assert main(["verify-chain", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == f"corrupt: block {b} (format)\n" and "Traceback" not in err
+    chain = import_chain(path)
+    assert isinstance(chain[b], CorruptBlock)
+    # The intact blocks still share one object per typed metadata value.
+    intact = [tx.metadata for block in chain if not isinstance(block, CorruptBlock)
+              for tx in block.transactions]
+    assert len({id(m) for m in intact}) == len(set(intact)) < len(intact)
+
+
+def test_metadata_interning_never_meets_an_equal_mistyped_value():
+    wire = {**TxMetadata().to_dict(), "priority": 1, "threat_type": "1"}
     interned = {}
-    one = TxMetadata.from_dict({**wire, "threat_type": 1}, interned)
-    true = TxMetadata.from_dict({**wire, "threat_type": True}, interned)
-    # Equal once read, but they encode differently: two objects.
-    assert one == true and one is not true
-    assert one.fragment() != true.fragment()
-    assert TxMetadata.from_dict({**wire, "threat_type": 1}, interned) is one
+    typed = TxMetadata.from_dict(wire, interned)
+    assert TxMetadata.from_dict(dict(wire), interned) is typed
+    # Each equals a key already interned, but encodes differently.
+    for mistyped in ({"priority": True}, {"priority": 1.0}):
+        with pytest.raises(TypeError, match=r"TxMetadata\.priority must be int"):
+            TxMetadata.from_dict({**wire, **mistyped}, interned)
+    # A str is no list of technique ids, though it iterates as one.
+    with pytest.raises(TypeError, match=r"TxMetadata\.technique_ids must be a list of str"):
+        TxMetadata.from_dict({**wire, "technique_ids": "T1"}, {})
+    assert list(interned.values()) == [typed]
 
 
 # -- per-block hash memo -----------------------------------------------------
@@ -1528,7 +1575,7 @@ def test_the_exported_file_alone_rebuilds_the_live_report_and_state(config):
     actor=_ANY_TEXT,
     payload=_ANY_TEXT,
     payload_digest=_ANY_TEXT,
-    threat_actor=_SCALAR,
+    threat_actor=_TEXT_OR_NONE,
     technique_ids=st.lists(_ANY_TEXT, max_size=4),
     index=_WIRE_INT,
     block_timestamp=_WIRE_INT,
@@ -1561,6 +1608,9 @@ _RECORD_TYPES = {"tx_id": str, "timestamp": int, "kind": TxKind, "actor": str, "
                  "payload_digest": str, "metadata": TxMetadata}
 _BLOCK_TYPES = {"index": int, "prev_hash": str, "block_hash": str, "timestamp": int,
                 "validator_votes": dict}
+_METADATA_TYPES = {"threat_type": (str, type(None)), "threat_actor": (str, type(None)),
+                   "technique_ids": (list, tuple), "recommended_change": (str, type(None)),
+                   "priority": int, "arm": str}
 # Values of the types a caller or a chain file could put in a field, among
 # them a str subclass, a bool, a float and containers.
 _ANY_VALUE = st.one_of(
@@ -1576,10 +1626,21 @@ _CREATE_ARGS = ("tx_id", "timestamp", "kind", "actor", "metadata")
 def test_every_construction_path_refuses_a_mistyped_field(run_chain, data):
     block = run_chain[1]
     tx = block.transactions[0]
-    types = data.draw(st.sampled_from([_RECORD_TYPES, _BLOCK_TYPES]))
+    types = data.draw(st.sampled_from([_RECORD_TYPES, _BLOCK_TYPES, _METADATA_TYPES]))
     name = data.draw(st.sampled_from(sorted(types)))
-    value = data.draw(_ANY_VALUE.filter(lambda v: type(v) is not types[name]))
-    if types is _RECORD_TYPES:
+    want = types[name] if type(types[name]) is tuple else (types[name],)
+    if name == "technique_ids":  # a list or tuple, of strs only
+        value = data.draw((_ANY_VALUE | st.lists(_ANY_VALUE, min_size=1, max_size=2)).filter(
+            lambda v: type(v) not in want or any(type(i) is not str for i in v)))
+    else:
+        value = data.draw(_ANY_VALUE.filter(lambda v: type(v) not in want))
+    if types is _METADATA_TYPES:
+        meta = TxMetadata(threat_type="exploit", technique_ids=("T1210",), priority=3)
+        fields = {f: getattr(meta, f) for f in types}
+        builds = [lambda: TxMetadata(**{**fields, name: value}),
+                  lambda: dataclasses.replace(meta, **{name: value}),
+                  lambda: TxMetadata.from_dict({**meta.to_dict(), name: value}, {})]
+    elif types is _RECORD_TYPES:
         fields = {f: getattr(tx, f) for f in types}
         builds = [lambda: TransactionRecord(**{**fields, name: value}),
                   lambda: dataclasses.replace(tx, **{name: value})]
@@ -1592,6 +1653,10 @@ def test_every_construction_path_refuses_a_mistyped_field(run_chain, data):
     else:
         builds = [lambda: dataclasses.replace(block, **{name: value}),
                   lambda: LedgerBlock.from_dict({**_block_dict(block), name: value}, {})]
+        if name == "timestamp":
+            ledger = fresh_ledger()
+            ledger.submit_transaction(make_tx(ledger))
+            builds.append(lambda: ledger.commit_block(value))
     for build in builds:
         with pytest.raises(TypeError, match=rf"\.{name} must be "):
             build()

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import operator
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from policyledger.errors import AmbiguityError, InputError, SchemaError
 from policyledger.policy import (
+    COMPARATORS,
     Condition,
     EnforcementActionSpec,
     PolicyRule,
@@ -287,6 +289,53 @@ def test_compiled_check_takes_no_part_in_equality_or_repr():
     assert a._check is not b._check
     assert a == b and repr(a) == repr(b)
     assert "_check" not in repr(a)
+
+
+_ORACLE_COMPARE = {"equals": operator.eq, "not_equals": operator.ne, "lt": operator.lt,
+                   "gt": operator.gt, "in": lambda observed, value: observed in value}
+
+
+def _failing_by_loop(conditions, rows):
+    """``PolicyRule.failing`` as a loop over the conditions, as it was
+    before the filter became generated code: the oracle."""
+    out = []
+    for row in rows:
+        for c in conditions:
+            compare = _ORACLE_COMPARE.get(c.comparator)
+            if compare is None:
+                raise InputError(f"unknown comparator {c.comparator!r}")
+            if not compare(row.get(c.attribute), c.value):
+                out.append(row)
+                break
+    return out
+
+
+def _outcome(failing, rows):
+    """The ids of the failing rows, or the type of the error raised."""
+    try:
+        return [id(row) for row in failing(rows)]
+    except (InputError, TypeError) as exc:
+        return type(exc)
+
+
+_FILTER_ATTRS = st.sampled_from(["rdp_port", "patch_level", "isolated", "firewall_rules"])
+# Values that compare, order and contain, and pairs that raise TypeError.
+_FILTER_VALUES = (st.none() | st.booleans() | st.integers(-2, 2) | st.sampled_from(["", "x"])
+                  | st.lists(st.integers(-2, 2), max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    conditions=st.lists(st.builds(Condition, _FILTER_ATTRS,
+                                  st.sampled_from([*COMPARATORS, "approximately"]), _FILTER_VALUES),
+                        max_size=4),
+    rows=st.lists(st.dictionaries(_FILTER_ATTRS, _FILTER_VALUES, max_size=4), max_size=6),
+)
+def test_the_compiled_filter_matches_the_condition_loop(conditions, rows):
+    # Same rows, same order, same short-circuit: an unknown comparator or
+    # an unorderable pair raises only when its comparison is reached.
+    rule = dataclasses.replace(make_rule("r"), condition=tuple(conditions))
+    assert _outcome(rule.failing, rows) == _outcome(lambda rows: _failing_by_loop(conditions, rows), rows)
 
 
 def _resolve_by_scoring_each_call(candidates):

@@ -13,17 +13,21 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import run_configs
 
+from policyledger import ledger as ledger_module, runner as runner_module
 from policyledger.canonical import canonical_json, digest_bytes
 from policyledger.cli import main
-from policyledger.errors import InputError
+from policyledger.errors import CorruptChainError, InputError
 from policyledger.ledger import (
     ChainVerdict,
     TxKind,
     compute_block_hash,
     export_chain,
+    import_chain,
     query_history,
+    replay_state,
     verify_chain,
 )
+from policyledger.metrics import samples_from_chain
 from policyledger.runner import RunConfig, fixture_path, run_scenario
 
 
@@ -138,6 +142,51 @@ def test_run_scenario_makes_no_cycles_and_restores_the_collector(config, enabled
         with pytest.raises(FileNotFoundError):
             run_scenario(RunConfig(seed=config.seed, scenario=config.scenario,
                                    feeds=["no/such/feed.json"]))
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_the_run_and_the_audit_path_pause_the_collector_and_restore_it(tmp_path, monkeypatch, enabled):
+    # import_chain, replay_state and samples_from_chain pause the collector
+    # as run_scenario does, for the same reason: they make no cycles.
+    config = RunConfig(seed=3, endpoints=6)
+    path = Path(run_scenario(config, outdir=tmp_path).files["chain"])
+    lines = path.read_text().splitlines()
+    lines[1] = lines[1].replace('"actor":"', '"actor":"x', 1)  # a hash failure at block 1
+    tampered = tmp_path / "tampered.ndjson"
+    tampered.write_text("\n".join(lines) + "\n")
+    # What each function calls inside, to see the collector there.
+    seen = []
+    for module, name in [(ledger_module, "decode_json"), (ledger_module, "_apply_tx_to_state"),
+                         (ledger_module, "query_history"), (runner_module, "load_policy_file")]:
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, real=real: seen.append(gc.isenabled()) or real(*a))
+    was_enabled = gc.isenabled()
+    try:
+        gc.disable()
+        gc.collect()
+        chain = import_chain(path)
+        replay_state(chain)
+        samples_from_chain(chain)
+        assert gc.collect() == 0
+        assert not gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        broken = import_chain(tampered)
+        calls = [(run_scenario, config, None),
+                 (import_chain, path, None), (replay_state, chain, None), (samples_from_chain, chain, None),
+                 (import_chain, tmp_path / "missing.ndjson", FileNotFoundError),
+                 (replay_state, broken, CorruptChainError), (samples_from_chain, broken, CorruptChainError)]
+        for audit, arg, error in calls:
+            seen.clear()
+            if error is None:
+                audit(arg)
+            else:
+                with pytest.raises(error):
+                    audit(arg)
+            assert gc.isenabled() == enabled
+            assert not any(seen), audit.__name__
         assert gc.isenabled() == enabled
     finally:
         (gc.enable if was_enabled else gc.disable)()
