@@ -18,12 +18,19 @@ that scan does not cover, so it accepts and fails as ``json.loads`` does.
 
 The seeded substreams every random draw comes from, ``slot_builder``
 for the frozen value objects built once per record, block or endpoint,
-``generated_function`` beneath it, ``object_splicer``, the ledger's type
-checks and each policy rule's filter, ``collector_paused`` for the run
-and the audit, and the
-field table that checks every config and input file (``FieldSpec``,
-``check_fields``, ``check_config``) live here too, beneath every module
-that uses them.
+``generated_function`` beneath it, ``object_splicer`` and each policy
+rule's filter, ``collector_paused`` for the run and the audit, and the
+field table of every config, input file and chain line (``FieldSpec``)
+live here too, beneath every module that uses them.
+
+A table is compiled, once, into one generated function with its nested
+tables inlined and each value's test inline; a failing value raises the
+table's error naming its path. ``check_fields`` and ``check_config``
+compile an input file's table on its first check; the ledger compiles
+its chain-line readers (``compile_reader``) and the checks of built
+records, blocks and metadata (``compile_values``) from its own tables.
+Each generated function is compiled under a file name that says what it
+is, such as ``<generated TransactionRecord reader>``.
 """
 
 from __future__ import annotations
@@ -32,10 +39,12 @@ import dataclasses
 import functools
 import gc
 import hashlib
+import itertools
 import json
 import json.scanner
 import math
 import random
+import re
 from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from .errors import SchemaError
@@ -100,15 +109,17 @@ def object_splicer(*keys: str, cut: Optional[str] = None) -> Callable[..., Any]:
     ) + "}}"
     args = ", ".join("m%d" % i for i, key in enumerate(keys) if key != cut)
     pieces = ", ".join("f" + repr(piece) for piece in text.split("\0"))
-    return generated_function(f"def splice({args}):\n    return {pieces}", {}, "splice")
+    what = f"splice of {keys!r}" + (f" cut at {cut!r}" if cut else "")
+    return generated_function(f"def splice({args}):\n    return {pieces}", {}, "splice", what)
 
 
-def generated_function(source: str, scope: dict, name: str) -> Callable[..., Any]:
+def generated_function(source: str, scope: dict, name: str, what: str) -> Callable[..., Any]:
     """The function ``name`` that ``source`` defines when executed with
-    ``scope`` as its globals. It is popped from ``scope``, so the two form
-    no reference cycle: one generated while the collector is paused is
-    freed by its reference count alone."""
-    exec(source, scope)
+    ``scope`` as its globals, compiled under the file name ``<generated
+    what>``, which profiles and tracebacks show. It is popped from
+    ``scope``, so the two form no reference cycle: one generated while the
+    collector is paused is freed by its reference count alone."""
+    exec(compile(source, f"<generated {what}>", "exec"), scope)
     return scope.pop(name)
 
 
@@ -180,16 +191,19 @@ def slot_builder(cls: type) -> Callable[..., Any]:
 
     For a frozen class it builds what ``__init__`` builds from the same
     values, at about half the cost: ``__init__`` routes every field through
-    ``object.__setattr__``. It runs no ``__post_init__`` and fills no
-    default. Like ``dataclasses``' ``__init__``, its code is generated, so
-    each slot's setter is a name in that code, not an item of a loop.
+    ``object.__setattr__``. It runs no ``__post_init__``, and its one
+    default is None, for each field ``__init__`` does not take. Like
+    ``dataclasses``' ``__init__``, its code is generated, so each slot's
+    setter is a name in that code, not an item of a loop.
     """
-    names = [f.name for f in dataclasses.fields(cls)]
+    fields = dataclasses.fields(cls)
+    names = [f.name for f in fields]
     scope = {"_new": object.__new__, "_cls": cls}
     scope.update((f"_set_{name}", cls.__dict__[name].__set__) for name in names)
-    code = [f"def build({', '.join(names)}):", "    self = _new(_cls)"]
+    args = ", ".join(f.name if f.init else f"{f.name}=None" for f in fields)
+    code = [f"def build({args}):", "    self = _new(_cls)"]
     code += [f"    _set_{name}(self, {name})" for name in names]
-    return generated_function("\n".join([*code, "    return self"]), scope, "build")
+    return generated_function("\n".join([*code, "    return self"]), scope, "build", f"{cls.__name__} builder")
 
 
 # --------------------------------------------------------------------------
@@ -197,13 +211,15 @@ def slot_builder(cls: type) -> Callable[..., Any]:
 
 
 class FieldSpec(NamedTuple):
-    """One field of a config or input file: its type (a key of ``_TYPES``),
-    range, unit and ``of``, whether it must be given, and whether it may be
-    null. ``of`` is a ``str``'s choices, a ``pattern``'s regex, a role
-    map's roles, a ``config``'s class, an ``object``'s spec, a ``list``'s
-    item spec, a ``params`` field's spec per ``kind`` beside it, or the
-    field whose spec a by-kind map's values take. A str bound names a field
-    of the same object checked before this one, whose value is the bound."""
+    """One field of a config, an input file or a chain line: its type (a
+    key of ``_TYPES``), range, unit and ``of``, whether it must be given,
+    and whether it may be null. ``of`` is a ``str``'s choices, a
+    ``pattern``'s regex (matched by the whole string), a role map's roles,
+    a ``config``'s class, an ``object``'s spec, a ``list``'s item spec, a
+    ``params`` field's spec per ``kind`` beside it, the field whose spec a
+    by-kind map's values take, an ``enum``'s class, or the class whose
+    ``SPEC`` a ``record`` holds. A str bound names a field of the same
+    object checked before this one, whose value is the bound."""
 
     type: str
     low: object = -math.inf
@@ -214,57 +230,80 @@ class FieldSpec(NamedTuple):
     null: bool = False
 
 
-#: Each type: what it takes, as its error says; the test of a value
-#: against its resolved bounds; and, for a container, the check of its
-#: entries, made after that test.
+#: Each type: what it takes, as its error says, and the test of a value
+#: ``{v}`` against its bounds ``{low}`` and ``{high}`` and its ``{of}``, as
+#: source; a container's entries are checked after that test. ``enum``'s
+#: ``{of}`` is its class's map of values to members.
 _TYPES = {
-    "int": ("an integer in [{low}, {high}]",
-            lambda v, low, high, of: type(v) is int and low <= v <= high, None),
-    "number": ("a number (not a bool) in [{low}, {high}]",
-               lambda v, low, high, of: type(v) in (int, float) and low <= v <= high, None),
+    "int": ("an integer in [{low}, {high}]", "type({v}) is int"),  # bounds added where finite
+    "number": ("a number (not a bool) in [{low}, {high}]", "type({v}) in _NUMBER and {low} <= {v} <= {high}"),
     "ms": ("a finite number (not a bool) with an integer part in ({low}, {high}]",
-           lambda v, low, high, of: type(v) in (int, float) and -math.inf < v < math.inf
-           and low < int(v) <= high, None),
-    "bool": ("true or false", lambda v, low, high, of: type(v) is bool, None),
-    "str": ("one of {of}", lambda v, low, high, of: v in of, None),
-    "text": ("a string", lambda v, low, high, of: isinstance(v, str), None),
-    "pattern": ("a string matching {of.pattern}",
-                lambda v, low, high, of: isinstance(v, str) and of.match(v) is not None, None),
-    "any": ("any value", lambda v, low, high, of: True, None),
+           "type({v}) in _NUMBER and -_inf < {v} < _inf and {low} < int({v}) <= {high}"),
+    "bool": ("true or false", "type({v}) is bool"),
+    "str": ("one of {of}", "{v} in {of}"),
+    "text": ("a string", "type({v}) is str"),
+    "pattern": ("a string matching {of.pattern}", "isinstance({v}, str) and {of}.fullmatch({v}) is not None"),
+    "any": ("any value", "True"),
     "selector": ("one of {of} or a list of strings",
-                 lambda v, low, high, of: v in of or isinstance(v, list) and all(isinstance(x, str) for x in v),
-                 None),
+                 "{v} in {of} or isinstance({v}, list) and all(isinstance(x, str) for x in {v})"),
     "roles": ("null or a map of roles {of} to numbers (not bools) in ({low}, {high}]",
-              lambda v, low, high, of: v is None or isinstance(v, dict) and all(
-                  role in of and type(m) in (int, float) and low < m <= high for role, m in v.items()), None),
-    "list": ("a list of at least {low} items", lambda v, low, high, of: isinstance(v, list) and len(v) >= low,
-             lambda v, field, values, spec, where: _each(field.of, enumerate(v), values, spec, where)),
-    "by_kind": ("a map of action kinds to {of} values",
-                lambda v, low, high, of: isinstance(v, dict) and all(type(k) is str for k in v),
-                lambda v, field, values, spec, where: _each(spec[field.of], v.items(), values, spec, where)),
-    "object": ("an object", lambda v, low, high, of: isinstance(v, dict),
-               lambda v, field, values, spec, where: check_fields(field.of, v, where)),
-    "params": ("an object", lambda v, low, high, of: isinstance(v, dict),
-               lambda v, field, values, spec, where: check_fields(field.of[values["kind"]], v, where)),
-    "config": ("a map of {of.__name__} fields", lambda v, low, high, of: isinstance(v, dict),
-               lambda v, field, values, spec, where: check_config(field.of, v, where)),
+              "{v} is None or isinstance({v}, dict) and all("
+              "r in {of} and type(m) in _NUMBER and {low} < m <= {high} for r, m in {v}.items())"),
+    "list": ("a list of at least {low} items", "isinstance({v}, list)"),  # length added where bounded
+    "strings": ("a list of strings", "type({v}) is list or type({v}) is tuple"),  # items tested after
+    "by_kind": ("a map of action kinds to {of} values", "isinstance({v}, dict) and all(type(k) is str for k in {v})"),
+    "object": ("an object", "isinstance({v}, dict)"),
+    "params": ("an object", "isinstance({v}, dict)"),
+    "config": ("a map of {of.__name__} fields", "isinstance({v}, dict)"),
+    "enum": ("a {of.__name__}", "type({v}) is str and {v} in {of}"),
+    "record": ("a {of.__name__}", "isinstance({v}, dict)"),
 }
+#: Tests of values already built (``compile_values``), where they differ.
+_BUILT = {"list": "type({v}) is list or type({v}) is tuple", "enum": "type({v}) is {of}",
+          "record": "type({v}) is {of}"}
+
+#: Each table's check, compiled on its first use, by the table's id.
+_CHECKS: dict[int, tuple[dict, Callable[..., None]]] = {}
+
+
+def compile_fields(spec: dict, what: str, error: Callable[[str, str], Exception] = SchemaError):
+    """The check of ``spec`` as one generated function of ``(values,
+    path="$")``, named ``what``: nested tables are inlined, each value gets
+    its type's test inline, and a failing one raises ``error(path, text)``,
+    by default SchemaError. The technique is fastjsonschema's
+    (https://github.com/horejsek/python-fastjsonschema): one function per
+    schema, generated once."""
+    return _compile(spec, what, error)
+
+
+def compile_reader(cls: type, build: dict, error: Callable[[str, str], Exception], **names):
+    """A function of ``(values, memo)`` that checks ``values`` against
+    ``cls.SPEC`` as ``compile_fields``'s check does, from the path
+    ``cls.__name__``, and returns the source ``build[cls]`` with the fields'
+    values in order for ``{}``: a ``record`` field reads as its ``build``,
+    an ``enum`` as a member and a list as a tuple. ``build`` may use
+    ``memo`` and ``names``."""
+    return _compile(cls.SPEC, f"{cls.__name__} reader", error, cls, build, names)
+
+
+def compile_values(cls: type, error: Callable[[str, str], Exception]):
+    """A function of ``cls.SPEC``'s field values, in order, with
+    ``compile_reader``'s tests of them as built: a list may be a tuple, and
+    an ``enum`` or ``record`` must be an ``of``."""
+    return _compile(cls.SPEC, f"{cls.__name__} check", error, cls, built=True)
 
 
 def check_fields(spec: dict, values: Any, path: str = "$") -> None:
     """Raise SchemaError unless ``values`` is an object that holds every
     required field of ``spec`` and no key that is not one of its fields
     (any key, if ``spec`` has a ``"*"`` field), and each of whose values
-    fits its field. The error's path is ``path`` and the field's below it."""
-    if not isinstance(values, dict):
-        raise SchemaError(path, f"must be an object, got {values!r}")
-    if "*" not in spec and not spec.keys() >= values.keys():
-        raise SchemaError(path, f"unknown fields: {sorted(map(str, values.keys() - spec.keys()))}")
-    for name, field in spec.items():
-        if name in values:
-            _check(field, values[name], values, spec, path, name)
-        elif field.required:
-            raise SchemaError(_join(path, name), "missing field")
+    fits its field. The error's path is ``path`` and the field's below it.
+    Fields are checked in order, and the first that fails raises. Each
+    table is compiled once, on its first check (``compile_fields``)."""
+    entry = _CHECKS.get(id(spec))
+    if entry is None or entry[0] is not spec:
+        entry = _CHECKS[id(spec)] = (spec, compile_fields(spec, f"check of {', '.join(spec)}"))
+    entry[1](values, path)
 
 
 def check_config(cls: type, values: Any, path: str = "$") -> dict:
@@ -272,34 +311,165 @@ def check_config(cls: type, values: Any, path: str = "$") -> dict:
     fields, checked against ``cls.SPEC`` by ``check_fields``: a bound that
     names a field left out reads its default."""
     if isinstance(values, dict):
-        values = {f.name: f.default_factory() if f.default is dataclasses.MISSING else f.default
-                  for f in dataclasses.fields(cls)
-                  if f.name in cls.SPEC and not cls.SPEC[f.name].required} | values
+        values = _defaults(cls) | values
     check_fields(cls.SPEC, values, path)
     return values
 
 
-def _check(field: FieldSpec, value, values: dict, spec: dict, path: str, key) -> None:
-    """Check one value below the object ``values``, whose spec is
-    ``spec``: the value at field name, list index or map key ``key`` of
-    the field or container at ``path``."""
-    kind, low, high, _, of, _, null = field
-    if value is None and null:
-        return
-    low = values[low] if type(low) is str else low
-    high = values[high] if type(high) is str else high
-    must, fits, entries = _TYPES[kind]
-    if not fits(value, low, high, of):
-        must = must.format(low=low, high=high, of=of) + (" or null" if null else "")
-        raise SchemaError(_join(path, key), f"must be {must}, got {value!r}")
-    if entries is not None:
-        entries(value, field, values, spec, _join(path, key))
+def _defaults(cls: type) -> dict:
+    return {f.name: f.default_factory() if f.default is dataclasses.MISSING else f.default
+            for f in dataclasses.fields(cls) if f.name in cls.SPEC and not cls.SPEC[f.name].required}
 
 
-def _each(field: FieldSpec, items: Iterable, values: dict, spec: dict, path: str) -> None:
-    for key, item in items:
-        _check(field, item, values, spec, path, key)
+def _fail(error: Callable, field: FieldSpec, path: str, parts: tuple, value, *bounds) -> Exception:
+    """The error of ``value`` failing ``field`` at ``path.format(*parts)``,
+    its bounds read as ``bounds`` where a bound names another field."""
+    low, high = bounds or (field.low, field.high)
+    must = _TYPES[field.type][0].format(low=low, high=high, of=field.of) + (" or null" if field.null else "")
+    return error(path.format(*parts), f"must be {must}, got {value!r}")
 
 
-def _join(path: str, key) -> str:
-    return f"{path}[{key}]" if type(key) is int else f"{path}.{key}"
+def _unknown(error: Callable, path: str, parts: tuple, values: dict, keys: frozenset) -> Exception:
+    return error(path.format(*parts), f"unknown fields: {sorted(map(str, values.keys() - keys))}")
+
+
+def _missing(error: Callable, path: str, parts: tuple, key: str) -> Exception:
+    return error(f"{path.format(*parts)}.{key}", "missing field")
+
+
+def _compile(spec: dict, what: str, error: Callable, cls: Optional[type] = None,
+             build: Optional[dict] = None, names: Optional[dict] = None, built: bool = False):
+    """The function ``compile_fields``, ``compile_reader`` or
+    ``compile_values`` generates. A path is formatted only on a failure."""
+    scope = {name: functools.partial(fn, error) for name, fn in
+             (("_fail", _fail), ("_unknown", _unknown), ("_missing", _missing))}
+    scope.update(_NUMBER=(int, float), _inf=math.inf, _OBJECT=FieldSpec("object"), **(names or {}))
+    lines: list[str] = []
+    count = itertools.count()
+
+    def local(value=None) -> str:
+        """A fresh name: a local, or one in ``scope`` bound to ``value``."""
+        name = f"_{next(count)}"
+        if value is not None:
+            scope[name] = value
+        return name
+
+    def emit(depth: int, line: str) -> None:
+        lines.append("    " * depth + line)
+
+    def at(path: str) -> str:
+        """A failure's arguments for ``path``: its template and its fields."""
+        template, fields = re.sub(r"{\w+}", "{}", path), re.findall(r"{(\w+)}", path)
+        return f"{local(template)}, ({''.join(name + ', ' for name in fields)})"
+
+    def fields(spec: dict, src: str, path: str, depth: int, tested: bool = False) -> list:
+        """Check the object ``src``; the expression each field reads as."""
+        start = len(lines)
+        if not tested:
+            emit(depth, f"if not isinstance({src}, dict):")
+            emit(depth + 1, f"raise _fail(_OBJECT, {at(path)}, {src})")
+        if "*" not in spec:
+            keys = local(frozenset(spec))
+            emit(depth, f"if not {src}.keys() <= {keys}:")
+            emit(depth + 1, f"raise _unknown({at(path)}, {src}, {keys})")
+        # Fields are read in order, so the first KeyError names the first
+        # required field missing, after the checks of those before it.
+        required = any(field.required for field in spec.values())
+        if required:
+            emit(depth, "try:")
+        reads, inner = [], depth + required
+        for key, field in spec.items():
+            v, where = local(), f"{path}.{key}"
+            if field.required:
+                emit(inner, f"{v} = {src}[{key!r}]")
+                reads.append(value(field, v, src, spec, where, inner))
+            elif key != "*" and (field.type != "any" or build):
+                emit(inner, f"if {key!r} in {src}:")
+                emit(inner + 1, f"{v} = {src}[{key!r}]")
+                value(field, v, src, spec, where, inner + 1)
+                if build:
+                    emit(inner, "else:")
+                    emit(inner + 1, f"{v} = None")
+                reads.append(v)
+        if required:
+            emit(depth, "except KeyError as _e:")
+            emit(depth + 1, f"raise _missing({at(path)}, _e.args[0]) from None")
+        elif len(lines) == start:
+            emit(depth, "pass")
+        return reads
+
+    def value(field: FieldSpec, v: str, src: Optional[str], spec: dict, path: str, depth: int) -> str:
+        """Check the value ``v`` of ``field`` in the object ``src``, whose
+        table is ``spec``; when reading, rebind it to what it reads as."""
+        kind, low, high, _, of, _, null = field
+        read = v
+        if kind == "any":
+            return v
+        if null:
+            emit(depth, f"if {v} is not None:")
+            depth += 1
+        low_, high_ = (f"{src}[{b!r}]" if type(b) is str else repr(b) if type(b) is int else local(b)
+                       for b in (low, high))
+        of_ = local(of._value2member_map_ if kind == "enum" and not built else of)
+        test = (_BUILT if built else {}).get(kind, _TYPES[kind][1]).format(v=v, low=low_, high=high_, of=of_)
+        if kind == "int":  # an int is within an infinite bound
+            bounds = [f"{low_} <= {v}"] * (low != -math.inf) + [f"{v} <= {high_}"] * (high != math.inf)
+            test = " and ".join([test, *bounds])
+        if kind == "list" and (type(low) is str or low > 0):
+            test += f" and len({v}) >= {low_}"
+        dynamic = f", {low_}, {high_}" if str in (type(low), type(high)) else ""
+        fail = f"raise _fail({local(field)}, {at(path)}, {v}{dynamic})"
+        emit(depth, f"if not ({test}):")
+        emit(depth + 1, fail)
+        if kind == "strings":
+            item = local()
+            emit(depth, f"for {item} in {v}:")
+            emit(depth + 1, f"if type({item}) is not str:")
+            emit(depth + 2, fail)
+            read = f"tuple({v})"
+        elif kind == "list":
+            item, i, items = local(), local(), local()
+            if build:
+                emit(depth, f"{items} = []")
+            emit(depth, f"for {i}, {item} in enumerate({v}):")
+            read = value(of, item, src, spec, f"{path}[{{{i}}}]", depth + 1)
+            if build:
+                emit(depth + 1, f"{items}.append({read})")
+            read = f"tuple({items})"
+        elif kind == "by_kind":
+            key, item = local(), local()
+            emit(depth, f"for {key}, {item} in {v}.items():")
+            value(spec[of], item, src, spec, f"{path}.{{{key}}}", depth + 1)
+        elif kind == "object":
+            fields(of, v, path, depth, tested=True)
+        elif kind == "config":
+            merged = local()
+            emit(depth, f"{merged} = {local(_defaults(of))} | {v}")
+            fields(of.SPEC, merged, path, depth, tested=True)
+        elif kind == "params":
+            chosen = local()
+            emit(depth, f"{chosen} = {src}['kind']")
+            for n, (name, params) in enumerate(of.items()):  # each kind checked before has a spec
+                emit(depth, f"{'elif' if n else 'if'} {chosen} == {name!r}:")
+                fields(params, v, path, depth + 1, tested=True)
+        elif kind == "record" and not built:
+            reads = fields(of.SPEC, v, path, depth, tested=True)
+            read = build[of].format(", ".join(reads)) if build else v
+        elif kind == "enum" and not built:
+            read = f"{of_}[{v}]"
+        if build and read != v:
+            emit(depth, f"{v} = {read}")
+        return v
+
+    root = "{path}" if cls is None else cls.__name__
+    if built:
+        emit(0, f"def check({', '.join(spec)}):")
+        for key, field in spec.items():
+            value(field, key, None, spec, f"{root}.{key}", 1)
+    else:
+        emit(0, "def read(values, memo):" if build else "def check(values, path='$'):")
+        reads = fields(spec, "values", root, 1)
+        if build:
+            emit(1, f"return {build[cls].format(', '.join(reads))}")
+    return generated_function("\n".join(lines), scope, "read" if build else "check", what)
+

@@ -32,12 +32,15 @@ encodes only that many fragments.
 Chain files are newline-delimited: one canonical-JSON block per line.
 The genesis block records the hash function name, the export format
 version, the validator set, and the run's config digest; all of it is
-covered by the genesis block hash. Record and block field types are
-checked once, when the object is built, however it is built; a mistyped
-field raises ``TypeError``, which an import reads as a corrupt line. Every
-record and block a run commits or an import reads is built once, slot by
-slot (``canonical.slot_builder``), after that check. So each record,
-block and block-hash preimage has one encoder: a splice of
+covered by the genesis block hash. Record, block and metadata fields are
+checked against their tables (``SPEC``) once, however the object is
+built; an import reads each line in one generated call that checks every
+header, record and metadata field before it uses it. A field that breaks
+its table raises ``TypeError`` (``Owner.field must be ...``), which an
+import reads as a corrupt line: ``format``, exit 1. Every record and
+block a run commits or an import reads is built once, slot by slot
+(``canonical.slot_builder``), after that check. So each record, block
+and block-hash preimage has one encoder: a splice of
 its fields' encodings (genesis's ``meta`` is one) and its metadata's kept
 fragment, by functions ``canonical.object_splicer`` generates at import.
 Export writes each line one record at a time; import reads one line at a
@@ -48,6 +51,7 @@ fallback, so every value read and every line refused is ``json.loads``'s.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field
 from enum import Enum
@@ -57,13 +61,16 @@ from typing import Iterable, Iterator, Optional
 from .canonical import (
     HASH_FUNCTION_NAME,
     ZERO_DIGEST,
+    FieldSpec,
     canonical_json,
     collector_paused,
+    compile_fields,
+    compile_reader,
+    compile_values,
     decode_json,
     digest_bytes,
     encode_array,
     encode_str,
-    generated_function,
     object_splicer,
     slot_builder,
 )
@@ -93,32 +100,6 @@ _BLOCK_ENDS = object_splicer(*_LINE_KEYS, cut="transactions")
 _GENESIS_ENDS = object_splicer(*_LINE_KEYS, "meta", cut="transactions")
 
 
-def _type_check(owner: str, **types: type | tuple[type, ...]):
-    """A function of one value per keyword, in order, that raises TypeError
-    unless each value is exactly of its keyword's type, or of one of its
-    tuple of types: the splices encode no other, and digests cover the
-    value as read, so reading ``false`` or ``0.0`` as ``0`` would let a
-    changed chain file verify. A bool is not an int. Its code is generated,
-    one ``type(value) is T`` test per keyword, as every record and block
-    an import reads is checked by it."""
-    allowed = {name: want if type(want) is tuple else (want,) for name, want in types.items()}
-
-    def refuse(*values) -> None:
-        name, want, value = next((name, want, value) for (name, want), value
-                                 in zip(allowed.items(), values) if type(value) not in want)
-        want = " or ".join(t.__name__ for t in want)
-        raise TypeError(f"{owner}.{name} must be {want}, got {value!r}")
-
-    scope: dict = {"_refuse": refuse}
-    tests = []
-    for name, want in allowed.items():
-        scope[f"_{name}"] = want[0] if len(want) == 1 else want
-        tests.append(f"type({name}) {'is' if len(want) == 1 else 'in'} _{name}")
-    args = ", ".join(allowed)
-    source = f"def check({args}):\n    if not ({' and '.join(tests)}):\n        _refuse({args})"
-    return generated_function(source, scope, "check")
-
-
 class TxKind(str, Enum):
     POLICY_DEPLOY = "policy_deploy"
     POLICY_UPDATE = "policy_update"
@@ -128,8 +109,7 @@ class TxKind(str, Enum):
     THREAT_ALERT = "threat_alert"
 
 
-#: Each kind by its wire value, and its value as canonical JSON.
-_KIND_OF = {kind.value: kind for kind in TxKind}
+#: Each kind's value as canonical JSON.
 _KIND_JSON = {kind: encode_str(kind.value) for kind in TxKind}
 
 #: The kinds whose bodies validation reads, to check them against active
@@ -169,10 +149,9 @@ class TxMetadata:
     """Threat context attached to a transaction (type of threat, actor,
     technique ids, recommended change, priority 0-4).
 
-    Its field types are checked when it is built: ``threat_type``,
-    ``threat_actor`` and ``recommended_change`` are str or None, ``arm`` a
-    str, ``priority`` an int (not a bool) and ``technique_ids`` a list or
-    tuple of strs, kept as a tuple; so equal objects encode alike.
+    Its fields are checked against ``SPEC`` when it is built, however it
+    is built, so equal objects encode alike; ``technique_ids`` may be a
+    list or a tuple, and is kept as a tuple.
 
     Its canonical JSON fragment, which every record digest embeds, is
     encoded once per object and kept; it takes no part in equality or
@@ -188,13 +167,20 @@ class TxMetadata:
     arm: str = "automated"
     _fragment: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
+    SPEC = {
+        "threat_type": FieldSpec("text", required=True, null=True),
+        "threat_actor": FieldSpec("text", required=True, null=True),
+        "technique_ids": FieldSpec("strings", required=True),
+        "recommended_change": FieldSpec("text", required=True, null=True),
+        "priority": FieldSpec("int", 0, 4, required=True),
+        "arm": FieldSpec("text", required=True),
+    }
+
     def __post_init__(self):
-        ids = _technique_ids(self.technique_ids)
-        object.__setattr__(self, "technique_ids", ids)
-        _check_metadata(self.threat_type, self.threat_actor, ids, self.recommended_change,
-                        self.priority, self.arm)
-        if not 0 <= self.priority <= 4:
-            raise InputError(f"metadata priority {self.priority} outside 0..4")
+        _metadata_check(self.threat_type, self.threat_actor, self.technique_ids,
+                        self.recommended_change, self.priority, self.arm)
+        # A caller's list stays mutable; record digests must not follow it.
+        object.__setattr__(self, "technique_ids", tuple(self.technique_ids))
 
     def to_dict(self) -> dict:
         return {
@@ -214,52 +200,6 @@ class TxMetadata:
             object.__setattr__(self, "_fragment", fragment)
         return fragment
 
-    _WIRE_KEYS = frozenset(
-        {"threat_type", "threat_actor", "technique_ids", "recommended_change", "priority", "arm"}
-    )
-
-    @classmethod
-    def from_dict(cls, data: dict, interned: dict) -> "TxMetadata":
-        """Build from the wire form. ``interned`` is a dict the caller keeps
-        for one import: equal typed values get one shared object."""
-        # Strict keys: a lenient default here would let a flipped key name
-        # round-trip to the same semantics and dodge tamper detection.
-        if data.keys() != cls._WIRE_KEYS:
-            raise ValueError(f"unexpected metadata keys {sorted(set(data) ^ cls._WIRE_KEYS)}")
-        key = (data["threat_type"], data["threat_actor"], _technique_ids(data["technique_ids"]),
-               data["recommended_change"], data["priority"], data["arm"])
-        # Checked before the lookup: 1, true and 1.0 are equal keys, but
-        # encode differently.
-        _check_metadata(*key)
-        metadata = interned.get(key)
-        if metadata is None:
-            metadata = interned[key] = cls(*key)
-        return metadata
-
-
-def _technique_ids(ids) -> tuple[str, ...]:
-    """``ids``, a list or tuple of strs, as a tuple: a caller's list stays
-    mutable, and record digests must not follow it."""
-    if type(ids) is list or type(ids) is tuple:
-        for i in ids:
-            if type(i) is not str:
-                break
-        else:
-            return tuple(ids)
-    raise TypeError(f"TxMetadata.technique_ids must be a list of str, got {ids!r}")
-
-
-_STR_OR_NONE = (str, type(None))
-_check_metadata = _type_check("TxMetadata", threat_type=_STR_OR_NONE, threat_actor=_STR_OR_NONE,
-                              technique_ids=tuple, recommended_change=_STR_OR_NONE, priority=int,
-                              arm=str)
-
-
-_check_record = _type_check("TransactionRecord", tx_id=str, timestamp=int, kind=TxKind, actor=str,
-                            payload=str, payload_digest=str, metadata=TxMetadata)
-_check_block = _type_check("LedgerBlock", index=int, prev_hash=str, block_hash=str, timestamp=int,
-                           validator_votes=dict)
-
 
 @dataclass(frozen=True, slots=True)
 class TransactionRecord:
@@ -272,11 +212,11 @@ class TransactionRecord:
     The record digest's preimage embeds the metadata's kept fragment, so
     records sharing a ``TxMetadata`` object encode it once between them.
 
-    ``__post_init__`` checks the field types; ``create`` and ``from_dict``
-    check them too, and build through ``_build_record``
-    (``canonical.slot_builder``), which sets each of the nine slots once, to
-    what ``__init__`` would set it: every record a run writes or an audit
-    imports is built so.
+    ``__post_init__`` checks the fields against ``SPEC``; ``create`` and
+    the chain-line reader check them too, and build through
+    ``_build_record`` (``canonical.slot_builder``), which sets each of the
+    nine slots once, to what ``__init__`` would set it: every record a run
+    writes or an audit imports is built so.
     """
 
     tx_id: str
@@ -289,8 +229,18 @@ class TransactionRecord:
     _payload_ok: Optional[bool] = field(default=None, init=False, repr=False, compare=False)
     _digest: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
+    SPEC = {
+        "tx_id": FieldSpec("text", required=True),
+        "timestamp": FieldSpec("int", unit="ms", required=True),
+        "kind": FieldSpec("enum", of=TxKind, required=True),
+        "actor": FieldSpec("text", required=True),
+        "payload": FieldSpec("text", required=True),
+        "payload_digest": FieldSpec("text", required=True),
+        "metadata": FieldSpec("record", of=TxMetadata, required=True),
+    }
+
     def __post_init__(self):
-        _check_record(self.tx_id, self.timestamp, self.kind, self.actor, self.payload,
+        _record_check(self.tx_id, self.timestamp, self.kind, self.actor, self.payload,
                       self.payload_digest, self.metadata)
 
     @classmethod
@@ -307,7 +257,7 @@ class TransactionRecord:
         payload = canonical_json(body)
         fields = (tx_id, timestamp, kind, actor, payload, digest_bytes(payload.encode("utf-8")),
                   TxMetadata() if metadata is None else metadata)
-        _check_record(*fields)
+        _record_check(*fields)
         # The digest is computed here from this payload: it is intact.
         return _build_record(*fields, True, None)
 
@@ -350,18 +300,6 @@ class TransactionRecord:
         return (encode_str(self.tx_id), self.timestamp, _KIND_JSON[self.kind],
                 encode_str(self.actor), encode_str(self.payload_digest), self.metadata.fragment())
 
-    _WIRE_KEYS = frozenset({*_ENVELOPE_KEYS, "payload"})
-
-    @classmethod
-    def from_dict(cls, data: dict, interned: dict) -> "TransactionRecord":
-        if data.keys() != cls._WIRE_KEYS:
-            raise ValueError(f"unexpected tx keys {sorted(set(data) ^ cls._WIRE_KEYS)}")
-        fields = (data["tx_id"], data["timestamp"], _KIND_OF[data["kind"]], data["actor"],
-                  data["payload"], data["payload_digest"],
-                  TxMetadata.from_dict(data["metadata"], interned))
-        _check_record(*fields)
-        return _build_record(*fields, None, None)
-
 
 _build_record = slot_builder(TransactionRecord)
 
@@ -375,10 +313,12 @@ class LedgerBlock:
     part in equality or repr, and ``dataclasses.replace`` starts a copy
     without it. Genesis keeps none, since its ``meta`` is a mutable dict.
 
-    ``__post_init__`` checks the header's field types; ``from_dict`` and
-    ``Ledger.commit_block`` check them first too, and build through
-    ``_build_block``, as records are built through ``_build_record``:
-    every block a run commits or an audit imports is built so.
+    ``__post_init__`` checks the fields against ``SPEC``; the chain-line
+    reader and ``Ledger.commit_block`` check them first too, and build
+    through ``_build_block``, as records are built through
+    ``_build_record``: every block a run commits or an audit imports is
+    built so. Genesis's ``meta`` is checked against ``GENESIS_META`` by
+    ``verify_chain``.
     """
 
     index: int
@@ -390,9 +330,19 @@ class LedgerBlock:
     meta: Optional[dict] = None  # genesis only
     _recomputed: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
+    SPEC = {
+        "index": FieldSpec("int", required=True),
+        "prev_hash": FieldSpec("text", required=True),
+        "block_hash": FieldSpec("text", required=True),
+        "timestamp": FieldSpec("int", unit="ms", required=True),
+        "transactions": FieldSpec("list", 0, of=FieldSpec("record", of=TransactionRecord), required=True),
+        "validator_votes": FieldSpec("object", of={"*": FieldSpec("any")}, required=True),
+        "meta": FieldSpec("any"),
+    }
+
     def __post_init__(self):
-        _check_block(self.index, self.prev_hash, self.block_hash, self.timestamp,
-                     self.validator_votes)
+        _block_check(self.index, self.prev_hash, self.block_hash, self.timestamp, self.transactions,
+                     self.validator_votes, self.meta)
         # A caller's list stays mutable; the kept hash must not follow it.
         object.__setattr__(self, "transactions", tuple(self.transactions))
 
@@ -433,21 +383,46 @@ class LedgerBlock:
             yield tx.wire_json()
         yield "]" + tail
 
-    _WIRE_KEYS = frozenset(_LINE_KEYS)
-
-    @classmethod
-    def from_dict(cls, data: dict, interned: dict) -> "LedgerBlock":
-        if data.keys() != cls._WIRE_KEYS and data.keys() != cls._WIRE_KEYS | {"meta"}:
-            bad = (set(data) ^ cls._WIRE_KEYS) - {"meta"}
-            raise ValueError(f"unexpected block keys {sorted(bad)}")
-        header = (data["index"], data["prev_hash"], data["block_hash"], data["timestamp"])
-        votes = data["validator_votes"]
-        _check_block(*header, votes)
-        transactions = tuple([TransactionRecord.from_dict(t, interned) for t in data["transactions"]])
-        return _build_block(*header, transactions, votes, data.get("meta"), None)
-
 
 _build_block = slot_builder(LedgerBlock)
+
+#: The genesis block's ``meta``.
+GENESIS_META = {name: FieldSpec("strings" if name == "validators" else "text", required=True)
+                for name in ("format", "hash_function", "validators", "config_digest")}
+
+
+def _wire_error(path: str, text: str) -> TypeError:
+    """A chain field's error: a TypeError naming ``Owner.field``, which an
+    import reads as a corrupt line, never a schema error."""
+    return TypeError(f"{path} {text}")
+
+
+# Every check of a chain field is generated from the three tables: one
+# check per class of the values of an object being built, and one reader
+# per class, compiled on first use, which checks a wire dict's fields
+# before using them, interns metadata by its checked values and builds
+# records and blocks slot by slot. Types are exact and key sets strict:
+# the splices encode no other type, and digests cover the value as read,
+# so reading false or 0.0 as 0 (equal keys too), or a renamed key as its
+# default, would let a changed chain file verify.
+_metadata_check = compile_values(TxMetadata, _wire_error)
+_record_check = compile_values(TransactionRecord, _wire_error)
+_block_check = compile_values(LedgerBlock, _wire_error)
+_meta_check = compile_fields(GENESIS_META, "genesis meta check", _wire_error)
+_READS = {TxMetadata: "memo.get(_k := ({},)) or memo.setdefault(_k, TxMetadata(*_k))",
+          TransactionRecord: "_build_record({})", LedgerBlock: "_build_block({})"}
+
+
+@functools.cache
+def _reader(cls: type):
+    return compile_reader(cls, _READS, _wire_error, TxMetadata=TxMetadata, _build_record=_build_record,
+                          _build_block=_build_block)
+
+
+# ``from_dict(data, interned)``: the object one wire dict holds.
+TxMetadata.from_dict = staticmethod(lambda data, interned: _reader(TxMetadata)(data, interned))
+TransactionRecord.from_dict = staticmethod(lambda data, interned: _reader(TransactionRecord)(data, interned))
+LedgerBlock.from_dict = staticmethod(lambda data, interned: _reader(LedgerBlock)(data, interned))
 
 
 def compute_block_hash(
@@ -761,7 +736,7 @@ class Ledger:
         prev = self.blocks[-1]
         index, prev_hash = prev.index + 1, prev.block_hash
         block_hash = compute_block_hash(index, prev_hash, timestamp, [tx.record_digest() for tx in pending])
-        _check_block(index, prev_hash, block_hash, timestamp, votes)
+        _block_check(index, prev_hash, block_hash, timestamp, pending, votes, None)
         # The hash was just computed from these fields: keep it.
         block = _build_block(index, prev_hash, block_hash, timestamp, pending, votes, None, block_hash)
         self.blocks.append(block)
@@ -817,18 +792,19 @@ def verify_chain(chain: list[LedgerBlock]) -> ChainVerdict:
     Returns Ok, or the earliest violated block and the failed check:
     digest (payload), hash (block hash), link (prev_hash), votes, index,
     or format (an unparseable or mistyped import line, or a genesis whose
-    ``meta`` is not a dict or whose validators are not a list of strs).
+    ``meta`` does not fit ``GENESIS_META``).
     """
     if not chain:
         return ChainVerdict(False, 0, "format")
     genesis = chain[0]
-    meta = genesis.meta
-    validators = meta.get("validators", []) if type(meta) is dict else None
-    if (genesis.index != 0 or genesis.prev_hash != ZERO_DIGEST or type(validators) is not list
-            or not all(type(v) is str for v in validators)):
+    try:
+        _meta_check(genesis.meta, "meta")
+    except TypeError:
+        return ChainVerdict(False, 0, "format")
+    if genesis.index != 0 or genesis.prev_hash != ZERO_DIGEST:
         return ChainVerdict(False, 0, "format")
     # Every validator, and no other id, voted to accept.
-    expected_votes = dict.fromkeys(validators, VOTE_ACCEPT)
+    expected_votes = dict.fromkeys(genesis.meta["validators"], VOTE_ACCEPT)
 
     for pos, block in enumerate(chain):
         if isinstance(block, CorruptBlock):
@@ -976,12 +952,13 @@ def import_chain(path: str | Path) -> list[LedgerBlock]:
     """
     chain: list[LedgerBlock] = []
     interned: dict[tuple, TxMetadata] = {}
+    read = _reader(LedgerBlock)
     with open(path, "rb") as lines:
         for pos, line in enumerate(lines):
             if not line or line.isspace():
                 continue
             try:
-                chain.append(LedgerBlock.from_dict(decode_json(line.decode("utf-8")), interned))
+                chain.append(read(decode_json(line.decode("utf-8")), interned))
             except Exception:
                 chain.append(CorruptBlock.at(pos))
     return chain

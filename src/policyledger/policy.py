@@ -140,7 +140,7 @@ def _unknown_comparator(name: str):
     raise InputError(f"unknown comparator {name!r}")
 
 
-def _compile(conditions: Iterable["Condition"]) -> Callable[[Iterable[dict]], list[dict]]:
+def _compile(conditions: Iterable["Condition"], what: str) -> Callable[[Iterable[dict]], list[dict]]:
     """One filter for a conjunction: the mappings, in order, for which some
     comparison fails, a missing attribute reading as None. Each mapping's
     comparisons run in condition order and stop at the first that fails.
@@ -153,7 +153,7 @@ def _compile(conditions: Iterable["Condition"]) -> Callable[[Iterable[dict]], li
         op = _COMPARE.get(c.comparator)
         tests.append(f"row.get(a{i}) {op} v{i}" if op else f"_unknown(c{i})")
     source = f"def failing(rows):\n    return [row for row in rows if not ({' and '.join(tests) or 'True'})]"
-    return generated_function(source, scope, "failing")
+    return generated_function(source, scope, "failing", what)
 
 
 @dataclass(frozen=True)
@@ -205,7 +205,7 @@ class PolicyRule:
     }
 
     def __post_init__(self):
-        object.__setattr__(self, "_check", _compile(self.condition))
+        object.__setattr__(self, "_check", _compile(self.condition, f"{self.policy_id}/{self.rule_id} filter"))
         object.__setattr__(self, "_rank", (-self.conflict_score(), self.rule_id))
         object.__setattr__(self, "_pins", tuple(self.pinned_values().items()))
 

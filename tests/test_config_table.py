@@ -19,7 +19,7 @@ from test_simnet import NETWORK_BOUNDS_CASES
 from policyledger.cli import main
 from policyledger.cti import ForestModel, ThreatReport
 from policyledger.errors import InputError
-from policyledger.ledger import import_chain, verify_chain
+from policyledger.ledger import GENESIS_META, LedgerBlock, import_chain, verify_chain
 from policyledger.policy import PolicyDocument
 from policyledger.runner import RunConfig, fixture_path
 from policyledger.simnet import AnalystTeam, NetworkModel
@@ -289,7 +289,7 @@ def _spec_rows(spec: dict, prefix: str = ""):
     for name, field in spec.items():
         yield prefix + name, field
         item, below = (field.of, f"{prefix}{name}[].") if field.type == "list" else (field, f"{prefix}{name}.")
-        if item.type == "config":
+        if item.type in ("config", "record"):
             yield from _spec_rows(item.of.SPEC, below)
         elif item.type == "object":
             yield from _spec_rows(item.of, below)
@@ -299,18 +299,20 @@ def _spec_rows(spec: dict, prefix: str = ""):
 
 
 _README_TABLES = [
-    ("Scenario config schema", RunConfig.SPEC),
-    ("Policy document schema", PolicyDocument.SPEC),
-    ("Feed item schema", ThreatReport.SPEC),
-    ("Model file schema", ForestModel.SPEC),
+    ("Scenario config schema", RunConfig.SPEC, ""),
+    ("Policy document schema", PolicyDocument.SPEC, ""),
+    ("Feed item schema", ThreatReport.SPEC, ""),
+    ("Model file schema", ForestModel.SPEC, ""),
+    ("Chain line schema", LedgerBlock.SPEC, ""),
+    ("Chain line schema", GENESIS_META, "meta."),
 ]
 
 
 def test_the_readme_schema_table_lists_every_spec_field():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    for heading, spec in _README_TABLES:
+    for heading, spec, prefix in _README_TABLES:
         section = re.split(r"\n##+ ", readme.split(f"### {heading}\n")[1])[0]
-        for path, field in _spec_rows(spec):
+        for path, field in _spec_rows(spec, prefix):
             row = re.search(rf"^\| `{re.escape(path)}` \| {field.type} \|.*$", section, re.M)
             assert row, path
             assert row.group().rstrip(" |").endswith(field.unit), path

@@ -13,6 +13,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from model_oracle import build_default_model
+
 from policyledger import cti as cti_module
 from policyledger.cti import (
     CVSS_ABSENT,
@@ -26,7 +28,6 @@ from policyledger.cti import (
     ThreatClass,
     ThreatReport,
     _CATEGORY_ORDER,
-    build_default_model,
     classify,
     decide,
     encode_features,

@@ -1090,9 +1090,10 @@ def test_export_import_round_trip_bytes(tmp_path):
 
 
 def test_metadata_priority_bounds():
-    with pytest.raises(InputError):
+    # The bound is a field of the metadata table, refused as a mistyped field is.
+    with pytest.raises(TypeError, match=r"^TxMetadata\.priority must be an integer in \[0, 4\], got 5$"):
         TxMetadata(priority=5)
-    with pytest.raises(InputError):
+    with pytest.raises(TypeError, match=r"^TxMetadata\.priority must be an integer in \[0, 4\], got -1$"):
         TxMetadata(priority=-1)
 
 
@@ -1398,7 +1399,7 @@ def test_metadata_interning_never_meets_an_equal_mistyped_value():
     assert TxMetadata.from_dict(dict(wire), interned) is typed
     # Each equals a key already interned, but encodes differently.
     for mistyped in ({"priority": True}, {"priority": 1.0}):
-        with pytest.raises(TypeError, match=r"TxMetadata\.priority must be int"):
+        with pytest.raises(TypeError, match=r"TxMetadata\.priority must be an integer in \[0, 4\]"):
             TxMetadata.from_dict({**wire, **mistyped}, interned)
     # A str is no list of technique ids, though it iterates as one.
     with pytest.raises(TypeError, match=r"TxMetadata\.technique_ids must be a list of str"):

@@ -739,14 +739,16 @@ def test_cli_run_unknown_target_endpoint_is_exit_two_at_load(tmp_path, capsys):
         ("remediation", {"kind": "update_firewall_rule",
                          "params": {"direction": "outbound", "target": "*", "verdict": 0}}),
         ("remediation", {"kind": "disable_smbv1", "params": {"port": 33089}}),
+        # A technique id must be the whole string: this one would never match a report's.
+        ("technique_tags", ["T1210\n"]),
     ],
 )
 def test_cli_run_invalid_rule_is_exit_two_at_load(tmp_path, capsys, field, value):
     def edit(rule):
         if field == "condition":
             rule["condition"].append(value)
-        elif field == "remediation":
-            rule["remediation"] = value
+        elif field in ("remediation", "technique_tags"):
+            rule[field] = value
         else:
             rule["remediation"][field] = value
 
