@@ -1,5 +1,5 @@
-"""Smart-contract execution layer: versioned rule deployment, event-driven
-compliance checks, continuous audit, and transactional enforcement.
+"""Smart-contract execution layer: rule deployment, fleet-wide compliance
+audit, and transactional enforcement.
 
 The engine is the ledger's single writer. Work is grouped into decision
 cycles: every transaction raised during one cycle (threat alert,
@@ -19,7 +19,7 @@ block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .canonical import slot_builder, substream
 from .cti import Decision, DecisionKind, ThreatClass, ThreatReport
@@ -40,25 +40,7 @@ from .simnet import AnalystTeam, ApplyResult, Fleet, NetworkModel, SimClock, app
 @dataclass
 class SmartContract:
     contract_id: str
-    version: int
     rule_set: RuleSet
-    documents: tuple[PolicyDocument, ...]
-    lifecycle: str = "active"  # active | superseded
-    deployed_at: int = 0
-
-
-@dataclass(frozen=True)
-class ContractEvent:
-    event_id: str
-    event_kind: str  # app_deployed | config_changed | threat_alert | scheduled_audit
-    subject: str  # endpoint id or "fleet"
-    occurred_at: int
-
-    EVENT_KINDS = ("app_deployed", "config_changed", "threat_alert", "scheduled_audit")
-
-    def __post_init__(self):
-        if self.event_kind not in self.EVENT_KINDS:
-            raise InputError(f"unknown event kind {self.event_kind!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,7 +91,6 @@ class EnforcementPlan:
 @dataclass
 class AuditReport:
     contract_id: str
-    contract_version: int
     taken_at: int
     results: list[ComplianceCheckResult]
     aggregate: float  # fraction of (endpoint, rule) pairs compliant
@@ -121,7 +102,7 @@ class ContractEngine:
 
     def __init__(
         self,
-        ledger: Optional[Ledger],
+        ledger: Ledger,
         fleet: Fleet,
         clock: SimClock,
         net: NetworkModel,
@@ -129,6 +110,8 @@ class ContractEngine:
         human_fleet: Optional[Fleet] = None,
         team: Optional[AnalystTeam] = None,
     ):
+        if ledger is None:
+            raise LedgerUnavailable("no ledger attached; refusing to act without an audit trail")
         self.ledger = ledger
         self.fleet = fleet
         self.human_fleet = human_fleet
@@ -136,7 +119,7 @@ class ContractEngine:
         self.net = net
         self.master_seed = master_seed
         self.team = team or AnalystTeam.default()
-        self.contracts: dict[str, list[SmartContract]] = {}
+        self.contracts: dict[str, SmartContract] = {}
         self._cycle = 0
         self._plan_seq = 0
         # One metadata object per arm for checks and results, and one per
@@ -147,17 +130,11 @@ class ContractEngine:
 
     # -- plumbing ------------------------------------------------------------
 
-    def _require_ledger(self) -> Ledger:
-        if self.ledger is None:
-            raise LedgerUnavailable("no ledger attached; refusing to act without an audit trail")
-        return self.ledger
-
     def _submit(self, kind: TxKind, actor: str, body: dict, timestamp: int,
                 metadata: Optional[TxMetadata] = None) -> TransactionRecord:
-        ledger = self._require_ledger()
-        tx = TransactionRecord.create(ledger.next_tx_id(), timestamp, kind, actor, body,
+        tx = TransactionRecord.create(self.ledger.next_tx_id(), timestamp, kind, actor, body,
                                       metadata or self._arm_metadata["automated"])
-        verdict = ledger.submit_transaction(tx)
+        verdict = self.ledger.submit_transaction(tx)
         if not verdict.accepted:
             raise InputError(f"ledger rejected {kind.value} tx: {verdict.reason}")
         return tx
@@ -165,11 +142,10 @@ class ContractEngine:
     def commit_cycle(self) -> Optional[LedgerBlock]:
         """Commit all transactions of the current decision cycle as one
         block; a cycle with nothing to record commits nothing."""
-        ledger = self._require_ledger()
         self._cycle += 1
-        if not ledger.pending:
+        if not self.ledger.pending:
             return None
-        return ledger.commit_block(self.clock.now)
+        return self.ledger.commit_block(self.clock.now)
 
     def fleet_for(self, arm: str) -> Fleet:
         if arm == "automated":
@@ -180,19 +156,19 @@ class ContractEngine:
             return self.human_fleet
         raise InputError(f"unknown arm {arm!r}")
 
-    # -- contract lifecycle ----------------------------------------------------
+    # -- deployment ------------------------------------------------------------
 
     def active_contract(self, contract_id: str) -> SmartContract:
-        versions = self.contracts.get(contract_id)
-        if not versions:
+        contract = self.contracts.get(contract_id)
+        if contract is None:
             raise UnknownContract(contract_id)
-        head = versions[-1]
-        if head.lifecycle != "active":
-            raise UnknownContract(f"{contract_id} has no active version")
-        return head
+        return contract
 
-    def _deploy_payloads(self, contract_id: str, version: int,
-                         documents: list[PolicyDocument]) -> tuple[RuleSet, list[dict]]:
+    def deploy_contract(self, contract_id: str, documents: list[PolicyDocument]) -> SmartContract:
+        """Deploy the documents' rules as one contract; the PolicyDeploy
+        transactions commit before the contract becomes usable."""
+        if contract_id in self.contracts:
+            raise InputError(f"contract {contract_id} already deployed")
         if not documents or all(not doc.rules for doc in documents):
             raise InputError("contract requires a non-empty rule set")
         rule_sets = []
@@ -200,7 +176,8 @@ class ContractEngine:
         for doc in documents:
             rs, payload = encode_rules(doc)
             payload["contract_id"] = contract_id
-            payload["contract_version"] = version
+            # Contracts are never upgraded; the chain format keeps the field.
+            payload["contract_version"] = 1
             rule_sets.append(rs)
             payloads.append(payload)
         merged = combine_rule_sets(rule_sets)
@@ -217,66 +194,23 @@ class ContractEngine:
                     raise InputError(
                         f"rule {rule.rule_id} targets endpoints not in the fleet: {missing}"
                     )
-        return merged, payloads
-
-    def deploy_contract(self, contract_id: str, documents: list[PolicyDocument]) -> SmartContract:
-        """Deploy version 1; the PolicyDeploy transactions commit before
-        the contract becomes usable."""
-        if contract_id in self.contracts:
-            raise InputError(f"contract {contract_id} already deployed; use upgrade")
-        rule_set, payloads = self._deploy_payloads(contract_id, 1, documents)
-        ledger = self._require_ledger()
         for payload in payloads:
             self._submit(TxKind.POLICY_DEPLOY, "policy-admin", payload, self.clock.now)
-        ledger.commit_block(self.clock.now)
-        contract = SmartContract(
-            contract_id=contract_id,
-            version=1,
-            rule_set=rule_set,
-            documents=tuple(documents),
-            deployed_at=self.clock.now,
-        )
-        self.contracts[contract_id] = [contract]
+        self.ledger.commit_block(self.clock.now)
+        contract = self.contracts[contract_id] = SmartContract(contract_id, merged)
         return contract
 
-    def upgrade_contract(self, contract_id: str, documents: list[PolicyDocument]) -> SmartContract:
-        """Supersede the active version; prior versions stay queryable and
-        in-flight checks keep the version they started with."""
-        previous = self.active_contract(contract_id)
-        new_version = previous.version + 1
-        prior_versions = {doc.policy_id: doc.version for doc in previous.documents}
-        for doc in documents:
-            expected = prior_versions.get(doc.policy_id)
-            if expected is not None and doc.version != expected + 1:
-                raise InputError(
-                    f"policy {doc.policy_id} version must increment by 1 "
-                    f"({expected} -> {doc.version})"
-                )
-        rule_set, payloads = self._deploy_payloads(contract_id, new_version, documents)
-        ledger = self._require_ledger()
-        for payload in payloads:
-            self._submit(TxKind.POLICY_UPDATE, "policy-admin", payload, self.clock.now)
-        ledger.commit_block(self.clock.now)
-        previous.lifecycle = "superseded"
-        contract = SmartContract(
-            contract_id=contract_id,
-            version=new_version,
-            rule_set=rule_set,
-            documents=tuple(documents),
-            deployed_at=self.clock.now,
-        )
-        self.contracts[contract_id].append(contract)
-        return contract
+    # -- compliance audit ------------------------------------------------------
 
-    # -- compliance checking ---------------------------------------------------
-
-    def _check(self, contract: SmartContract, subjects: Iterable[tuple[str, dict]],
-               tick: int) -> list[ComplianceCheckResult]:
-        """Check every rule of ``contract`` against each (endpoint id,
-        attribute dict) subject, logging each result as a compliance-check
-        transaction in the current cycle; results in subject, rule order."""
+    def run_full_audit(self, contract_id: str = "compliancecontract") -> AuditReport:
+        """Check every rule against every endpoint, log each result as a
+        compliance-check transaction, and commit the whole audit as one
+        block; results in endpoint id, then rule order."""
+        contract = self.active_contract(contract_id)
+        tick = self.clock.now
         results = []
-        for endpoint_id, attrs in subjects:
+        # The snapshot is in endpoint id order.
+        for endpoint_id, attrs in snapshot(self.fleet).items():
             for rule in contract.rule_set:
                 verdict = "compliant" if rule.is_compliant(attrs) else "non_compliant"
                 observed = rule.observed(attrs)
@@ -290,49 +224,8 @@ class ContractEngine:
                 }
                 self._submit(_CHECK, "contract-engine", body, tick)
                 results.append(_check_result(endpoint_id, rule.rule_id, verdict, observed, tick))
-        return results
-
-    def handle_event(self, event: ContractEvent, contract: Optional[SmartContract] = None,
-                     contract_id: str = "compliancecontract") -> list[ComplianceCheckResult]:
-        """Run the checks an event triggers; results are logged as
-        compliance-check transactions in the current cycle.
-
-        The contract version is pinned at entry so an upgrade never
-        disturbs an in-flight check. An unknown subject yields no results
-        plus one logged warning transaction.
-        """
-        contract = contract or self.active_contract(contract_id)
-        self.clock.advance_to(event.occurred_at)
-        if event.subject != "fleet" and event.subject not in self.fleet:
-            self._submit(
-                _CHECK,
-                "contract-engine",
-                {
-                    "warning": "unknown_subject",
-                    "event_id": event.event_id,
-                    "subject": event.subject,
-                    "checked_at": event.occurred_at,
-                },
-                event.occurred_at,
-            )
-            return []
-        if event.subject == "fleet":
-            endpoints = self.fleet.endpoints()
-        else:
-            endpoints = (self.fleet.get(event.subject),)
-        subjects = ((ep.endpoint_id, ep.attrs()) for ep in endpoints)
-        return self._check(contract, subjects, event.occurred_at)
-
-    def run_full_audit(self, contract_id: str = "compliancecontract") -> AuditReport:
-        """Evaluate every (endpoint, rule) pair and commit the whole audit
-        as one block."""
-        contract = self.active_contract(contract_id)
-        tick = self.clock.now
-        # The snapshot is in endpoint id order.
-        results = self._check(contract, snapshot(self.fleet).items(), tick)
-        ledger = self._require_ledger()
-        if ledger.pending:
-            ledger.commit_block(tick)
+        if self.ledger.pending:
+            self.ledger.commit_block(tick)
         policy_of = {rule.rule_id: rule.policy_id for rule in contract.rule_set}
         per_policy_counts: dict[str, list[int]] = {}
         for result in results:
@@ -342,7 +235,6 @@ class ContractEngine:
         compliant = sum(1 for r in results if r.compliant)
         return AuditReport(
             contract_id=contract.contract_id,
-            contract_version=contract.version,
             taken_at=tick,
             results=results,
             aggregate=compliant / len(results) if results else 1.0,
@@ -479,7 +371,6 @@ class ContractEngine:
         if plan.arm == "human":
             return self.enforce_with_team(plan)
         fleet = self.fleet_for(plan.arm)
-        self._require_ledger()
         results: list[ApplyResult] = []
         per_endpoint_clock: dict[str, int] = {}
         for pa in plan.actions:
@@ -500,7 +391,6 @@ class ContractEngine:
     def enforce_with_team(self, plan: EnforcementPlan) -> list[ApplyResult]:
         """Human-baseline execution of a committed plan."""
         fleet = self.fleet_for("human")
-        self._require_ledger()
         if not plan.actions:
             return []
         tasks = [(pa.endpoint_id, pa.action) for pa in plan.actions]

@@ -47,11 +47,12 @@ class CorruptChainError(PolicyLedgerError):
 
 
 class LedgerUnavailable(PolicyLedgerError):
-    """No ledger is attached; decisions without an audit trail are forbidden."""
+    """A contract engine was built without a ledger; an engine that would
+    act without an audit trail is refused at construction."""
 
 
 class UnknownContract(PolicyLedgerError):
-    """Contract id not found in the engine registry."""
+    """Contract id not deployed on the engine."""
 
 
 class UnknownEndpoint(PolicyLedgerError):

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Optional
 
-from .canonical import FieldSpec, canonical_json, check_fields, generated_function
+from .canonical import FieldSpec, check_fields, generated_function
 from .errors import AmbiguityError, InputError, SchemaError
 
 #: Closed attribute set; identical to the simulated endpoint's fields.
@@ -366,11 +366,6 @@ def combine_rule_sets(rule_sets: Iterable[RuleSet]) -> RuleSet:
         merged.extend(rs.rules)
     merged.sort(key=lambda r: (-r.severity_weight, r.rule_id))
     return RuleSet(tuple(merged))
-
-
-def serialize_document(doc: PolicyDocument) -> str:
-    """Canonical single-line form; load(serialize(load(x))) is idempotent."""
-    return canonical_json(doc.to_dict())
 
 
 def query_policies(

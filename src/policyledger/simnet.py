@@ -392,16 +392,6 @@ class AnalystTeam:
             )
         )
 
-    @classmethod
-    def uniform(cls, role: str, count: int = 5) -> "AnalystTeam":
-        """Variant roster for sensitivity runs (e.g. junior-only)."""
-        return cls(
-            tuple(
-                Analyst(f"{role}-{i + 1}", role, DEFAULT_ROLE_SPEED[role], DEFAULT_ROLE_ERROR[role])
-                for i in range(count)
-            )
-        )
-
     def assign(self, task_count: int) -> list[int]:
         """Task index -> member index, weighted round-robin by speed.
 

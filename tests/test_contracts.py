@@ -1,4 +1,4 @@
-"""Contract engine: lifecycle, events, audits, decisions, enforcement."""
+"""Contract engine: deployment, audits, decisions, enforcement."""
 
 import dataclasses
 import json
@@ -11,7 +11,6 @@ from conftest import make_engine
 from policyledger.contracts import (
     ComplianceCheckResult,
     ContractEngine,
-    ContractEvent,
     PlannedAction,
     _check_result,
     _planned_action,
@@ -58,20 +57,28 @@ def standard_decision(contract):
     return Decision(DecisionKind.STANDARD_MITIGATION_REQUIRED, ("smbv1-disable",)), matched
 
 
-# -- deploy / upgrade -----------------------------------------------------------
+# -- deploy ------------------------------------------------------------------
 
 
 def test_deploy_creates_active_v1_with_ledger_trail(engine, docs):
     contract = deploy(engine, docs[:1])
-    assert contract.version == 1 and contract.lifecycle == "active"
+    assert engine.active_contract("compliancecontract") is contract
     deploys = query_history(engine.ledger.chain(), kind=TxKind.POLICY_DEPLOY)
     assert len(deploys) == 1
-    assert deploys[0].body()["policy_id"] == "smbv1-hardening"
+    body = deploys[0].body()
+    assert body["policy_id"] == "smbv1-hardening"
+    assert (body["contract_id"], body["contract_version"]) == ("compliancecontract", 1)
 
 
 def test_deploy_empty_rule_set_is_input_error(engine):
     with pytest.raises(InputError):
         engine.deploy_contract("c", [])
+
+
+def test_deploy_twice_is_input_error(engine, docs):
+    deploy(engine, docs[:1])
+    with pytest.raises(InputError, match="^contract compliancecontract already deployed$"):
+        engine.deploy_contract("compliancecontract", docs[:1])
 
 
 def test_deploy_rejects_an_unknown_explicit_target_before_any_transaction(engine, docs):
@@ -84,131 +91,67 @@ def test_deploy_rejects_an_unknown_explicit_target_before_any_transaction(engine
     assert "c" not in engine.contracts
 
 
+def test_deploy_with_conflicting_rules_is_refused_before_any_transaction(engine, docs):
+    raw = docs[1].to_dict()
+    raw["policy_id"] = "rdp-port-alt"
+    rule = raw["rules"][0]
+    rule["rule_id"] = "rdp-port-3390"
+    rule["condition"][0]["value"] = 3390
+    rule["remediation"]["params"]["port"] = 3390
+    base_blocks = len(engine.ledger.chain())
+    with pytest.raises(InputError, match=r"unresolved conflicts: \['rdp-port-3390'\]"):
+        engine.deploy_contract("c", [docs[1], load_policy_document(json.dumps(raw))])
+    assert engine.ledger.pending == [] and len(engine.ledger.chain()) == base_blocks
+    assert "c" not in engine.contracts
+
+
 def test_two_contracts_coexist(engine, docs):
     c1 = deploy(engine, docs[:1], "contract-a")
     c2 = deploy(engine, docs[1:], "contract-b")
-    assert c1.lifecycle == c2.lifecycle == "active"
+    assert engine.active_contract("contract-a") is c1
+    assert engine.active_contract("contract-b") is c2
     assert len(query_history(engine.ledger.chain(), kind=TxKind.POLICY_DEPLOY)) == 2
 
 
-def test_deploy_without_ledger_is_refused(docs):
-    clock = SimClock(0)
-    fleet = provision_fleet(2)
-    engine = ContractEngine(
-        ledger=None, fleet=fleet, clock=clock, net=NetworkModel(), master_seed=1
-    )
+def test_an_engine_without_a_ledger_is_refused():
     with pytest.raises(LedgerUnavailable):
-        engine.deploy_contract("c", docs[:1])
+        ContractEngine(ledger=None, fleet=provision_fleet(2), clock=SimClock(0), net=NetworkModel(),
+                       master_seed=1)
 
 
-def test_upgrade_supersedes_and_keeps_history(engine, docs):
+def test_audit_of_an_unknown_contract_is_refused(engine, docs):
     deploy(engine, docs[:1])
-    doc_v2_dict = docs[0].to_dict()
-    doc_v2_dict["version"] = 2
-    import json
-
-    from policyledger.policy import load_policy_document
-
-    doc_v2 = load_policy_document(json.dumps(doc_v2_dict))
-    upgraded = engine.upgrade_contract("compliancecontract", [doc_v2])
-    assert upgraded.version == 2 and upgraded.lifecycle == "active"
-    versions = engine.contracts["compliancecontract"]
-    assert versions[0].lifecycle == "superseded"
-    assert versions[0].rule_set is not None  # still queryable
-    history = query_history(engine.ledger.chain(), policy_id="smbv1-hardening")
-    kinds = [tx.kind for tx in history]
-    assert TxKind.POLICY_DEPLOY in kinds and TxKind.POLICY_UPDATE in kinds
-    assert [tx.body()["version"] for tx in history] == [1, 2]
-
-
-def test_upgrade_unknown_contract(engine, docs):
     with pytest.raises(UnknownContract):
-        engine.upgrade_contract("missing", docs[:1])
+        engine.run_full_audit("missing")
+    assert engine.ledger.pending == []
 
 
-def test_exactly_one_active_version_at_all_times(engine, docs):
-    import json
+# -- run_full_audit ----------------------------------------------------------------
 
-    from policyledger.policy import load_policy_document
 
+def test_audit_finds_the_legacy_endpoint_non_compliant(engine, docs):
     deploy(engine, docs[:1])
-    for version in (2, 3):
-        d = docs[0].to_dict()
-        d["version"] = version
-        engine.upgrade_contract("compliancecontract", [load_policy_document(json.dumps(d))])
-        active = [c for c in engine.contracts["compliancecontract"] if c.lifecycle == "active"]
-        assert len(active) == 1 and active[0].version == version
-
-
-def test_in_flight_checks_pin_their_contract_version(engine, docs):
-    import json
-
-    from policyledger.policy import load_policy_document
-
-    deploy(engine, docs[:1])
-    pinned = engine.active_contract("compliancecontract")
-    d = docs[0].to_dict()
-    d["version"] = 2
-    engine.upgrade_contract("compliancecontract", [load_policy_document(json.dumps(d))])
-    event = ContractEvent("e1", "scheduled_audit", "fleet", engine.clock.now)
-    results = engine.handle_event(event, contract=pinned)
-    engine.commit_cycle()
-    assert results and pinned.version == 1  # ran against the pinned version
-
-
-# -- handle_event -----------------------------------------------------------------
-
-
-def test_app_deployed_on_legacy_endpoint_is_non_compliant(engine, docs):
-    contract = deploy(engine, docs[:1])
-    event = ContractEvent("e1", "app_deployed", "ep-000", engine.clock.now + 10)
-    results = engine.handle_event(event)
-    engine.commit_cycle()
-    assert len(results) == 1
-    assert results[0].verdict == "non_compliant"
-    assert results[0].observed == {"smbv1_enabled": True}
-    checks = query_history(engine.ledger.chain(), kind=TxKind.COMPLIANCE_CHECK)
-    assert len(checks) == 1
-
-
-def test_scheduled_audit_on_compliant_fleet_is_all_compliant(engine, docs):
-    deploy(engine, docs[:1])
-    for ep in engine.fleet.endpoints():
+    for ep in engine.fleet.endpoints()[1:]:
         ep.smbv1_enabled = False
-    event = ContractEvent("e2", "scheduled_audit", "fleet", engine.clock.now + 10)
-    results = engine.handle_event(event)
-    engine.commit_cycle()
-    assert len(results) == len(engine.fleet)
-    assert all(r.compliant for r in results)
+    report = engine.run_full_audit()
+    legacy = [r for r in report.results if r.endpoint_id == "ep-000"]
+    assert len(legacy) == 1
+    assert legacy[0].verdict == "non_compliant"
+    assert legacy[0].observed == {"smbv1_enabled": True}
+    assert all(r.compliant for r in report.results if r.endpoint_id != "ep-000")
+    checks = query_history(engine.ledger.chain(), kind=TxKind.COMPLIANCE_CHECK)
+    assert len(checks) == len(engine.fleet)
 
 
 def test_config_change_back_to_default_port_is_detected(engine, docs):
     deploy(engine, docs[1:])
-    ep = engine.fleet.get("ep-003")
-    ep.rdp_port = 3389  # user action outside enforcement
-    event = ContractEvent("e3", "config_changed", "ep-003", engine.clock.now + 10)
-    results = engine.handle_event(event)
-    engine.commit_cycle()
-    assert results[0].verdict == "non_compliant"
-    assert results[0].observed == {"rdp_port": 3389}
-
-
-def test_unknown_subject_yields_warning_tx(engine, docs):
-    deploy(engine, docs[:1])
-    event = ContractEvent("e4", "app_deployed", "ep-999", engine.clock.now + 10)
-    results = engine.handle_event(event)
-    engine.commit_cycle()
-    assert results == []
-    checks = query_history(engine.ledger.chain(), kind=TxKind.COMPLIANCE_CHECK)
-    assert len(checks) == 1 and checks[0].body()["warning"] == "unknown_subject"
-
-
-def test_unknown_event_kind_rejected():
-    with pytest.raises(InputError):
-        ContractEvent("e", "reboot", "ep-000", 0)
-
-
-# -- run_full_audit ----------------------------------------------------------------
+    for ep in engine.fleet.endpoints():
+        ep.rdp_port = 33089
+    assert engine.run_full_audit().aggregate == 1.0
+    engine.fleet.get("ep-003").rdp_port = 3389  # user action outside enforcement
+    report = engine.run_full_audit()
+    failed = [r for r in report.results if not r.compliant]
+    assert [(r.endpoint_id, r.observed) for r in failed] == [("ep-003", {"rdp_port": 3389})]
 
 
 def test_audit_evaluates_the_cartesian_product(docs):
@@ -265,6 +208,27 @@ def test_no_action_logs_an_empty_plan(engine, docs):
     assert len(decisions) == 1
     assert decisions[0].body()["decision"] == "no_action_required"
     assert query_history(engine.ledger.chain(), kind=TxKind.ENFORCEMENT_RESULT) == []
+
+
+def test_human_arm_without_a_human_fleet_is_input_error(engine, docs):
+    deploy(engine, docs[:1])
+    with pytest.raises(InputError, match="^no human fleet configured$"):
+        engine.execute_decision(Decision(DecisionKind.NO_ACTION_REQUIRED), [], arm="human")
+    assert engine.ledger.pending == []
+
+
+def test_unknown_arm_is_input_error(engine, docs):
+    deploy(engine, docs[:1])
+    with pytest.raises(InputError, match="^unknown arm 'robot'$"):
+        engine.execute_decision(Decision(DecisionKind.NO_ACTION_REQUIRED), [], arm="robot")
+    assert engine.ledger.pending == []
+
+
+def test_a_cycle_with_nothing_to_record_commits_no_block(engine, docs):
+    deploy(engine, docs[:1])
+    base_blocks = len(engine.ledger.chain())
+    assert engine.commit_cycle() is None
+    assert len(engine.ledger.chain()) == base_blocks
 
 
 def test_standard_mitigation_targets_only_non_compliant(engine, docs):
@@ -622,18 +586,6 @@ def test_decision_cycles_map_to_blocks_one_to_one(engine, docs):
         engine.enforce(plan)
         engine.commit_cycle()
     assert len(engine.ledger.chain()) == base_blocks + 3
-
-
-def test_execute_decision_without_ledger_is_refused(docs):
-    engine = ContractEngine(
-        ledger=None,
-        fleet=provision_fleet(2),
-        clock=SimClock(0),
-        net=NetworkModel(),
-        master_seed=1,
-    )
-    with pytest.raises(LedgerUnavailable):
-        engine.execute_decision(Decision(DecisionKind.NO_ACTION_REQUIRED), [])
 
 
 @settings(max_examples=60, deadline=None)

@@ -1012,6 +1012,19 @@ def test_replay_tracks_policy_deploy():
     assert [d["version"] for d in state.policy_history["p1"]] == [1]
 
 
+def test_replay_skips_an_unknown_subject_warning_check():
+    # No run writes one, but a policyledger-chain/1 file may hold one.
+    ledger = fresh_ledger()
+    for body in ({"endpoint_id": "ep-000", "rule_id": "r", "verdict": "compliant", "observed": {},
+                  "checked_at": 5},
+                 {"warning": "unknown_subject", "event_id": "e4", "subject": "ep-999", "checked_at": 5}):
+        assert ledger.submit_transaction(make_tx(ledger, kind=TxKind.COMPLIANCE_CHECK, body=body))
+    ledger.commit_block(5)
+    assert verify_chain(ledger.chain())
+    state = replay_state(ledger.chain())
+    assert state.compliance == {"ep-000": {"r": {"verdict": "compliant", "checked_at": 5}}}
+
+
 def test_replay_is_pure():
     ledger = committed_chain(4)
     s1 = replay_state(ledger.chain())

@@ -663,20 +663,23 @@ def test_run_and_classify_decide_alike(capsys, scenario, mode):
 
 
 def test_cli_replay_lists_both_versions_after_upgrade(tmp_path, capsys):
-    import json as _json
-
     from conftest import make_engine
-    from policyledger.ledger import export_chain
-    from policyledger.policy import load_policy_document, load_policy_file
+    from policyledger.ledger import TransactionRecord, export_chain
+    from policyledger.policy import load_policy_file
 
     engine = make_engine(endpoints=4)
     doc_v1 = load_policy_file(fixture_path("policies", "smbv1.json"))
     engine.clock.advance(100)
     engine.deploy_contract("compliancecontract", [doc_v1])
-    raw = doc_v1.to_dict()
-    raw["version"] = 2
-    engine.clock.advance(100)
-    engine.upgrade_contract("compliancecontract", [load_policy_document(_json.dumps(raw))])
+    # No run updates a policy, but a chain may hold the update record.
+    update = dict(doc_v1.to_dict(), version=2, contract_id="compliancecontract", contract_version=2)
+    ledger = engine.ledger
+    assert ledger.submit_transaction(TransactionRecord.create(
+        ledger.next_tx_id(), 200, TxKind.POLICY_UPDATE, "policy-admin", update))
+    ledger.commit_block(200)
+    history = query_history(ledger.chain(), policy_id="smbv1-hardening")
+    assert [(tx.kind, tx.body()["version"]) for tx in history] == [
+        (TxKind.POLICY_DEPLOY, 1), (TxKind.POLICY_UPDATE, 2)]
     path = tmp_path / "upgraded.ndjson"
     export_chain(engine.ledger.chain(), path)
     assert main(["replay", str(path)]) == 0

@@ -10,6 +10,8 @@ from policyledger.errors import InputError, UnknownEndpoint
 from policyledger.ledger import _planned_settings
 from policyledger.policy import ACTION_KINDS, ENDPOINT_ATTRIBUTES, EnforcementActionSpec, action_writes
 from policyledger.simnet import (
+    DEFAULT_ROLE_ERROR,
+    DEFAULT_ROLE_SPEED,
     Analyst,
     AnalystTeam,
     Endpoint,
@@ -335,14 +337,18 @@ def test_queueing_delays_completion_but_not_duration():
 
 
 def test_junior_only_team_is_slower_than_senior_only_on_same_seed():
-    def mean_duration(team):
+    def mean_duration(role):
+        team = AnalystTeam(tuple(
+            Analyst(f"{role}-{i + 1}", role, DEFAULT_ROLE_SPEED[role], DEFAULT_ROLE_ERROR[role])
+            for i in range(5)
+        ))
         fleet = provision_fleet(30)
         plan = [(eid, DISABLE_SMB) for eid in fleet.ids()]
         results = run_human_process(plan, team, human_net(), 17, fleet, issued_at=0)
         return sum(r.duration_ms for r in results) / len(results)
 
-    juniors = mean_duration(AnalystTeam.uniform("junior"))
-    seniors = mean_duration(AnalystTeam.uniform("senior"))
+    juniors = mean_duration("junior")
+    seniors = mean_duration("senior")
     assert juniors > seniors
     # identical draws scaled by the role multiplier (integer-ms rounding)
     assert juniors / seniors == pytest.approx(1.3, rel=1e-5)
