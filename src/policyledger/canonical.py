@@ -244,8 +244,9 @@ _TYPES = {
     "text": ("a string", "type({v}) is str"),
     "pattern": ("a string matching {of.pattern}", "isinstance({v}, str) and {of}.fullmatch({v}) is not None"),
     "any": ("any value", "True"),
-    "selector": ("one of {of} or a list of strings",
-                 "{v} in {of} or isinstance({v}, list) and all(isinstance(x, str) for x in {v})"),
+    "selector": ("one of {of} or a list of distinct strings",
+                 "{v} in {of} or isinstance({v}, list) and all(isinstance(x, str) for x in {v})"
+                 " and len(set({v})) == len({v})"),
     "roles": ("null or a map of roles {of} to numbers (not bools) in ({low}, {high}]",
               "{v} is None or isinstance({v}, dict) and all("
               "r in {of} and type(m) in _NUMBER and {low} < m <= {high} for r, m in {v}.items())"),

@@ -26,7 +26,7 @@ from .errors import (
     PolicyLedgerError,
 )
 from .ledger import import_chain, replay_state, verify_chain
-from .policy import combine_rule_sets, encode_rules, load_policy_file
+from .policy import load_policy_file, rule_set
 from .runner import MODES, SCENARIOS, RunConfig, fixture_path, run_scenario
 
 EXIT_OK = 0
@@ -164,7 +164,7 @@ def _cmd_classify(args) -> int:
     try:
         items = read_feed(args.feed_file)
         model = ForestModel.from_file(args.model or fixture_path("model.json"))
-        rule_set = combine_rule_sets(encode_rules(load_policy_file(p))[0] for p in args.policies)
+        rules = rule_set(load_policy_file(p) for p in args.policies)
     except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: missing input file: {exc.filename or exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
@@ -176,7 +176,7 @@ def _cmd_classify(args) -> int:
     _warn_skipped(diagnostics)
     memo: dict = {}
     for report in reports:
-        threat_class, matched, decision = assess(model, rule_set, report, memo)
+        threat_class, matched, decision = assess(model, rules, report, memo)
         line = f"{report.report_id} {threat_class.severity_name} {threat_class.category.value}"
         if args.policies:
             line += f" {decision.kind.value}"

@@ -1,6 +1,12 @@
 """Smart-contract execution layer: rule deployment, fleet-wide compliance
 audit, and transactional enforcement.
 
+A run deploys one contract, ``CONTRACT_ID``: the rules of its policy
+documents as one tuple (``policy.rule_set``), which the engine holds in
+``rules``. The audit checks every rule against every endpoint and commits
+one block of compliance-check records; it returns their compliant share,
+and the records on the chain are the audit's whole report.
+
 The engine is the ledger's single writer. Work is grouped into decision
 cycles: every transaction raised during one cycle (threat alert,
 compliance checks, the enforcement decision, per-endpoint results) lands
@@ -23,37 +29,13 @@ from typing import Optional
 
 from .canonical import slot_builder, substream
 from .cti import Decision, DecisionKind, ThreatClass, ThreatReport
-from .errors import InputError, LedgerUnavailable, UnknownContract
+from .errors import InputError, LedgerUnavailable
 from .ledger import Ledger, LedgerBlock, TransactionRecord, TxKind, TxMetadata
-from .policy import (
-    EnforcementActionSpec,
-    PolicyDocument,
-    PolicyRule,
-    RuleSet,
-    combine_rule_sets,
-    encode_rules,
-    resolve_conflicts,
-)
-from .simnet import AnalystTeam, ApplyResult, Fleet, NetworkModel, SimClock, apply_action, run_human_process, snapshot
+from .policy import EnforcementActionSpec, PolicyDocument, PolicyRule, resolve_conflicts, rule_set
+from .simnet import AnalystTeam, ApplyResult, Fleet, NetworkModel, SimClock, apply_action, run_human_process
 
-
-@dataclass
-class SmartContract:
-    contract_id: str
-    rule_set: RuleSet
-
-
-@dataclass(frozen=True, slots=True)
-class ComplianceCheckResult:
-    endpoint_id: str
-    rule_id: str
-    verdict: str  # compliant | non_compliant
-    observed: dict
-    checked_at: int
-
-    @property
-    def compliant(self) -> bool:
-        return self.verdict == "compliant"
+#: The id of the one contract a run deploys, named in each deploy record.
+CONTRACT_ID = "compliancecontract"
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,9 +45,8 @@ class PlannedAction:
     rule_id: Optional[str] = None
 
 
-# A run builds a check result per endpoint and rule, and a planned action
-# per endpoint and arm; see ``canonical.slot_builder``.
-_check_result = slot_builder(ComplianceCheckResult)
+# A run builds a planned action per endpoint and arm; see
+# ``canonical.slot_builder``.
 _planned_action = slot_builder(PlannedAction)
 
 # Every immediate action isolates with the same, checked, spec.
@@ -82,19 +63,8 @@ _RESULT = TxKind.ENFORCEMENT_RESULT
 class EnforcementPlan:
     plan_id: str
     arm: str  # automated | human
-    decision: Decision
     actions: tuple[PlannedAction, ...]
     issued_at: int
-    decision_tx_id: str
-
-
-@dataclass
-class AuditReport:
-    contract_id: str
-    taken_at: int
-    results: list[ComplianceCheckResult]
-    aggregate: float  # fraction of (endpoint, rule) pairs compliant
-    per_policy: dict  # policy_id -> fraction compliant
 
 
 class ContractEngine:
@@ -119,7 +89,8 @@ class ContractEngine:
         self.net = net
         self.master_seed = master_seed
         self.team = team or AnalystTeam.default()
-        self.contracts: dict[str, SmartContract] = {}
+        # The deployed contract's rules; None until deploy_contract.
+        self.rules: Optional[tuple[PolicyRule, ...]] = None
         self._cycle = 0
         self._plan_seq = 0
         # One metadata object per arm for checks and results, and one per
@@ -158,35 +129,21 @@ class ContractEngine:
 
     # -- deployment ------------------------------------------------------------
 
-    def active_contract(self, contract_id: str) -> SmartContract:
-        contract = self.contracts.get(contract_id)
-        if contract is None:
-            raise UnknownContract(contract_id)
-        return contract
-
-    def deploy_contract(self, contract_id: str, documents: list[PolicyDocument]) -> SmartContract:
-        """Deploy the documents' rules as one contract; the PolicyDeploy
-        transactions commit before the contract becomes usable."""
-        if contract_id in self.contracts:
-            raise InputError(f"contract {contract_id} already deployed")
+    def deploy_contract(self, documents: list[PolicyDocument]) -> tuple[PolicyRule, ...]:
+        """Deploy the documents' rules as the engine's one contract and
+        return them; the PolicyDeploy transactions commit before the
+        contract becomes usable."""
+        if self.rules is not None:
+            raise InputError(f"contract {CONTRACT_ID} already deployed")
         if not documents or all(not doc.rules for doc in documents):
             raise InputError("contract requires a non-empty rule set")
-        rule_sets = []
-        payloads = []
-        for doc in documents:
-            rs, payload = encode_rules(doc)
-            payload["contract_id"] = contract_id
-            # Contracts are never upgraded; the chain format keeps the field.
-            payload["contract_version"] = 1
-            rule_sets.append(rs)
-            payloads.append(payload)
-        merged = combine_rule_sets(rule_sets)
-        kept = {r.rule_id for r in resolve_conflicts(merged.rules)}
-        if kept != {r.rule_id for r in merged}:
-            dropped = sorted({r.rule_id for r in merged} - kept)
+        rules = rule_set(documents)
+        kept = {r.rule_id for r in resolve_conflicts(rules)}
+        if kept != {r.rule_id for r in rules}:
+            dropped = sorted({r.rule_id for r in rules} - kept)
             raise InputError(f"combined rule set has unresolved conflicts: {dropped}")
         # An explicit target list must name endpoints of this fleet.
-        for rule in merged:
+        for rule in rules:
             selector = rule.remediation.target_selector
             if isinstance(selector, list):
                 missing = [eid for eid in selector if eid not in self.fleet]
@@ -194,54 +151,42 @@ class ContractEngine:
                     raise InputError(
                         f"rule {rule.rule_id} targets endpoints not in the fleet: {missing}"
                     )
-        for payload in payloads:
+        for doc in documents:
+            # Contracts are never upgraded; the chain format keeps the version.
+            payload = {**doc.to_dict(), "contract_id": CONTRACT_ID, "contract_version": 1}
             self._submit(TxKind.POLICY_DEPLOY, "policy-admin", payload, self.clock.now)
         self.ledger.commit_block(self.clock.now)
-        contract = self.contracts[contract_id] = SmartContract(contract_id, merged)
-        return contract
+        self.rules = rules
+        return rules
 
     # -- compliance audit ------------------------------------------------------
 
-    def run_full_audit(self, contract_id: str = "compliancecontract") -> AuditReport:
+    def run_full_audit(self) -> float:
         """Check every rule against every endpoint, log each result as a
         compliance-check transaction, and commit the whole audit as one
-        block; results in endpoint id, then rule order."""
-        contract = self.active_contract(contract_id)
+        block, in endpoint id, then rule order. Returns the compliant
+        share of the checks."""
+        if self.rules is None:
+            raise InputError("no contract deployed")
         tick = self.clock.now
-        results = []
-        # The snapshot is in endpoint id order.
-        for endpoint_id, attrs in snapshot(self.fleet).items():
-            for rule in contract.rule_set:
-                verdict = "compliant" if rule.is_compliant(attrs) else "non_compliant"
-                observed = rule.observed(attrs)
+        compliant = 0
+        # Each body is encoded at submit, so the live rows leak into no record.
+        rows = self.fleet.rows()
+        for row in rows:
+            for rule in self.rules:
+                ok = rule.is_compliant(row)
                 body = {
-                    "endpoint_id": endpoint_id,
+                    "endpoint_id": row["endpoint_id"],
                     "rule_id": rule.rule_id,
                     "policy_id": rule.policy_id,
-                    "verdict": verdict,
-                    "observed": observed,
+                    "verdict": "compliant" if ok else "non_compliant",
+                    "observed": rule.observed(row),
                     "checked_at": tick,
                 }
                 self._submit(_CHECK, "contract-engine", body, tick)
-                results.append(_check_result(endpoint_id, rule.rule_id, verdict, observed, tick))
-        if self.ledger.pending:
-            self.ledger.commit_block(tick)
-        policy_of = {rule.rule_id: rule.policy_id for rule in contract.rule_set}
-        per_policy_counts: dict[str, list[int]] = {}
-        for result in results:
-            bucket = per_policy_counts.setdefault(policy_of[result.rule_id], [0, 0])
-            bucket[0] += result.compliant
-            bucket[1] += 1
-        compliant = sum(1 for r in results if r.compliant)
-        return AuditReport(
-            contract_id=contract.contract_id,
-            taken_at=tick,
-            results=results,
-            aggregate=compliant / len(results) if results else 1.0,
-            per_policy={
-                pid: ok / total for pid, (ok, total) in sorted(per_policy_counts.items())
-            },
-        )
+                compliant += ok
+        self.ledger.commit_block(tick)
+        return compliant / (len(rows) * len(self.rules))
 
     # -- decision execution ----------------------------------------------------
 
@@ -304,15 +249,8 @@ class ContractEngine:
             "target_endpoints": sorted({pa.endpoint_id for pa in ordered}),
             "issued_at": issued_at,
         }
-        tx = self._submit(_DECISION, actor, body, issued_at, metadata)
-        return EnforcementPlan(
-            plan_id=plan_id,
-            arm=arm,
-            decision=decision,
-            actions=ordered,
-            issued_at=issued_at,
-            decision_tx_id=tx.tx_id,
-        )
+        self._submit(_DECISION, actor, body, issued_at, metadata)
+        return EnforcementPlan(plan_id=plan_id, arm=arm, actions=ordered, issued_at=issued_at)
 
     def _targets_for(self, rule: PolicyRule, fleet: Fleet) -> list[str]:
         selector = rule.remediation.target_selector

@@ -40,7 +40,7 @@ from typing import Optional
 
 from .canonical import FieldSpec, canonical_json, check_config, check_fields, stable_index
 from .errors import FeedSchemaError, InputError, SchemaError, WidthMismatch
-from .policy import PolicyRule, RuleSet, query_policies
+from .policy import PolicyRule, query_policies
 
 MODEL_FORMAT = "policyledger-model/1"
 
@@ -373,7 +373,7 @@ def decide(matched_policies: list[PolicyRule], threshold: int = 3) -> Decision:
     return Decision(DecisionKind.STANDARD_MITIGATION_REQUIRED, rule_ids)
 
 
-def assess(model: ForestModel, rules: RuleSet, report: ThreatReport,
+def assess(model: ForestModel, rules: tuple[PolicyRule, ...], report: ThreatReport,
            memo: Optional[dict] = None) -> tuple[ThreatClass, list[PolicyRule], Decision]:
     """Classify one report, match it against ``rules`` and decide;
     ``memo`` is the pass's feature memo (see ``encode_features``)."""
@@ -418,7 +418,7 @@ class CycleOutcome:
 def process_threat_intelligence(
     reports: list[ThreatReport],
     model: ForestModel,
-    rules: RuleSet,
+    rules: tuple[PolicyRule, ...],
     engine,
 ) -> tuple[list[CycleOutcome], ForestModel]:
     """Run one assess->enforce->learn decision cycle per report.

@@ -51,10 +51,6 @@ class LedgerUnavailable(PolicyLedgerError):
     act without an audit trail is refused at construction."""
 
 
-class UnknownContract(PolicyLedgerError):
-    """Contract id not deployed on the engine."""
-
-
 class UnknownEndpoint(PolicyLedgerError):
     """Endpoint id not present in the fleet."""
 

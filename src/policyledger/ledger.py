@@ -126,11 +126,11 @@ _ALERT = TxKind.THREAT_ALERT
 _NO_KINDS: frozenset = frozenset()
 
 
-#: Static actor -> kinds map per the default scenario configuration. The
+#: Static actor -> kinds map that every ledger enforces. The
 #: contract engine is the only component allowed to write check/decision
 #: records; the analyst-team baseline writes its own decisions/results so
 #: both arms are auditable from one chain.
-DEFAULT_AUTHORIZATION: dict[str, frozenset[TxKind]] = {
+AUTHORIZATION: dict[str, frozenset[TxKind]] = {
     "policy-admin": frozenset({TxKind.POLICY_DEPLOY, TxKind.POLICY_UPDATE}),
     "contract-engine": frozenset(
         {
@@ -597,27 +597,27 @@ def validate_transaction(
     tx: TransactionRecord,
     state: WorldState,
     pending: list[TransactionRecord],
-    authorization: dict[str, frozenset[TxKind]],
 ) -> TxVerdict:
     """Deterministic admission checks: authorization, consistency with
     active policy, and absence of conflicting pending writes.
 
     Raises MalformedTransaction when the payload digest does not
-    recompute, or when a body lacks a field the checks read or holds one
-    of the wrong type; that is corruption, not a validation outcome.
+    recompute, or when a body lacks a field the checks read, holds one of
+    the wrong type or nests too deep to decode; that is corruption, not a
+    validation outcome.
     """
     if not tx.payload_intact():
         raise MalformedTransaction(f"tx {tx.tx_id}: payload digest mismatch")
 
     kind = tx.kind
-    if kind not in authorization.get(tx.actor, _NO_KINDS):
+    if kind not in AUTHORIZATION.get(tx.actor, _NO_KINDS):
         return TxVerdict(False, "authorization")
 
     if kind not in _BODY_CHECKED:
         return ACCEPT
     try:
         return _check_body(kind, tx.body(), state, pending)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
         raise MalformedTransaction(f"tx {tx.tx_id}: malformed body ({exc!r})") from exc
 
 
@@ -667,16 +667,9 @@ class Ledger:
     query, replay) operate on the committed prefix only.
     """
 
-    def __init__(
-        self,
-        validators: int = 3,
-        authorization: Optional[dict[str, frozenset[TxKind]]] = None,
-        genesis_timestamp: int = 0,
-        config_digest: str = "",
-    ):
+    def __init__(self, validators: int = 3, config_digest: str = ""):
         if validators < 1:
             raise InputError("at least one validator required")
-        self.authorization = dict(authorization or DEFAULT_AUTHORIZATION)
         self.validator_ids = [f"validator-{i}" for i in range(validators)]
         meta = {
             "format": CHAIN_FORMAT,
@@ -684,12 +677,13 @@ class Ledger:
             "validators": self.validator_ids,
             "config_digest": config_digest,
         }
-        genesis_hash = compute_block_hash(0, ZERO_DIGEST, genesis_timestamp, [], meta)
+        # Genesis is stamped at tick 0, where every run's clock starts.
+        genesis_hash = compute_block_hash(0, ZERO_DIGEST, 0, [], meta)
         genesis = LedgerBlock(
             index=0,
             prev_hash=ZERO_DIGEST,
             block_hash=genesis_hash,
-            timestamp=genesis_timestamp,
+            timestamp=0,
             transactions=(),
             validator_votes={vid: VOTE_ACCEPT for vid in self.validator_ids},
             meta=meta,
@@ -713,7 +707,7 @@ class Ledger:
         queue it for the next block when accepted."""
         if tx.tx_id in self._seen_tx_ids or tx.tx_id in self._admitted:
             raise InputError(f"duplicate tx_id {tx.tx_id}")
-        verdict = validate_transaction(tx, self._state, self.pending, self.authorization)
+        verdict = validate_transaction(tx, self._state, self.pending)
         if verdict.accepted:
             self.pending.append(tx)
             self._admitted[tx.tx_id] = tx
@@ -759,7 +753,7 @@ class Ledger:
             bypassed = bypassed or self._admitted.get(tx.tx_id) is not tx
             if bypassed:
                 try:
-                    verdict = validate_transaction(tx, self._state, seen, self.authorization)
+                    verdict = validate_transaction(tx, self._state, seen)
                 except MalformedTransaction:
                     return "reject:malformed"
                 if not verdict:
@@ -829,7 +823,7 @@ def replay_state(chain: list[LedgerBlock]) -> WorldState:
 
     Pure: the same chain always replays to the same state. Refuses
     chains that do not verify, and a verifying chain holding a body that
-    cannot be folded, naming its block.
+    cannot be decoded or folded, naming its block.
     """
     verify_chain(chain).require()
     state = WorldState()
@@ -837,7 +831,7 @@ def replay_state(chain: list[LedgerBlock]) -> WorldState:
         for tx in block.transactions:
             try:
                 _apply_tx_to_state(state, tx)
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
                 raise CorruptChainError(
                     f"chain corrupt at block {block.index} (body of {tx.tx_id}: {exc!r})"
                 ) from exc

@@ -335,41 +335,21 @@ def load_policy_file(path: str | Path) -> PolicyDocument:
 
 
 # --------------------------------------------------------------------------
-# Encoding and querying
+# Rule sets and querying
 
 
-@dataclass(frozen=True)
-class RuleSet:
-    """Compiled rules in deterministic order: severity desc, rule_id asc."""
-
-    rules: tuple[PolicyRule, ...]
-
-    def __iter__(self):
-        return iter(self.rules)
-
-    def __len__(self):
-        return len(self.rules)
+def _severity_order(rule: PolicyRule) -> tuple:
+    return (-rule.severity_weight, rule.rule_id)
 
 
-def encode_rules(doc: PolicyDocument) -> tuple[RuleSet, dict]:
-    """Compile a document into an ordered rule set plus the canonical
-    deploy payload whose digest is stable across runs."""
-    ordered = tuple(
-        sorted(doc.rules, key=lambda r: (-r.severity_weight, r.rule_id))
-    )
-    return RuleSet(ordered), doc.to_dict()
-
-
-def combine_rule_sets(rule_sets: Iterable[RuleSet]) -> RuleSet:
-    merged: list[PolicyRule] = []
-    for rs in rule_sets:
-        merged.extend(rs.rules)
-    merged.sort(key=lambda r: (-r.severity_weight, r.rule_id))
-    return RuleSet(tuple(merged))
+def rule_set(documents: Iterable[PolicyDocument]) -> tuple[PolicyRule, ...]:
+    """Every rule of ``documents`` in deterministic order: severity desc,
+    rule_id asc."""
+    return tuple(sorted((rule for doc in documents for rule in doc.rules), key=_severity_order))
 
 
 def query_policies(
-    rules: RuleSet, severity: int, technique_ids: Iterable[str] = ()
+    rules: tuple[PolicyRule, ...], severity: int, technique_ids: Iterable[str] = ()
 ) -> list[PolicyRule]:
     """Rules relevant to a classified threat.
 
@@ -385,7 +365,7 @@ def query_policies(
         matched = []
     else:
         matched = [r for r in rules if r.severity_weight >= severity]
-    return sorted(matched, key=lambda r: (-r.severity_weight, r.rule_id))
+    return sorted(matched, key=_severity_order)
 
 
 def resolve_conflicts(candidates: list[PolicyRule]) -> list[PolicyRule]:

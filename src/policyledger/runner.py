@@ -163,11 +163,7 @@ def run_scenario(
     clock = SimClock(0)
     fleet = provision_fleet(config.endpoints)
     human_fleet = provision_fleet(config.endpoints) if config.mode in ("human", "both") else None
-    ledger = Ledger(
-        validators=config.validators,
-        genesis_timestamp=0,
-        config_digest=config_digest,
-    )
+    ledger = Ledger(validators=config.validators, config_digest=config_digest)
     engine = ContractEngine(
         ledger=ledger,
         fleet=fleet,
@@ -179,12 +175,11 @@ def run_scenario(
     )
 
     clock.advance(1_000)
-    engine.deploy_contract("compliancecontract", documents)
-    rules = engine.active_contract("compliancecontract").rule_set
+    rules = engine.deploy_contract(documents)
 
     # Heartbeat audit: every run starts with a full compliance picture.
     clock.advance(1_000)
-    audit = engine.run_full_audit("compliancecontract")
+    audit_aggregate = engine.run_full_audit()
 
     if config.scenario == "ransomware":
         stream = substream(config.seed, "inject")
@@ -263,7 +258,7 @@ def run_scenario(
         fleet_snapshot=snapshot(fleet),
         human_snapshot=snapshot(human_fleet) if human_fleet is not None else None,
         outcomes=outcomes,
-        audit_aggregate=audit.aggregate,
+        audit_aggregate=audit_aggregate,
         files=files,
         diagnostics=diagnostics,
     )

@@ -38,7 +38,7 @@ def make_engine(seed=42, endpoints=8, validators=3, human=False, net=None):
     clock = SimClock(0)
     fleet = provision_fleet(endpoints)
     human_fleet = provision_fleet(endpoints) if human else None
-    ledger = Ledger(validators=validators, genesis_timestamp=0, config_digest="test")
+    ledger = Ledger(validators=validators, config_digest="test")
     engine = ContractEngine(
         ledger=ledger,
         fleet=fleet,
@@ -67,3 +67,11 @@ def make_tx(ledger: Ledger, kind=TxKind.ENFORCEMENT_DECISION, actor="contract-en
         body=body if body is not None else {"planned": [], "target_endpoints": []},
         metadata=TxMetadata(**meta) if meta else None,
     )
+
+
+def audit_checks(chain) -> list[dict]:
+    """The bodies of the last audit's compliance-check records, which it
+    commits as one block of nothing else: the audit's whole report."""
+    block = [b for b in chain if any(tx.kind == TxKind.COMPLIANCE_CHECK for tx in b.transactions)][-1]
+    assert all(tx.kind == TxKind.COMPLIANCE_CHECK for tx in block.transactions)
+    return [tx.body() for tx in block.transactions]

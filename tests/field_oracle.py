@@ -31,9 +31,9 @@ _TYPES = {
     "pattern": ("a string matching {of.pattern}",
                 lambda v, low, high, of: isinstance(v, str) and of.fullmatch(v) is not None, None),
     "any": ("any value", lambda v, low, high, of: True, None),
-    "selector": ("one of {of} or a list of strings",
-                 lambda v, low, high, of: v in of or isinstance(v, list) and all(isinstance(x, str) for x in v),
-                 None),
+    "selector": ("one of {of} or a list of distinct strings",
+                 lambda v, low, high, of: v in of or isinstance(v, list) and all(isinstance(x, str) for x in v)
+                 and len(set(v)) == len(v), None),
     "roles": ("null or a map of roles {of} to numbers (not bools) in ({low}, {high}]",
               lambda v, low, high, of: v is None or isinstance(v, dict) and all(
                   role in of and type(m) in (int, float) and low < m <= high for role, m in v.items()), None),

@@ -7,16 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_engine
-from policyledger.contracts import (
-    ComplianceCheckResult,
-    ContractEngine,
-    PlannedAction,
-    _check_result,
-    _planned_action,
-)
+from conftest import audit_checks, make_engine
+from policyledger.contracts import ContractEngine, PlannedAction, _planned_action
 from policyledger.cti import Decision, DecisionKind, ThreatClass, ThreatCategory
-from policyledger.errors import InputError, LedgerUnavailable, UnknownContract
+from policyledger.errors import InputError, LedgerUnavailable
 from policyledger.ledger import LedgerBlock, TransactionRecord, TxKind, _build_block, query_history
 from policyledger.policy import (
     COMPARATORS,
@@ -26,6 +20,7 @@ from policyledger.policy import (
     EnforcementActionSpec,
     load_policy_document,
     load_policy_file,
+    rule_set,
 )
 from policyledger.runner import fixture_path
 from policyledger.simnet import (
@@ -47,13 +42,13 @@ def docs():
     ]
 
 
-def deploy(engine, docs, contract_id="compliancecontract"):
+def deploy(engine, docs):
     engine.clock.advance(100)
-    return engine.deploy_contract(contract_id, docs)
+    return engine.deploy_contract(docs)
 
 
-def standard_decision(contract):
-    matched = [r for r in contract.rule_set if r.rule_id == "smbv1-disable"]
+def standard_decision(rules):
+    matched = [r for r in rules if r.rule_id == "smbv1-disable"]
     return Decision(DecisionKind.STANDARD_MITIGATION_REQUIRED, ("smbv1-disable",)), matched
 
 
@@ -61,8 +56,8 @@ def standard_decision(contract):
 
 
 def test_deploy_creates_active_v1_with_ledger_trail(engine, docs):
-    contract = deploy(engine, docs[:1])
-    assert engine.active_contract("compliancecontract") is contract
+    rules = deploy(engine, docs[:1])
+    assert engine.rules is rules and rules == rule_set(docs[:1])
     deploys = query_history(engine.ledger.chain(), kind=TxKind.POLICY_DEPLOY)
     assert len(deploys) == 1
     body = deploys[0].body()
@@ -72,13 +67,13 @@ def test_deploy_creates_active_v1_with_ledger_trail(engine, docs):
 
 def test_deploy_empty_rule_set_is_input_error(engine):
     with pytest.raises(InputError):
-        engine.deploy_contract("c", [])
+        engine.deploy_contract([])
 
 
 def test_deploy_twice_is_input_error(engine, docs):
     deploy(engine, docs[:1])
     with pytest.raises(InputError, match="^contract compliancecontract already deployed$"):
-        engine.deploy_contract("compliancecontract", docs[:1])
+        engine.deploy_contract(docs[:1])
 
 
 def test_deploy_rejects_an_unknown_explicit_target_before_any_transaction(engine, docs):
@@ -86,9 +81,9 @@ def test_deploy_rejects_an_unknown_explicit_target_before_any_transaction(engine
     raw["rules"][0]["remediation"]["target_selector"] = ["ep-000", "ep-999"]
     doc = load_policy_document(json.dumps(raw))
     with pytest.raises(InputError, match="ep-999"):
-        engine.deploy_contract("c", [doc])
+        engine.deploy_contract([doc])
     assert engine.ledger.pending == [] and len(engine.ledger.chain()) == 1
-    assert "c" not in engine.contracts
+    assert engine.rules is None
 
 
 def test_deploy_with_conflicting_rules_is_refused_before_any_transaction(engine, docs):
@@ -100,17 +95,9 @@ def test_deploy_with_conflicting_rules_is_refused_before_any_transaction(engine,
     rule["remediation"]["params"]["port"] = 3390
     base_blocks = len(engine.ledger.chain())
     with pytest.raises(InputError, match=r"unresolved conflicts: \['rdp-port-3390'\]"):
-        engine.deploy_contract("c", [docs[1], load_policy_document(json.dumps(raw))])
+        engine.deploy_contract([docs[1], load_policy_document(json.dumps(raw))])
     assert engine.ledger.pending == [] and len(engine.ledger.chain()) == base_blocks
-    assert "c" not in engine.contracts
-
-
-def test_two_contracts_coexist(engine, docs):
-    c1 = deploy(engine, docs[:1], "contract-a")
-    c2 = deploy(engine, docs[1:], "contract-b")
-    assert engine.active_contract("contract-a") is c1
-    assert engine.active_contract("contract-b") is c2
-    assert len(query_history(engine.ledger.chain(), kind=TxKind.POLICY_DEPLOY)) == 2
+    assert engine.rules is None
 
 
 def test_an_engine_without_a_ledger_is_refused():
@@ -119,11 +106,10 @@ def test_an_engine_without_a_ledger_is_refused():
                        master_seed=1)
 
 
-def test_audit_of_an_unknown_contract_is_refused(engine, docs):
-    deploy(engine, docs[:1])
-    with pytest.raises(UnknownContract):
-        engine.run_full_audit("missing")
-    assert engine.ledger.pending == []
+def test_audit_before_deploy_is_refused(engine):
+    with pytest.raises(InputError, match="^no contract deployed$"):
+        engine.run_full_audit()
+    assert engine.ledger.pending == [] and len(engine.ledger.chain()) == 1
 
 
 # -- run_full_audit ----------------------------------------------------------------
@@ -133,12 +119,13 @@ def test_audit_finds_the_legacy_endpoint_non_compliant(engine, docs):
     deploy(engine, docs[:1])
     for ep in engine.fleet.endpoints()[1:]:
         ep.smbv1_enabled = False
-    report = engine.run_full_audit()
-    legacy = [r for r in report.results if r.endpoint_id == "ep-000"]
+    engine.run_full_audit()
+    checks = audit_checks(engine.ledger.chain())
+    legacy = [c for c in checks if c["endpoint_id"] == "ep-000"]
     assert len(legacy) == 1
-    assert legacy[0].verdict == "non_compliant"
-    assert legacy[0].observed == {"smbv1_enabled": True}
-    assert all(r.compliant for r in report.results if r.endpoint_id != "ep-000")
+    assert legacy[0]["verdict"] == "non_compliant"
+    assert legacy[0]["observed"] == {"smbv1_enabled": True}
+    assert all(c["verdict"] == "compliant" for c in checks if c["endpoint_id"] != "ep-000")
     checks = query_history(engine.ledger.chain(), kind=TxKind.COMPLIANCE_CHECK)
     assert len(checks) == len(engine.fleet)
 
@@ -147,18 +134,18 @@ def test_config_change_back_to_default_port_is_detected(engine, docs):
     deploy(engine, docs[1:])
     for ep in engine.fleet.endpoints():
         ep.rdp_port = 33089
-    assert engine.run_full_audit().aggregate == 1.0
+    assert engine.run_full_audit() == 1.0
     engine.fleet.get("ep-003").rdp_port = 3389  # user action outside enforcement
-    report = engine.run_full_audit()
-    failed = [r for r in report.results if not r.compliant]
-    assert [(r.endpoint_id, r.observed) for r in failed] == [("ep-003", {"rdp_port": 3389})]
+    engine.run_full_audit()
+    failed = [c for c in audit_checks(engine.ledger.chain()) if c["verdict"] != "compliant"]
+    assert [(c["endpoint_id"], c["observed"]) for c in failed] == [("ep-003", {"rdp_port": 3389})]
 
 
 def test_audit_evaluates_the_cartesian_product(docs):
     engine = make_engine(endpoints=60)
     deploy(engine, docs)  # 2 rules
-    report = engine.run_full_audit()
-    assert len(report.results) == 120
+    engine.run_full_audit()
+    assert len(audit_checks(engine.ledger.chain())) == 120
     blocks = engine.ledger.chain()
     assert len(blocks[-1].transactions) == 120  # committed as one block
 
@@ -167,9 +154,10 @@ def test_audit_aggregate_on_compliant_fleet_is_one(engine, docs):
     deploy(engine, docs[:1])
     for ep in engine.fleet.endpoints():
         ep.smbv1_enabled = False
-    report = engine.run_full_audit()
-    assert report.aggregate == 1.0
-    assert report.per_policy == {"smbv1-hardening": 1.0}
+    assert engine.run_full_audit() == 1.0
+    checks = audit_checks(engine.ledger.chain())
+    assert {c["policy_id"] for c in checks} == {"smbv1-hardening"}
+    assert all(c["verdict"] == "compliant" for c in checks)
 
 
 def test_audit_aggregate_matches_brute_count_mid_scenario(docs):
@@ -180,19 +168,18 @@ def test_audit_aggregate_matches_brute_count_mid_scenario(docs):
         ep.smbv1_enabled = False
     for ep in engine.fleet.endpoints()[12:]:
         ep.rdp_port = 33089
-    report = engine.run_full_audit()
+    aggregate = engine.run_full_audit()
     # brute-force oracle over the snapshot
     from policyledger.simnet import snapshot
 
     snap = snapshot(engine.fleet)
-    contract = engine.active_contract("compliancecontract")
     expected_ok = sum(
         1
         for attrs in snap.values()
-        for rule in contract.rule_set
+        for rule in engine.rules
         if rule.is_compliant(attrs)
     )
-    assert report.aggregate == pytest.approx(expected_ok / 40)
+    assert aggregate == pytest.approx(expected_ok / 40)
 
 
 # -- execute_decision ----------------------------------------------------------------
@@ -232,10 +219,10 @@ def test_a_cycle_with_nothing_to_record_commits_no_block(engine, docs):
 
 
 def test_standard_mitigation_targets_only_non_compliant(engine, docs):
-    contract = deploy(engine, docs[:1])
+    rules = deploy(engine, docs[:1])
     for eid in ("ep-000", "ep-001"):
         engine.fleet.get(eid).smbv1_enabled = False
-    decision, matched = standard_decision(contract)
+    decision, matched = standard_decision(rules)
     plan = engine.execute_decision(decision, matched)
     targets = {pa.endpoint_id for pa in plan.actions}
     assert targets == set(engine.fleet.ids()) - {"ep-000", "ep-001"}
@@ -246,7 +233,7 @@ def test_targeting_does_not_copy_endpoint_attrs(monkeypatch, smbv1_doc, rdp_doc,
                                                 ransomware_doc):
     # Copying every endpoint's attrs() per matched rule dominated targeting.
     engine = make_engine(endpoints=6)
-    contract = deploy(engine, [smbv1_doc, rdp_doc, ransomware_doc])
+    rules = deploy(engine, [smbv1_doc, rdp_doc, ransomware_doc])
     engine.fleet.get("ep-001").smbv1_enabled = False
     engine.fleet.get("ep-002").rdp_port = 33089
 
@@ -254,7 +241,7 @@ def test_targeting_does_not_copy_endpoint_attrs(monkeypatch, smbv1_doc, rdp_doc,
         raise AssertionError("targeting copied an endpoint's attrs()")
 
     monkeypatch.setattr(Endpoint, "attrs", no_copy)
-    matched = list(contract.rule_set)
+    matched = list(rules)
     decision = Decision(
         DecisionKind.STANDARD_MITIGATION_REQUIRED, tuple(r.rule_id for r in matched)
     )
@@ -416,10 +403,10 @@ def test_targeting_rescans_fields_written_between_decisions():
 
 def test_targeting_makes_no_per_condition_call(smbv1_doc, rdp_doc, ransomware_doc):
     engine = make_engine(endpoints=6)
-    contract = deploy(engine, [smbv1_doc, rdp_doc, ransomware_doc])
+    rules = deploy(engine, [smbv1_doc, rdp_doc, ransomware_doc])
     engine.fleet.get("ep-001").smbv1_enabled = False
     engine.fleet.get("ep-002").rdp_port = 33089
-    matched = list(contract.rule_set)
+    matched = list(rules)
     decision = Decision(
         DecisionKind.STANDARD_MITIGATION_REQUIRED, tuple(r.rule_id for r in matched)
     )
@@ -434,11 +421,11 @@ def test_targeting_makes_no_per_condition_call(smbv1_doc, rdp_doc, ransomware_do
 def test_immediate_action_adds_isolation_for_infected(docs):
     engine = make_engine(endpoints=12)
     ransomware = load_policy_file(fixture_path("policies", "ransomware.json"))
-    contract = deploy(engine, [ransomware])
+    rules = deploy(engine, [ransomware])
     infected = engine.fleet.ids()[:10]
     for eid in infected:
         engine.fleet.get(eid).infected = True
-    matched = list(contract.rule_set)
+    matched = list(rules)
     decision = Decision(
         DecisionKind.IMMEDIATE_ACTION_REQUIRED, tuple(r.rule_id for r in matched)
     )
@@ -457,8 +444,8 @@ def test_immediate_action_adds_isolation_for_infected(docs):
 
 
 def test_plan_is_a_total_function_of_inputs(engine, docs):
-    contract = deploy(engine, docs[:1])
-    decision, matched = standard_decision(contract)
+    rules = deploy(engine, docs[:1])
+    decision, matched = standard_decision(rules)
     p1 = engine.execute_decision(decision, matched)
     p2 = engine.execute_decision(decision, matched)
     engine.commit_cycle()
@@ -470,8 +457,8 @@ def test_plan_is_a_total_function_of_inputs(engine, docs):
 def test_decision_metadata_carries_threat_context(engine, docs):
     from policyledger.cti import ThreatReport
 
-    contract = deploy(engine, docs[:1])
-    decision, matched = standard_decision(contract)
+    rules = deploy(engine, docs[:1])
+    decision, matched = standard_decision(rules)
     report = ThreatReport(
         report_id="rp", source="s", actor="actor-x",
         technique_ids=("T1210",), cve_ids=(), cvss=8.0, tokens=("smbv1",),
@@ -490,8 +477,8 @@ def test_decision_metadata_carries_threat_context(engine, docs):
 def test_equal_decision_metadata_is_one_object(engine, docs):
     from policyledger.cti import ThreatReport
 
-    contract = deploy(engine, docs[:1])
-    decision, matched = standard_decision(contract)
+    rules = deploy(engine, docs[:1])
+    decision, matched = standard_decision(rules)
 
     def report(technique_ids):
         return ThreatReport(report_id="rp", source="s", actor="actor-x", cve_ids=(), cvss=8.0,
@@ -515,8 +502,8 @@ def test_equal_decision_metadata_is_one_object(engine, docs):
 
 def test_enforce_zero_failure_applies_everywhere(docs):
     engine = make_engine(endpoints=60, net=NetworkModel(auto_failure_prob=0.0))
-    contract = deploy(engine, docs[:1])
-    decision, matched = standard_decision(contract)
+    rules = deploy(engine, docs[:1])
+    decision, matched = standard_decision(rules)
     plan = engine.execute_decision(decision, matched)
     results = engine.enforce(plan)
     engine.commit_cycle()
@@ -527,8 +514,8 @@ def test_enforce_zero_failure_applies_everywhere(docs):
 
 def test_enforce_seeded_success_count_is_pinned(docs):
     engine = make_engine(endpoints=60, seed=42, net=NetworkModel())
-    contract = deploy(engine, docs[:1])
-    decision, matched = standard_decision(contract)
+    rules = deploy(engine, docs[:1])
+    decision, matched = standard_decision(rules)
     plan = engine.execute_decision(decision, matched)
     results = engine.enforce(plan)
     engine.commit_cycle()
@@ -537,8 +524,8 @@ def test_enforce_seeded_success_count_is_pinned(docs):
 
 
 def test_one_result_tx_per_target(engine, docs):
-    contract = deploy(engine, docs[:1])
-    decision, matched = standard_decision(contract)
+    rules = deploy(engine, docs[:1])
+    decision, matched = standard_decision(rules)
     plan = engine.execute_decision(decision, matched)
     results = engine.enforce(plan)
     engine.commit_cycle()
@@ -550,8 +537,8 @@ def test_one_result_tx_per_target(engine, docs):
 
 
 def test_ledger_first_ordering_by_timestamps(engine, docs):
-    contract = deploy(engine, docs[:1])
-    decision, matched = standard_decision(contract)
+    rules = deploy(engine, docs[:1])
+    decision, matched = standard_decision(rules)
     plan = engine.execute_decision(decision, matched)
     engine.enforce(plan)
     engine.commit_cycle()
@@ -563,8 +550,8 @@ def test_ledger_first_ordering_by_timestamps(engine, docs):
 
 def test_failures_never_roll_back_successes(docs):
     engine = make_engine(endpoints=40, seed=11, net=NetworkModel(auto_failure_prob=0.3))
-    contract = deploy(engine, docs[:1])
-    decision, matched = standard_decision(contract)
+    rules = deploy(engine, docs[:1])
+    decision, matched = standard_decision(rules)
     plan = engine.execute_decision(decision, matched)
     results = engine.enforce(plan)
     engine.commit_cycle()
@@ -578,9 +565,9 @@ def test_failures_never_roll_back_successes(docs):
 
 
 def test_decision_cycles_map_to_blocks_one_to_one(engine, docs):
-    contract = deploy(engine, docs[:1])
+    rules = deploy(engine, docs[:1])
     base_blocks = len(engine.ledger.chain())
-    decision, matched = standard_decision(contract)
+    decision, matched = standard_decision(rules)
     for _ in range(3):
         plan = engine.execute_decision(decision, matched)
         engine.enforce(plan)
@@ -624,8 +611,6 @@ _VALUES = {
     ApplyResult: (_apply_result, st.tuples(
         _TEXT, _TEXT, st.sampled_from(["success", "failure"]), st.none() | _TEXT,
         st.integers(), st.integers(), _MAPPING)),
-    ComplianceCheckResult: (_check_result, st.tuples(
-        _TEXT, _TEXT, st.sampled_from(["compliant", "non_compliant"]), _MAPPING, st.integers())),
     PlannedAction: (_planned_action, st.tuples(
         _TEXT,
         st.sampled_from([EnforcementActionSpec(kind="disable_smbv1"), ("disable_smbv1",)]),

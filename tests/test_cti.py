@@ -43,8 +43,8 @@ from policyledger.policy import (
     Condition,
     EnforcementActionSpec,
     PolicyRule,
-    encode_rules,
     load_policy_file,
+    rule_set,
 )
 from policyledger.runner import fixture_path
 
@@ -643,7 +643,7 @@ def test_one_pass_hashes_each_distinct_id_once(model, monkeypatch):
     calls = []
     real = cti_module.stable_index
     monkeypatch.setattr(cti_module, "stable_index", lambda key, n: calls.append(key) or real(key, n))
-    rules = encode_rules(load_policy_file(fixture_path("policies", "smbv1.json")))[0]
+    rules = rule_set([load_policy_file(fixture_path("policies", "smbv1.json"))])
 
     first, _ = process_threat_intelligence(reports, model, rules, _NoEnforcement())
     assert len(calls) == len(set(calls)) == len(distinct)

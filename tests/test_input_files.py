@@ -48,7 +48,7 @@ def _edges(field, values=None) -> list:
     if kind == "pattern":
         return ["T1021", "T1021.001", "1021", "t1021", "T1021\n", "T1021.001\n"] + _MISTYPED
     if kind == "selector":
-        return [*field.of, ["ep-000"], ["ep-999"], [3]] + _MISTYPED
+        return [*field.of, ["ep-000"], ["ep-999"], [3], ["ep-000", "ep-000"]] + _MISTYPED
     if kind in ("list", "strings"):
         items = _edges(field.of)[:6] if kind == "list" else ["T1210", _Text("T1210"), 1, None]
         return [[], *([e] for e in items), ("T1210",)] + _MISTYPED

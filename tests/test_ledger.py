@@ -16,6 +16,7 @@ from policyledger import ledger as ledger_module
 from policyledger.canonical import (
     canonical_json,
     decode_json,
+    digest_bytes,
     digest_value,
     object_splicer,
     substream,
@@ -30,7 +31,7 @@ from policyledger.ledger import (
     CHAIN_FORMAT,
     ChainVerdict,
     CorruptBlock,
-    DEFAULT_AUTHORIZATION,
+    AUTHORIZATION,
     Ledger,
     LedgerBlock,
     TransactionRecord,
@@ -46,7 +47,7 @@ from policyledger.ledger import (
 
 
 def fresh_ledger(validators=3):
-    return Ledger(validators=validators, genesis_timestamp=0, config_digest="test")
+    return Ledger(validators=validators, config_digest="test")
 
 
 def committed_chain(n_blocks=5, txs_per_block=2):
@@ -283,11 +284,11 @@ def test_submit_rejects_mutated_payload_as_malformed():
         ledger.submit_transaction(tampered)
 
 
-@pytest.mark.parametrize("actor", sorted(DEFAULT_AUTHORIZATION))
+@pytest.mark.parametrize("actor", sorted(AUTHORIZATION))
 @pytest.mark.parametrize("kind", list(TxKind))
 def test_authorization_table_is_enforced_exactly(actor, kind):
     # Oracle: direct lookup in the authorization table fixture.
-    expected = kind in DEFAULT_AUTHORIZATION[actor]
+    expected = kind in AUTHORIZATION[actor]
     ledger = fresh_ledger()
     body = {"policy_id": "p", "rules": []} if kind in (
         TxKind.POLICY_DEPLOY, TxKind.POLICY_UPDATE
@@ -457,6 +458,18 @@ def test_a_malformed_decision_body_is_a_malformed_transaction(body):
     assert len(ledger.chain()) == 1
 
 
+def test_a_decision_body_nested_too_deep_to_decode_is_a_malformed_transaction():
+    ledger = fresh_ledger()
+    deep = "[" * 200_000 + "]" * 200_000
+    tx = dataclasses.replace(make_tx(ledger), payload=deep, payload_digest=digest_bytes(deep.encode("utf-8")))
+    with pytest.raises(MalformedTransaction):
+        ledger.submit_transaction(tx)
+    ledger.pending.append(tx)
+    with pytest.raises(ConsensusFailure, match="reject:malformed"):
+        ledger.commit_block(1)
+    assert len(ledger.chain()) == 1
+
+
 @pytest.mark.parametrize("policy_id", [None, ["p"], 5, "absent"])
 def test_a_policy_body_without_a_string_id_is_a_malformed_transaction(policy_id):
     # Live state folds a committed policy by its id.
@@ -542,7 +555,7 @@ def test_submit_with_the_kept_required_values_equals_validation_from_the_chain(s
         tx = make_tx(ledger, kind=kind, actor=actor, body=body, timestamp=t)
         state = replay_state(ledger.chain())
         expected = ledger_module.validate_transaction(
-            _parsed(tx), state, [_parsed(p) for p in ledger.pending], DEFAULT_AUTHORIZATION
+            _parsed(tx), state, [_parsed(p) for p in ledger.pending]
         )
         assert ledger.submit_transaction(tx) == expected
         if commit and ledger.pending:
@@ -657,11 +670,10 @@ def test_validate_transaction_gives_the_oracles_verdict(committed, pending, body
         ledger_module._apply_tx_to_state(state, _parsed(tx))
     kept = [make_tx(ledger, body=other) for other in pending]
     tx = make_tx(ledger, actor=actor, body=body)
-    expected = _verdict_or_malformed(_oracle_validate, tx, state, kept, DEFAULT_AUTHORIZATION)
+    expected = _verdict_or_malformed(_oracle_validate, tx, state, kept, AUTHORIZATION)
     for record, others in ((tx, kept), (_parsed(tx), [_parsed(other) for other in kept])):
         try:
-            verdict = ledger_module.validate_transaction(record, state, others,
-                                                         DEFAULT_AUTHORIZATION)
+            verdict = ledger_module.validate_transaction(record, state, others)
         except MalformedTransaction:
             verdict = "malformed"
         assert verdict == expected

@@ -310,7 +310,7 @@ def _policy_chain():
     naming r; one automated and one human result each for r and r-new."""
     from policyledger.ledger import Ledger, TransactionRecord, TxKind, TxMetadata
 
-    ledger = Ledger(validators=3, genesis_timestamp=0, config_digest="test")
+    ledger = Ledger(validators=3, config_digest="test")
 
     def submit(kind, actor, body, arm="automated"):
         tx = TransactionRecord.create(ledger.next_tx_id(), 1, kind, actor, body,

@@ -7,7 +7,6 @@ import pytest
 from conftest import make_engine
 from policyledger.cti import DecisionKind, ForestModel, ingest_feed, process_threat_intelligence, read_feed
 from policyledger.ledger import TxKind, query_history, replay_state, verify_chain
-from policyledger.policy import encode_rules, load_policy_file
 from policyledger.runner import RunConfig, fixture_path, run_scenario
 
 
@@ -53,21 +52,19 @@ def assert_audit_complete(chain, fleets):
 
 
 def test_empty_feed_commits_nothing(engine, smbv1_doc):
-    engine.deploy_contract("compliancecontract", [smbv1_doc])
-    contract = engine.active_contract("compliancecontract")
+    rules = engine.deploy_contract([smbv1_doc])
     blocks_before = len(engine.ledger.chain())
-    outcomes, model = process_threat_intelligence([], load_model(), contract.rule_set, engine)
+    outcomes, model = process_threat_intelligence([], load_model(), rules, engine)
     assert outcomes == []
     assert len(engine.ledger.chain()) == blocks_before
 
 
 def test_one_cycle_block_per_report(smbv1_doc):
     engine = make_engine(endpoints=6)
-    engine.deploy_contract("compliancecontract", [smbv1_doc])
-    contract = engine.active_contract("compliancecontract")
+    rules = engine.deploy_contract([smbv1_doc])
     blocks_before = len(engine.ledger.chain())
     outcomes, _ = process_threat_intelligence(
-        smb_feed(12), load_model(), contract.rule_set, engine
+        smb_feed(12), load_model(), rules, engine
     )
     assert len(outcomes) == 12
     # one block per decision cycle
@@ -78,10 +75,9 @@ def test_one_cycle_block_per_report(smbv1_doc):
 
 def test_smbv1_feed_drives_standard_mitigation(smbv1_doc):
     engine = make_engine(endpoints=10)
-    engine.deploy_contract("compliancecontract", [smbv1_doc])
-    contract = engine.active_contract("compliancecontract")
+    rules = engine.deploy_contract([smbv1_doc])
     outcomes, model = process_threat_intelligence(
-        smb_feed(1), load_model(), contract.rule_set, engine
+        smb_feed(1), load_model(), rules, engine
     )
     o = outcomes[0]
     assert o.threat_class.severity == 3
@@ -95,10 +91,9 @@ def test_smbv1_feed_drives_standard_mitigation(smbv1_doc):
 
 def test_benign_feed_drives_no_action(smbv1_doc):
     engine = make_engine(endpoints=4)
-    engine.deploy_contract("compliancecontract", [smbv1_doc])
-    contract = engine.active_contract("compliancecontract")
+    rules = engine.deploy_contract([smbv1_doc])
     reports, _ = ingest_feed(read_feed(fixture_path("feeds", "benign.json")))
-    outcomes, _ = process_threat_intelligence(reports, load_model(), contract.rule_set, engine)
+    outcomes, _ = process_threat_intelligence(reports, load_model(), rules, engine)
     assert outcomes[0].decision.kind == DecisionKind.NO_ACTION_REQUIRED
     assert outcomes[0].results == []
 
@@ -106,11 +101,10 @@ def test_benign_feed_drives_no_action(smbv1_doc):
 def test_second_pass_is_idempotent_no_new_targets(smbv1_doc):
     engine = make_engine(endpoints=8, net=None)
     engine.net.auto_failure_prob = 0.0
-    engine.deploy_contract("compliancecontract", [smbv1_doc])
-    contract = engine.active_contract("compliancecontract")
-    process_threat_intelligence(smb_feed(1), load_model(), contract.rule_set, engine)
+    rules = engine.deploy_contract([smbv1_doc])
+    process_threat_intelligence(smb_feed(1), load_model(), rules, engine)
     outcomes, _ = process_threat_intelligence(
-        smb_feed(1, received=9000), load_model(), contract.rule_set, engine
+        smb_feed(1, received=9000), load_model(), rules, engine
     )
     # fleet already compliant: standard decision with an empty plan
     assert outcomes[0].decision.kind == DecisionKind.STANDARD_MITIGATION_REQUIRED

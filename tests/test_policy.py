@@ -1,4 +1,4 @@
-"""Policy loading, rule encoding, conflict resolution."""
+"""Policy loading, rule sets, conflict resolution."""
 
 import dataclasses
 import json
@@ -15,13 +15,13 @@ from policyledger.policy import (
     Condition,
     EnforcementActionSpec,
     PolicyRule,
-    combine_rule_sets,
-    encode_rules,
     load_policy_document,
     load_policy_file,
     query_policies,
     resolve_conflicts,
+    rule_set,
 )
+from policyledger.runner import fixture_path
 
 
 def make_rule(rule_id, attr="rdp_port", value=33089, severity=2, importance=3,
@@ -102,7 +102,7 @@ def test_load_serialize_round_trip_is_idempotent(smbv1_doc, rdp_doc, ransomware_
         assert once == canonical_json(doc.to_dict())
 
 
-# -- encoding ----------------------------------------------------------------
+# -- rule sets ---------------------------------------------------------------
 
 
 def test_rule_evaluation_on_endpoint_attrs(smbv1_doc):
@@ -112,7 +112,7 @@ def test_rule_evaluation_on_endpoint_attrs(smbv1_doc):
 
 
 def test_encode_orders_by_severity_then_rule_id(smbv1_doc, rdp_doc, ransomware_doc):
-    rs = combine_rule_sets([encode_rules(d)[0] for d in (rdp_doc, smbv1_doc, ransomware_doc)])
+    rs = rule_set([rdp_doc, smbv1_doc, ransomware_doc])
     # Independent comparator oracle.
     expected = sorted(
         [r for d in (rdp_doc, smbv1_doc, ransomware_doc) for r in d.rules],
@@ -127,16 +127,16 @@ def test_encode_orders_by_severity_then_rule_id(smbv1_doc, rdp_doc, ransomware_d
 def test_encode_payload_digest_is_stable(smbv1_doc):
     from policyledger.canonical import digest_value
 
-    _, p1 = encode_rules(smbv1_doc)
-    _, p2 = encode_rules(smbv1_doc)
-    assert digest_value(p1) == digest_value(p2)
+    # Two loads of one file give one deploy payload digest.
+    again = load_policy_file(fixture_path("policies", "smbv1.json"))
+    assert digest_value(smbv1_doc.to_dict()) == digest_value(again.to_dict())
 
 
 # -- query_policies ------------------------------------------------------------
 
 
 def test_query_matches_on_technique_intersection(rdp_doc):
-    rs, _ = encode_rules(rdp_doc)
+    rs = rule_set([rdp_doc])
     # Set-intersection oracle.
     matched = query_policies(rs, severity=2, technique_ids=["T1021.001"])
     oracle = [r for r in rs if set(r.technique_tags) & {"T1021.001"}]
@@ -145,7 +145,7 @@ def test_query_matches_on_technique_intersection(rdp_doc):
 
 
 def test_query_no_matching_tags_and_severity_zero_is_empty(smbv1_doc):
-    rs, _ = encode_rules(smbv1_doc)
+    rs = rule_set([smbv1_doc])
     assert query_policies(rs, severity=0, technique_ids=["T9999"]) == []
     assert query_policies(rs, severity=0, technique_ids=[]) == []
 
@@ -153,7 +153,7 @@ def test_query_no_matching_tags_and_severity_zero_is_empty(smbv1_doc):
 def test_untagged_critical_matches_exactly_severity_four_rules(
     smbv1_doc, rdp_doc, ransomware_doc
 ):
-    rs = combine_rule_sets([encode_rules(d)[0] for d in (smbv1_doc, rdp_doc, ransomware_doc)])
+    rs = rule_set([smbv1_doc, rdp_doc, ransomware_doc])
     matched = query_policies(rs, severity=4, technique_ids=[])
     oracle = [r for r in rs if r.severity_weight >= 4]  # filter oracle
     assert matched == oracle
@@ -161,7 +161,7 @@ def test_untagged_critical_matches_exactly_severity_four_rules(
 
 
 def test_query_result_is_subset_and_tag_monotone(smbv1_doc, rdp_doc, ransomware_doc):
-    rs = combine_rule_sets([encode_rules(d)[0] for d in (smbv1_doc, rdp_doc, ransomware_doc)])
+    rs = rule_set([smbv1_doc, rdp_doc, ransomware_doc])
     all_tags = sorted({t for r in rs for t in r.technique_tags})
     rng = random.Random(99)
     for _ in range(200):

@@ -1,5 +1,6 @@
 """Reachability: every function in ``src/`` is called by some run path,
-or is named below with the reason it stays.
+or is named below with the reason it stays; and every name a ``src/``
+module imports is used in that module, or is named below with its reason.
 
 The probe runs in a fresh interpreter (``python tests/test_reach.py
 WORKDIR``) with ``sys.setprofile`` installed before ``policyledger`` is
@@ -16,6 +17,7 @@ a script it installs the profiler first.
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import io
 import json
@@ -42,7 +44,11 @@ UNREACHED = {
     "cti.ForestModel.to_json": "public helper that tests use to write model files",
     "metrics.ComparisonReport.digest": "public helper that tests use",
     "ledger.LedgerBlock.wire_json": "public helper that tests use",
-    "policy.RuleSet.__len__": "public helper that tests use",
+}
+
+#: Imported by a module that never uses it, and why each stays.
+UNUSED_IMPORTS = {
+    "runner.verify_chain": "perfbench's binding test reads runner.verify_chain",
 }
 
 _COMPREHENSIONS = {"<lambda>", "<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>"}
@@ -158,6 +164,27 @@ def test_every_unreached_function_is_named_with_its_reason(tmp_path):
     never = set(json.loads(proc.stdout))
     assert never - UNREACHED.keys() == set(), "no run path calls these: delete them, or name them with a reason"
     assert UNREACHED.keys() - never == set(), "a run path calls these now: take them off the list"
+
+
+def unused_imports(path: Path) -> list[str]:
+    """``module.name`` of each name the module at ``path`` imports and never
+    reads: no ``Name`` node loads it, and ``__all__`` does not list it."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = [alias.asname or alias.name.partition(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return [f"{path.stem}.{name}" for name in imported if name not in used]
+
+
+def test_every_unused_import_is_named_with_its_reason():
+    unused = {name for path in sorted((SRC / "policyledger").glob("*.py")) for name in unused_imports(path)}
+    assert unused - UNUSED_IMPORTS.keys() == set(), "these imports are never used: delete them"
+    assert UNUSED_IMPORTS.keys() - unused == set(), "these imports are used now: take them off the list"
 
 
 if __name__ == "__main__":

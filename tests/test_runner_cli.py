@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import run_configs
+from conftest import audit_checks, run_configs
 
 from policyledger import ledger as ledger_module, runner as runner_module
 from policyledger.canonical import canonical_json, digest_bytes
@@ -19,6 +19,8 @@ from policyledger.cli import main
 from policyledger.errors import CorruptChainError, InputError
 from policyledger.ledger import (
     ChainVerdict,
+    Ledger,
+    TransactionRecord,
     TxKind,
     compute_block_hash,
     export_chain,
@@ -28,6 +30,7 @@ from policyledger.ledger import (
     verify_chain,
 )
 from policyledger.metrics import samples_from_chain
+from policyledger.policy import load_policy_file
 from policyledger.runner import RunConfig, fixture_path, run_scenario
 
 
@@ -190,6 +193,36 @@ def test_the_run_and_the_audit_path_pause_the_collector_and_restore_it(tmp_path,
         assert gc.isenabled() == enabled
     finally:
         (gc.enable if was_enabled else gc.disable)()
+
+
+# -- the audit -----------------------------------------------------------------
+
+
+@settings(max_examples=15, deadline=None)
+@given(config=run_configs)
+def test_audit_aggregate_is_the_compliant_share_of_the_audit_block(config):
+    result = run_scenario(config)
+    verdicts = [check["verdict"] for check in audit_checks(result.chain)]
+    assert len(query_history(result.chain, kind=TxKind.COMPLIANCE_CHECK)) == len(verdicts)
+    rules = sum(len(load_policy_file(path).rules) for path in config.resolved_policy_paths())
+    assert len(verdicts) == config.endpoints * rules
+    assert result.audit_aggregate == verdicts.count("compliant") / len(verdicts)
+
+
+def test_cli_run_verbose_prints_the_audit_blocks_compliant_share(tmp_path, capsys):
+    # Every endpoint fails the smbv1 rule and passes the edited rdp rule.
+    rdp = json.loads(fixture_path("policies", "rdp.json").read_text())
+    rdp["rules"][0]["condition"] = [{"attribute": "rdp_port", "comparator": "not_equals", "value": 22}]
+    policy = tmp_path / "rdp.json"
+    policy.write_text(json.dumps(rdp))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"scenario": "smbv1", "endpoints": 5,
+                                  "policies": [str(fixture_path("policies", "smbv1.json")), str(policy)]}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out), "-v"]) == 0
+    verdicts = [check["verdict"] for check in audit_checks(import_chain(out / "chain.ndjson"))]
+    assert verdicts.count("compliant") == 5 and len(verdicts) == 10
+    assert "audit aggregate: 0.5000\n" in capsys.readouterr().out
 
 
 # -- determinism (runs twice, byte-identical) -----------------------------------
@@ -445,6 +478,25 @@ def test_cli_replay_refuses_a_verifying_chain_with_an_unfoldable_body(tmp_path, 
     assert captured.err.startswith(f"error: chain corrupt at block {pos} (body of tx-")
 
 
+def test_cli_replay_refuses_a_body_nested_too_deep_to_decode(tmp_path, capsys):
+    # A threat alert's body is read first at replay: no check before parses it.
+    ledger = Ledger(config_digest="test")
+    alert = TransactionRecord.create(ledger.next_tx_id(), 1, TxKind.THREAT_ALERT, "cti-engine", {})
+    deep = "[" * 200_000 + "]" * 200_000
+    ledger.pending.append(dataclasses.replace(alert, payload=deep,
+                                              payload_digest=digest_bytes(deep.encode("utf-8"))))
+    ledger.commit_block(1)
+    path = tmp_path / "chain.ndjson"
+    export_chain(ledger.chain(), path)
+    assert main(["verify-chain", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["replay", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("error: chain corrupt at block 1 (body of tx-000001: RecursionError(")
+    assert captured.err.count("\n") == 1
+
+
 # -- cli: classify -----------------------------------------------------------------
 
 
@@ -664,13 +716,11 @@ def test_run_and_classify_decide_alike(capsys, scenario, mode):
 
 def test_cli_replay_lists_both_versions_after_upgrade(tmp_path, capsys):
     from conftest import make_engine
-    from policyledger.ledger import TransactionRecord, export_chain
-    from policyledger.policy import load_policy_file
 
     engine = make_engine(endpoints=4)
     doc_v1 = load_policy_file(fixture_path("policies", "smbv1.json"))
     engine.clock.advance(100)
-    engine.deploy_contract("compliancecontract", [doc_v1])
+    engine.deploy_contract([doc_v1])
     # No run updates a policy, but a chain may hold the update record.
     update = dict(doc_v1.to_dict(), version=2, contract_id="compliancecontract", contract_version=2)
     ledger = engine.ledger
@@ -730,6 +780,8 @@ def test_cli_run_unknown_target_endpoint_is_exit_two_at_load(tmp_path, capsys):
     [
         ("target_selector", "everyone"),
         ("target_selector", ["ep-0000", 3]),
+        # A repeated endpoint would be enforced, and counted, twice.
+        ("target_selector", ["ep-001", "ep-001"]),
         ("condition", {"attribute": "firewall_rules", "comparator": "lt", "value": 1}),
         ("condition", {"attribute": "rdp_port", "comparator": "gt", "value": "3389"}),
         ("condition", {"attribute": "patch_level", "comparator": "lt", "value": True}),
