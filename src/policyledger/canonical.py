@@ -472,5 +472,8 @@ def _compile(spec: dict, what: str, error: Callable, cls: Optional[type] = None,
         reads = fields(spec, "values", root, 1)
         if build:
             emit(1, f"return {build[cls].format(', '.join(reads))}")
+    # fields and value call each other, and value itself, through their
+    # cells; emptying those cells leaves no cycle for the collector.
+    del fields, value
     return generated_function("\n".join(lines), scope, "read" if build else "check", what)
 

@@ -219,12 +219,10 @@ class ContractEngine:
                 actions += [_planned_action(row["endpoint_id"], _ISOLATE, None)
                             for row in fleet.rows() if row["infected"] and not row["isolated"]]
         # Parallel dispatch order: endpoint id, then remediations before
-        # isolation within an endpoint (plan position is the tiebreak).
-        indexed = list(enumerate(actions))
-        indexed.sort(
-            key=lambda ia: (ia[1].endpoint_id, ia[1].action.kind == "isolate_endpoint", ia[0])
-        )
-        ordered = tuple(pa for _, pa in indexed)
+        # isolation within an endpoint; the sort is stable, so plan
+        # position breaks ties.
+        actions.sort(key=lambda pa: (pa.endpoint_id, pa.action.kind == "isolate_endpoint"))
+        ordered = tuple(actions)
 
         self._plan_seq += 1
         plan_id = f"plan-{self._plan_seq:04d}"

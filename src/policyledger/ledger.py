@@ -47,6 +47,10 @@ Export writes each line one record at a time; import reads one line at a
 time. Lines and payloads are parsed by
 ``canonical.decode_json``, one C scan with ``json.loads`` as its
 fallback, so every value read and every line refused is ``json.loads``'s.
+
+A committed chain has one verified walk, ``query_history``; replay and
+``metrics.samples_from_chain`` fold over it, and all three refuse alike
+a body they cannot read, with ``CorruptChainError`` naming its block.
 """
 
 from __future__ import annotations
@@ -115,6 +119,10 @@ _KIND_JSON = {kind: encode_str(kind.value) for kind in TxKind}
 #: The kinds whose bodies validation reads, to check them against active
 #: policy and pending writes.
 _BODY_CHECKED = frozenset({TxKind.POLICY_DEPLOY, TxKind.POLICY_UPDATE, TxKind.ENFORCEMENT_DECISION})
+
+#: What reading a body that does not decode, or lacks or mistypes a field
+#: its reader reads, may raise: validation and the chain's readers catch it.
+_BODY_ERRORS = (AttributeError, KeyError, OverflowError, RecursionError, TypeError, ValueError)
 
 # Kinds as module globals for per-record loops: an attribute read of the
 # enum costs more.
@@ -617,7 +625,7 @@ def validate_transaction(
         return ACCEPT
     try:
         return _check_body(kind, tx.body(), state, pending)
-    except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
+    except _BODY_ERRORS as exc:
         raise MalformedTransaction(f"tx {tx.tx_id}: malformed body ({exc!r})") from exc
 
 
@@ -817,76 +825,60 @@ def verify_chain(chain: list[LedgerBlock]) -> ChainVerdict:
     return ChainVerdict(True)
 
 
+def _unreadable(chain: list[LedgerBlock], tx: TransactionRecord, exc: Exception) -> CorruptChainError:
+    """The error of a verifying ``chain`` whose record ``tx`` holds a body
+    a reader cannot read, naming the block that holds it."""
+    index = next(block.index for block in chain if any(t is tx for t in block.transactions))
+    return CorruptChainError(f"chain corrupt at block {index} (body of {tx.tx_id}: {exc!r})")
+
+
 @collector_paused
 def replay_state(chain: list[LedgerBlock]) -> WorldState:
     """Fold every transaction in block/tx order into a fresh WorldState.
 
-    Pure: the same chain always replays to the same state. Refuses
-    chains that do not verify, and a verifying chain holding a body that
-    cannot be decoded or folded, naming its block.
+    Pure: the same chain always replays to the same state. Refuses what
+    ``query_history`` refuses, and a body it cannot fold, naming its block.
     """
-    verify_chain(chain).require()
-    state = WorldState()
-    for block in chain:
-        for tx in block.transactions:
-            try:
-                _apply_tx_to_state(state, tx)
-            except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
-                raise CorruptChainError(
-                    f"chain corrupt at block {block.index} (body of {tx.tx_id}: {exc!r})"
-                ) from exc
+    records, state = query_history(chain), WorldState()
+    try:
+        for tx in records:
+            _apply_tx_to_state(state, tx)
+    except _BODY_ERRORS as exc:
+        raise _unreadable(chain, tx, exc) from exc
     return state
 
 
-@dataclass(frozen=True)
-class HistoryFilter:
-    kind: Optional[TxKind] = None
-    actor: Optional[str] = None
-    policy_id: Optional[str] = None
-    endpoint_id: Optional[str] = None
-    time_range: Optional[tuple[int, int]] = None  # inclusive ticks
+def _tx_matches(tx: TransactionRecord, kind, actor, time_range) -> bool:
+    return not (kind is not None and tx.kind != kind or actor is not None and tx.actor != actor
+                or time_range is not None and not time_range[0] <= tx.timestamp <= time_range[1])
 
 
-_EVERYTHING = HistoryFilter()
-
-
-def _tx_matches(tx: TransactionRecord, f: HistoryFilter) -> bool:
-    if f.kind is not None and tx.kind != f.kind:
-        return False
-    if f.actor is not None and tx.actor != f.actor:
-        return False
-    if f.time_range is not None:
-        lo, hi = f.time_range
-        if not lo <= tx.timestamp <= hi:
-            return False
-    if f.policy_id is None and f.endpoint_id is None:
-        return True
-    body = tx.body()
-    if f.policy_id is not None:
-        if body.get("policy_id") != f.policy_id and f.policy_id not in body.get(
-            "matched_policy_ids", []
-        ):
-            return False
-    if f.endpoint_id is not None:
-        if body.get("endpoint_id") != f.endpoint_id and f.endpoint_id not in body.get(
-            "target_endpoints", []
-        ) and f.endpoint_id not in body.get("affected", []):
-            return False
-    return True
-
-
-def query_history(
-    chain: list[LedgerBlock], filter: Optional[HistoryFilter] = None, **kwargs
-) -> list[TransactionRecord]:
-    """All and only matching records, in commit order.
-
-    Accepts a HistoryFilter or the same fields as keywords. Requires a
-    verifying chain, like every other read of an imported chain.
-    """
-    f = filter if filter is not None else HistoryFilter(**kwargs)
+def query_history(chain: list[LedgerBlock], *, kind: Optional[TxKind] = None, actor: Optional[str] = None,
+                  policy_id: Optional[str] = None, endpoint_id: Optional[str] = None,
+                  time_range: Optional[tuple[int, int]] = None) -> list[TransactionRecord]:
+    """All and only matching records, in commit order, ``time_range``'s
+    ticks inclusive: the one walk of a committed chain, which replay and
+    samples fold over. Refuses a chain that does not verify, and a body a
+    policy or endpoint filter cannot read, naming its block."""
     verify_chain(chain).require()
     txs = [tx for block in chain for tx in block.transactions]
-    return txs if f == _EVERYTHING else [tx for tx in txs if _tx_matches(tx, f)]
+    if kind is not None or actor is not None or time_range is not None:
+        txs = [tx for tx in txs if _tx_matches(tx, kind, actor, time_range)]
+    if policy_id is None and endpoint_id is None:
+        return txs
+    matched = []
+    try:
+        for tx in txs:
+            body = tx.body()
+            if ((policy_id is None or body.get("policy_id") == policy_id
+                 or policy_id in body.get("matched_policy_ids", []))
+                    and (endpoint_id is None or body.get("endpoint_id") == endpoint_id
+                         or endpoint_id in body.get("target_endpoints", [])
+                         or endpoint_id in body.get("affected", []))):
+                matched.append(tx)
+    except _BODY_ERRORS as exc:
+        raise _unreadable(chain, tx, exc) from exc
+    return matched
 
 
 # --------------------------------------------------------------------------

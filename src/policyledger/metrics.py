@@ -6,6 +6,9 @@ is computed from the regularized incomplete beta function (continued
 fraction, Lentz's method) rather than a statistics library, and is
 validated against an independent reference implementation in the test
 suite to 1e-9.
+
+``samples_from_chain`` folds over a chain's one walk, ``query_history``,
+as replay does, and refuses a body it cannot read as replay does.
 """
 
 from __future__ import annotations
@@ -349,45 +352,45 @@ def samples_from_chain(chain) -> tuple[list[MetricSample], list[MetricSample]]:
     """Rebuild the metric samples from a committed chain.
 
     Walks enforcement-result transactions, grouping by arm and policy via
-    the decision transactions' rule->policy mapping; this is what makes a
-    report reproducible from an exported chain alone. One walk sorts out
-    the deploys, updates and results.
+    the deploy and update transactions' rule->policy mapping; this is what
+    makes a report reproducible from an exported chain alone. Refuses what
+    ``query_history`` refuses, and a body it cannot read, naming its block.
     """
-    from .ledger import TxKind, query_history
+    from .ledger import _BODY_ERRORS, TxKind, _id, _unreadable, query_history
 
     deploy, update, result = TxKind.POLICY_DEPLOY, TxKind.POLICY_UPDATE, TxKind.ENFORCEMENT_RESULT
-    deploys, updates, results = [], [], []
-    for tx in query_history(chain):  # the one verification of the chain
-        kind = tx.kind
-        if kind is result:
-            results.append(tx)
-        elif kind is deploy:
-            deploys.append(tx)
-        elif kind is update:
-            updates.append(tx)
-
-    rule_policy: dict[str, str] = {}
-    # Every deploy first, then every update, so an upgrade's mapping wins.
-    for tx in deploys + updates:
-        body = tx.body()
-        for rule in body.get("rules", []):
-            rule_policy[rule["rule_id"]] = body["policy_id"]
-
+    records, results = query_history(chain), []
+    # Every deploy's mapping, then every update's, so an upgrade's wins.
+    deployed: dict[str, str] = {}
+    updated: dict[str, str] = {}
     # (arm, policy_id) -> [successes, total, durations, duration by endpoint]
     acc: dict[tuple[str, str], list] = {}
-    for tx in results:
-        body = tx.body()
-        rule_id = body.get("rule_id")
-        key = (tx.metadata.arm, rule_policy.get(rule_id, "ad-hoc") if rule_id else "ad-hoc")
-        bucket = acc.get(key)
-        if bucket is None:
-            bucket = acc[key] = [0, 0, [], {}]
-        bucket[1] += 1
-        if body["outcome"] == "success":
-            duration = float(body["duration_ms"])
-            bucket[0] += 1
-            bucket[2].append(duration)
-            bucket[3][body["endpoint_id"]] = duration
+    try:
+        for tx in records:
+            kind = tx.kind
+            if kind is result:
+                results.append(tx)
+            elif kind is deploy or kind is update:
+                body = tx.body()
+                mapping = deployed if kind is deploy else updated
+                for rule in body.get("rules", []):
+                    mapping[rule["rule_id"]] = _id(body["policy_id"])
+        rule_policy = deployed | updated
+        for tx in results:
+            body = tx.body()
+            rule_id = body.get("rule_id")
+            key = (tx.metadata.arm, rule_policy.get(rule_id, "ad-hoc") if rule_id else "ad-hoc")
+            bucket = acc.get(key)
+            if bucket is None:
+                bucket = acc[key] = [0, 0, [], {}]
+            bucket[1] += 1
+            if body["outcome"] == "success":
+                duration = float(body["duration_ms"])
+                bucket[0] += 1
+                bucket[2].append(duration)
+                bucket[3][body["endpoint_id"]] = duration
+    except _BODY_ERRORS as exc:
+        raise _unreadable(chain, tx, exc) from exc
 
     automated: list[MetricSample] = []
     human: list[MetricSample] = []

@@ -22,7 +22,6 @@ fields where a write depends on them.
 
 from __future__ import annotations
 
-import copy
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -30,7 +29,7 @@ from typing import Iterable, Optional
 
 from .canonical import FieldSpec, check_config, slot_builder, substream
 from .errors import InputError, UnknownEndpoint
-from .policy import ENDPOINT_ATTRIBUTES, EnforcementActionSpec, action_writes
+from .policy import EnforcementActionSpec, action_writes
 
 
 class SimClock:
@@ -69,7 +68,7 @@ class Endpoint:
     infected: bool = False
 
     def attrs(self) -> dict:
-        """A fresh attribute dict in ENDPOINT_ATTRIBUTES order: one copy of
+        """A fresh attribute dict in ``policy.ENDPOINT_ATTRIBUTES`` order: one copy of
         the endpoint's field dict (``vars``) without its id, and a copy of
         each firewall rule; mutating it, or the rule lists inside it, leaves
         the endpoint unchanged."""
@@ -131,21 +130,11 @@ class Fleet:
         )
 
 
-def provision_fleet(n: int = 60, profile: Optional[dict] = None) -> Fleet:
+def provision_fleet(n: int = 60) -> Fleet:
     """n identically configured endpoints: SMBv1 on, RDP on 3389, clean."""
     if n < 1:
         raise InputError(f"fleet size must be >= 1, got {n}")
-    overrides = profile or {}
-    unknown = set(overrides) - set(ENDPOINT_ATTRIBUTES)
-    if unknown:
-        raise InputError(f"unknown endpoint attributes in profile: {sorted(unknown)}")
-    endpoints = []
-    for i in range(n):
-        ep = Endpoint(endpoint_id=f"ep-{i:03d}")
-        for attr, value in overrides.items():
-            setattr(ep, attr, copy.deepcopy(value))
-        endpoints.append(ep)
-    return Fleet(endpoints)
+    return Fleet([Endpoint(endpoint_id=f"ep-{i:03d}") for i in range(n)])
 
 
 def snapshot(fleet: Fleet) -> dict:

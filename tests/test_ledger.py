@@ -38,12 +38,14 @@ from policyledger.ledger import (
     TxKind,
     TxMetadata,
     ZERO_DIGEST,
+    compute_block_hash,
     export_chain,
     import_chain,
     query_history,
     replay_state,
     verify_chain,
 )
+from policyledger.metrics import samples_from_chain
 
 
 def fresh_ledger(validators=3):
@@ -911,8 +913,6 @@ def test_payload_bit_flip_detected_as_digest_failure():
 
 
 def test_forged_block_detected_at_successor_link():
-    from policyledger.ledger import compute_block_hash
-
     ledger = committed_chain(5)
     chain = ledger.chain()
     original = chain[2]
@@ -1094,11 +1094,68 @@ def test_filter_by_kind_and_time_range():
     assert len(records) == 2
 
 
+def test_filter_by_policy_and_endpoint_reads_the_fields_that_name_them(run_chain):
+    bodies = [(tx, tx.body()) for tx in query_history(run_chain)]
+    decision = next(body for tx, body in bodies if tx.kind == TxKind.ENFORCEMENT_DECISION)
+    policy_id, endpoint_id = decision["matched_policy_ids"][0], decision["target_endpoints"][0]
+    by_policy = [tx for tx, body in bodies
+                 if policy_id == body.get("policy_id") or policy_id in body.get("matched_policy_ids", [])]
+    by_endpoint = [tx for tx, body in bodies if endpoint_id == body.get("endpoint_id")
+                   or endpoint_id in body.get("target_endpoints", []) + body.get("affected", [])]
+    assert len(by_endpoint) > 1 and len(by_policy) > 1
+    assert query_history(run_chain, policy_id=policy_id) == by_policy
+    assert query_history(run_chain, endpoint_id=endpoint_id) == by_endpoint
+    assert query_history(run_chain, policy_id=policy_id, endpoint_id=endpoint_id) == [
+        tx for tx in by_policy if tx in by_endpoint]
+
+
 def test_query_refuses_corrupt_chain():
     ledger = committed_chain(3)
     mutated = _rebuild_with_payload_flip(ledger.chain(), 1)
     with pytest.raises(CorruptChainError):
         query_history(mutated)
+
+
+def _sealed_chain(kind, actor, payload):
+    """A verifying chain whose one record holds ``payload``, sealed in a
+    block past submission's checks and the validators' vote."""
+    genesis = fresh_ledger().blocks[0]
+    tx = dataclasses.replace(TransactionRecord.create("tx-000001", 1, kind, actor, {}), payload=payload,
+                             payload_digest=digest_bytes(payload.encode("utf-8")))
+    block_hash = compute_block_hash(1, genesis.block_hash, 1, [tx.record_digest()])
+    chain = [genesis, LedgerBlock(1, genesis.block_hash, block_hash, 1, (tx,), dict(genesis.validator_votes))]
+    assert verify_chain(chain)
+    return chain
+
+
+_READERS = {
+    "replay": replay_state,
+    "samples": samples_from_chain,
+    "policy-filter": lambda chain: query_history(chain, policy_id="p1"),
+    "endpoint-filter": lambda chain: query_history(chain, endpoint_id="ep-000"),
+}
+_RESULT = (TxKind.ENFORCEMENT_RESULT, "contract-engine")
+_SUCCESS = {"endpoint_id": "ep-000", "rule_id": "r", "outcome": "success", "duration_ms": 1, "applied": {}}
+#: name -> (the record's kind and actor, its payload, the readers it reaches).
+_UNREADABLE = {
+    "list": (_RESULT, "[]", _READERS),
+    "int": (_RESULT, "5", _READERS),
+    "deep": (_RESULT, "[" * 200_000 + "]" * 200_000, _READERS),
+    "duration-str": (_RESULT, canonical_json({**_SUCCESS, "duration_ms": "x"}), ["samples"]),
+    "duration-huge": (_RESULT, canonical_json({**_SUCCESS, "duration_ms": 10**400}), ["samples"]),
+    "policy-id-int": ((TxKind.POLICY_DEPLOY, "policy-admin"),
+                      canonical_json({"policy_id": 5, "rules": [{"rule_id": "r"}]}), ["replay", "samples"]),
+}
+
+
+@pytest.mark.parametrize("body, reader", [(body, reader) for body, (_, _, readers) in _UNREADABLE.items()
+                                          for reader in readers])
+def test_every_reader_refuses_a_verifying_chain_with_an_unreadable_body(body, reader):
+    (kind, actor), payload, _ = _UNREADABLE[body]
+    chain = _sealed_chain(kind, actor, payload)
+    with pytest.raises(CorruptChainError) as caught:
+        _READERS[reader](chain)
+    assert str(caught.value).startswith("chain corrupt at block 1 (body of tx-000001")
 
 
 # -- export / import ---------------------------------------------------------

@@ -41,6 +41,9 @@ UNREACHED = {
         "every path builds records slot by slot, bypassing __init__; dataclasses.replace reaches it"
     ),
     "ledger._tx_matches": "query_history's filters, kept for a chain-inspection command",
+    "ledger._unreadable": (
+        "error path: only a verifying chain holding a body its reader cannot read reaches it; tests seal one"
+    ),
     "cti.ForestModel.to_json": "public helper that tests use to write model files",
     "metrics.ComparisonReport.digest": "public helper that tests use",
     "ledger.LedgerBlock.wire_json": "public helper that tests use",

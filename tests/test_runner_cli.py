@@ -4,6 +4,8 @@ import dataclasses
 import gc
 import json
 import math
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -193,6 +195,43 @@ def test_the_run_and_the_audit_path_pause_the_collector_and_restore_it(tmp_path,
         assert gc.isenabled() == enabled
     finally:
         (gc.enable if was_enabled else gc.disable)()
+
+
+#: Run in a fresh interpreter with the collector off from its first line.
+#: ``dataclasses`` imports ``ast``, whose enum leaves cycles; they are the
+#: standard library's, collected before the package is imported.
+_FRESH_PROCESS_PROBE = """
+import gc, inspect, sys
+gc.disable()
+import dataclasses
+gc.collect()
+import policyledger
+from policyledger import canonical, cli, contracts, cti, ledger, metrics, policy, runner, simnet
+for module in (cli, contracts, cti, ledger, metrics, policy, runner, simnet):
+    for name, cls in inspect.getmembers(module, inspect.isclass):
+        if isinstance(cls.__dict__.get("SPEC"), dict):
+            canonical.compile_fields(cls.SPEC, name)
+for cls in (ledger.TxMetadata, ledger.TransactionRecord, ledger.LedgerBlock):
+    ledger._reader(cls)
+config = runner.RunConfig(seed=3, endpoints=6, mode="both")
+path = runner.run_scenario(config, outdir=sys.argv[1]).files["chain"]
+chain = ledger.import_chain(path)
+assert ledger.verify_chain(chain)
+ledger.replay_state(chain)
+metrics.build_comparison_report(*metrics.samples_from_chain(chain), chain_hash=chain[-1].block_hash,
+                                seed=config.seed, config_digest=chain[0].meta["config_digest"])
+assert not gc.isenabled()
+print(gc.collect())
+"""
+
+
+def test_a_fresh_process_compiles_runs_and_audits_without_making_cycles(tmp_path):
+    # Independent of test order: nothing compiled or cached by another test.
+    src = Path(ledger_module.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", _FRESH_PROCESS_PROBE, str(tmp_path)], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
 
 
 # -- the audit -----------------------------------------------------------------

@@ -52,11 +52,12 @@ def test_zero_endpoints_is_an_input_error():
         provision_fleet(0)
 
 
-def test_profile_overrides_and_unknown_attrs():
-    fleet = provision_fleet(2, profile={"patch_level": 3})
-    assert all(ep.patch_level == 3 for ep in fleet.endpoints())
-    with pytest.raises(InputError):
-        provision_fleet(2, profile={"nope": 1})
+def test_provisioned_endpoints_share_no_field():
+    fleet = provision_fleet(2)
+    first, second = fleet.get("ep-000"), fleet.get("ep-001")
+    first.patch_level = 3
+    first.firewall_rules.append(["inbound", "445", "deny"])
+    assert (second.patch_level, second.firewall_rules) == (0, [])
 
 
 # -- apply_action ----------------------------------------------------------------
@@ -266,8 +267,9 @@ def test_snapshot_is_isolated_from_mutation():
 def test_attrs_is_the_vocabulary_in_order_and_a_copy():
     from policyledger.policy import ENDPOINT_ATTRIBUTES
 
-    fleet = provision_fleet(1, profile={"firewall_rules": [["inbound", "445", "deny"]]})
+    fleet = provision_fleet(1)
     ep = fleet.get("ep-000")
+    ep.firewall_rules = [["inbound", "445", "deny"]]
     attrs = ep.attrs()
     assert list(attrs) == list(ENDPOINT_ATTRIBUTES)
     attrs["firewall_rules"][0][2] = "allow"
