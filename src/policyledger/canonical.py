@@ -17,7 +17,7 @@ a scanner built once, with ``json.loads`` as the fallback for anything
 that scan does not cover, so it accepts and fails as ``json.loads`` does.
 
 The seeded substreams every random draw comes from, ``slot_builder``
-for the frozen value objects built once per record, block or endpoint,
+for the frozen value objects built once per record, block or result,
 ``generated_function`` beneath it, ``object_splicer`` and each policy
 rule's filter, ``collector_paused`` for the run and the audit, and the
 field table of every config, input file and chain line (``FieldSpec``)

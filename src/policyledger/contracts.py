@@ -19,7 +19,8 @@ contract layer coexists with a sub-100% endpoint application rate.
 ``execute_decision`` commits the plan's intent, ``enforce`` applies it
 (in parallel for the automated arm, through the analyst team for the
 human arm, chosen by the plan's arm), and ``commit_cycle`` closes the
-block.
+block. The plan's actions are the decision record's own ``planned``
+items, so enforcement executes what the chain says was planned.
 """
 
 from __future__ import annotations
@@ -27,30 +28,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .canonical import slot_builder, substream
+from .canonical import substream
 from .cti import Decision, DecisionKind, ThreatClass, ThreatReport
 from .errors import InputError, LedgerUnavailable
 from .ledger import Ledger, LedgerBlock, TransactionRecord, TxKind, TxMetadata
-from .policy import EnforcementActionSpec, PolicyDocument, PolicyRule, resolve_conflicts, rule_set
+from .policy import PolicyDocument, PolicyRule, resolve_conflicts, rule_set
 from .simnet import AnalystTeam, ApplyResult, Fleet, NetworkModel, SimClock, apply_action, run_human_process
 
 #: The id of the one contract a run deploys, named in each deploy record.
 CONTRACT_ID = "compliancecontract"
-
-
-@dataclass(frozen=True, slots=True)
-class PlannedAction:
-    endpoint_id: str
-    action: EnforcementActionSpec
-    rule_id: Optional[str] = None
-
-
-# A run builds a planned action per endpoint and arm; see
-# ``canonical.slot_builder``.
-_planned_action = slot_builder(PlannedAction)
-
-# Every immediate action isolates with the same, checked, spec.
-_ISOLATE = EnforcementActionSpec(kind="isolate_endpoint", params={"isolated": True})
 
 
 # Kinds read once per record; an attribute read of the enum costs more.
@@ -63,7 +49,7 @@ _RESULT = TxKind.ENFORCEMENT_RESULT
 class EnforcementPlan:
     plan_id: str
     arm: str  # automated | human
-    actions: tuple[PlannedAction, ...]
+    actions: tuple[dict, ...]  # the decision body's ``planned`` items
     issued_at: int
 
 
@@ -209,46 +195,39 @@ class ContractEngine:
         """
         fleet = self.fleet_for(arm)
         deduped = resolve_conflicts(list(matched))
-        actions: list[PlannedAction] = []
+        # Each item is built once, as the decision body encodes it.
+        planned: list[dict] = []
         if decision.kind != DecisionKind.NO_ACTION_REQUIRED:
             for rule in deduped:
-                targets = self._targets_for(rule, fleet)
-                for endpoint_id in targets:
-                    actions.append(_planned_action(endpoint_id, rule.remediation, rule.rule_id))
+                kind, params = rule.remediation.kind, rule.remediation.params
+                planned += [{"endpoint_id": eid, "kind": kind, "params": params, "rule_id": rule.rule_id}
+                            for eid in self._targets_for(rule, fleet)]
             if decision.kind == DecisionKind.IMMEDIATE_ACTION_REQUIRED:
-                actions += [_planned_action(row["endpoint_id"], _ISOLATE, None)
+                planned += [{"endpoint_id": row["endpoint_id"], "kind": "isolate_endpoint",
+                             "params": {"isolated": True}, "rule_id": None}
                             for row in fleet.rows() if row["infected"] and not row["isolated"]]
         # Parallel dispatch order: endpoint id, then remediations before
         # isolation within an endpoint; the sort is stable, so plan
         # position breaks ties.
-        actions.sort(key=lambda pa: (pa.endpoint_id, pa.action.kind == "isolate_endpoint"))
-        ordered = tuple(actions)
+        planned.sort(key=lambda item: (item["endpoint_id"], item["kind"] == "isolate_endpoint"))
 
         self._plan_seq += 1
         plan_id = f"plan-{self._plan_seq:04d}"
         issued_at = self.clock.now
         actor = "contract-engine" if arm == "automated" else "human-team"
-        metadata = self._threat_metadata(threat_class, report, ordered, arm)
+        metadata = self._threat_metadata(threat_class, report, planned, arm)
         body = {
             "plan_id": plan_id,
             "decision": decision.kind.value,
             "matched_rule_ids": list(decision.matched_rule_ids),
             "matched_policy_ids": sorted({r.policy_id for r in deduped}),
             "report_id": report.report_id if report else None,
-            "planned": [
-                {
-                    "endpoint_id": pa.endpoint_id,
-                    "kind": pa.action.kind,
-                    "params": pa.action.params,
-                    "rule_id": pa.rule_id,
-                }
-                for pa in ordered
-            ],
-            "target_endpoints": sorted({pa.endpoint_id for pa in ordered}),
+            "planned": planned,
+            "target_endpoints": sorted({item["endpoint_id"] for item in planned}),
             "issued_at": issued_at,
         }
         self._submit(_DECISION, actor, body, issued_at, metadata)
-        return EnforcementPlan(plan_id=plan_id, arm=arm, actions=ordered, issued_at=issued_at)
+        return EnforcementPlan(plan_id=plan_id, arm=arm, actions=tuple(planned), issued_at=issued_at)
 
     def _targets_for(self, rule: PolicyRule, fleet: Fleet) -> list[str]:
         selector = rule.remediation.target_selector
@@ -261,7 +240,7 @@ class ContractEngine:
         return [fields["endpoint_id"] for fields in rule.failing(fleet.rows())]
 
     def _threat_metadata(self, threat_class, report, actions, arm) -> TxMetadata:
-        kinds = sorted({pa.action.kind for pa in actions})
+        kinds = sorted({item["kind"] for item in actions})
         # TxMetadata's fields, typed by reports and classes, so equal tuples
         # encode alike.
         fields = (
@@ -309,17 +288,14 @@ class ContractEngine:
         fleet = self.fleet_for(plan.arm)
         results: list[ApplyResult] = []
         per_endpoint_clock: dict[str, int] = {}
-        for pa in plan.actions:
-            stream = substream(
-                self.master_seed, "auto", self._cycle, pa.endpoint_id, pa.action.kind
-            )
-            start = per_endpoint_clock.get(pa.endpoint_id, plan.issued_at)
-            result = apply_action(
-                fleet, pa.endpoint_id, pa.action, self.net, stream, start, cause="enforce"
-            )
-            per_endpoint_clock[pa.endpoint_id] = result.finished_at
+        for item in plan.actions:
+            endpoint_id, kind = item["endpoint_id"], item["kind"]
+            stream = substream(self.master_seed, "auto", self._cycle, endpoint_id, kind)
+            start = per_endpoint_clock.get(endpoint_id, plan.issued_at)
+            result = apply_action(fleet, endpoint_id, kind, item["params"], self.net, stream, start)
+            per_endpoint_clock[endpoint_id] = result.finished_at
             results.append(result)
-            self._log_result(plan, pa, result)
+            self._log_result(plan, item, result)
         if results:
             self.clock.advance_to(max(r.finished_at for r in results))
         return results
@@ -329,16 +305,16 @@ class ContractEngine:
         fleet = self.fleet_for("human")
         if not plan.actions:
             return []
-        tasks = [(pa.endpoint_id, pa.action) for pa in plan.actions]
+        tasks = [(item["endpoint_id"], item["kind"], item["params"]) for item in plan.actions]
         results = run_human_process(
             tasks, self.team, self.net, self.master_seed, fleet, plan.issued_at
         )
-        for pa, result in zip(plan.actions, results):
-            self._log_result(plan, pa, result)
+        for item, result in zip(plan.actions, results):
+            self._log_result(plan, item, result)
         self.clock.advance_to(max(r.finished_at for r in results))
         return results
 
-    def _log_result(self, plan: EnforcementPlan, pa: PlannedAction, result: ApplyResult) -> None:
+    def _log_result(self, plan: EnforcementPlan, item: dict, result: ApplyResult) -> None:
         actor = "contract-engine" if plan.arm == "automated" else "human-team"
         body = {
             "endpoint_id": result.endpoint_id,
@@ -349,8 +325,8 @@ class ContractEngine:
             "finished_at": result.finished_at,
             "applied": result.applied,
             "plan_id": plan.plan_id,
-            "params": pa.action.params,
-            "rule_id": pa.rule_id,
+            "params": item["params"],
+            "rule_id": item["rule_id"],
         }
         self._submit(_RESULT, actor, body, result.finished_at, self._arm_metadata[plan.arm])
 

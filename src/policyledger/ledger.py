@@ -522,8 +522,8 @@ def _apply_tx_to_state(state: WorldState, tx: TransactionRecord) -> None:
     elif kind == _RESULT:
         if body["outcome"] != "success":
             return
-        arm = _id(tx.metadata.arm)
-        attrs = state.endpoint_attrs.setdefault(arm, {}).setdefault(
+        # TxMetadata's table makes every arm a str.
+        attrs = state.endpoint_attrs.setdefault(tx.metadata.arm, {}).setdefault(
             _id(body["endpoint_id"]), {}
         )
         for attr, value in body.get("applied", {}).items():

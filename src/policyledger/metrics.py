@@ -354,7 +354,8 @@ def samples_from_chain(chain) -> tuple[list[MetricSample], list[MetricSample]]:
     Walks enforcement-result transactions, grouping by arm and policy via
     the deploy and update transactions' rule->policy mapping; this is what
     makes a report reproducible from an exported chain alone. Refuses what
-    ``query_history`` refuses, and a body it cannot read, naming its block.
+    ``query_history`` refuses, and a body it cannot read or would misread,
+    naming its block.
     """
     from .ledger import _BODY_ERRORS, TxKind, _id, _unreadable, query_history
 
@@ -378,17 +379,23 @@ def samples_from_chain(chain) -> tuple[list[MetricSample], list[MetricSample]]:
         rule_policy = deployed | updated
         for tx in results:
             body = tx.body()
-            rule_id = body.get("rule_id")
-            key = (tx.metadata.arm, rule_policy.get(rule_id, "ad-hoc") if rule_id else "ad-hoc")
+            arm, rule_id, endpoint_id, duration = (tx.metadata.arm, body.get("rule_id"), body["endpoint_id"],
+                                                   body["duration_ms"])
+            # Only what the engine writes is read: any other type would be misread.
+            if (arm not in ("automated", "human") or type(endpoint_id) is not str or type(duration) is not int
+                    or (rule_id is not None and type(rule_id) is not str)):
+                raise TypeError(f"result of arm {arm!r} names endpoint {endpoint_id!r}, rule {rule_id!r}"
+                                f" and duration {duration!r}")
+            key = (arm, rule_policy.get(rule_id, "ad-hoc") if rule_id else "ad-hoc")
             bucket = acc.get(key)
             if bucket is None:
                 bucket = acc[key] = [0, 0, [], {}]
             bucket[1] += 1
             if body["outcome"] == "success":
-                duration = float(body["duration_ms"])
+                duration = float(duration)
                 bucket[0] += 1
                 bucket[2].append(duration)
-                bucket[3][body["endpoint_id"]] = duration
+                bucket[3][endpoint_id] = duration
     except _BODY_ERRORS as exc:
         raise _unreadable(chain, tx, exc) from exc
 

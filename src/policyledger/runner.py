@@ -26,8 +26,8 @@ from .errors import InputError
 from .ledger import Ledger, export_chain, verify_chain  # noqa: F401
 from .metrics import ComparisonReport, build_comparison_report, render_report_text, samples_from_chain
 from .policy import load_policy_file
-from .simnet import (MAX_ENDPOINTS, MAX_VALIDATORS, AnalystTeam, Fleet, NetworkModel, SimClock, ThreatScenario,
-                     inject_threat, provision_fleet, snapshot)
+from .simnet import (MAX_ENDPOINTS, MAX_VALIDATORS, AnalystTeam, Fleet, NetworkModel, SimClock, inject_threat,
+                     provision_fleet, snapshot)
 
 SCENARIOS = ("smbv1", "rdp", "ransomware", "custom")
 MODES = ("automated", "human", "both")
@@ -46,7 +46,7 @@ _SCENARIO_POLICIES = {
 _SCENARIO_FEEDS = {
     "smbv1": ["feeds/smbv1_advisory.json"],
     "rdp": ["feeds/rdp_advisory.json"],
-    "ransomware": [],  # the injected threat emits the synthetic report
+    "ransomware": [],  # the injected threat's recorded alert is the report
 }
 
 
@@ -184,26 +184,16 @@ def run_scenario(
     if config.scenario == "ransomware":
         stream = substream(config.seed, "inject")
         count = min(config.infected_count, len(fleet))
-        scenario = ThreatScenario(affected_ids=tuple(sorted(stream.sample(fleet.ids(), count))))
+        affected = sorted(stream.sample(fleet.ids(), count))
         clock.advance(1_000)
-        alert = inject_threat(fleet, scenario, clock.now)
+        alert = inject_threat(fleet, affected, clock.now)
         if human_fleet is not None:
             # The paired baseline faces the same infection.
-            inject_threat(human_fleet, scenario, clock.now)
+            inject_threat(human_fleet, affected, clock.now)
         if alert is not None:
             engine.record_threat_alert(alert)
-            feed_items.append(
-                {
-                    "report_id": alert["report_id"],
-                    "source": "internal-telemetry",
-                    "actor": alert["actor"],
-                    "technique_ids": alert["technique_ids"],
-                    "cve_ids": alert["cve_ids"],
-                    "cvss": alert["cvss"],
-                    "text": alert["text"],
-                    "received_at": clock.now,
-                }
-            )
+            # The CTI pass reads the recorded alert as its threat report.
+            feed_items.append({**alert, "source": "internal-telemetry", "received_at": clock.now})
     reports, diagnostics = ingest_feed(feed_items)
 
     outcomes: list[CycleOutcome] = []

@@ -17,7 +17,8 @@ ticks accumulate along each analyst's queue.
 Both arms settle an attempt the same way: an isolated endpoint refuses
 everything but un-isolation, and a successful action applies the writes
 ``policy.action_writes`` defines for it, reading the endpoint's current
-fields where a write depends on them.
+fields where a write depends on them. An action is an endpoint id, a kind
+and its params, read from a decision record's ``planned`` item.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .canonical import FieldSpec, check_config, slot_builder, substream
 from .errors import InputError, UnknownEndpoint
-from .policy import EnforcementActionSpec, action_writes
+from .policy import action_writes
 
 
 class SimClock:
@@ -118,14 +119,13 @@ class Fleet:
         tuple on every call; a direct field write updates its row in place."""
         return self._rows
 
-    def record_mutation(self, endpoint_id: str, attribute: str, value, tick: int, cause: str):
+    def record_mutation(self, endpoint_id: str, attribute: str, value, tick: int):
         self.mutation_log.append(
             {
                 "endpoint_id": endpoint_id,
                 "attribute": attribute,
                 "value": value,
                 "tick": tick,
-                "cause": cause,
             }
         )
 
@@ -242,32 +242,32 @@ _apply_result = slot_builder(ApplyResult)
 # Applying actions
 
 
-def _settle(fleet: Fleet, ep: Endpoint, action: EnforcementActionSpec, error: Optional[str],
-            duration: int, finished: int, cause: str) -> ApplyResult:
+def _settle(fleet: Fleet, ep: Endpoint, kind: str, params: dict, error: Optional[str],
+            duration: int, finished: int) -> ApplyResult:
     """The outcome of one attempt whose draws are made. An isolated endpoint
     refuses everything but un-isolation; a drawn ``error`` leaves the
     endpoint unchanged; otherwise the action's writes (``action_writes``)
     are applied, logged, and returned in ``applied`` for the ledger."""
-    unisolating = action.kind == "isolate_endpoint" and action.params.get("isolated") is False
+    unisolating = kind == "isolate_endpoint" and params.get("isolated") is False
     if ep.isolated and not unisolating:
         error = "isolated"
     if error is not None:
-        return _apply_result(ep.endpoint_id, action.kind, "failure", error, duration, finished, {})
-    applied = action_writes(action.kind, action.params, vars(ep))
+        return _apply_result(ep.endpoint_id, kind, "failure", error, duration, finished, {})
+    applied = action_writes(kind, params, vars(ep))
     for attr, value in applied.items():
         setattr(ep, attr, value)
-        fleet.record_mutation(ep.endpoint_id, attr, value, finished, cause)
-    return _apply_result(ep.endpoint_id, action.kind, "success", None, duration, finished, applied)
+        fleet.record_mutation(ep.endpoint_id, attr, value, finished)
+    return _apply_result(ep.endpoint_id, kind, "success", None, duration, finished, applied)
 
 
 def apply_action(
     fleet: Fleet,
     endpoint_id: str,
-    action: EnforcementActionSpec,
+    kind: str,
+    params: dict,
     net: NetworkModel,
     stream,
     issued_at: int,
-    cause: str = "enforce",
 ) -> ApplyResult:
     """Apply one action to one endpoint using that endpoint's substream.
 
@@ -276,54 +276,45 @@ def apply_action(
     except un-isolation.
     """
     ep = fleet.get(endpoint_id)
-    base = net.auto_base_for(action.kind)
+    base = net.auto_base_for(kind)
     jitter = stream.randint(-net.auto_jitter_ms, net.auto_jitter_ms) if net.auto_jitter_ms else 0
     duration = max(1, base + jitter)
     error = "apply-error" if stream.random() < net.auto_failure_prob else None
-    return _settle(fleet, ep, action, error, duration, issued_at + duration, cause)
+    return _settle(fleet, ep, kind, params, error, duration, issued_at + duration)
 
 
 # --------------------------------------------------------------------------
 # Threat injection
 
 
-@dataclass(frozen=True)
-class ThreatScenario:
-    """Synthetic exploitation event; defaults mirror the ransomware case
-    (privilege-escalation CVE, high severity, impact techniques)."""
+#: The injected ransomware event: a privilege-escalation CVE, high
+#: severity, impact techniques.
+_RANSOMWARE = {
+    "report_id": "injected-threat",
+    "technique_ids": ["T1486", "T1490"],
+    "cve_ids": ["CVE-2023-28252"],
+    "cvss": 7.8,
+    "actor": "ransomware-affiliate",
+    "text": "ransomware intrusion encrypting hosts after privilege escalation",
+}
 
-    affected_ids: tuple[str, ...]
-    technique_ids: tuple[str, ...] = ("T1486", "T1490")
-    cve_ids: tuple[str, ...] = ("CVE-2023-28252",)
-    cvss: float = 7.8
-    actor: str = "ransomware-affiliate"
-    text: str = "ransomware intrusion encrypting hosts after privilege escalation"
 
-
-def inject_threat(fleet: Fleet, scenario: ThreatScenario, tick: int) -> Optional[dict]:
+def inject_threat(fleet: Fleet, affected_ids: Sequence[str], tick: int) -> Optional[dict]:
     """Mark the affected endpoints infected and emit one threat alert.
 
-    Returns the alert body (consumed by the engine as a ThreatAlert event
-    and a synthetic threat report), or None for an empty affected set.
+    Returns the alert body, or None for an empty affected set; a run records
+    it, and its CTI pass reads that recorded alert as its threat report.
     """
-    if not scenario.affected_ids:
+    if not affected_ids:
         return None
-    for eid in scenario.affected_ids:
+    for eid in affected_ids:
         if eid not in fleet:
             raise UnknownEndpoint(eid)
-    for eid in scenario.affected_ids:
-        ep = fleet.get(eid)
-        ep.infected = True
-    return {
-        "report_id": "injected-threat",
-        "affected": sorted(scenario.affected_ids),
-        "technique_ids": list(scenario.technique_ids),
-        "cve_ids": list(scenario.cve_ids),
-        "cvss": scenario.cvss,
-        "actor": scenario.actor,
-        "text": scenario.text,
-        "occurred_at": tick,
-    }
+    for eid in affected_ids:
+        fleet.get(eid).infected = True
+    # Fresh lists, so no caller's edit reaches the constant.
+    return {**_RANSOMWARE, "technique_ids": list(_RANSOMWARE["technique_ids"]),
+            "cve_ids": list(_RANSOMWARE["cve_ids"]), "affected": sorted(affected_ids), "occurred_at": tick}
 
 
 # --------------------------------------------------------------------------
@@ -403,14 +394,14 @@ class AnalystTeam:
 
 
 def run_human_process(
-    plan: list[tuple[str, EnforcementActionSpec]],
+    plan: list[tuple[str, str, dict]],
     team: AnalystTeam,
     net: NetworkModel,
     master_seed: int,
     fleet: Fleet,
     issued_at: int,
 ) -> list[ApplyResult]:
-    """Execute an enforcement plan with the analyst team.
+    """Execute a plan of ``(endpoint_id, kind, params)`` tasks with the analyst team.
 
     Each task's duration is its analyst's hands-on time (lognormal draw
     scaled by role speed); completion ticks accumulate along each
@@ -423,17 +414,17 @@ def run_human_process(
     assignment = team.assign(len(plan))
     busy_until = [issued_at] * len(team.members)
     results: list[ApplyResult] = []
-    for task_idx, (endpoint_id, action) in enumerate(plan):
+    for task_idx, (endpoint_id, kind, params) in enumerate(plan):
         member = team.members[assignment[task_idx]]
-        stream = substream(master_seed, "human", endpoint_id, action.kind)
-        median = net.human_median_for(action.kind)
+        stream = substream(master_seed, "human", endpoint_id, kind)
+        median = net.human_median_for(kind)
         draw = stream.lognormvariate(math.log(median), net.human_sigma_log)
         duration = max(1, int(round(draw * member.speed_multiplier)))
-        err_p = min(1.0, net.human_error_for(action.kind) * member.error_multiplier)
+        err_p = min(1.0, net.human_error_for(kind) * member.error_multiplier)
         error = "misconfiguration" if stream.random() < err_p else None
 
         member_idx = assignment[task_idx]
         finished = busy_until[member_idx] + duration
         busy_until[member_idx] = finished
-        results.append(_settle(fleet, fleet.get(endpoint_id), action, error, duration, finished, "human"))
+        results.append(_settle(fleet, fleet.get(endpoint_id), kind, params, error, duration, finished))
     return results

@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import strategies as st
 
@@ -75,3 +79,15 @@ def audit_checks(chain) -> list[dict]:
     block = [b for b in chain if any(tx.kind == TxKind.COMPLIANCE_CHECK for tx in b.transactions)][-1]
     assert all(tx.kind == TxKind.COMPLIANCE_CHECK for tx in block.transactions)
     return [tx.body() for tx in block.transactions]
+
+
+def perfbench_feed(seed, reports, monkeypatch):
+    """The benchmark's generated feed, from its own workload module."""
+    name = "perfbench_workloads"
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, workloads)
+    spec.loader.exec_module(workloads)
+    return workloads.generate_feed(seed, reports)

@@ -35,7 +35,6 @@ from policyledger.metrics import (
     paired_t_test,
     variance_std,
 )
-from policyledger.policy import EnforcementActionSpec
 from policyledger.runner import RunConfig, run_scenario
 from policyledger.simnet import (
     AnalystTeam,
@@ -102,7 +101,7 @@ def test_acceptance_1_metric_oracle_equivalence():
 # -- criterion 2: calibrated comparison over 200 seeds ------------------------------
 
 
-DISABLE = EnforcementActionSpec(kind="disable_smbv1")
+DISABLE = "disable_smbv1"
 
 
 def _one_seed_comparison(seed: int):
@@ -113,12 +112,12 @@ def _one_seed_comparison(seed: int):
     auto_fleet = provision_fleet(60)
     auto = {
         eid: apply_action(
-            auto_fleet, eid, DISABLE, net, substream(seed, "auto", 1, eid, DISABLE.kind), 0
+            auto_fleet, eid, DISABLE, {}, net, substream(seed, "auto", 1, eid, DISABLE), 0
         )
         for eid in auto_fleet.ids()
     }
     human_fleet = provision_fleet(60)
-    plan = [(eid, DISABLE) for eid in human_fleet.ids()]
+    plan = [(eid, DISABLE, {}) for eid in human_fleet.ids()]
     human = {
         r.endpoint_id: r
         for r in run_human_process(plan, team, net, seed, human_fleet, 0)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import audit_checks, make_engine
-from policyledger.contracts import ContractEngine, PlannedAction, _planned_action
+from policyledger.contracts import ContractEngine
 from policyledger.cti import Decision, DecisionKind, ThreatClass, ThreatCategory
 from policyledger.errors import InputError, LedgerUnavailable
 from policyledger.ledger import LedgerBlock, TransactionRecord, TxKind, _build_block, query_history
@@ -17,7 +17,6 @@ from policyledger.policy import (
     ENDPOINT_ATTRIBUTES,
     ORDERED_ATTRIBUTES,
     Condition,
-    EnforcementActionSpec,
     load_policy_document,
     load_policy_file,
     rule_set,
@@ -224,9 +223,9 @@ def test_standard_mitigation_targets_only_non_compliant(engine, docs):
         engine.fleet.get(eid).smbv1_enabled = False
     decision, matched = standard_decision(rules)
     plan = engine.execute_decision(decision, matched)
-    targets = {pa.endpoint_id for pa in plan.actions}
+    targets = {pa["endpoint_id"] for pa in plan.actions}
     assert targets == set(engine.fleet.ids()) - {"ep-000", "ep-001"}
-    assert all(pa.action.kind == "disable_smbv1" for pa in plan.actions)
+    assert all(pa["kind"] == "disable_smbv1" for pa in plan.actions)
 
 
 def test_targeting_does_not_copy_endpoint_attrs(monkeypatch, smbv1_doc, rdp_doc,
@@ -248,7 +247,7 @@ def test_targeting_does_not_copy_endpoint_attrs(monkeypatch, smbv1_doc, rdp_doc,
     plan = engine.execute_decision(decision, matched)
     targets = {}
     for pa in plan.actions:
-        targets.setdefault(pa.rule_id, set()).add(pa.endpoint_id)
+        targets.setdefault(pa["rule_id"], set()).add(pa["endpoint_id"])
     everyone = set(engine.fleet.ids())
     assert targets == {
         "smbv1-disable": everyone - {"ep-001"},
@@ -411,7 +410,7 @@ def test_targeting_makes_no_per_condition_call(smbv1_doc, rdp_doc, ransomware_do
         DecisionKind.STANDARD_MITIGATION_REQUIRED, tuple(r.rule_id for r in matched)
     )
     plan = engine.execute_decision(decision, matched)
-    assert sorted({(pa.rule_id, pa.endpoint_id) for pa in plan.actions}) == sorted(
+    assert sorted({(pa["rule_id"], pa["endpoint_id"]) for pa in plan.actions}) == sorted(
         [("smbv1-disable", eid) for eid in engine.fleet.ids() if eid != "ep-001"]
         + [("rdp-port-33089", eid) for eid in engine.fleet.ids() if eid != "ep-002"]
         + [("outbound-deny-all", eid) for eid in engine.fleet.ids()]
@@ -434,12 +433,12 @@ def test_immediate_action_adds_isolation_for_infected(docs):
     )
     kinds = {}
     for pa in plan.actions:
-        kinds.setdefault(pa.action.kind, set()).add(pa.endpoint_id)
+        kinds.setdefault(pa["kind"], set()).add(pa["endpoint_id"])
     assert kinds["isolate_endpoint"] == set(infected)
     assert kinds["update_firewall_rule"] == set(engine.fleet.ids())
     # remediation precedes isolation on every infected endpoint
     for eid in infected:
-        seq = [pa.action.kind for pa in plan.actions if pa.endpoint_id == eid]
+        seq = [pa["kind"] for pa in plan.actions if pa["endpoint_id"] == eid]
         assert seq.index("update_firewall_rule") < seq.index("isolate_endpoint")
 
 
@@ -450,8 +449,8 @@ def test_plan_is_a_total_function_of_inputs(engine, docs):
     p2 = engine.execute_decision(decision, matched)
     engine.commit_cycle()
     assert [
-        (pa.endpoint_id, pa.action.kind, pa.rule_id) for pa in p1.actions
-    ] == [(pa.endpoint_id, pa.action.kind, pa.rule_id) for pa in p2.actions]
+        (pa["endpoint_id"], pa["kind"], pa["rule_id"]) for pa in p1.actions
+    ] == [(pa["endpoint_id"], pa["kind"], pa["rule_id"]) for pa in p2.actions]
 
 
 def test_decision_metadata_carries_threat_context(engine, docs):
@@ -532,7 +531,7 @@ def test_one_result_tx_per_target(engine, docs):
     txs = query_history(engine.ledger.chain(), kind=TxKind.ENFORCEMENT_RESULT)
     assert len(results) == len(plan.actions) == len(txs)
     assert sorted(tx.body()["endpoint_id"] for tx in txs) == sorted(
-        pa.endpoint_id for pa in plan.actions
+        pa["endpoint_id"] for pa in plan.actions
     )
 
 
@@ -584,10 +583,10 @@ def test_isolation_targets_are_the_live_infected_unisolated_endpoints(fields):
         for name, value in values.items():
             setattr(ep, name, value)
     plan = engine.execute_decision(Decision(DecisionKind.IMMEDIATE_ACTION_REQUIRED), [])
-    assert [pa.endpoint_id for pa in plan.actions] == [
+    assert [pa["endpoint_id"] for pa in plan.actions] == [
         ep.endpoint_id for ep in engine.fleet.endpoints() if ep.infected and not ep.isolated
     ]
-    assert {pa.action.kind for pa in plan.actions} <= {"isolate_endpoint"}
+    assert {pa["kind"] for pa in plan.actions} <= {"isolate_endpoint"}
 
 
 # -- value objects built slot by slot ------------------------------------------------
@@ -611,10 +610,6 @@ _VALUES = {
     ApplyResult: (_apply_result, st.tuples(
         _TEXT, _TEXT, st.sampled_from(["success", "failure"]), st.none() | _TEXT,
         st.integers(), st.integers(), _MAPPING)),
-    PlannedAction: (_planned_action, st.tuples(
-        _TEXT,
-        st.sampled_from([EnforcementActionSpec(kind="disable_smbv1"), ("disable_smbv1",)]),
-        st.none() | _TEXT)),
     # Its slots end with the kept hash, which __init__ leaves unset.
     LedgerBlock: (lambda *fields: _build_block(*fields, None), st.tuples(
         st.integers(), _TEXT, _TEXT, st.integers(),

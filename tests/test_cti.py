@@ -1,18 +1,16 @@
 """CTI pipeline: ingestion, encoding, the stump forest and the decision."""
 
 import dataclasses
-import importlib.util
 import itertools
 import json
 import math
 import operator
 import random
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import perfbench_feed
 from model_oracle import build_default_model
 
 from policyledger import cti as cti_module
@@ -615,25 +613,13 @@ def test_update_clone_is_a_plain_forest_model(model):
 # -- the feature memo lives for one pass ----------------------------------------
 
 
-def _perfbench_feed(seed, reports, monkeypatch):
-    """The benchmark's generated feed, from its own workload module."""
-    name = "perfbench_workloads"
-    spec = importlib.util.spec_from_file_location(
-        name, Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    )
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, name, workloads)
-    spec.loader.exec_module(workloads)
-    return workloads.generate_feed(seed, reports)
-
-
 class _NoEnforcement:
     def run_cycle(self, *args, **kwargs):
         return []
 
 
 def test_one_pass_hashes_each_distinct_id_once(model, monkeypatch):
-    reports, _ = ingest_feed(_perfbench_feed(1, 1_000, monkeypatch))
+    reports, _ = ingest_feed(perfbench_feed(1, 1_000, monkeypatch))
     distinct = (
         {("tok", t) for r in reports for t in r.tokens}
         | {("tech", t) for r in reports for t in r.technique_ids}

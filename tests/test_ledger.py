@@ -1116,11 +1116,11 @@ def test_query_refuses_corrupt_chain():
         query_history(mutated)
 
 
-def _sealed_chain(kind, actor, payload):
+def _sealed_chain(kind, actor, payload, metadata=None):
     """A verifying chain whose one record holds ``payload``, sealed in a
     block past submission's checks and the validators' vote."""
     genesis = fresh_ledger().blocks[0]
-    tx = dataclasses.replace(TransactionRecord.create("tx-000001", 1, kind, actor, {}), payload=payload,
+    tx = dataclasses.replace(TransactionRecord.create("tx-000001", 1, kind, actor, {}, metadata), payload=payload,
                              payload_digest=digest_bytes(payload.encode("utf-8")))
     block_hash = compute_block_hash(1, genesis.block_hash, 1, [tx.record_digest()])
     chain = [genesis, LedgerBlock(1, genesis.block_hash, block_hash, 1, (tx,), dict(genesis.validator_votes))]
@@ -1136,13 +1136,23 @@ _READERS = {
 }
 _RESULT = (TxKind.ENFORCEMENT_RESULT, "contract-engine")
 _SUCCESS = {"endpoint_id": "ep-000", "rule_id": "r", "outcome": "success", "duration_ms": 1, "applied": {}}
-#: name -> (the record's kind and actor, its payload, the readers it reaches).
+#: name -> (the record's kind, actor and optional metadata, its payload, the
+#: readers it reaches). Samples also refuses a result body it would misread:
+#: the engine writes an int duration, a str endpoint id, a str or null rule id
+#: and one of the two arms. ``json.loads`` reads NaN and Infinity.
 _UNREADABLE = {
     "list": (_RESULT, "[]", _READERS),
     "int": (_RESULT, "5", _READERS),
     "deep": (_RESULT, "[" * 200_000 + "]" * 200_000, _READERS),
     "duration-str": (_RESULT, canonical_json({**_SUCCESS, "duration_ms": "x"}), ["samples"]),
     "duration-huge": (_RESULT, canonical_json({**_SUCCESS, "duration_ms": 10**400}), ["samples"]),
+    "duration-numeric-str": (_RESULT, canonical_json({**_SUCCESS, "duration_ms": "5"}), ["samples"]),
+    "duration-bool": (_RESULT, canonical_json({**_SUCCESS, "duration_ms": True}), ["samples"]),
+    "duration-nan": (_RESULT, json.dumps({**_SUCCESS, "duration_ms": float("nan")}), ["samples"]),
+    "duration-infinity": (_RESULT, json.dumps({**_SUCCESS, "duration_ms": float("inf")}), ["samples"]),
+    "endpoint-id-int": (_RESULT, canonical_json({**_SUCCESS, "endpoint_id": 5}), ["samples"]),
+    "rule-id-int": (_RESULT, canonical_json({**_SUCCESS, "rule_id": 5}), ["samples"]),
+    "arm-martian": ((*_RESULT, TxMetadata(arm="martian")), canonical_json(_SUCCESS), ["samples"]),
     "policy-id-int": ((TxKind.POLICY_DEPLOY, "policy-admin"),
                       canonical_json({"policy_id": 5, "rules": [{"rule_id": "r"}]}), ["replay", "samples"]),
 }
@@ -1151,8 +1161,8 @@ _UNREADABLE = {
 @pytest.mark.parametrize("body, reader", [(body, reader) for body, (_, _, readers) in _UNREADABLE.items()
                                           for reader in readers])
 def test_every_reader_refuses_a_verifying_chain_with_an_unreadable_body(body, reader):
-    (kind, actor), payload, _ = _UNREADABLE[body]
-    chain = _sealed_chain(kind, actor, payload)
+    (kind, actor, *metadata), payload, _ = _UNREADABLE[body]
+    chain = _sealed_chain(kind, actor, payload, *metadata)
     with pytest.raises(CorruptChainError) as caught:
         _READERS[reader](chain)
     assert str(caught.value).startswith("chain corrupt at block 1 (body of tx-000001")

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from conftest import make_engine
+from conftest import make_engine, perfbench_feed
 from policyledger.cti import DecisionKind, ForestModel, ingest_feed, process_threat_intelligence, read_feed
 from policyledger.ledger import TxKind, query_history, replay_state, verify_chain
 from policyledger.runner import RunConfig, fixture_path, run_scenario
@@ -168,6 +168,32 @@ def test_audit_completeness_on_default_runs():
             result.chain, {"automated": result.fleet, "human": result.human_fleet}
         )
 
+
+def test_each_result_executes_its_decisions_planned_item(tmp_path, monkeypatch):
+    """For every decision record, the result records that carry its plan id
+    are, in chain order, its planned items one to one."""
+    feed = tmp_path / "feed.json"
+    feed.write_text(json.dumps(perfbench_feed(1, 40, monkeypatch)), encoding="utf-8")
+    policies = [str(fixture_path("policies", f"{name}.json")) for name in ("smbv1", "rdp", "ransomware")]
+    configs = [RunConfig(seed=1, endpoints=6, scenario=scenario, mode=mode, infected_count=3)
+               for scenario in ("smbv1", "rdp", "ransomware") for mode in ("automated", "human", "both")]
+    configs.append(RunConfig(seed=2, endpoints=6, scenario="custom", policies=policies, feeds=[str(feed)]))
+    decisions, kinds = set(), set()
+    for config in configs:
+        chain = run_scenario(config).chain
+        executed: dict = {}
+        for tx in query_history(chain, kind=TxKind.ENFORCEMENT_RESULT):
+            body = tx.body()
+            executed.setdefault(body["plan_id"], []).append(
+                (body["endpoint_id"], body["action_kind"], body["params"], body["rule_id"]))
+        for tx in query_history(chain, kind=TxKind.ENFORCEMENT_DECISION):
+            body = tx.body()
+            planned = [(p["endpoint_id"], p["kind"], p["params"], p["rule_id"]) for p in body["planned"]]
+            assert executed.pop(body["plan_id"], []) == planned, (config.scenario, config.mode, body["plan_id"])
+            decisions.add(body["decision"])
+            kinds.update(kind for _, kind, _, _ in planned)
+        assert executed == {}, (config.scenario, config.mode)
+    assert "immediate_action_required" in decisions and "isolate_endpoint" in kinds
 
 def test_human_arm_records_land_on_the_same_chain():
     result = run_scenario(RunConfig(seed=5, scenario="smbv1", mode="both"))

@@ -276,33 +276,69 @@ def test_same_seed_produces_byte_identical_outputs(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
-#: SHA-256 of each output at 60 endpoints in "both" mode. A change to any
-#: of them is a change of output bytes, which bumps a format string.
+#: SHA-256 of each output at 60 endpoints, for every scenario with a
+#: fixture and every mode. A change to any of them is a change of output
+#: bytes, which bumps a format string.
 PINNED_OUTPUT_DIGESTS = {
-    ("smbv1", 42): {
-        "chain.ndjson": "0c4874aee75ca965b15eb1091e5fd373e65e652071bb726f9b42a5f55102e8d7",
-        "report.json": "297ac0137b5f0a448da0f4d43e6b58cbc00a18a12e4ed287637f26eada5aae23",
-        "report.txt": "7e2e3671635e0f9109ef650cbf313a6c6498735124f004a688c976c43f75cabe",
+    ("ransomware", "automated", 7): {
+        "chain.ndjson": "e4105c70aa2186864653dec3be71d602b2e24a8054955d5e5ecbada6e8dcdd4b",
+        "report.json": "36665c1e990f397ff00f9be9c81dbc0aa049144b2f3c1b9e8a4b30723acb7b68",
+        "report.txt": "f38c49b3ac39cf570a5caf6c06d5042ceb19884bbd64785dd5818ee7b9a8fbbb",
     },
-    ("ransomware", 7): {
+    ("ransomware", "both", 7): {
         "chain.ndjson": "af6cdfc19165f10f669b465a0ad53e7d7089897f8a23de79ea8a6835b66d94af",
         "report.json": "809ec1c7bf24d04653efc10cb17b1dec3f6844ca07e3b3af2bd6c9565602bd65",
         "report.txt": "9f70dcab968a2dc218c9e5d53efec7d195bb2f76a87433f30b0681c3020bed71",
     },
+    ("ransomware", "human", 7): {
+        "chain.ndjson": "dcbb87f6645f41388f55f87798f105fbbb8230ddd0aa1695f623561f5e374da9",
+        "report.json": "6f76c56cb92bd2663307e6a743d1bdbb99171d0889fa08edba12de43e8a4a45e",
+        "report.txt": "c4b4b8c20a670bc2603afaff652200342e12ef927b63d93c9920a1c4e0e4593d",
+    },
+    ("rdp", "automated", 11): {
+        "chain.ndjson": "9645a4b57440c99db8909127a4db721cb28ba84c9c87a49c522d50085dfc4311",
+        "report.json": "cd20e49883f66f395f1a88e79706976c6a50126df120797a9c7084e57e1e5ed9",
+        "report.txt": "96533f4c050865144f1291902ee3260c1b9d8e98d2bb67162450271bc028ae9f",
+    },
+    ("rdp", "both", 11): {
+        "chain.ndjson": "7a6caa5841d8ac2d0159cb3365b7e7ebe3620eef941a4f74ae1ccdb86047847f",
+        "report.json": "86c0cace3aead7dc17f52fd3f028efcf943953fa4d9a5a4841c33cde599d3994",
+        "report.txt": "8992b0a67c3fff96afcbe23ec9e35444d7ec236ccbc53fbc607d3d3b2b115d84",
+    },
+    ("rdp", "human", 11): {
+        "chain.ndjson": "1e3c2326beddab16b8680bd561cc9926f455be7d3ee402efeeae810fd786089e",
+        "report.json": "516d0f2398ee3282db09ead98632516d77bfcb3350bb8073e28c6760775be0f7",
+        "report.txt": "6dd3204eff7c50fb6ee74e737198c5227b8418cc362be6da9b6e99e8e3cf3f40",
+    },
+    ("smbv1", "automated", 42): {
+        "chain.ndjson": "8d9f135b6aa311de95c00e423137ea8f57d940141c78c063beb0dd8fcc818505",
+        "report.json": "4e056557b1a411192a925c6af4e1d43bea5ed56f46eb97613d709f87079bf746",
+        "report.txt": "5c845141855d7d2c369a0803b50966eb431790c2cd890a8df790ef99ed74a370",
+    },
+    ("smbv1", "both", 42): {
+        "chain.ndjson": "0c4874aee75ca965b15eb1091e5fd373e65e652071bb726f9b42a5f55102e8d7",
+        "report.json": "297ac0137b5f0a448da0f4d43e6b58cbc00a18a12e4ed287637f26eada5aae23",
+        "report.txt": "7e2e3671635e0f9109ef650cbf313a6c6498735124f004a688c976c43f75cabe",
+    },
+    ("smbv1", "human", 42): {
+        "chain.ndjson": "cbc38d960e31c618d7c259e3c37ed9e88c7844927d7adb5652fa2288b5acfd79",
+        "report.json": "b4ee04052ff3976308dae589923e9ba883c580cd853f2ee936c5ef4791d789c2",
+        "report.txt": "880b5afcc89774e7636bb0608c456884a30c245193108ded33a3d07a409274f5",
+    },
 }
 
 
-@pytest.mark.parametrize("scenario, seed", sorted(PINNED_OUTPUT_DIGESTS))
-def test_outputs_match_pinned_digests(tmp_path, scenario, seed):
+@pytest.mark.parametrize("scenario, mode, seed", sorted(PINNED_OUTPUT_DIGESTS))
+def test_outputs_match_pinned_digests(tmp_path, scenario, mode, seed):
     import hashlib
 
-    run_scenario(RunConfig(seed=seed, scenario=scenario, mode="both", endpoints=60),
+    run_scenario(RunConfig(seed=seed, scenario=scenario, mode=mode, endpoints=60),
                  outdir=tmp_path)
     digests = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        for name in PINNED_OUTPUT_DIGESTS[(scenario, seed)]
+        for name in PINNED_OUTPUT_DIGESTS[(scenario, mode, seed)]
     }
-    assert digests == PINNED_OUTPUT_DIGESTS[(scenario, seed)]
+    assert digests == PINNED_OUTPUT_DIGESTS[(scenario, mode, seed)]
 
 
 def test_report_digest_is_the_sha256_of_report_json(tmp_path):

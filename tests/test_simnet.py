@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from policyledger.canonical import substream
 from policyledger.errors import InputError, UnknownEndpoint
 from policyledger.ledger import _planned_settings
-from policyledger.policy import ACTION_KINDS, ENDPOINT_ATTRIBUTES, EnforcementActionSpec, action_writes
+from policyledger.policy import ACTION_KINDS, ENDPOINT_ATTRIBUTES, action_writes
 from policyledger.simnet import (
     DEFAULT_ROLE_ERROR,
     DEFAULT_ROLE_SPEED,
@@ -18,7 +18,6 @@ from policyledger.simnet import (
     Fleet,
     NetworkModel,
     SimClock,
-    ThreatScenario,
     apply_action,
     inject_threat,
     provision_fleet,
@@ -26,9 +25,10 @@ from policyledger.simnet import (
     snapshot,
 )
 
-DISABLE_SMB = EnforcementActionSpec(kind="disable_smbv1")
-SET_PORT = EnforcementActionSpec(kind="set_rdp_port", params={"port": 33089})
-ISOLATE = EnforcementActionSpec(kind="isolate_endpoint", params={"isolated": True})
+# (kind, params) of an action, as a decision record's planned item names them.
+DISABLE_SMB = ("disable_smbv1", {})
+SET_PORT = ("set_rdp_port", {"port": 33089})
+ISOLATE = ("isolate_endpoint", {"isolated": True})
 
 
 # -- provisioning --------------------------------------------------------------
@@ -70,7 +70,7 @@ def no_failure_net():
 def test_disable_smbv1_succeeds_and_mutates():
     fleet = provision_fleet(2)
     net = no_failure_net()
-    result = apply_action(fleet, "ep-000", DISABLE_SMB, net, substream(1, "a"), 100)
+    result = apply_action(fleet, "ep-000", *DISABLE_SMB, net, substream(1, "a"), 100)
     assert result.success
     assert fleet.get("ep-000").smbv1_enabled is False
     assert fleet.get("ep-001").smbv1_enabled is True
@@ -84,7 +84,7 @@ def test_isolated_endpoint_rejects_non_isolation_actions():
     fleet.get("ep-000").isolated = True
     net = no_failure_net()
     before = snapshot(fleet)
-    result = apply_action(fleet, "ep-000", SET_PORT, net, substream(1, "a"), 0)
+    result = apply_action(fleet, "ep-000", *SET_PORT, net, substream(1, "a"), 0)
     assert not result.success and result.failure_reason == "isolated"
     assert snapshot(fleet) == before  # port unchanged
 
@@ -93,8 +93,7 @@ def test_unisolation_is_accepted_on_isolated_endpoint():
     fleet = provision_fleet(1)
     fleet.get("ep-000").isolated = True
     net = no_failure_net()
-    release = EnforcementActionSpec(kind="isolate_endpoint", params={"isolated": False})
-    result = apply_action(fleet, "ep-000", release, net, substream(1, "a"), 0)
+    result = apply_action(fleet, "ep-000", "isolate_endpoint", {"isolated": False}, net, substream(1, "a"), 0)
     assert result.success
     assert fleet.get("ep-000").isolated is False
 
@@ -103,7 +102,7 @@ def test_failure_leaves_state_bit_identical():
     fleet = provision_fleet(4)
     net = NetworkModel(auto_failure_prob=1.0)
     before = snapshot(fleet)
-    result = apply_action(fleet, "ep-002", DISABLE_SMB, net, substream(1, "x"), 0)
+    result = apply_action(fleet, "ep-002", *DISABLE_SMB, net, substream(1, "x"), 0)
     assert not result.success and result.failure_reason == "apply-error"
     assert snapshot(fleet) == before
     assert fleet.mutation_log == []
@@ -114,7 +113,7 @@ def test_seeded_success_count_is_pinned():
     fleet = provision_fleet(60)
     net = NetworkModel()
     successes = sum(
-        apply_action(fleet, eid, DISABLE_SMB, net, substream(42, "auto", 1, eid), 0).success
+        apply_action(fleet, eid, *DISABLE_SMB, net, substream(42, "auto", 1, eid), 0).success
         for eid in fleet.ids()
     )
     assert successes == 59
@@ -124,9 +123,9 @@ def test_latency_draw_is_within_jitter_band():
     fleet = provision_fleet(10)
     net = no_failure_net()
     for eid in fleet.ids():
-        result = apply_action(fleet, eid, DISABLE_SMB, net, substream(3, eid), 0)
+        result = apply_action(fleet, eid, *DISABLE_SMB, net, substream(3, eid), 0)
         assert 193_500 <= result.duration_ms <= 194_500
-        rdp = apply_action(fleet, eid, SET_PORT, net, substream(3, eid, "r"), 0)
+        rdp = apply_action(fleet, eid, *SET_PORT, net, substream(3, eid, "r"), 0)
         assert 320_500 <= rdp.duration_ms <= 321_500
 
 
@@ -135,7 +134,7 @@ def test_per_endpoint_substreams_are_independent():
         fleet = provision_fleet(n)
         net = no_failure_net()
         return [
-            apply_action(fleet, eid, DISABLE_SMB, net, substream(7, "auto", eid), 0).duration_ms
+            apply_action(fleet, eid, *DISABLE_SMB, net, substream(7, "auto", eid), 0).duration_ms
             for eid in fleet.ids()
         ]
 
@@ -145,11 +144,8 @@ def test_per_endpoint_substreams_are_independent():
 def test_firewall_outbound_deny_all_marks_proxy_blocked():
     fleet = provision_fleet(1)
     net = no_failure_net()
-    fw = EnforcementActionSpec(
-        kind="update_firewall_rule",
-        params={"direction": "outbound", "target": "*", "verdict": "deny"},
-    )
-    result = apply_action(fleet, "ep-000", fw, net, substream(1, "f"), 0)
+    fw = {"direction": "outbound", "target": "*", "verdict": "deny"}
+    result = apply_action(fleet, "ep-000", "update_firewall_rule", fw, net, substream(1, "f"), 0)
     assert result.success
     ep = fleet.get("ep-000")
     assert ep.proxy_outbound_blocked is True
@@ -210,8 +206,7 @@ def test_applied_writes_are_the_field_diff_and_cover_the_ledger_view(data, kind,
     params = data.draw(_ACTION_PARAMS[kind])
     fleet = Fleet([Endpoint("ep-000", **fields)])
     before = fleet.get("ep-000").attrs()
-    action = EnforcementActionSpec(kind=kind, params=params)
-    result = apply_action(fleet, "ep-000", action, no_failure_net(), substream(1, kind), 0)
+    result = apply_action(fleet, "ep-000", kind, params, no_failure_net(), substream(1, kind), 0)
     after = fleet.get("ep-000").attrs()
 
     assert after == {**before, **result.applied}
@@ -233,7 +228,7 @@ def test_applied_writes_are_the_field_diff_and_cover_the_ledger_view(data, kind,
 def test_inject_marks_ten_endpoints_and_emits_one_alert():
     fleet = provision_fleet(60)
     affected = tuple(fleet.ids()[:10])
-    alert = inject_threat(fleet, ThreatScenario(affected_ids=affected), 500)
+    alert = inject_threat(fleet, affected, 500)
     assert alert is not None and alert["affected"] == sorted(affected)
     assert sum(1 for ep in fleet.endpoints() if ep.infected) == 10
     assert alert["cve_ids"] == ["CVE-2023-28252"]
@@ -242,14 +237,14 @@ def test_inject_marks_ten_endpoints_and_emits_one_alert():
 
 def test_inject_empty_set_is_noop():
     fleet = provision_fleet(3)
-    assert inject_threat(fleet, ThreatScenario(affected_ids=()), 0) is None
+    assert inject_threat(fleet, (), 0) is None
     assert all(not ep.infected for ep in fleet.endpoints())
 
 
 def test_inject_unknown_endpoint_raises():
     fleet = provision_fleet(3)
     with pytest.raises(UnknownEndpoint):
-        inject_threat(fleet, ThreatScenario(affected_ids=("ep-999",)), 0)
+        inject_threat(fleet, ("ep-999",), 0)
 
 
 # -- snapshot ----------------------------------------------------------------
@@ -320,7 +315,7 @@ def human_net(error=0.0):
 def test_five_tasks_five_analysts_no_queueing():
     fleet = provision_fleet(5)
     team = AnalystTeam.default()
-    plan = [(eid, DISABLE_SMB) for eid in fleet.ids()]
+    plan = [(eid, *DISABLE_SMB) for eid in fleet.ids()]
     results = run_human_process(plan, team, human_net(), 11, fleet, issued_at=1000)
     assert len(results) == 5
     assert all(r.success for r in results)
@@ -331,7 +326,7 @@ def test_five_tasks_five_analysts_no_queueing():
 def test_queueing_delays_completion_but_not_duration():
     fleet = provision_fleet(20)
     team = AnalystTeam.default()
-    plan = [(eid, DISABLE_SMB) for eid in fleet.ids()]
+    plan = [(eid, *DISABLE_SMB) for eid in fleet.ids()]
     results = run_human_process(plan, team, human_net(), 11, fleet, issued_at=0)
     assert len(results) == 20
     assert all(r.finished_at >= r.duration_ms for r in results)
@@ -345,7 +340,7 @@ def test_junior_only_team_is_slower_than_senior_only_on_same_seed():
             for i in range(5)
         ))
         fleet = provision_fleet(30)
-        plan = [(eid, DISABLE_SMB) for eid in fleet.ids()]
+        plan = [(eid, *DISABLE_SMB) for eid in fleet.ids()]
         results = run_human_process(plan, team, human_net(), 17, fleet, issued_at=0)
         return sum(r.duration_ms for r in results) / len(results)
 
@@ -360,7 +355,7 @@ def test_misconfiguration_errors_leave_endpoint_unchanged():
     fleet = provision_fleet(10)
     team = AnalystTeam.default()
     net = NetworkModel(human_error_prob=1.0, human_error_prob_by_kind={})
-    plan = [(eid, DISABLE_SMB) for eid in fleet.ids()]
+    plan = [(eid, *DISABLE_SMB) for eid in fleet.ids()]
     before = snapshot(fleet)
     results = run_human_process(plan, team, net, 13, fleet, issued_at=0)
     assert all(r.failure_reason == "misconfiguration" for r in results)
@@ -417,7 +412,7 @@ def test_empty_plan_is_an_input_error():
 def test_human_results_are_seed_deterministic():
     def run(seed):
         fleet = provision_fleet(12)
-        plan = [(eid, SET_PORT) for eid in fleet.ids()]
+        plan = [(eid, *SET_PORT) for eid in fleet.ids()]
         return run_human_process(plan, AnalystTeam.default(),
                                  NetworkModel(), seed, fleet, 0)
 
