@@ -18,12 +18,13 @@ deny-all still sets ``proxy_outbound_blocked``, and a patch with an
 explicit ``level`` sets ``patch_level``.
 
 A record is frozen and every digest input is immutable, so each record
-object computes its payload check and its record digest once, on first
-use, and keeps them. Likewise, block hashes are recomputed once per block
-object; links, votes and indices are checked on every call. Genesis is
-the exception: its ``meta`` is a mutable dict, so its hash is recomputed
-on every call. A record digest's preimage is spliced around its metadata's
-canonical JSON fragment, which each ``TxMetadata`` object encodes once.
+object computes its payload check, its record digest and a result's
+checked reading once, on first use, and keeps them. Likewise, block
+hashes are recomputed once per block object; links, votes and indices
+are checked on every call. Genesis is the exception: its ``meta`` is a
+mutable dict, so its hash is recomputed on every call. A record digest's
+preimage is spliced around its metadata's canonical JSON fragment, which
+each ``TxMetadata`` object encodes once.
 Metadata field types are checked when it is built, so equal metadata
 encodes alike; an import interns it by its typed field values, one object
 per distinct value, so a chain with a handful of distinct metadata values
@@ -51,6 +52,8 @@ fallback, so every value read and every line refused is ``json.loads``'s.
 A committed chain has one verified walk, ``query_history``; replay and
 ``metrics.samples_from_chain`` fold over it, and all three refuse alike
 a body they cannot read, with ``CorruptChainError`` naming its block.
+Replay and samples read a result through its one kept reading, so an
+audit parses each result body once and both refuse a result alike.
 """
 
 from __future__ import annotations
@@ -214,16 +217,16 @@ class TransactionRecord:
     """One audited event: a policy deploy/update, a compliance check, an
     enforcement decision or per-endpoint result, or a threat alert.
 
-    The two digest results are derived from the frozen fields on first use
-    and kept on the object; they take no part in equality, repr or the
-    wire format, and ``dataclasses.replace`` starts a copy without them.
+    The two digests and a result's reading (``_result_reading``) are kept
+    on the object after first use; they take no part in equality, repr or
+    the wire format, and ``dataclasses.replace`` starts a copy without them.
     The record digest's preimage embeds the metadata's kept fragment, so
     records sharing a ``TxMetadata`` object encode it once between them.
 
     ``__post_init__`` checks the fields against ``SPEC``; ``create`` and
     the chain-line reader check them too, and build through
     ``_build_record`` (``canonical.slot_builder``), which sets each of the
-    nine slots once, to what ``__init__`` would set it: every record a run
+    ten slots once, to what ``__init__`` would set it: every record a run
     writes or an audit imports is built so.
     """
 
@@ -236,6 +239,7 @@ class TransactionRecord:
     metadata: TxMetadata = field(default_factory=TxMetadata)
     _payload_ok: Optional[bool] = field(default=None, init=False, repr=False, compare=False)
     _digest: Optional[str] = field(default=None, init=False, repr=False, compare=False)
+    _reading: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     SPEC = {
         "tx_id": FieldSpec("text", required=True),
@@ -267,7 +271,13 @@ class TransactionRecord:
                   TxMetadata() if metadata is None else metadata)
         _record_check(*fields)
         # The digest is computed here from this payload: it is intact.
-        return _build_record(*fields, True, None)
+        tx = _build_record(*fields, True, None)
+        if kind is _RESULT:
+            try:  # a result's reading is read from the body it encodes
+                _result_reading(tx, body)
+            except _BODY_ERRORS:
+                pass  # none is kept: each reader parses the payload and refuses it
+        return tx
 
     def body(self) -> dict:
         return decode_json(self.payload)
@@ -495,12 +505,39 @@ def _id(value) -> str:
     return value
 
 
+def _ids(body: dict, key: str) -> list:
+    """``body[key]``, by default empty: a list of ids, or it raises."""
+    ids = body.get(key, [])
+    if type(ids) is not list or not all(type(i) is str for i in ids):
+        raise TypeError(f"{key} {ids!r} is not a list of ids")
+    return ids
+
+
+def _result_reading(tx: TransactionRecord, body: Optional[dict] = None) -> tuple:
+    """A result's ``(endpoint_id, succeeded, duration_ms, rule_id)``, read
+    from ``body`` (by default the parsed payload) and kept on ``tx``. Only
+    what the engine writes is read: anything else raises, and is not kept."""
+    reading = tx._reading
+    if reading is None:
+        body = tx.body() if body is None else body
+        arm, endpoint_id, outcome, duration, rule_id = (tx.metadata.arm, body["endpoint_id"], body["outcome"],
+                                                        body["duration_ms"], body.get("rule_id"))
+        if (arm not in ("automated", "human") or type(endpoint_id) is not str or type(outcome) is not str
+                or outcome not in ("success", "failure") or type(duration) is not int
+                or rule_id is not None and type(rule_id) is not str):
+            raise TypeError(f"result {(arm, endpoint_id, outcome, duration, rule_id)!r} is not the engine's")
+        reading = endpoint_id, outcome == "success", float(duration), rule_id
+        object.__setattr__(tx, "_reading", reading)
+    return reading
+
+
 def _apply_tx_to_state(state: WorldState, tx: TransactionRecord) -> None:
     """Fold one record into ``state``; a body it cannot fold raises."""
     kind = tx.kind
     if kind == _DECISION:
         return  # intent only; it does not mutate state, so it is not parsed
-    body = tx.body()
+    # A result's kept reading holds no ``applied``: a success parses its body afresh.
+    body = None if kind == _RESULT and tx._reading else tx.body()
     if kind in _POLICY_KINDS:
         pid = _id(body["policy_id"])
         state.policies[pid] = body
@@ -520,22 +557,15 @@ def _apply_tx_to_state(state: WorldState, tx: TransactionRecord) -> None:
             "checked_at": body["checked_at"],
         }
     elif kind == _RESULT:
-        if body["outcome"] != "success":
-            return
-        # TxMetadata's table makes every arm a str.
-        attrs = state.endpoint_attrs.setdefault(tx.metadata.arm, {}).setdefault(
-            _id(body["endpoint_id"]), {}
-        )
-        for attr, value in body.get("applied", {}).items():
-            attrs[attr] = value
+        endpoint_id, succeeded, _, _ = _result_reading(tx, body)
+        if succeeded:
+            state.endpoint_attrs.setdefault(tx.metadata.arm, {}).setdefault(endpoint_id, {}).update(
+                (tx.body() if body is None else body).get("applied", {}).items())
     elif kind == _ALERT:
-        state.alerts.append(
-            {"report_id": body.get("report_id"), "affected": body.get("affected", [])}
-        )
-        for ep in body.get("affected", []):
-            state.endpoint_attrs.setdefault("automated", {}).setdefault(_id(ep), {})[
-                "infected"
-            ] = True
+        affected = _ids(body, "affected")
+        state.alerts.append({"report_id": body.get("report_id"), "affected": affected})
+        for ep in affected:
+            state.endpoint_attrs.setdefault("automated", {}).setdefault(ep, {})["infected"] = True
 
 
 # --------------------------------------------------------------------------
@@ -871,10 +901,10 @@ def query_history(chain: list[LedgerBlock], *, kind: Optional[TxKind] = None, ac
         for tx in txs:
             body = tx.body()
             if ((policy_id is None or body.get("policy_id") == policy_id
-                 or policy_id in body.get("matched_policy_ids", []))
+                 or policy_id in _ids(body, "matched_policy_ids"))
                     and (endpoint_id is None or body.get("endpoint_id") == endpoint_id
-                         or endpoint_id in body.get("target_endpoints", [])
-                         or endpoint_id in body.get("affected", []))):
+                         or endpoint_id in _ids(body, "target_endpoints")
+                         or endpoint_id in _ids(body, "affected"))):
                 matched.append(tx)
     except _BODY_ERRORS as exc:
         raise _unreadable(chain, tx, exc) from exc

@@ -353,11 +353,12 @@ def samples_from_chain(chain) -> tuple[list[MetricSample], list[MetricSample]]:
 
     Walks enforcement-result transactions, grouping by arm and policy via
     the deploy and update transactions' rule->policy mapping; this is what
-    makes a report reproducible from an exported chain alone. Refuses what
-    ``query_history`` refuses, and a body it cannot read or would misread,
-    naming its block.
+    makes a report reproducible from an exported chain alone. Each result
+    is read through the reading the record keeps, as replay reads it.
+    Refuses what ``query_history`` refuses, and a body it cannot read or
+    would misread, naming its block.
     """
-    from .ledger import _BODY_ERRORS, TxKind, _id, _unreadable, query_history
+    from .ledger import _BODY_ERRORS, TxKind, _id, _result_reading, _unreadable, query_history
 
     deploy, update, result = TxKind.POLICY_DEPLOY, TxKind.POLICY_UPDATE, TxKind.ENFORCEMENT_RESULT
     records, results = query_history(chain), []
@@ -378,21 +379,13 @@ def samples_from_chain(chain) -> tuple[list[MetricSample], list[MetricSample]]:
                     mapping[rule["rule_id"]] = _id(body["policy_id"])
         rule_policy = deployed | updated
         for tx in results:
-            body = tx.body()
-            arm, rule_id, endpoint_id, duration = (tx.metadata.arm, body.get("rule_id"), body["endpoint_id"],
-                                                   body["duration_ms"])
-            # Only what the engine writes is read: any other type would be misread.
-            if (arm not in ("automated", "human") or type(endpoint_id) is not str or type(duration) is not int
-                    or (rule_id is not None and type(rule_id) is not str)):
-                raise TypeError(f"result of arm {arm!r} names endpoint {endpoint_id!r}, rule {rule_id!r}"
-                                f" and duration {duration!r}")
-            key = (arm, rule_policy.get(rule_id, "ad-hoc") if rule_id else "ad-hoc")
+            endpoint_id, succeeded, duration, rule_id = _result_reading(tx)
+            key = (tx.metadata.arm, rule_policy.get(rule_id, "ad-hoc") if rule_id else "ad-hoc")
             bucket = acc.get(key)
             if bucket is None:
                 bucket = acc[key] = [0, 0, [], {}]
             bucket[1] += 1
-            if body["outcome"] == "success":
-                duration = float(duration)
+            if succeeded:
                 bucket[0] += 1
                 bucket[2].append(duration)
                 bucket[3][endpoint_id] = duration

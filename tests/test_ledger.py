@@ -1119,9 +1119,13 @@ def test_query_refuses_corrupt_chain():
 def _sealed_chain(kind, actor, payload, metadata=None):
     """A verifying chain whose one record holds ``payload``, sealed in a
     block past submission's checks and the validators' vote."""
+    return _sealed(dataclasses.replace(TransactionRecord.create("tx-000001", 1, kind, actor, {}, metadata),
+                                       payload=payload, payload_digest=digest_bytes(payload.encode("utf-8"))))
+
+
+def _sealed(tx):
+    """A verifying chain whose one block holds the record ``tx``."""
     genesis = fresh_ledger().blocks[0]
-    tx = dataclasses.replace(TransactionRecord.create("tx-000001", 1, kind, actor, {}, metadata), payload=payload,
-                             payload_digest=digest_bytes(payload.encode("utf-8")))
     block_hash = compute_block_hash(1, genesis.block_hash, 1, [tx.record_digest()])
     chain = [genesis, LedgerBlock(1, genesis.block_hash, block_hash, 1, (tx,), dict(genesis.validator_votes))]
     assert verify_chain(chain)
@@ -1137,24 +1141,29 @@ _READERS = {
 _RESULT = (TxKind.ENFORCEMENT_RESULT, "contract-engine")
 _SUCCESS = {"endpoint_id": "ep-000", "rule_id": "r", "outcome": "success", "duration_ms": 1, "applied": {}}
 #: name -> (the record's kind, actor and optional metadata, its payload, the
-#: readers it reaches). Samples also refuses a result body it would misread:
-#: the engine writes an int duration, a str endpoint id, a str or null rule id
-#: and one of the two arms. ``json.loads`` reads NaN and Infinity.
+#: readers it reaches). Replay and samples also refuse a result body they
+#: would misread: the engine writes an int duration, a str endpoint id, a str
+#: or null rule id, one of the two outcomes and one of the two arms; and an
+#: alert's ``affected`` is a list of ids. ``json.loads`` reads NaN and Infinity.
+_BOTH = ["replay", "samples"]
 _UNREADABLE = {
     "list": (_RESULT, "[]", _READERS),
     "int": (_RESULT, "5", _READERS),
     "deep": (_RESULT, "[" * 200_000 + "]" * 200_000, _READERS),
-    "duration-str": (_RESULT, canonical_json({**_SUCCESS, "duration_ms": "x"}), ["samples"]),
-    "duration-huge": (_RESULT, canonical_json({**_SUCCESS, "duration_ms": 10**400}), ["samples"]),
-    "duration-numeric-str": (_RESULT, canonical_json({**_SUCCESS, "duration_ms": "5"}), ["samples"]),
-    "duration-bool": (_RESULT, canonical_json({**_SUCCESS, "duration_ms": True}), ["samples"]),
-    "duration-nan": (_RESULT, json.dumps({**_SUCCESS, "duration_ms": float("nan")}), ["samples"]),
-    "duration-infinity": (_RESULT, json.dumps({**_SUCCESS, "duration_ms": float("inf")}), ["samples"]),
-    "endpoint-id-int": (_RESULT, canonical_json({**_SUCCESS, "endpoint_id": 5}), ["samples"]),
-    "rule-id-int": (_RESULT, canonical_json({**_SUCCESS, "rule_id": 5}), ["samples"]),
-    "arm-martian": ((*_RESULT, TxMetadata(arm="martian")), canonical_json(_SUCCESS), ["samples"]),
+    "duration-str": (_RESULT, canonical_json({**_SUCCESS, "duration_ms": "x"}), _BOTH),
+    "duration-huge": (_RESULT, canonical_json({**_SUCCESS, "duration_ms": 10**400}), _BOTH),
+    "duration-numeric-str": (_RESULT, canonical_json({**_SUCCESS, "duration_ms": "5"}), _BOTH),
+    "duration-bool": (_RESULT, canonical_json({**_SUCCESS, "duration_ms": True}), _BOTH),
+    "duration-nan": (_RESULT, json.dumps({**_SUCCESS, "duration_ms": float("nan")}), _BOTH),
+    "duration-infinity": (_RESULT, json.dumps({**_SUCCESS, "duration_ms": float("inf")}), _BOTH),
+    "endpoint-id-int": (_RESULT, canonical_json({**_SUCCESS, "endpoint_id": 5}), _BOTH),
+    "rule-id-int": (_RESULT, canonical_json({**_SUCCESS, "rule_id": 5}), _BOTH),
+    "outcome-capitalised": (_RESULT, canonical_json({**_SUCCESS, "outcome": "Success"}), _BOTH),
+    "arm-martian": ((*_RESULT, TxMetadata(arm="martian")), canonical_json(_SUCCESS), _BOTH),
     "policy-id-int": ((TxKind.POLICY_DEPLOY, "policy-admin"),
-                      canonical_json({"policy_id": 5, "rules": [{"rule_id": "r"}]}), ["replay", "samples"]),
+                      canonical_json({"policy_id": 5, "rules": [{"rule_id": "r"}]}), _BOTH),
+    "affected-str": ((TxKind.THREAT_ALERT, "cti-engine"), canonical_json({"affected": "ep-01"}),
+                     ["replay", "endpoint-filter"]),
 }
 
 
@@ -1166,6 +1175,119 @@ def test_every_reader_refuses_a_verifying_chain_with_an_unreadable_body(body, re
     with pytest.raises(CorruptChainError) as caught:
         _READERS[reader](chain)
     assert str(caught.value).startswith("chain corrupt at block 1 (body of tx-000001")
+
+
+@pytest.mark.parametrize("body", [body for body, (_, _, readers) in _UNREADABLE.items() if "samples" in readers])
+def test_replay_and_samples_refuse_an_unreadable_body_with_one_error(body):
+    (kind, actor, *metadata), payload, _ = _UNREADABLE[body]
+    chain = _sealed_chain(kind, actor, payload, *metadata)
+    errors = []
+    # One chain: a refused body keeps no reading, so each call reads it anew.
+    for reader in (replay_state, samples_from_chain, replay_state, samples_from_chain):
+        with pytest.raises(CorruptChainError) as caught:
+            reader(chain)
+        errors.append(str(caught.value))
+    assert len(set(errors)) == 1
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+_TEXT = st.text(max_size=4)
+#: A result body's fields as the engine writes them, and each one's edges.
+_RESULT_FIELDS = {
+    "endpoint_id": _TEXT,
+    "outcome": st.sampled_from(["success", "failure"]),
+    "duration_ms": st.integers(),
+    "rule_id": st.one_of(st.none(), _TEXT),
+    "applied": st.dictionaries(_TEXT, st.integers(), max_size=2),
+}
+_RESULT_EDGES = {
+    "endpoint_id": st.one_of(st.builds(_Str, _TEXT), st.integers(), st.booleans(), st.none()),
+    "outcome": st.one_of(st.sampled_from(["Success", "", "failure "]),
+                         st.builds(_Str, st.sampled_from(["success", "failure"])), st.booleans(), st.none()),
+    "duration_ms": st.one_of(st.just(10**400), st.builds(_Int, st.integers()), st.booleans(), st.floats(),
+                             st.sampled_from(["5", "x"]), st.none()),
+    "rule_id": st.one_of(st.builds(_Str, _TEXT), st.integers(), st.booleans()),
+}
+
+
+@st.composite
+def _result_bodies(draw):
+    """A result body with up to two fields missing or at an edge."""
+    body = draw(st.fixed_dictionaries(_RESULT_FIELDS))
+    for name in draw(st.lists(st.sampled_from(sorted(_RESULT_EDGES)), max_size=2, unique=True)):
+        if draw(st.booleans()):
+            del body[name]
+        else:
+            body[name] = draw(_RESULT_EDGES[name])
+    return body
+
+
+@settings(max_examples=300, deadline=None)
+@given(_result_bodies(), st.sampled_from(["automated", "human", "martian"]))
+def test_a_created_results_kept_reading_is_the_reading_of_its_payload(body, arm):
+    created = TransactionRecord.create("tx-000001", 1, TxKind.ENFORCEMENT_RESULT, "contract-engine", body,
+                                       TxMetadata(arm=arm))
+    kept, fresh = created._reading, dataclasses.replace(created)  # a copy keeps no reading
+    try:
+        reading = ledger_module._result_reading(fresh)
+    except ledger_module._BODY_ERRORS:
+        reading = None
+    # None is kept for a body the reading refuses, and for one it reads only
+    # once encoded: a str or int subclass parses back as str or int.
+    assert kept in (None, reading)
+    if reading is not None:
+        assert ledger_module._result_reading(created) == reading
+        assert all(type(value) in (str, bool, float, type(None)) for value in reading)
+        return
+    errors = set()
+    for tx in (created, dataclasses.replace(created)):
+        for reader in (replay_state, samples_from_chain):
+            with pytest.raises(CorruptChainError) as caught:
+                reader(_sealed(tx))
+            errors.add(str(caught.value))
+    assert len(errors) == 1
+
+
+def _count_body_parses(monkeypatch):
+    real, parsed = TransactionRecord.body, []
+    monkeypatch.setattr(TransactionRecord, "body", lambda tx: parsed.append(tx) or real(tx))
+    return parsed
+
+
+def _results(chain):
+    return [tx for block in chain for tx in block.transactions if tx.kind == TxKind.ENFORCEMENT_RESULT]
+
+
+def test_the_audit_path_parses_each_result_body_once(tmp_path, monkeypatch):
+    from policyledger.runner import RunConfig, run_scenario
+
+    path = tmp_path / "chain.ndjson"
+    export_chain(run_scenario(RunConfig(seed=5, scenario="smbv1", mode="both", endpoints=8)).chain, path)
+    parsed = _count_body_parses(monkeypatch)
+    chain = import_chain(path)
+    assert verify_chain(chain).ok
+    replay_state(chain)
+    automated, human = samples_from_chain(chain)
+    results = _results(chain)
+    assert automated and human and results
+    assert [tx for tx in parsed if tx.kind == TxKind.ENFORCEMENT_RESULT] == results
+
+
+def test_samples_parse_no_result_body_of_a_runs_live_chain(monkeypatch):
+    from policyledger.runner import RunConfig, run_scenario
+
+    chain = run_scenario(RunConfig(seed=5, scenario="smbv1", mode="both", endpoints=8)).chain
+    parsed = _count_body_parses(monkeypatch)
+    automated, human = samples_from_chain(chain)
+    assert automated and human and _results(chain)
+    assert [tx for tx in parsed if tx.kind == TxKind.ENFORCEMENT_RESULT] == []
 
 
 # -- export / import ---------------------------------------------------------
@@ -1838,7 +1960,7 @@ def test_export_holds_one_record_at_a_time(tmp_path):
 # -- one builder for every created and imported record ---------------------------
 
 
-_MEMO_SLOTS = ("_payload_ok", "_digest")
+_MEMO_SLOTS = ("_payload_ok", "_digest", "_reading")
 
 
 def _slots(tx):

@@ -98,6 +98,8 @@ def _exercise(workdir: Path) -> None:
     assert verify_chain(chain)
     replay_state(chain)
     samples_from_chain(chain)
+    # Only a ransomware run writes a threat alert for replay to fold.
+    replay_state(import_chain(workdir / "ransomware-both" / "chain.ndjson"))
 
     # One chain fails on a block hash, the other on a mistyped field.
     tampered = []
