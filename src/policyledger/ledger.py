@@ -49,17 +49,19 @@ time. Lines and payloads are parsed by
 ``canonical.decode_json``, one C scan with ``json.loads`` as its
 fallback, so every value read and every line refused is ``json.loads``'s.
 
-A committed chain has one verified walk, ``query_history``; replay and
-``metrics.samples_from_chain`` fold over it, and all three refuse alike
-a body they cannot read, with ``CorruptChainError`` naming its block.
-Replay and samples read a result through its one kept reading, so an
-audit parses each result body once and both refuse a result alike.
+A committed chain has one verified walk, ``query_history``, which replay
+and ``metrics.samples_from_chain`` fold over. Every reader of a body
+(validation, replay, samples, the query filters) checks it where it reads
+it against its kind's one table, ``BODY_SPECS``, so all refuse alike a
+body that does not fit, naming its block. A result keeps its reading once
+its body fits, so an audit parses each result body once.
 """
 
 from __future__ import annotations
 
 import functools
 import os
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -87,7 +89,7 @@ from .errors import (
     InputError,
     MalformedTransaction,
 )
-from .policy import action_writes
+from .policy import ACTION_KINDS, ACTION_PARAMS, action_writes
 
 CHAIN_FORMAT = "policyledger-chain/1"
 VOTE_ACCEPT = "accept"
@@ -123,9 +125,9 @@ _KIND_JSON = {kind: encode_str(kind.value) for kind in TxKind}
 #: policy and pending writes.
 _BODY_CHECKED = frozenset({TxKind.POLICY_DEPLOY, TxKind.POLICY_UPDATE, TxKind.ENFORCEMENT_DECISION})
 
-#: What reading a body that does not decode, or lacks or mistypes a field
-#: its reader reads, may raise: validation and the chain's readers catch it.
-_BODY_ERRORS = (AttributeError, KeyError, OverflowError, RecursionError, TypeError, ValueError)
+#: What reading a body may raise: a payload that does not decode, or a body
+#: that does not fit its table. Validation and the chain's readers catch it.
+_BODY_ERRORS = (RecursionError, TypeError, ValueError)
 
 # Kinds as module globals for per-record loops: an attribute read of the
 # enum costs more.
@@ -184,7 +186,7 @@ class TxMetadata:
         "technique_ids": FieldSpec("strings", required=True),
         "recommended_change": FieldSpec("text", required=True, null=True),
         "priority": FieldSpec("int", 0, 4, required=True),
-        "arm": FieldSpec("text", required=True),
+        "arm": FieldSpec("str", of=("automated", "human"), required=True),
     }
 
     def __post_init__(self):
@@ -274,7 +276,7 @@ class TransactionRecord:
         tx = _build_record(*fields, True, None)
         if kind is _RESULT:
             try:  # a result's reading is read from the body it encodes
-                _result_reading(tx, body)
+                _result_reading(tx, _body(tx, body))
             except _BODY_ERRORS:
                 pass  # none is kept: each reader parses the payload and refuses it
         return tx
@@ -443,6 +445,44 @@ TransactionRecord.from_dict = staticmethod(lambda data, interned: _reader(Transa
 LedgerBlock.from_dict = staticmethod(lambda data, interned: _reader(LedgerBlock)(data, interned))
 
 
+_ANY, _IDS, _TEXT, _ID = FieldSpec("any"), FieldSpec("strings"), FieldSpec("text"), FieldSpec("text", required=True)
+
+
+def _items(**spec: FieldSpec) -> FieldSpec:
+    """A list of objects of ``spec``'s fields and any other field."""
+    return FieldSpec("list", 0, of=FieldSpec("object", of={**spec, "*": _ANY}))
+
+
+#: Each kind's body: every field some reader reads, with its type, and
+#: ``"*"`` for the fields no reader reads. Validation reads policy and
+#: decision bodies; replay every kind but decisions; samples policies and
+#: results; and ``query_history``'s filters every kind.
+BODY_SPECS = {
+    TxKind.POLICY_DEPLOY: {
+        "policy_id": _ID, "contract_id": FieldSpec("text", null=True), "contract_version": FieldSpec("int"),
+        "rules": _items(rule_id=_ID, condition=_items(attribute=_ID, comparator=_TEXT,
+                                                      value=FieldSpec("any", required=True))), "*": _ANY},
+    TxKind.COMPLIANCE_CHECK: {
+        "endpoint_id": _ID, "rule_id": _ID, "policy_id": _TEXT,
+        "verdict": FieldSpec("str", of=("compliant", "non_compliant"), required=True),
+        "checked_at": FieldSpec("int", unit="ms", required=True), "*": _ANY},
+    TxKind.ENFORCEMENT_DECISION: {
+        "policy_id": _TEXT, "matched_policy_ids": _IDS, "target_endpoints": _IDS,
+        "planned": _items(endpoint_id=_ID, kind=FieldSpec("str", of=ACTION_KINDS, required=True),
+                          params=FieldSpec("params", of=ACTION_PARAMS, required=True)), "*": _ANY},
+    TxKind.ENFORCEMENT_RESULT: {
+        "endpoint_id": _ID, "outcome": FieldSpec("str", of=("success", "failure"), required=True),
+        # An integer a float holds: samples reads it as one.
+        "duration_ms": FieldSpec("int", -sys.float_info.max, sys.float_info.max, "ms", required=True),
+        "rule_id": FieldSpec("text", null=True), "applied": FieldSpec("object", of={"*": _ANY}), "*": _ANY},
+    TxKind.THREAT_ALERT: {"report_id": FieldSpec("text", null=True), "affected": _IDS, "*": _ANY},
+}
+_BODY_CHECKS = {kind: compile_fields(spec, f"{kind.value} body check", _wire_error)
+                for kind, spec in BODY_SPECS.items()}
+BODY_SPECS[TxKind.POLICY_UPDATE] = BODY_SPECS[TxKind.POLICY_DEPLOY]
+_BODY_CHECKS[TxKind.POLICY_UPDATE] = _BODY_CHECKS[TxKind.POLICY_DEPLOY]
+
+
 def compute_block_hash(
     index: int,
     prev_hash: str,
@@ -488,84 +528,60 @@ class WorldState:
     alerts: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "policies": self.policies,
-            "policy_history": self.policy_history,
-            "contracts": self.contracts,
-            "endpoint_attrs": self.endpoint_attrs,
-            "compliance": self.compliance,
-            "alerts": self.alerts,
-        }
+        return dict(vars(self))
 
 
-def _id(value) -> str:
-    """``value``, a world-state key: a str, or the state would not encode."""
-    if type(value) is not str:
-        raise TypeError(f"id {value!r} is not a string")
-    return value
-
-
-def _ids(body: dict, key: str) -> list:
-    """``body[key]``, by default empty: a list of ids, or it raises."""
-    ids = body.get(key, [])
-    if type(ids) is not list or not all(type(i) is str for i in ids):
-        raise TypeError(f"{key} {ids!r} is not a list of ids")
-    return ids
+def _body(tx: TransactionRecord, body=None) -> dict:
+    """``tx``'s body (by default its parsed payload) once it fits its kind's
+    table in ``BODY_SPECS``, through which every reader reads it; a check
+    whose ``warning`` is set, which replay skips, is not checked."""
+    if body is None:
+        body = tx.body()
+    kind = tx.kind
+    if kind is not _CHECK or type(body) is not dict or not body.get("warning"):
+        _BODY_CHECKS[kind](body, "body")
+    return body
 
 
 def _result_reading(tx: TransactionRecord, body: Optional[dict] = None) -> tuple:
     """A result's ``(endpoint_id, succeeded, duration_ms, rule_id)``, read
-    from ``body`` (by default the parsed payload) and kept on ``tx``. Only
-    what the engine writes is read: anything else raises, and is not kept."""
+    from ``body``, which fits the result table, or else from ``_body(tx)``,
+    and kept on ``tx``."""
     reading = tx._reading
     if reading is None:
-        body = tx.body() if body is None else body
-        arm, endpoint_id, outcome, duration, rule_id = (tx.metadata.arm, body["endpoint_id"], body["outcome"],
-                                                        body["duration_ms"], body.get("rule_id"))
-        if (arm not in ("automated", "human") or type(endpoint_id) is not str or type(outcome) is not str
-                or outcome not in ("success", "failure") or type(duration) is not int
-                or rule_id is not None and type(rule_id) is not str):
-            raise TypeError(f"result {(arm, endpoint_id, outcome, duration, rule_id)!r} is not the engine's")
-        reading = endpoint_id, outcome == "success", float(duration), rule_id
+        if body is None:
+            body = _body(tx)
+        reading = body["endpoint_id"], body["outcome"] == "success", float(body["duration_ms"]), body.get("rule_id")
         object.__setattr__(tx, "_reading", reading)
     return reading
 
 
 def _apply_tx_to_state(state: WorldState, tx: TransactionRecord) -> None:
-    """Fold one record into ``state``; a body it cannot fold raises."""
+    """Fold one record into ``state``; a body that does not fit its table raises."""
     kind = tx.kind
-    if kind == _DECISION:
+    if kind is _DECISION:
         return  # intent only; it does not mutate state, so it is not parsed
-    # A result's kept reading holds no ``applied``: a success parses its body afresh.
-    body = None if kind == _RESULT and tx._reading else tx.body()
-    if kind in _POLICY_KINDS:
-        pid = _id(body["policy_id"])
-        state.policies[pid] = body
-        state.policy_history.setdefault(pid, []).append(body)
-        cid = body.get("contract_id")
-        if cid:
-            state.contracts[_id(cid)] = {
-                "version": body.get("contract_version", 1),
-                "lifecycle": "active",
-            }
-    elif kind == _CHECK:
-        if body.get("warning"):
-            return
-        ep = _id(body["endpoint_id"])
-        state.compliance.setdefault(ep, {})[_id(body["rule_id"])] = {
-            "verdict": body["verdict"],
-            "checked_at": body["checked_at"],
-        }
-    elif kind == _RESULT:
+    body = _body(tx)
+    if kind is _RESULT:
         endpoint_id, succeeded, _, _ = _result_reading(tx, body)
         if succeeded:
             state.endpoint_attrs.setdefault(tx.metadata.arm, {}).setdefault(endpoint_id, {}).update(
-                (tx.body() if body is None else body).get("applied", {}).items())
-    elif kind == _ALERT:
-        affected = _ids(body, "affected")
+                body.get("applied", {}))
+    elif kind is _CHECK:
+        if not body.get("warning"):
+            state.compliance.setdefault(body["endpoint_id"], {})[body["rule_id"]] = {
+                "verdict": body["verdict"], "checked_at": body["checked_at"]}
+    elif kind is _ALERT:
+        affected = body.get("affected", [])
         state.alerts.append({"report_id": body.get("report_id"), "affected": affected})
         for ep in affected:
             state.endpoint_attrs.setdefault("automated", {}).setdefault(ep, {})["infected"] = True
+    else:  # a policy deploy or update
+        pid, cid = body["policy_id"], body.get("contract_id")
+        state.policies[pid] = body
+        state.policy_history.setdefault(pid, []).append(body)
+        if cid:
+            state.contracts[cid] = {"version": body.get("contract_version", 1), "lifecycle": "active"}
 
 
 # --------------------------------------------------------------------------
@@ -606,29 +622,25 @@ class ChainVerdict:
 
 
 def _planned_settings(body: dict) -> list[tuple[str, str, object]]:
-    """(endpoint, attribute, value) writes implied by a decision payload:
-    those its params alone fix, as no endpoint has been touched yet. Every
-    item must name its endpoint, whether or not its action writes."""
-    settings = []
-    for item in body.get("planned", []):
-        endpoint = item["endpoint_id"]
-        for attr, value in action_writes(item.get("kind"), item.get("params", {})).items():
-            settings.append((endpoint, attr, value))
-    return settings
+    """(endpoint, attribute, value) writes implied by a decision body that
+    fits its table: those its params alone fix, as no endpoint has been
+    touched yet."""
+    return [(item["endpoint_id"], attr, value) for item in body.get("planned", [])
+            for attr, value in action_writes(item["kind"], item["params"]).items()]
+
+
+def _pins(body: dict) -> list[tuple[str, object]]:
+    """(attribute, value) of each equals-condition of a policy body that
+    fits its table, in rule and condition order."""
+    return [(cond["attribute"], cond["value"]) for rule in body.get("rules", [])
+            for cond in rule.get("condition", []) if cond.get("comparator") == "equals"]
 
 
 def _active_required_values(state: WorldState, skip_policy: Optional[str] = None):
     """attribute -> (value, policy_id) for every equals-condition of every
     active policy version."""
-    required: dict[str, tuple[object, str]] = {}
-    for pid, doc in state.policies.items():
-        if pid == skip_policy:
-            continue
-        for rule in doc.get("rules", []):
-            for cond in rule.get("condition", []):
-                if cond.get("comparator") == "equals":
-                    required[cond["attribute"]] = (cond["value"], pid)
-    return required
+    return {attr: (value, pid) for pid, doc in state.policies.items() if pid != skip_policy
+            for attr, value in _pins(doc)}
 
 
 def validate_transaction(
@@ -640,9 +652,9 @@ def validate_transaction(
     active policy, and absence of conflicting pending writes.
 
     Raises MalformedTransaction when the payload digest does not
-    recompute, or when a body lacks a field the checks read, holds one of
-    the wrong type or nests too deep to decode; that is corruption, not a
-    validation outcome.
+    recompute, or when a policy or decision body does not fit its table
+    (``BODY_SPECS``) or nests too deep to decode; that is corruption, not
+    a validation outcome.
     """
     if not tx.payload_intact():
         raise MalformedTransaction(f"tx {tx.tx_id}: payload digest mismatch")
@@ -653,43 +665,25 @@ def validate_transaction(
 
     if kind not in _BODY_CHECKED:
         return ACCEPT
+    # A document or plan must not require a value another active policy
+    # pins otherwise, nor a plan set one a pending plan sets otherwise.
     try:
-        return _check_body(kind, tx.body(), state, pending)
+        body = _body(tx)
+        required = _active_required_values(state, skip_policy=body.get("policy_id"))
+        if kind in _POLICY_KINDS:
+            planned, writes = [], _pins(body)
+        else:
+            planned = _planned_settings(body)
+            writes = [(attr, value) for _, attr, value in planned]
+        if any(attr in required and required[attr][0] != value for attr, value in writes):
+            return TxVerdict(False, "policy_conflict")
+        mine = {(ep, attr): val for ep, attr, val in planned}
+        for other in pending if kind is _DECISION else ():
+            if other.kind is _DECISION and any(mine.get((ep, attr), val) != val
+                                               for ep, attr, val in _planned_settings(_body(other))):
+                return TxVerdict(False, "pending_conflict")
     except _BODY_ERRORS as exc:
         raise MalformedTransaction(f"tx {tx.tx_id}: malformed body ({exc!r})") from exc
-
-
-def _check_body(kind, body, state: WorldState, pending: list) -> TxVerdict:
-    """``validate_transaction``'s checks of a policy or decision body."""
-    required = _active_required_values(state, skip_policy=body.get("policy_id"))
-
-    if kind in _POLICY_KINDS:
-        _id(body["policy_id"])  # live state folds the policy by it at commit,
-        if body.get("contract_id"):  # and the contract the policy names by its id
-            _id(body["contract_id"])
-        # A new document must not demand a value another active policy forbids.
-        for rule in body.get("rules", []):
-            for cond in rule.get("condition", []):
-                if cond.get("comparator") != "equals":
-                    continue
-                prior = required.get(cond["attribute"])
-                if prior is not None and prior[0] != cond["value"]:
-                    return TxVerdict(False, "policy_conflict")
-    elif kind == _DECISION:
-        planned = _planned_settings(body)
-        for _, attr, value in planned:
-            prior = required.get(attr)
-            if prior is not None and prior[0] != value:
-                return TxVerdict(False, "policy_conflict")
-        # Conflicting pending writes to the same endpoint attribute.
-        mine = {(ep, attr): val for ep, attr, val in planned}
-        for other in pending:
-            if other.kind != _DECISION:
-                continue
-            for ep, attr, val in _planned_settings(other.body()):
-                if (ep, attr) in mine and mine[(ep, attr)] != val:
-                    return TxVerdict(False, "pending_conflict")
-
     return ACCEPT
 
 
@@ -878,9 +872,11 @@ def replay_state(chain: list[LedgerBlock]) -> WorldState:
     return state
 
 
-def _tx_matches(tx: TransactionRecord, kind, actor, time_range) -> bool:
-    return not (kind is not None and tx.kind != kind or actor is not None and tx.actor != actor
-                or time_range is not None and not time_range[0] <= tx.timestamp <= time_range[1])
+#: Per kind, the body fields that name a policy and an endpoint, which
+#: ``query_history``'s filters read: an id, or a list of ids.
+_NAMES = {TxKind.POLICY_DEPLOY: ("policy_id", None), TxKind.POLICY_UPDATE: ("policy_id", None),
+          _CHECK: ("policy_id", "endpoint_id"), _DECISION: ("matched_policy_ids", "target_endpoints"),
+          _RESULT: (None, "endpoint_id"), _ALERT: (None, "affected")}
 
 
 def query_history(chain: list[LedgerBlock], *, kind: Optional[TxKind] = None, actor: Optional[str] = None,
@@ -888,23 +884,24 @@ def query_history(chain: list[LedgerBlock], *, kind: Optional[TxKind] = None, ac
                   time_range: Optional[tuple[int, int]] = None) -> list[TransactionRecord]:
     """All and only matching records, in commit order, ``time_range``'s
     ticks inclusive: the one walk of a committed chain, which replay and
-    samples fold over. Refuses a chain that does not verify, and a body a
-    policy or endpoint filter cannot read, naming its block."""
+    samples fold over. Refuses a chain that does not verify. A policy or
+    endpoint filter reads every body of the records left, through
+    ``_body``, and refuses one that does not fit its table, naming its
+    block; it matches a body whose field in ``_NAMES`` is or lists the id."""
     verify_chain(chain).require()
     txs = [tx for block in chain for tx in block.transactions]
     if kind is not None or actor is not None or time_range is not None:
-        txs = [tx for tx in txs if _tx_matches(tx, kind, actor, time_range)]
+        txs = [tx for tx in txs
+               if not (kind is not None and tx.kind != kind or actor is not None and tx.actor != actor
+                       or time_range is not None and not time_range[0] <= tx.timestamp <= time_range[1])]
     if policy_id is None and endpoint_id is None:
         return txs
     matched = []
     try:
         for tx in txs:
-            body = tx.body()
-            if ((policy_id is None or body.get("policy_id") == policy_id
-                 or policy_id in _ids(body, "matched_policy_ids"))
-                    and (endpoint_id is None or body.get("endpoint_id") == endpoint_id
-                         or endpoint_id in _ids(body, "target_endpoints")
-                         or endpoint_id in _ids(body, "affected"))):
+            body = _body(tx)
+            if all(wanted is None or wanted in (named if type(named) is list else [named])
+                   for wanted, named in zip((policy_id, endpoint_id), map(body.get, _NAMES[tx.kind]))):
                 matched.append(tx)
     except _BODY_ERRORS as exc:
         raise _unreadable(chain, tx, exc) from exc

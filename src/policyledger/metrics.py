@@ -355,10 +355,10 @@ def samples_from_chain(chain) -> tuple[list[MetricSample], list[MetricSample]]:
     the deploy and update transactions' rule->policy mapping; this is what
     makes a report reproducible from an exported chain alone. Each result
     is read through the reading the record keeps, as replay reads it.
-    Refuses what ``query_history`` refuses, and a body it cannot read or
-    would misread, naming its block.
+    Refuses what ``query_history`` refuses, and a policy or result body
+    that does not fit its table (``ledger.BODY_SPECS``), naming its block.
     """
-    from .ledger import _BODY_ERRORS, TxKind, _id, _result_reading, _unreadable, query_history
+    from .ledger import _BODY_ERRORS, TxKind, _body, _result_reading, _unreadable, query_history
 
     deploy, update, result = TxKind.POLICY_DEPLOY, TxKind.POLICY_UPDATE, TxKind.ENFORCEMENT_RESULT
     records, results = query_history(chain), []
@@ -373,10 +373,10 @@ def samples_from_chain(chain) -> tuple[list[MetricSample], list[MetricSample]]:
             if kind is result:
                 results.append(tx)
             elif kind is deploy or kind is update:
-                body = tx.body()
+                body = _body(tx)
                 mapping = deployed if kind is deploy else updated
                 for rule in body.get("rules", []):
-                    mapping[rule["rule_id"]] = _id(body["policy_id"])
+                    mapping[rule["rule_id"]] = body["policy_id"]
         rule_policy = deployed | updated
         for tx in results:
             endpoint_id, succeeded, duration, rule_id = _result_reading(tx)

@@ -117,7 +117,11 @@ TECHNIQUE_ID_RE = re.compile(r"^T\d{4}(\.\d{3})?$")
 @dataclass(frozen=True)
 class EnforcementActionSpec:
     """One remediation: an action kind plus kind-specific params and a
-    target selector ("all", explicit endpoint ids, or "non_compliant")."""
+    target selector ("all", explicit endpoint ids, or "non_compliant").
+
+    A loaded remediation is checked once, with its defaults, by
+    ``PolicyDocument.SPEC``'s check, before it is built; building one
+    checks nothing again."""
 
     kind: str
     params: dict = field(default_factory=dict)
@@ -128,9 +132,6 @@ class EnforcementActionSpec:
         "params": FieldSpec("params", of=ACTION_PARAMS),
         "target_selector": FieldSpec("selector", of=("all", "non_compliant")),
     }
-
-    def __post_init__(self):
-        check_fields(EnforcementActionSpec.SPEC, vars(self))
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "params": self.params, "target_selector": self.target_selector}
@@ -200,7 +201,7 @@ class PolicyRule:
         "condition": FieldSpec("list", 1, of=FieldSpec("object", of=Condition.SPEC), required=True),
         "severity_weight": FieldSpec("int", 0, 4, required=True),
         "regulatory_importance": FieldSpec("int", 0, 4, required=True),
-        "remediation": FieldSpec("object", of=EnforcementActionSpec.SPEC, required=True),
+        "remediation": FieldSpec("config", of=EnforcementActionSpec, required=True),
         "technique_tags": FieldSpec("list", 0, of=FieldSpec("pattern", of=TECHNIQUE_ID_RE)),
     }
 

@@ -19,7 +19,7 @@ from test_simnet import NETWORK_BOUNDS_CASES
 from policyledger.cli import main
 from policyledger.cti import ForestModel, ThreatReport
 from policyledger.errors import InputError
-from policyledger.ledger import GENESIS_META, LedgerBlock, import_chain, verify_chain
+from policyledger.ledger import BODY_SPECS, GENESIS_META, LedgerBlock, TxKind, import_chain, verify_chain
 from policyledger.policy import PolicyDocument
 from policyledger.runner import RunConfig, fixture_path
 from policyledger.simnet import AnalystTeam, NetworkModel
@@ -305,6 +305,7 @@ _README_TABLES = [
     ("Model file schema", ForestModel.SPEC, ""),
     ("Chain line schema", LedgerBlock.SPEC, ""),
     ("Chain line schema", GENESIS_META, "meta."),
+    *(("Body schema", BODY_SPECS[kind], f"{kind.value}.") for kind in BODY_SPECS if kind != TxKind.POLICY_UPDATE),
 ]
 
 

@@ -21,7 +21,8 @@ from test_input_files import _changed, _edges, _slots
 from policyledger import canonical, contracts, cti, ledger, metrics, policy, runner, simnet
 from policyledger.canonical import check_config, check_fields
 from policyledger.cti import ForestModel, ThreatReport, ingest_feed, read_feed
-from policyledger.ledger import GENESIS_META, LedgerBlock, TransactionRecord, TxMetadata, import_chain
+from policyledger.ledger import (BODY_SPECS, GENESIS_META, LedgerBlock, TransactionRecord, TxKind, TxMetadata,
+                                 import_chain)
 from policyledger.policy import PolicyDocument, load_policy_file
 from policyledger.runner import RunConfig, fixture_path, run_scenario
 
@@ -36,6 +37,15 @@ def _chain_lines() -> list:
 def _chain_table(cls):
     return (lambda doc: cls.from_dict(doc, {}),
             lambda doc: oracle.check_fields(cls.SPEC, doc, cls.__name__, ledger._wire_error))
+
+
+def _body_table(kind):
+    """The run's three longest bodies of ``kind``, and its body table."""
+    bodies = sorted((tx["payload"] for block in _LINES for tx in block["transactions"] if tx["kind"] == kind.value),
+                    key=len, reverse=True)
+    return ([json.loads(body) for body in bodies[:3]], BODY_SPECS[kind],
+            lambda doc: ledger._BODY_CHECKS[kind](doc, "body"),
+            lambda doc: oracle.check_fields(BODY_SPECS[kind], doc, "body", ledger._wire_error))
 
 
 _LINES = _chain_lines()
@@ -60,6 +70,7 @@ _TABLES = {
     "chain metadata": ([tx["metadata"] for tx in _RECORDS], TxMetadata.SPEC, *_chain_table(TxMetadata)),
     "genesis meta": ([_LINES[0]["meta"]], GENESIS_META, lambda doc: ledger._meta_check(doc, "meta"),
                      lambda doc: oracle.check_fields(GENESIS_META, doc, "meta", ledger._wire_error)),
+    **{f"{kind.value} body": _body_table(kind) for kind in BODY_SPECS if kind is not TxKind.POLICY_UPDATE},
 }
 
 

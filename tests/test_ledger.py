@@ -1,7 +1,9 @@
 """Ledger unit tests: validation, consensus, tamper evidence, replay."""
 
+import collections
 import dataclasses
 import hashlib
+import itertools
 import json
 import random
 import tempfile
@@ -11,7 +13,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_tx, run_configs
+import field_oracle
+from conftest import make_tx, perfbench_feed, run_configs
 from policyledger import ledger as ledger_module
 from policyledger.canonical import (
     canonical_json,
@@ -458,6 +461,9 @@ def test_a_malformed_decision_body_is_a_malformed_transaction(body):
     with pytest.raises(ConsensusFailure, match="reject:malformed"):
         ledger.commit_block(1)
     assert len(ledger.chain()) == 1
+    # A decision submitted behind it reads its plan through the same table.
+    with pytest.raises(MalformedTransaction):
+        ledger.submit_transaction(make_tx(ledger, body={"planned": []}))
 
 
 def test_a_decision_body_nested_too_deep_to_decode_is_a_malformed_transaction():
@@ -507,7 +513,8 @@ _conditions = st.fixed_dictionaries({
 })
 _policy_bodies = st.fixed_dictionaries(
     {"policy_id": st.sampled_from(_PIDS),
-     "rules": st.lists(st.fixed_dictionaries({"condition": st.lists(_conditions, max_size=3)}),
+     "rules": st.lists(st.fixed_dictionaries({"rule_id": st.just("r"),
+                                              "condition": st.lists(_conditions, max_size=3)}),
                        max_size=3)},
     optional={"contract_id": st.just("c")},
 )
@@ -577,8 +584,9 @@ def _oracle_planned_settings(body):
 
 
 def _oracle_validate(tx, state, pending, authorization):
-    """``validate_transaction``, written out step by step. A malformed body
-    raises whatever it raises."""
+    """``validate_transaction``, written out step by step, with the body's
+    table interpreted (``field_oracle``). A malformed body raises whatever
+    it raises."""
     if not tx.payload_intact():
         raise MalformedTransaction(f"tx {tx.tx_id}: payload digest mismatch")
     kind = tx.kind
@@ -587,13 +595,10 @@ def _oracle_validate(tx, state, pending, authorization):
     if kind not in ledger_module._BODY_CHECKED:
         return ledger_module.ACCEPT
     body = tx.body()
+    field_oracle.check_fields(ledger_module.BODY_SPECS[kind], body, "body", ledger_module._wire_error)
     skip = body.get("policy_id")
     required = ledger_module._active_required_values(state, skip_policy=skip)
     if kind in (TxKind.POLICY_DEPLOY, TxKind.POLICY_UPDATE):
-        if type(body["policy_id"]) is not str:
-            raise TypeError("policy_id")
-        if body.get("contract_id") and type(body["contract_id"]) is not str:
-            raise TypeError("contract_id")
         for rule in body.get("rules", []):
             for cond in rule.get("condition", []):
                 if cond.get("comparator") != "equals":
@@ -1138,54 +1143,77 @@ _READERS = {
     "policy-filter": lambda chain: query_history(chain, policy_id="p1"),
     "endpoint-filter": lambda chain: query_history(chain, endpoint_id="ep-000"),
 }
+#: The chain's readers of each kind's body: samples reads only policies
+#: and results, and replay reads no decision.
+_READERS_OF = {
+    TxKind.POLICY_DEPLOY: list(_READERS),
+    TxKind.ENFORCEMENT_RESULT: list(_READERS),
+    TxKind.COMPLIANCE_CHECK: ["replay", "policy-filter", "endpoint-filter"],
+    TxKind.THREAT_ALERT: ["replay", "policy-filter", "endpoint-filter"],
+    TxKind.ENFORCEMENT_DECISION: ["policy-filter", "endpoint-filter"],
+}
 _RESULT = (TxKind.ENFORCEMENT_RESULT, "contract-engine")
+_DEPLOY = (TxKind.POLICY_DEPLOY, "policy-admin")
+_CHECK = (TxKind.COMPLIANCE_CHECK, "contract-engine")
+_DECISION = (TxKind.ENFORCEMENT_DECISION, "contract-engine")
+_ALERT = (TxKind.THREAT_ALERT, "cti-engine")
 _SUCCESS = {"endpoint_id": "ep-000", "rule_id": "r", "outcome": "success", "duration_ms": 1, "applied": {}}
-#: name -> (the record's kind, actor and optional metadata, its payload, the
-#: readers it reaches). Replay and samples also refuse a result body they
-#: would misread: the engine writes an int duration, a str endpoint id, a str
-#: or null rule id, one of the two outcomes and one of the two arms; and an
-#: alert's ``affected`` is a list of ids. ``json.loads`` reads NaN and Infinity.
-_BOTH = ["replay", "samples"]
+_POLICY = {"policy_id": "p1", "rules": [{"rule_id": "r"}]}
+_CHECKED = {"endpoint_id": "ep-000", "rule_id": "r", "verdict": "compliant", "checked_at": 1}
+#: name -> (the record's kind and actor, its payload). Each body breaks its
+#: kind's table (``ledger.BODY_SPECS``), and every reader of the kind
+#: refuses it: a result holds what the engine writes, an int duration a
+#: float holds, a str endpoint id, a str or null rule id, one of the two
+#: outcomes and an object of ``applied``; a policy a str id and rules that
+#: are objects with str ids; a check a str endpoint and rule id, one of
+#: the two verdicts and an int time; an alert a str report id and a list of
+#: ids. ``json.loads`` reads NaN and Infinity.
 _UNREADABLE = {
-    "list": (_RESULT, "[]", _READERS),
-    "int": (_RESULT, "5", _READERS),
-    "deep": (_RESULT, "[" * 200_000 + "]" * 200_000, _READERS),
-    "duration-str": (_RESULT, canonical_json({**_SUCCESS, "duration_ms": "x"}), _BOTH),
-    "duration-huge": (_RESULT, canonical_json({**_SUCCESS, "duration_ms": 10**400}), _BOTH),
-    "duration-numeric-str": (_RESULT, canonical_json({**_SUCCESS, "duration_ms": "5"}), _BOTH),
-    "duration-bool": (_RESULT, canonical_json({**_SUCCESS, "duration_ms": True}), _BOTH),
-    "duration-nan": (_RESULT, json.dumps({**_SUCCESS, "duration_ms": float("nan")}), _BOTH),
-    "duration-infinity": (_RESULT, json.dumps({**_SUCCESS, "duration_ms": float("inf")}), _BOTH),
-    "endpoint-id-int": (_RESULT, canonical_json({**_SUCCESS, "endpoint_id": 5}), _BOTH),
-    "rule-id-int": (_RESULT, canonical_json({**_SUCCESS, "rule_id": 5}), _BOTH),
-    "outcome-capitalised": (_RESULT, canonical_json({**_SUCCESS, "outcome": "Success"}), _BOTH),
-    "arm-martian": ((*_RESULT, TxMetadata(arm="martian")), canonical_json(_SUCCESS), _BOTH),
-    "policy-id-int": ((TxKind.POLICY_DEPLOY, "policy-admin"),
-                      canonical_json({"policy_id": 5, "rules": [{"rule_id": "r"}]}), _BOTH),
-    "affected-str": ((TxKind.THREAT_ALERT, "cti-engine"), canonical_json({"affected": "ep-01"}),
-                     ["replay", "endpoint-filter"]),
+    "list": (_RESULT, "[]"),
+    "int": (_RESULT, "5"),
+    "deep": (_RESULT, "[" * 200_000 + "]" * 200_000),
+    "duration-str": (_RESULT, canonical_json({**_SUCCESS, "duration_ms": "x"})),
+    "duration-huge": (_RESULT, canonical_json({**_SUCCESS, "duration_ms": 10**400})),
+    "duration-numeric-str": (_RESULT, canonical_json({**_SUCCESS, "duration_ms": "5"})),
+    "duration-bool": (_RESULT, canonical_json({**_SUCCESS, "duration_ms": True})),
+    "duration-nan": (_RESULT, json.dumps({**_SUCCESS, "duration_ms": float("nan")})),
+    "duration-infinity": (_RESULT, json.dumps({**_SUCCESS, "duration_ms": float("inf")})),
+    "endpoint-id-int": (_RESULT, canonical_json({**_SUCCESS, "endpoint_id": 5})),
+    "rule-id-int": (_RESULT, canonical_json({**_SUCCESS, "rule_id": 5})),
+    "outcome-capitalised": (_RESULT, canonical_json({**_SUCCESS, "outcome": "Success"})),
+    "applied-empty-list": (_RESULT, canonical_json({**_SUCCESS, "applied": []})),
+    "applied-str": (_RESULT, canonical_json({**_SUCCESS, "applied": "x"})),
+    "policy-id-int": (_DEPLOY, canonical_json({**_POLICY, "policy_id": 5})),
+    "rules-str": (_DEPLOY, canonical_json({**_POLICY, "rules": "abc"})),
+    "rules-of-str": (_DEPLOY, canonical_json({**_POLICY, "rules": ["x"]})),
+    "deploy-rule-id-int": (_DEPLOY, canonical_json({**_POLICY, "rules": [{"rule_id": 5}]})),
+    "verdict-int": (_CHECK, canonical_json({**_CHECKED, "verdict": 5})),
+    "checked-at-str": (_CHECK, canonical_json({**_CHECKED, "checked_at": "x"})),
+    "targets-str": (_DECISION, canonical_json({"planned": [], "target_endpoints": "ep-000"})),
+    "report-id-int": (_ALERT, canonical_json({"report_id": 5, "affected": []})),
+    "affected-str": (_ALERT, canonical_json({"affected": "ep-01"})),
 }
 
 
-@pytest.mark.parametrize("body, reader", [(body, reader) for body, (_, _, readers) in _UNREADABLE.items()
-                                          for reader in readers])
+@pytest.mark.parametrize("body, reader", [(body, reader) for body, ((kind, _), _) in _UNREADABLE.items()
+                                          for reader in _READERS_OF[kind]])
 def test_every_reader_refuses_a_verifying_chain_with_an_unreadable_body(body, reader):
-    (kind, actor, *metadata), payload, _ = _UNREADABLE[body]
-    chain = _sealed_chain(kind, actor, payload, *metadata)
+    (kind, actor), payload = _UNREADABLE[body]
+    chain = _sealed_chain(kind, actor, payload)
     with pytest.raises(CorruptChainError) as caught:
         _READERS[reader](chain)
     assert str(caught.value).startswith("chain corrupt at block 1 (body of tx-000001")
 
 
-@pytest.mark.parametrize("body", [body for body, (_, _, readers) in _UNREADABLE.items() if "samples" in readers])
-def test_replay_and_samples_refuse_an_unreadable_body_with_one_error(body):
-    (kind, actor, *metadata), payload, _ = _UNREADABLE[body]
-    chain = _sealed_chain(kind, actor, payload, *metadata)
+@pytest.mark.parametrize("body", sorted(_UNREADABLE))
+def test_every_reader_of_a_kind_refuses_an_unreadable_body_with_one_error(body):
+    (kind, actor), payload = _UNREADABLE[body]
+    chain = _sealed_chain(kind, actor, payload)
     errors = []
     # One chain: a refused body keeps no reading, so each call reads it anew.
-    for reader in (replay_state, samples_from_chain, replay_state, samples_from_chain):
+    for reader in _READERS_OF[kind] * 2:
         with pytest.raises(CorruptChainError) as caught:
-            reader(chain)
+            _READERS[reader](chain)
         errors.append(str(caught.value))
     assert len(set(errors)) == 1
 
@@ -1230,7 +1258,7 @@ def _result_bodies(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_result_bodies(), st.sampled_from(["automated", "human", "martian"]))
+@given(_result_bodies(), st.sampled_from(["automated", "human"]))
 def test_a_created_results_kept_reading_is_the_reading_of_its_payload(body, arm):
     created = TransactionRecord.create("tx-000001", 1, TxKind.ENFORCEMENT_RESULT, "contract-engine", body,
                                        TxMetadata(arm=arm))
@@ -1265,19 +1293,33 @@ def _results(chain):
     return [tx for block in chain for tx in block.transactions if tx.kind == TxKind.ENFORCEMENT_RESULT]
 
 
-def test_the_audit_path_parses_each_result_body_once(tmp_path, monkeypatch):
+def test_the_audit_path_parses_each_check_result_and_alert_body_once_and_no_decision(tmp_path, monkeypatch):
     from policyledger.runner import RunConfig, run_scenario
 
     path = tmp_path / "chain.ndjson"
-    export_chain(run_scenario(RunConfig(seed=5, scenario="smbv1", mode="both", endpoints=8)).chain, path)
+    export_chain(run_scenario(RunConfig(seed=5, scenario="ransomware", mode="both", endpoints=8)).chain, path)
     parsed = _count_body_parses(monkeypatch)
     chain = import_chain(path)
     assert verify_chain(chain).ok
     replay_state(chain)
     automated, human = samples_from_chain(chain)
-    results = _results(chain)
-    assert automated and human and results
-    assert [tx for tx in parsed if tx.kind == TxKind.ENFORCEMENT_RESULT] == results
+    assert automated and human
+    records = [tx for block in chain for tx in block.transactions]
+    assert {tx.kind for tx in records} == set(TxKind) - {TxKind.POLICY_UPDATE}
+    # Replay and samples each parse a deploy.
+    parses = {TxKind.POLICY_DEPLOY: (1, 2), TxKind.ENFORCEMENT_DECISION: (0, 0)}
+    counts = collections.Counter(map(id, parsed))
+    for tx in records:
+        low, high = parses.get(tx.kind, (1, 1))
+        assert low <= counts[id(tx)] <= high, tx.kind
+
+
+def test_a_run_parses_only_policy_and_decision_bodies(monkeypatch):
+    from policyledger.runner import RunConfig, run_scenario
+
+    parsed = _count_body_parses(monkeypatch)
+    run_scenario(RunConfig(seed=5, scenario="ransomware", mode="both", endpoints=8))
+    assert {tx.kind for tx in parsed} == {TxKind.POLICY_DEPLOY, TxKind.ENFORCEMENT_DECISION}
 
 
 def test_samples_parse_no_result_body_of_a_runs_live_chain(monkeypatch):
@@ -1288,6 +1330,34 @@ def test_samples_parse_no_result_body_of_a_runs_live_chain(monkeypatch):
     automated, human = samples_from_chain(chain)
     assert automated and human and _results(chain)
     assert [tx for tx in parsed if tx.kind == TxKind.ENFORCEMENT_RESULT] == []
+
+
+@pytest.fixture(scope="module")
+def generated_feed(tmp_path_factory):
+    """The benchmark's generated feed of 60 reports, as a feed file."""
+    with pytest.MonkeyPatch.context() as patch:
+        items = perfbench_feed(1, 60, patch)
+    path = tmp_path_factory.mktemp("feed") / "feed.json"
+    path.write_text(json.dumps(items), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("scenario, mode", itertools.product(["smbv1", "rdp", "ransomware", "custom"],
+                                                             ["automated", "human", "both"]))
+@settings(max_examples=3, deadline=None)
+@given(config=run_configs)
+def test_every_body_a_run_writes_fits_its_kinds_table(generated_feed, scenario, mode, config):
+    from policyledger.runner import fixture_path, run_scenario
+
+    config = dataclasses.replace(config, scenario=scenario, mode=mode)
+    if scenario == "custom":
+        config = dataclasses.replace(config, feeds=[generated_feed], policies=[
+            str(fixture_path("policies", f"{name}.json")) for name in ("smbv1", "rdp", "ransomware")])
+    for tx in (tx for block in run_scenario(config).chain for tx in block.transactions):
+        body = tx.body()
+        # The interpreted table, then the compiled one every reader checks.
+        field_oracle.check_fields(ledger_module.BODY_SPECS[tx.kind], body, "body", ledger_module._wire_error)
+        assert ledger_module._body(tx) == body
 
 
 # -- export / import ---------------------------------------------------------
@@ -1358,7 +1428,7 @@ def _tampered(tx, name):
         "actor": tx.actor + "x",
         "payload": tx.payload + " ",
         "payload_digest": digest_value("tampered"),
-        "metadata": dataclasses.replace(tx.metadata, arm=tx.metadata.arm + "x"),
+        "metadata": dataclasses.replace(tx.metadata, arm={"automated": "human", "human": "automated"}[tx.metadata.arm]),
     }[name]
     return dataclasses.replace(tx, **{name: value})
 
@@ -1478,7 +1548,7 @@ _WIRE_INT = st.integers(-(10**30), 10**30)
     technique_ids=st.one_of(st.just([]), st.lists(_ANY_TEXT, max_size=60)),
     recommended_change=_TEXT_OR_NONE,
     priority=st.integers(0, 4),
-    arm=_ANY_TEXT,
+    arm=st.sampled_from(["automated", "human"]),
 )
 def test_record_digest_is_the_digest_of_the_envelope_dict(
     tx_id, timestamp, kind, actor, payload_digest, threat_type, threat_actor,
@@ -1582,6 +1652,8 @@ def test_type_tampered_chain_file(run_chain, tmp_path, capsys, where, field, val
       for value in (1, True, 1.0, [1])],
     ("priority", True), ("priority", 1.0), ("priority", [1]),
     ("technique_ids", [1]), ("technique_ids", [None]), ("technique_ids", "T1190"),
+    # A record of neither arm, which no TxMetadata can hold.
+    ("arm", "martian"),
 ])
 def test_a_mistyped_metadata_value_is_a_format_failure(run_chain, tmp_path, capsys, field, value):
     from policyledger.cli import main

@@ -40,7 +40,6 @@ UNREACHED = {
     "ledger.TransactionRecord.__post_init__": (
         "every path builds records slot by slot, bypassing __init__; dataclasses.replace reaches it"
     ),
-    "ledger._tx_matches": "query_history's filters, kept for a chain-inspection command",
     "ledger._unreadable": (
         "error path: only a verifying chain holding a body its reader cannot read reaches it; tests seal one"
     ),

@@ -869,6 +869,9 @@ def test_cli_run_unknown_target_endpoint_is_exit_two_at_load(tmp_path, capsys):
         ("remediation", {"kind": "update_firewall_rule",
                          "params": {"direction": "outbound", "target": "*", "verdict": 0}}),
         ("remediation", {"kind": "disable_smbv1", "params": {"port": 33089}}),
+        # Params left out read as {}, which these kinds' params do not fit.
+        ("remediation", {"kind": "set_rdp_port"}),
+        ("remediation", {"kind": "update_firewall_rule"}),
         # A technique id must be the whole string: this one would never match a report's.
         ("technique_tags", ["T1210\n"]),
     ],
