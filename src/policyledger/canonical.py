@@ -15,6 +15,9 @@ object shape with its keys sorted when it is generated.
 Chain files and payloads are read back by ``decode_json``: one scan by
 a scanner built once, with ``json.loads`` as the fallback for anything
 that scan does not cover, so it accepts and fails as ``json.loads`` does.
+Every config, policy, feed and model file is read by ``read_json_file``
+and ``parse_json``, the one refusal of text that is not UTF-8, not JSON,
+or nested too deep to decode.
 
 The seeded substreams every random draw comes from, ``slot_builder``
 for the frozen value objects built once per record, block or result,
@@ -87,6 +90,31 @@ def decode_json(text: Any) -> Any:
     except Exception:
         pass
     return json.loads(text)
+
+
+def parse_json(text: str, name: str = "$", error: type[SchemaError] = SchemaError) -> Any:
+    """``decode_json(text)`` of the text of the input ``name``: text that is
+    not JSON, or that nests too deep to decode, raises ``error`` naming it."""
+    try:
+        return decode_json(text)
+    except RecursionError as exc:
+        raise error(name, "nested too deep to decode") from exc
+    except ValueError as exc:  # also an integer too long to convert
+        raise error(name, f"not valid JSON: {exc}") from exc
+
+
+def read_json_file(path: Any, parse: Optional[Callable[[str, str], Any]] = None,
+                   error: type[SchemaError] = SchemaError) -> Any:
+    """``parse_json`` of the text of the file at ``path``, or ``parse(text,
+    name)``, with ``name`` the path. Text that is not UTF-8 raises ``error``
+    naming the file; a file that cannot be opened raises OSError."""
+    name = str(path)
+    try:
+        with open(path, encoding="utf-8") as file:
+            text = file.read()
+    except UnicodeDecodeError as exc:
+        raise error(name, f"not UTF-8 text: {exc}") from exc
+    return parse_json(text, name, error) if parse is None else parse(text, name)
 
 
 def object_splicer(*keys: str, cut: Optional[str] = None) -> Callable[..., Any]:

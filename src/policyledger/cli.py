@@ -3,9 +3,12 @@
 Exit codes are a stable contract:
   0 success
   1 verification or replay failure
-  2 config or schema error
-  3 missing input file
+  2 config or schema error; also an input file that is not UTF-8, not
+    JSON, or nested too deep to decode
+  3 a file or directory the command names cannot be opened: missing, a
+    directory, a path through a file, a symlink loop, or a name too long
   4 internal invariant violation
+A command returns 0 or its verdict 1; ``main`` maps each error it raises.
 """
 
 from __future__ import annotations
@@ -17,14 +20,7 @@ from pathlib import Path
 
 from .canonical import canonical_json
 from .cti import ForestModel, assess, ingest_feed, read_feed
-from .errors import (
-    AmbiguityError,
-    ConsensusFailure,
-    CorruptChainError,
-    FeedSchemaError,
-    InputError,
-    PolicyLedgerError,
-)
+from .errors import CorruptChainError, InputError, PolicyLedgerError
 from .ledger import import_chain, replay_state, verify_chain
 from .policy import load_policy_file, rule_set
 from .runner import MODES, SCENARIOS, RunConfig, fixture_path, run_scenario
@@ -32,7 +28,7 @@ from .runner import MODES, SCENARIOS, RunConfig, fixture_path, run_scenario
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG_ERROR = 2
-EXIT_MISSING_INPUT = 3
+EXIT_CANNOT_OPEN = 3
 EXIT_INTERNAL = 4
 
 SEED_ENV_VAR = "POLICYLEDGER_SEED"
@@ -87,34 +83,21 @@ def _warn_skipped(diagnostics: list[str]) -> None:
 
 
 def _cmd_run(args) -> int:
-    try:
-        config = RunConfig.from_file(args.config) if args.config else RunConfig()
-        merged = config.to_dict()
-        for name in ("scenario", "mode", "endpoints"):
-            if getattr(args, name) is not None:
-                merged[name] = getattr(args, name)
-        merged["seed"] = _resolve_seed(args, config)
-        config = RunConfig.from_dict(merged)
-        out = Path(args.out)
-        for path in (out, *out.parents):
-            if path.exists() and not path.is_dir():
-                raise InputError(f"output path {path} exists and is not a directory")
-        for name in ("chain.ndjson", "report.json", "report.txt"):
-            if (out / name).is_dir():
-                raise InputError(f"output file {out / name} is a directory")
-        result = run_scenario(config, outdir=out, report_format=args.report_format)
-    except (FileNotFoundError, IsADirectoryError) as exc:
-        print(f"error: missing input file: {exc.filename or exc}", file=sys.stderr)
-        return EXIT_MISSING_INPUT
-    except (InputError, AmbiguityError, FeedSchemaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    except (ConsensusFailure, CorruptChainError) as exc:
-        print(f"internal invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except PolicyLedgerError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    config = RunConfig.from_file(args.config) if args.config else RunConfig()
+    merged = config.to_dict()
+    for name in ("scenario", "mode", "endpoints"):
+        if getattr(args, name) is not None:
+            merged[name] = getattr(args, name)
+    merged["seed"] = _resolve_seed(args, config)
+    config = RunConfig.from_dict(merged)
+    out = Path(args.out)
+    for path in (out, *out.parents):
+        if path.exists() and not path.is_dir():
+            raise InputError(f"output path {path} exists and is not a directory")
+    for name in ("chain.ndjson", "report.json", "report.txt"):
+        if (out / name).is_dir():
+            raise InputError(f"output file {out / name} is a directory")
+    result = run_scenario(config, outdir=out, report_format=args.report_format)
 
     _warn_skipped(result.diagnostics)
     if args.verbose:
@@ -127,11 +110,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify_chain(args) -> int:
-    path = Path(args.chain_file)
-    if not path.exists() or path.is_dir():
-        print(f"error: chain file not found: {path}", file=sys.stderr)
-        return EXIT_MISSING_INPUT
-    chain = import_chain(path)
+    chain = import_chain(args.chain_file)
     verdict = verify_chain(chain)
     if verdict:
         print(f"ok: {len(chain)} blocks, head {chain[-1].block_hash}")
@@ -141,11 +120,7 @@ def _cmd_verify_chain(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    path = Path(args.chain_file)
-    if not path.exists() or path.is_dir():
-        print(f"error: chain file not found: {path}", file=sys.stderr)
-        return EXIT_MISSING_INPUT
-    chain = import_chain(path)
+    chain = import_chain(args.chain_file)
     try:
         state = replay_state(chain)
     except CorruptChainError as exc:
@@ -161,17 +136,9 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    try:
-        items = read_feed(args.feed_file)
-        model = ForestModel.from_file(args.model or fixture_path("model.json"))
-        rules = rule_set(load_policy_file(p) for p in args.policies)
-    except (FileNotFoundError, IsADirectoryError) as exc:
-        print(f"error: missing input file: {exc.filename or exc}", file=sys.stderr)
-        return EXIT_MISSING_INPUT
-    except (FeedSchemaError, AmbiguityError, InputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-
+    items = read_feed(args.feed_file)
+    model = ForestModel.from_file(args.model or fixture_path("model.json"))
+    rules = rule_set(load_policy_file(p) for p in args.policies)
     reports, diagnostics = ingest_feed(items)
     _warn_skipped(diagnostics)
     memo: dict = {}
@@ -194,7 +161,18 @@ def main(argv=None) -> int:
         "replay": _cmd_replay,
         "classify": _cmd_classify,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except OSError as exc:
+        reason = f"cannot open {exc.filename}: {exc.strerror}" if exc.filename else exc
+        print(f"error: {reason}", file=sys.stderr)
+        return EXIT_CANNOT_OPEN
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    except PolicyLedgerError as exc:
+        print(f"internal invariant violation: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -30,7 +30,6 @@ it returns shares that index.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass, field
@@ -38,7 +37,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Optional
 
-from .canonical import FieldSpec, canonical_json, check_config, check_fields, stable_index
+from .canonical import FieldSpec, canonical_json, check_config, check_fields, parse_json, read_json_file, stable_index
 from .errors import FeedSchemaError, InputError, SchemaError, WidthMismatch
 from .policy import PolicyRule, query_policies
 
@@ -149,20 +148,11 @@ def _parse_item(raw: dict, path: str) -> ThreatReport:
 
 
 def read_feed(path: str | Path) -> list:
-    """The items of one feed file.
-
-    A file that is not UTF-8 text, or whose envelope is not a JSON array,
-    raises FeedSchemaError naming the file; a missing file raises
-    FileNotFoundError.
-    """
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise FeedSchemaError(f"{path}: feed is not UTF-8 text: {exc}") from exc
-    except ValueError as exc:  # also an integer too long to convert
-        raise FeedSchemaError(f"{path}: feed envelope is not valid JSON: {exc}") from exc
+    """The items of one feed file. A file that does not hold a JSON array
+    raises FeedSchemaError naming it; one that cannot be opened, OSError."""
+    data = read_json_file(path, error=FeedSchemaError)
     if not isinstance(data, list):
-        raise FeedSchemaError(f"{path}: feed envelope must be an array of items")
+        raise FeedSchemaError(str(path), "feed envelope must be an array of items")
     return data
 
 
@@ -317,26 +307,18 @@ class ForestModel:
         )
 
     @classmethod
-    def from_json(cls, text: str) -> "ForestModel":
+    def from_json(cls, text: str, name: str = "$") -> "ForestModel":
         """Parse a model file. Text that is not a JSON object that fits
         ``SPEC``, or whose stumps could not classify an encoded report,
-        raises InputError."""
-        try:
-            data = json.loads(text)
-        except ValueError as exc:  # also an integer too long to convert
-            raise InputError(f"model is not valid JSON: {exc}") from exc
-        data = check_config(cls, data)
+        raises InputError; text that does not decode names ``name``."""
+        data = check_config(cls, parse_json(text, name))
         del data["format"]
         stumps = tuple(Stump(**{**s, "vote_category": ThreatCategory(s["vote_category"])}) for s in data["stumps"])
         return cls(**{**data, "stumps": stumps, "weights": tuple(data["weights"])})
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ForestModel":
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise InputError(f"model is not UTF-8 text: {exc}") from exc
-        return cls.from_json(text)
+        return read_json_file(path, cls.from_json)
 
 
 def classify(model: ForestModel, fv: list[int]) -> ThreatClass:

@@ -21,13 +21,14 @@ class SchemaError(InputError):
         super().__init__(f"{path}: {message}")
 
 
-class AmbiguityError(PolicyLedgerError):
+class AmbiguityError(InputError):
     """A rule condition references an attribute outside the closed endpoint
     vocabulary. Surfaced at load time, never silently skipped."""
 
 
-class FeedSchemaError(PolicyLedgerError):
-    """The feed envelope itself is unreadable (not a record array)."""
+class FeedSchemaError(SchemaError):
+    """The feed envelope itself is unreadable (not a record array); the
+    path is the feed file's."""
 
 
 class MalformedTransaction(PolicyLedgerError):

@@ -667,6 +667,7 @@ def validate_transaction(
         return ACCEPT
     # A document or plan must not require a value another active policy
     # pins otherwise, nor a plan set one a pending plan sets otherwise.
+    other = tx  # the record whose body is read, which a malformed body names
     try:
         body = _body(tx)
         required = _active_required_values(state, skip_policy=body.get("policy_id"))
@@ -683,7 +684,7 @@ def validate_transaction(
                                                for ep, attr, val in _planned_settings(_body(other))):
                 return TxVerdict(False, "pending_conflict")
     except _BODY_ERRORS as exc:
-        raise MalformedTransaction(f"tx {tx.tx_id}: malformed body ({exc!r})") from exc
+        raise MalformedTransaction(f"tx {other.tx_id}: malformed body ({exc!r})") from exc
     return ACCEPT
 
 

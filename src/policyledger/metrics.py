@@ -197,7 +197,7 @@ class MetricSample:
             raise InputError("one duration per successful update expected")
 
 
-def _metric_block(sample: MetricSample, z: float) -> dict:
+def _metric_block(sample: MetricSample) -> dict:
     durations = sample.durations
     block: dict = {
         "cer": cer(sample.successes, sample.total),
@@ -207,7 +207,7 @@ def _metric_block(sample: MetricSample, z: float) -> dict:
     }
     if len(durations) >= 2:
         var, sd = variance_std(durations)
-        lo, hi = confidence_interval(durations, z)
+        lo, hi = confidence_interval(durations)
         block.update(
             {
                 "variance_ms2": var,
@@ -297,7 +297,6 @@ def build_comparison_report(
     chain_hash: str,
     seed: int,
     config_digest: str,
-    z: float = 1.96,
 ) -> ComparisonReport:
     """Assemble every metric per policy per arm plus the per-endpoint
     paired t-test on durations. Missing human samples are flagged and the
@@ -311,9 +310,9 @@ def build_comparison_report(
         a = auto_by_policy.get(policy_id)
         h = human_by_policy.get(policy_id)
         if a:
-            entry["automated"] = _metric_block(a, z)
+            entry["automated"] = _metric_block(a)
         if h:
-            entry["human"] = _metric_block(h, z)
+            entry["human"] = _metric_block(h)
         if a and h:
             shared = sorted(set(a.endpoint_durations) & set(h.endpoint_durations))
             if len(shared) >= 2:

@@ -33,14 +33,13 @@ severity_weight, ties to the lexicographically smaller rule id.
 
 from __future__ import annotations
 
-import json
 import operator
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Optional
 
-from .canonical import FieldSpec, check_fields, generated_function
+from .canonical import FieldSpec, check_fields, generated_function, parse_json, read_json_file
 from .errors import AmbiguityError, InputError, SchemaError
 
 #: Closed attribute set; identical to the simulated endpoint's fields.
@@ -310,12 +309,10 @@ def _load_rule(data: dict, path: str, policy_id: str) -> PolicyRule:
     })
 
 
-def load_policy_document(source: str) -> PolicyDocument:
-    """Parse and fully validate one policy document from JSON text."""
-    try:
-        data = json.loads(source)
-    except ValueError as exc:  # also an integer too long to convert
-        raise SchemaError("$", f"not valid JSON: {exc}") from exc
+def load_policy_document(source: str, name: str = "$") -> PolicyDocument:
+    """Parse and fully validate one policy document from JSON text; text
+    that does not decode names ``name``."""
+    data = parse_json(source, name)
     check_fields(PolicyDocument.SPEC, data)
     rules = tuple(
         _load_rule(raw, f"$.rules[{i}]", data["policy_id"])
@@ -328,11 +325,7 @@ def load_policy_document(source: str) -> PolicyDocument:
 
 
 def load_policy_file(path: str | Path) -> PolicyDocument:
-    try:
-        source = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise SchemaError("$", f"not UTF-8 text: {exc}") from exc
-    return load_policy_document(source)
+    return read_json_file(path, load_policy_document)
 
 
 # --------------------------------------------------------------------------

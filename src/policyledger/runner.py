@@ -12,13 +12,12 @@ A run pauses the cyclic garbage collector (see ``run_scenario``).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .canonical import FieldSpec, check_config, collector_paused, digest_value, substream
+from .canonical import FieldSpec, check_config, collector_paused, digest_value, read_json_file, substream
 from .contracts import ContractEngine
 from .cti import CycleOutcome, ForestModel, assess, ingest_feed, process_threat_intelligence, read_feed
 from .errors import InputError
@@ -87,13 +86,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except UnicodeDecodeError as exc:
-            raise InputError(f"config file is not UTF-8 text: {exc}") from exc
-        except ValueError as exc:  # also an integer too long to convert
-            raise InputError(f"config file is not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
+        return cls.from_dict(read_json_file(path))
 
     def resolved_policy_paths(self) -> list[Path]:
         if self.policies:

@@ -457,13 +457,17 @@ def test_a_malformed_decision_body_is_a_malformed_transaction(body):
     with pytest.raises(MalformedTransaction):
         ledger.submit_transaction(make_tx(ledger, body=body))
     # The same record slipped past submission fails the block vote.
-    ledger.pending.append(make_tx(ledger, body=body))
+    slipped = make_tx(ledger, body=body)
+    ledger.pending.append(slipped)
     with pytest.raises(ConsensusFailure, match="reject:malformed"):
         ledger.commit_block(1)
     assert len(ledger.chain()) == 1
-    # A decision submitted behind it reads its plan through the same table.
-    with pytest.raises(MalformedTransaction):
-        ledger.submit_transaction(make_tx(ledger, body={"planned": []}))
+    # A decision submitted behind it reads its plan through the same table,
+    # and the error names the slipped record, not the well-formed one.
+    behind = make_tx(ledger, body={"planned": []})
+    assert behind.tx_id != slipped.tx_id
+    with pytest.raises(MalformedTransaction, match=f"tx {slipped.tx_id}: malformed body"):
+        ledger.submit_transaction(behind)
 
 
 def test_a_decision_body_nested_too_deep_to_decode_is_a_malformed_transaction():

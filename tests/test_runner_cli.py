@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import audit_checks, run_configs
 
-from policyledger import ledger as ledger_module, runner as runner_module
+from policyledger import cli, errors, ledger as ledger_module, runner as runner_module
 from policyledger.canonical import canonical_json, digest_bytes
 from policyledger.cli import main
 from policyledger.errors import CorruptChainError, InputError
@@ -667,6 +667,7 @@ def _run_config_naming(tmp_path, **config):
 
 
 _FEED = str(fixture_path("feeds", "smbv1_advisory.json"))
+_LONG = "x" * 300  # longer than a file name may be
 
 
 @pytest.mark.parametrize(
@@ -683,20 +684,88 @@ _FEED = str(fixture_path("feeds", "smbv1_advisory.json"))
         (lambda t: _run_config_naming(t, model=str(t / "dir")), 3),
         # An output path that is a file: refused before the run.
         (lambda t: ["run", "--endpoints", "4", "--out", str(t / "file")], 2),
+        # A name too long to open.
+        (lambda t: ["verify-chain", str(t / _LONG)], 3),
+        (lambda t: ["replay", str(t / _LONG)], 3),
+        (lambda t: ["classify", str(t / _LONG)], 3),
+        (lambda t: ["run", "--config", str(t / _LONG), "--out", str(t / "o")], 3),
+        (lambda t: ["run", "--endpoints", "4", "--out", str(t / _LONG)], 3),
+        # A path through a file.
+        (lambda t: ["classify", str(t / "file" / "x")], 3),
+        (lambda t: ["classify", _FEED, "--policies", str(t / "file" / "x")], 3),
+        (lambda t: ["run", "--config", str(t / "file" / "x"), "--out", str(t / "o")], 3),
+        # A symlink loop.
+        (lambda t: ["classify", str(t / "loop")], 3),
+        (lambda t: ["classify", _FEED, "--model", str(t / "loop")], 3),
+        (lambda t: ["run", "--config", str(t / "loop"), "--out", str(t / "o")], 3),
+        (lambda t: _run_config_naming(t, scenario="custom", policies=[str(t / "loop")]), 3),
+        # A file nested too deep to decode.
+        (lambda t: ["run", "--config", str(t / "deep"), "--out", str(t / "o")], 2),
+        (lambda t: _run_config_naming(t, scenario="custom", policies=[str(t / "deep")]), 2),
+        (lambda t: _run_config_naming(t, feeds=[str(t / "deep")]), 2),
+        (lambda t: _run_config_naming(t, model=str(t / "deep")), 2),
+        (lambda t: ["classify", str(t / "deep")], 2),
+        (lambda t: ["classify", _FEED, "--model", str(t / "deep")], 2),
+        (lambda t: ["classify", _FEED, "--policies", str(t / "deep")], 2),
     ],
     ids=["verify-chain", "replay", "classify", "classify-model", "classify-policies",
-         "run-config", "config-policies", "config-feeds", "config-model", "run-out-file"],
+         "run-config", "config-policies", "config-feeds", "config-model", "run-out-file",
+         "long-verify-chain", "long-replay", "long-classify", "long-run-config", "long-run-out",
+         "through-classify", "through-classify-policies", "through-run-config",
+         "loop-classify", "loop-classify-model", "loop-run-config", "loop-config-policies",
+         "deep-run-config", "deep-config-policies", "deep-config-feeds", "deep-config-model",
+         "deep-classify", "deep-classify-model", "deep-classify-policies"],
 )
 def test_cli_input_directory_or_output_file_is_an_error_exit(tmp_path, capsys, argv, code):
+    # A file or directory that cannot be opened exits 3; an input nested
+    # too deep to decode, or an output path that is a file, exits 2.
     (tmp_path / "dir").mkdir()
     (tmp_path / "file").write_text("kept")
+    (tmp_path / "loop").symlink_to(tmp_path / "loop")
+    (tmp_path / "deep").write_text("[" * 200_000 + "]" * 200_000)
     args = argv(tmp_path)
     before = sorted(tmp_path.rglob("*"))
     assert main(args) == code
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+    assert captured.out == ""
     assert sorted(tmp_path.rglob("*")) == before
     assert (tmp_path / "file").read_text() == "kept"
+
+
+#: The exit code ``main`` gives an error of each base class, the first of
+#: an error's bases listed here deciding.
+_EXIT_BY_BASE = [(OSError, 3), (errors.InputError, 2), (errors.PolicyLedgerError, 4)]
+_ERROR_CLASSES = sorted((cls for cls in vars(errors).values()
+                         if isinstance(cls, type) and cls.__module__ == errors.__name__),
+                        key=lambda cls: cls.__name__)
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("_cmd_run", ["run"]), ("_cmd_verify_chain", ["verify-chain", "c"]),
+    ("_cmd_replay", ["replay", "c"]), ("_cmd_classify", ["classify", "f"])])
+@pytest.mark.parametrize("error", [*_ERROR_CLASSES, OSError], ids=lambda cls: cls.__name__)
+def test_main_maps_each_error_class_to_its_exit_code(monkeypatch, capsys, command, argv, error):
+    code = next((code for base, code in _EXIT_BY_BASE if issubclass(error, base)), None)
+    assert code is not None, f"main gives {error.__name__} no exit code"
+    if error is OSError:
+        raised = OSError(2, "No such file or directory", "in.json")
+    else:
+        raised = error("$.x", "boom") if issubclass(error, errors.SchemaError) else error("boom")
+
+    def handler(args):
+        raise raised
+
+    monkeypatch.setattr(cli, command, handler)
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    if code == 3:
+        assert captured.err == "error: cannot open in.json: No such file or directory\n"
+    elif code == 2:
+        assert captured.err == f"error: {raised}\n"
+    else:
+        assert captured.err == f"internal invariant violation: {error.__name__}: boom\n"
 
 
 @pytest.mark.parametrize("name", ["chain.ndjson", "report.json", "report.txt"])
